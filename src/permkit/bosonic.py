@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Mapping, Optional, Sequence, Union
 
 import numpy as np
@@ -155,6 +156,23 @@ def _cat_sign_sum(cols: np.ndarray, p: FockOutcome) -> complex:
     return total
 
 
+def _log_sinh(x: float) -> float:
+    """log sinh(x) for x > 0, finite for every finite x: x + log(1 - e^{-2x}) - log 2."""
+    return x + math.log(-math.expm1(-2.0 * x)) - math.log(2.0)
+
+
+@lru_cache(maxsize=256)
+def _cat_scale(alpha: complex, n: int, total: int) -> complex:
+    """alpha^total / (2^n sinh^{n/2}(|alpha|^2)), shared by all outcomes of one weight.
+
+    Formed in log space, so a large |alpha| underflows to 0 instead of
+    overflowing sinh.
+    """
+    r = abs(alpha)
+    log_scale = total * math.log(r) - 0.5 * n * _log_sinh(r * r)
+    return (alpha / r) ** total * math.exp(log_scale) / 2**n
+
+
 def cat_amplitude(u, spec: CatInputSpec, p: Sequence[int]) -> complex:
     """Amplitude <p|U(cat^n, vacuum^(m-n))> via the closed-form sign sum.
 
@@ -173,11 +191,8 @@ def cat_amplitude(u, spec: CatInputSpec, p: Sequence[int]) -> complex:
     total = weight(p)
     if total < n or (total - n) % 2 != 0:
         return 0j
-    alpha = spec.alpha
     sign_sum = _cat_sign_sum(arr[:, :n], p)
-    norm = math.sinh(abs(alpha) ** 2) ** (n / 2.0)
-    pf = math.sqrt(factorial_product(p))
-    return alpha**total * sign_sum / (norm * 2**n * pf)
+    return _cat_scale(spec.alpha, n, total) * sign_sum / math.sqrt(factorial_product(p))
 
 
 def photon_fraction(alpha: complex, n: int) -> float:
@@ -188,7 +203,7 @@ def photon_fraction(alpha: complex, n: int) -> float:
     if alpha == 0:
         raise ZeroAmplitude("cat amplitude must be nonzero")
     a2 = abs(alpha) ** 2
-    return a2**n / math.sinh(a2) ** n
+    return math.exp(n * (math.log(a2) - _log_sinh(a2)))
 
 
 def cat_total_photon_pmf(alpha: complex, n: int, cutoff: int) -> list[float]:
@@ -199,10 +214,10 @@ def cat_total_photon_pmf(alpha: complex, n: int, cutoff: int) -> list[float]:
     preserves photon number, this is also the output total-photon marginal.
     """
     a2 = abs(alpha) ** 2
-    s = math.sinh(a2)
+    log_a2, log_s = math.log(a2), _log_sinh(a2)
     per_mode = [0.0] * (cutoff + 1)
     for k in range(1, cutoff + 1, 2):
-        per_mode[k] = a2**k / (math.factorial(k) * s)
+        per_mode[k] = math.exp(k * log_a2 - math.lgamma(k + 1) - log_s)
     conv = [1.0] + [0.0] * cutoff
     for _ in range(n):
         new = [0.0] * (cutoff + 1)

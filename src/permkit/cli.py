@@ -94,6 +94,16 @@ def _threads() -> int:
     return os.cpu_count() or 1
 
 
+def _non_negative_int(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be a non-negative integer, got {value}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="permkit")
     parser.add_argument("--tolerance", type=float, default=1e-8, help="comparison tolerance")
@@ -132,7 +142,7 @@ def build_parser() -> argparse.ArgumentParser:
     smp.add_argument("--alpha", default="0.5", help="cat amplitude as re,im")
     smp.add_argument("--n", type=int, required=True, help="number of occupied input modes")
     smp.add_argument("--cutoff", type=int, help="max total photons enumerated (cat input)")
-    smp.add_argument("--count", type=int, default=1000)
+    smp.add_argument("--count", type=_non_negative_int, default=1000)
     smp.add_argument("--seed", type=int, default=0)
     smp.add_argument("--reject-to", type=int, dest="reject_to")
 
@@ -261,7 +271,7 @@ def _cmd_sample(args) -> tuple[object, int, list]:
             "input": "cat",
             "count": args.count,
             "kept": len(kept),
-            "kept_fraction": len(kept) / args.count,
+            "kept_fraction": len(kept) / args.count if args.count else None,
             "expected_fraction": photon_fraction(spec.alpha, n),
             "tv_estimate": tv_distance(empirical, bs.probs),
             "cutoff": dist.cutoff,
@@ -317,7 +327,7 @@ def main(argv=None) -> int:
             payload, code, lines = _cmd_sample(args)
         else:
             payload, code, lines = _cmd_report(args)
-    except (PermkitError, ValueError, KeyError, OSError, json.JSONDecodeError) as exc:
+    except (PermkitError, ValueError, KeyError, OSError, OverflowError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     wall_ms = int((time.monotonic() - start) * 1000)

@@ -6,9 +6,12 @@ empty (0 x 0) matrix is 1.  Formulas that require |p| = |q| = n return 0 with
 a :class:`WeightMismatchWarning` when the weights differ, matching the fact
 that the corresponding repeated matrix is rectangular.
 
-The sign-vector sums (Ryser, Glynn, Glynn-Kan) run as pure-Python Gray-code
-loops so exact (int / Fraction) inputs stay exact; the roots-of-unity grids
-are vectorized with numpy and are numeric-only.
+Exact (int / Fraction) inputs run the sign-vector sums (Ryser, Glynn,
+Glynn-Kan) as pure-Python Gray-code loops, so they stay exact and serve as the
+independent reference for the float path.  Float inputs run one chunked numpy
+kernel, :func:`_sign_sum`, for all of them (Glynn-Kan shares its vertex
+table); the roots-of-unity grids are vectorized with numpy and are
+numeric-only.
 """
 
 from __future__ import annotations
@@ -25,13 +28,14 @@ import numpy as np
 
 from .combinatorics import (
     RepetitionPattern,
+    _is_exact_rows,
     enumerate_weight,
     factorial_product,
     repeat_matrix,
     weight,
 )
 from .errors import DimensionMismatch, TooLarge, WeightMismatchWarning
-from .numerics import ComplexMatrix, UnitaryMatrix
+from .numerics import ComplexMatrix, UnitaryMatrix, as_array
 
 TERM_BUDGET = 10**7
 
@@ -50,29 +54,28 @@ class PermanentResult:
 
 
 def _coerce(a):
-    """Normalize input to (rows, nrows, ncols, exact).
+    """Normalize input to (data, nrows, ncols, exact).
 
-    ``rows`` is a tuple of row tuples with Python scalars; exact inputs keep
-    int / Fraction entries, anything else becomes complex.
+    Exact input (nested sequences of int / Fraction) gives ``data`` as a
+    tuple of row tuples; anything else a finite complex128 array.
     """
-    if isinstance(a, UnitaryMatrix):
-        a = a.matrix.data
-    if isinstance(a, ComplexMatrix):
-        a = a.data
-    if isinstance(a, np.ndarray):
-        if a.ndim != 2:
-            raise DimensionMismatch(f"expected a 2-d array, got shape {a.shape}")
-        rows = tuple(tuple(complex(z) for z in row) for row in a.tolist())
-        return rows, a.shape[0], a.shape[1], False
-    rows = tuple(tuple(row) for row in a)
-    nrows = len(rows)
-    ncols = len(rows[0]) if nrows else 0
-    if any(len(r) != ncols for r in rows):
-        raise DimensionMismatch("ragged rows")
-    exact = all(isinstance(v, (int, Fraction)) for r in rows for v in r)
-    if not exact:
-        rows = tuple(tuple(complex(v) for v in r) for r in rows)
-    return rows, nrows, ncols, exact
+    if not isinstance(a, (np.ndarray, ComplexMatrix, UnitaryMatrix)):
+        rows = tuple(tuple(row) for row in a)
+        ncols = len(rows[0]) if rows else 0
+        if any(len(r) != ncols for r in rows):
+            raise DimensionMismatch("ragged rows")
+        if _is_exact_rows(rows):
+            return rows, len(rows), ncols, True
+        a = rows
+    arr = _finite_array(a)
+    return arr, arr.shape[0], arr.shape[1], False
+
+
+def _finite_array(a) -> np.ndarray:
+    arr = as_array(a)
+    if not np.isfinite(arr).all():
+        raise ValueError("matrix entries must be finite")
+    return arr
 
 
 def _degenerate(nrows: int, ncols: int, algorithm: str) -> Optional[PermanentResult]:
@@ -83,13 +86,51 @@ def _degenerate(nrows: int, ncols: int, algorithm: str) -> Optional[PermanentRes
     return None
 
 
+# Bits of the sign vector enumerated by one matmul; the rest is an outer loop,
+# so the kernel's temporaries hold m * 2^_LOW_BITS entries at most.
+_LOW_BITS = 10
+
+
+@lru_cache(maxsize=None)
+def _vertices(k: int, lo: int) -> tuple[np.ndarray, np.ndarray]:
+    """The 2^k points of {lo, 1}^k as rows (bit j of the row index is x_j) and
+    each point's sign prod_j s(x_j), with s(lo) = -1 and s(1) = +1.  Read-only."""
+    bits = (np.arange(1 << k)[:, None] >> np.arange(k)) & 1
+    points = np.where(bits == 1, 1.0, float(lo)).astype(np.complex128)
+    signs = np.prod(2.0 * bits - 1.0, axis=1)
+    points.setflags(write=False)
+    signs.setflags(write=False)
+    return points, signs
+
+
+def _sign_sum(cols: np.ndarray, lo: int, base: Optional[np.ndarray] = None) -> complex:
+    """sum over x in {lo, 1}^k of (prod_j s(x_j)) prod_i (base + cols x)_i.
+
+    ``cols`` is m x k and ``base`` defaults to 0.  Ryser is lo = 0, Glynn
+    lo = -1.  The low bits of x come from the cached vertex table in one
+    matmul; the high bits are an outer loop.
+    """
+    k = cols.shape[1]
+    low = min(k, _LOW_BITS)
+    x_low, s_low = _vertices(low, lo)
+    part = cols[:, :low] @ x_low.T
+    if base is not None:
+        part += base[:, None]
+    if k == low:
+        return complex(part.prod(axis=0) @ s_low)
+    x_high, s_high = _vertices(k - low, lo)
+    high_cols = cols[:, low:]
+    return sum(
+        sh * complex((part + (high_cols @ xh)[:, None]).prod(axis=0) @ s_low) for xh, sh in zip(x_high, s_high)
+    )
+
+
 @lru_cache(maxsize=None)
 def _perm_indices(m: int) -> np.ndarray:
     return np.array(list(itertools.permutations(range(m))), dtype=np.intp)
 
 
-def _naive_numeric(rows, m: int) -> complex:
-    arr = np.array(rows, dtype=np.complex128)
+def _naive_numeric(arr: np.ndarray, m: int) -> complex:
     perms = _perm_indices(m)
     prod = arr[0, perms[:, 0]].copy()
     for i in range(1, m):
@@ -99,7 +140,7 @@ def _naive_numeric(rows, m: int) -> complex:
 
 def permanent_naive(a) -> PermanentResult:
     """Sum over all m! permutations of products of entries."""
-    rows, nrows, ncols, exact = _coerce(a)
+    data, nrows, ncols, exact = _coerce(a)
     deg = _degenerate(nrows, ncols, "naive")
     if deg is not None:
         return deg
@@ -111,11 +152,11 @@ def permanent_naive(a) -> PermanentResult:
         for perm in itertools.permutations(range(m)):
             term = 1
             for i, j in enumerate(perm):
-                term *= rows[i][j]
+                term *= data[i][j]
             total += term
         value: Scalar = total
     else:
-        value = _naive_numeric(rows, m)
+        value = _naive_numeric(data, m)
     return PermanentResult(value, "naive", math.factorial(m))
 
 
@@ -125,14 +166,17 @@ def _columns(rows, m: int, ncols: int):
 
 def permanent_ryser(a) -> PermanentResult:
     """Inclusion-exclusion over column subsets with Gray-code row-sum updates."""
-    rows, nrows, ncols, exact = _coerce(a)
+    data, nrows, ncols, exact = _coerce(a)
     deg = _degenerate(nrows, ncols, "ryser")
     if deg is not None:
         return deg
     m = nrows
     if m > RYSER_MAX_DIM or (1 << m) > TERM_BUDGET:
         raise TooLarge(f"Ryser sum over 2^{m} subsets exceeds the budget")
-    cols = _columns(rows, m, ncols)
+    if not exact:
+        # x_j = 1 puts column j in the subset; the sign (-1)^(m - |S|) is Ryser's
+        return PermanentResult(_sign_sum(data, 0), "ryser", (1 << m) - 1)
+    cols = _columns(data, m, ncols)
     sums = [0] * m
     total = 0
     size = 0
@@ -151,23 +195,25 @@ def permanent_ryser(a) -> PermanentResult:
         for s in sums:
             term *= s
         total += term if size % 2 == 0 else -term
-    value: Scalar = total if m % 2 == 0 else -total
-    if not exact:
-        value = complex(value)
+    value = total if m % 2 == 0 else -total
     return PermanentResult(value, "ryser", (1 << m) - 1)
 
 
 def permanent_glynn(a) -> PermanentResult:
     """Glynn's sign-vector formula with x_1 fixed to +1 (2^(m-1) terms)."""
-    rows, nrows, ncols, exact = _coerce(a)
+    data, nrows, ncols, exact = _coerce(a)
     deg = _degenerate(nrows, ncols, "glynn")
     if deg is not None:
         return deg
     m = nrows
     if m > RYSER_MAX_DIM or (1 << m) > TERM_BUDGET:
         raise TooLarge(f"Glynn sum over 2^{m - 1} sign vectors exceeds the budget")
-    cols = _columns(rows, m, ncols)
-    sums = [sum(row) for row in rows]
+    denom = 1 << (m - 1)
+    if not exact:
+        value = _sign_sum(data[:, 1:], -1, base=data[:, 0]) / denom
+        return PermanentResult(value, "glynn", denom)
+    cols = _columns(data, m, ncols)
+    sums = [sum(row) for row in data]
     xs = [1] * m
     sign = 1
     term = 1
@@ -186,9 +232,7 @@ def permanent_glynn(a) -> PermanentResult:
         for s in sums:
             term *= s
         total += sign * term
-    denom = 1 << (m - 1)
-    value: Scalar = Fraction(total, denom) if exact else complex(total) / denom
-    return PermanentResult(value, "glynn", 1 << (m - 1))
+    return PermanentResult(Fraction(total, denom), "glynn", denom)
 
 
 def permanent_glynn_repeated_rows(a, q) -> PermanentResult:
@@ -197,7 +241,7 @@ def permanent_glynn_repeated_rows(a, q) -> PermanentResult:
     The Kronecker delta in the formula makes the result 0 unless |q| equals
     the dimension of A.
     """
-    rows, nrows, ncols, exact = _coerce(a)
+    data, nrows, ncols, exact = _coerce(a)
     if nrows != ncols:
         raise DimensionMismatch("matrix must be square")
     n = nrows
@@ -208,8 +252,13 @@ def permanent_glynn_repeated_rows(a, q) -> PermanentResult:
         return PermanentResult(0, "glynn_repeated_rows", 0)
     if n > RYSER_MAX_DIM or (1 << n) > TERM_BUDGET:
         raise TooLarge(f"sum over 2^{n} sign vectors exceeds the budget")
-    cols = _columns(rows, n, n)
-    sums = [sum(row) for row in rows]
+    denom = 1 << n
+    if not exact:
+        # row i repeated q_i times raises (A x)_i to the power q_i
+        value = _sign_sum(np.repeat(data, q, axis=0), -1) / denom
+        return PermanentResult(value, "glynn_repeated_rows", denom)
+    cols = _columns(data, n, n)
+    sums = [sum(row) for row in data]
     xs = [1] * n
     sign = 1
     powered = [i for i in range(n) if q[i]]
@@ -230,9 +279,7 @@ def permanent_glynn_repeated_rows(a, q) -> PermanentResult:
             sums[i] += d * col[i]
         sign = -sign
         total += sign * product()
-    denom = 1 << n
-    value: Scalar = Fraction(total, denom) if exact else complex(total) / denom
-    return PermanentResult(value, "glynn_repeated_rows", 1 << n)
+    return PermanentResult(Fraction(total, denom), "glynn_repeated_rows", denom)
 
 
 def _root_grid_digits(ids: np.ndarray, n: int, m: int) -> np.ndarray:
@@ -244,17 +291,9 @@ def _root_grid_digits(ids: np.ndarray, n: int, m: int) -> np.ndarray:
     return digits
 
 
-def _as_complex_matrix_array(a) -> np.ndarray:
-    if isinstance(a, UnitaryMatrix):
-        return a.matrix.data
-    if isinstance(a, ComplexMatrix):
-        return a.data
-    return np.asarray(a, dtype=np.complex128)
-
-
 def permanent_roots_of_unity(a, pattern: RepetitionPattern, chunk: int = 1 << 15) -> PermanentResult:
     """Per(A_{p,q}) = (q!/n^m) * sum over x in mu_n^m of x^{-q} (Ax)^p, n = |p| = |q|."""
-    arr = _as_complex_matrix_array(a)
+    arr = _finite_array(a)
     m = arr.shape[0]
     if arr.shape[1] != m or pattern.length != m:
         raise DimensionMismatch("pattern length must equal the square matrix dimension")
@@ -286,17 +325,34 @@ def permanent_roots_of_unity(a, pattern: RepetitionPattern, chunk: int = 1 << 15
     return PermanentResult(value, "roots_of_unity", grid)
 
 
+def _glynn_kan_sum(arr: np.ndarray) -> complex:
+    """sum over x, y in {-1,1}^m of (prod x)(prod y)(x^T A y)^m, over chunks of y
+    that keep each chunk's block of x^T A y values at 2^14 entries or fewer."""
+    m = arr.shape[0]
+    points, signs = _vertices(m, -1)
+    ay = points @ arr.T  # row y is (A y)^T
+    step = max(1, (1 << 14) >> m)
+    total = 0j
+    for start in range(0, 1 << m, step):
+        xay = ay[start : start + step] @ points.T
+        total += complex(signs[start : start + step] @ (xay**m @ signs))
+    return total
+
+
 def permanent_glynn_kan(a) -> PermanentResult:
     """Symmetrized double sign sum: (1/(4^m m!)) sum_{x,y} (prod x)(prod y)(x^T A y)^m."""
-    rows, nrows, ncols, exact = _coerce(a)
+    data, nrows, ncols, exact = _coerce(a)
     deg = _degenerate(nrows, ncols, "glynn_kan")
     if deg is not None:
         return deg
     m = nrows
     if m > GLYNN_KAN_MAX_DIM or 4**m > TERM_BUDGET:
         raise TooLarge(f"Glynn-Kan sum over 4^{m} sign pairs exceeds the budget")
-    cols = _columns(rows, m, ncols)
-    w = [sum(row) for row in rows]  # w_i = (A y)_i, y = all ones
+    denom = 4**m * math.factorial(m)
+    if not exact:
+        return PermanentResult(_glynn_kan_sum(data) / denom, "glynn_kan", 4**m)
+    cols = _columns(data, m, ncols)
+    w = [sum(row) for row in data]  # w_i = (A y)_i, y = all ones
     ys = [1] * m
     sign_y = 1
     total = 0
@@ -320,14 +376,12 @@ def permanent_glynn_kan(a) -> PermanentResult:
             sign_x = -sign_x
             inner += sign_x * s**m
         total += sign_y * inner
-    denom = 4**m * math.factorial(m)
-    value: Scalar = Fraction(total, denom) if exact else complex(total) / denom
-    return PermanentResult(value, "glynn_kan", 4**m)
+    return PermanentResult(Fraction(total, denom), "glynn_kan", 4**m)
 
 
 def permanent_glynn_kan_repeated(a, pattern: RepetitionPattern, chunk: int = 256) -> PermanentResult:
     """Per(A_{p,q}) = p!q!/(n^{2m} n!) * sum over x,y in mu_n^m of x^{-p} y^{-q} (x^T A y)^n."""
-    arr = _as_complex_matrix_array(a)
+    arr = _finite_array(a)
     m = arr.shape[0]
     if arr.shape[1] != m or pattern.length != m:
         raise DimensionMismatch("pattern length must equal the square matrix dimension")
@@ -380,8 +434,7 @@ def permanent_cauchy_binet(a, b, pattern: RepetitionPattern) -> PermanentResult:
         raise TooLarge("Cauchy-Binet inner-permanent budget exceeded")
     exact = exact_a and exact_b
     if not exact:
-        rows_a = tuple(tuple(complex(v) for v in r) for r in rows_a)
-        rows_b = tuple(tuple(complex(v) for v in r) for r in rows_b)
+        rows_a, rows_b = as_array(rows_a), as_array(rows_b)
     total: Scalar = 0
     for k in enumerate_weight(m, npq):
         pa = permanent_ryser(repeat_matrix(rows_a, RepetitionPattern(p, k))).value

@@ -250,3 +250,28 @@ class TestRegimeCheck:
     def test_zero_scaling_flagged(self):
         rep = amplitude_regime_check(4, 10, 0.0)
         assert not rep.defined and rep.fraction is None
+
+
+class TestLargeAmplitudeNormalisation:
+    """sinh(|alpha|^2) and its powers overflow a double long before the ratios
+    they normalise do; those ratios must come out finite (possibly 0)."""
+
+    def test_photon_fraction_matches_direct_formula(self):
+        assert photon_fraction(2.0, 5) == pytest.approx((4.0 / math.sinh(4.0)) ** 5, rel=1e-12)
+
+    def test_photon_fraction_underflows_instead_of_raising(self):
+        assert photon_fraction(40.0, 1) == 0.0
+
+    def test_regime_fraction_of_many_modes(self):
+        rep = amplitude_regime_check(2000, 100, 5.0)
+        a2 = rep.alpha**2
+        expected = math.exp(2000 * (math.log(a2) - math.log(math.sinh(a2))))
+        assert 0.0 < rep.fraction == pytest.approx(expected, rel=1e-9)
+
+    def test_cat_distribution_at_alpha_40(self):
+        u = rng.haar_unitary(2, 35)
+        d = cat_distribution(u, CatInputSpec(40.0, 1, 2), 3)
+        assert all(v == 0.0 for v in d.probs.values())
+        assert d.truncated_mass == 1.0
+        assert d.tail_bound == 1.0
+        assert all(o is OVERFLOW for o in sample(d, 20, 1))

@@ -151,6 +151,29 @@ class TestSample:
         assert summary["expected_fraction"] == pytest.approx((0.16 / math.sinh(0.16)) ** 2)
         assert summary["tv_estimate"] <= 0.2
 
+    def test_cat_alpha_40_draws_overflow(self, capsys, hom_file):
+        code, out, err = run_cli(capsys, "sample", "--unitary", hom_file, "--input", "cat",
+                                 "--alpha", "40,0", "--n", "1", "--cutoff", "3", "--count", "5")
+        lines = out.strip().splitlines()
+        assert code == 0
+        assert err == ""
+        assert [json.loads(line) for line in lines[:-1]] == [{"overflow": True}] * 5
+        assert json.loads(lines[-1])["truncated_mass"] == 1.0
+
+    def test_negative_count_is_usage_error(self, capsys, hom_file):
+        code, out, err = run_cli(capsys, "sample", "--unitary", hom_file, "--n", "2", "--count", "-1")
+        assert code == 1
+        assert out == ""
+        assert "--count" in err
+
+    def test_zero_count_reject_has_no_fraction(self, capsys, hom_file):
+        code, out, _ = run_cli(capsys, "sample", "--unitary", hom_file, "--input", "cat",
+                               "--n", "2", "--count", "0", "--reject-to", "2")
+        summary = last_json(out)
+        assert code == 0
+        assert summary["kept"] == 0
+        assert summary["kept_fraction"] is None
+
     def test_rejects_nonunitary(self, capsys, tmp_path):
         path = tmp_path / "half.json"
         path.write_text(json.dumps(ComplexMatrix(np.eye(2) * 0.5).to_json_dict()))
@@ -175,3 +198,10 @@ class TestReport:
         assert code == 0
         assert payload["table"][0]["defined"] is False
         assert payload["table"][1]["fraction"] >= 0.01
+
+    def test_regime_fraction_below_sinh_overflow(self, capsys):
+        code, out, err = run_cli(capsys, "report", "--kind", "regime", "--n", "2000", "--m", "100", "--c", "5")
+        row = last_json(out)["table"][0]
+        assert code == 0
+        assert err == ""
+        assert 0.0 < row["fraction"] < 1e-150

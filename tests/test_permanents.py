@@ -8,7 +8,9 @@ from hypothesis import strategies as st
 from permkit import rng
 from permkit.combinatorics import RepetitionPattern, factorial_product, repeat_matrix
 from permkit.errors import TooLarge, WeightMismatchWarning
+from permkit.numerics import ComplexMatrix, scaled_error
 from permkit.permanents import (
+    TERM_BUDGET,
     permanent_cauchy_binet,
     permanent_glynn,
     permanent_glynn_kan,
@@ -288,3 +290,86 @@ def test_oracle_equivalence_small_battery():
             assert close(permanent_roots_of_unity(a, pat).value, ref, 1e-8)
             assert close(permanent_glynn_kan_repeated(a, pat).value, ref, 1e-8)
             assert close(permanent_glynn_repeated_rows(a, (1,) * m).value, ref, 1e-8)
+
+
+# Integer matrices (entries in [-9, 9]) at dimensions on both sides of the
+# float kernel's 10-bit vertex table: n <= 10 runs one chunk, n > 10 the
+# outer loop over the high bits.  The exact int path is the reference.
+KERNEL_DIMS = (1, 2, 9, 10, 11, 14)
+
+
+def _int_matrix(n):
+    g = rng.generator(500 + n)
+    return [[int(v) for v in row] for row in g.integers(-9, 10, size=(n, n))]
+
+
+def _repetition(n):
+    return (1,) if n == 1 else (2, 0) + (1,) * (n - 2)
+
+
+@pytest.mark.parametrize("n", KERNEL_DIMS)
+def test_float_kernel_matches_exact_int_path(n):
+    exact = _int_matrix(n)
+    arr = np.array(exact, dtype=float)
+    q = _repetition(n)
+    pairs = [
+        (permanent_ryser(arr), permanent_ryser(exact)),
+        (permanent_glynn(arr), permanent_glynn(exact)),
+        (permanent_glynn_repeated_rows(arr, q), permanent_glynn_repeated_rows(exact, q)),
+    ]
+    for got, ref in pairs:
+        assert isinstance(got.value, complex)
+        assert scaled_error(got.value, ref.value) <= 1e-10
+        assert got.term_count == ref.term_count
+    assert pairs[0][1].value == pairs[1][1].value
+
+
+@pytest.mark.parametrize("n", KERNEL_DIMS)
+def test_float_glynn_kan_matches_exact_int_path(n):
+    exact = _int_matrix(n)
+    arr = np.array(exact, dtype=float)
+    if 4**n > TERM_BUDGET:
+        with pytest.raises(TooLarge):
+            permanent_glynn_kan(arr)
+        return
+    got = permanent_glynn_kan(arr)
+    # the exact Glynn-Kan loop takes seconds at n = 11; exact Ryser gives the same int
+    ref = permanent_glynn_kan(exact) if n <= 10 else permanent_ryser(exact)
+    assert scaled_error(got.value, ref.value) <= 1e-10
+    assert got.term_count == 4**n
+
+
+@pytest.mark.parametrize("n", (2, 11))
+def test_float_kernel_same_value_for_every_input_form(n):
+    arr = np.array(_int_matrix(n), dtype=float)
+    u = rng.haar_unitary(n, 600 + n)
+    q = _repetition(n)
+    for fn in (permanent_ryser, permanent_glynn, permanent_glynn_kan, lambda a: permanent_glynn_repeated_rows(a, q)):
+        want = fn(arr).value
+        assert fn(arr.tolist()).value == want
+        assert fn(ComplexMatrix(arr)).value == want
+        want = fn(u.data).value
+        assert fn(u).value == want
+        assert fn(u.matrix).value == want
+        assert fn(u.data.tolist()).value == want
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, complex(1.0, -np.inf)])
+def test_non_finite_entries_fail_loudly(bad):
+    a = np.eye(3, dtype=complex)
+    a[1, 2] = bad
+    pat = RepetitionPattern.uniform(3)
+    calls = [
+        lambda m: permanent_naive(m),
+        lambda m: permanent_ryser(m),
+        lambda m: permanent_glynn(m),
+        lambda m: permanent_glynn_kan(m),
+        lambda m: permanent_glynn_repeated_rows(m, (1, 1, 1)),
+        lambda m: permanent_roots_of_unity(m, pat),
+        lambda m: permanent_glynn_kan_repeated(m, pat),
+        lambda m: permanent_cauchy_binet(m, np.eye(3), pat),
+    ]
+    for call in calls:
+        for form in (a, a.tolist()):
+            with pytest.raises(ValueError, match="matrix entries must be finite"):
+                call(form)
