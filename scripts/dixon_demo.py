@@ -12,7 +12,7 @@ Prints all four exact big integers per n.
 import math
 
 from permkit.combinatorics import factorial_product
-from permkit.identities import DIXON_MATRIX, _inverse_det_eye_minus_za, _monomial_power_table
+from permkit.identities import DIXON_MATRIX, _inverse_det_eye_minus_za, _monomial_power
 from permkit.series import RATIONAL
 
 N_MAX = 4
@@ -21,14 +21,11 @@ N_MAX = 4
 def main() -> None:
     caps = (2 * N_MAX,) * 3
     inv = _inverse_det_eye_minus_za(DIXON_MATRIX, RATIONAL, caps)
-    mono = _monomial_power_table(DIXON_MATRIX, RATIONAL, caps)
-    strides = ((2 * N_MAX + 1) ** 2, 2 * N_MAX + 1, 1)
     for n in range(1, N_MAX + 1):
         p = (2 * n,) * 3
         pf = factorial_product(p)
-        idx = sum(e * s for e, s in zip(p, strides))
         from_det = pf * inv.coefficient(p)
-        from_monomial = pf * mono[idx].coefficient(p)
+        from_monomial = pf * _monomial_power(DIXON_MATRIX, RATIONAL, caps, p).coefficient(p)
         binom = pf * sum((-1) ** k * math.comb(2 * n, k) ** 3 for k in range(2 * n + 1))
         closed = pf * (-1) ** n * math.factorial(3 * n) // math.factorial(n) ** 3
         print(f"n={n}  p={p}")

@@ -70,9 +70,12 @@ class CatInputSpec:
     def __post_init__(self) -> None:
         if self.alpha == 0:
             raise ZeroAmplitude("cat amplitude must be nonzero")
+        alpha = complex(self.alpha)
+        if not (math.isfinite(alpha.real) and math.isfinite(alpha.imag)):
+            raise ValueError(f"cat amplitude must be finite, got {alpha}")
         if not 0 < self.n <= self.m:
             raise ValueError(f"need 0 < n <= m, got n={self.n}, m={self.m}")
-        object.__setattr__(self, "alpha", complex(self.alpha))
+        object.__setattr__(self, "alpha", alpha)
 
 
 @dataclass(frozen=True)
@@ -325,6 +328,8 @@ def rejection_sampling_pipeline(
     seed: int,
 ) -> PipelineReport:
     """Sample the cat distribution, keep |p| = n, compare with single-photon sampling."""
+    if count < 1:
+        raise ValueError(f"count must be at least 1, got {count}")
     dist = cat_distribution(u, spec, cutoff)
     draws = sample(dist, count, seed)
     n = spec.n

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 import time
 
@@ -85,13 +84,6 @@ def _parse_complex(text: str) -> complex:
         re_s, im_s = text.split(",")
         return complex(float(re_s), float(im_s))
     return complex(float(text), 0.0)
-
-
-def _threads() -> int:
-    env = os.environ.get("PERMKIT_THREADS")
-    if env:
-        return max(1, int(env))
-    return os.cpu_count() or 1
 
 
 def _non_negative_int(text: str) -> int:
@@ -220,7 +212,7 @@ def _cmd_verify(args, tolerance: float) -> tuple[object, int, list]:
     if args.all and overrides:
         raise ValueError("--matrix/--rows/--cols/--cap overrides require --identity")
     names = None if args.all else [args.identity]
-    reports = run_battery(names, seed=args.seed, tolerance=tolerance, max_workers=_threads(), **overrides)
+    reports = run_battery(names, seed=args.seed, tolerance=tolerance, **overrides)
     payload = [r.to_json_dict() for r in reports]
     code = 0 if all(r.passed for r in reports) else 2
     return payload, code, []

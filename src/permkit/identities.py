@@ -212,6 +212,15 @@ def _inverse_det_eye_minus_za(mat, ring, caps) -> TruncatedSeries:
     return det_series(rows).inverse()
 
 
+def _monomial_power(mat, ring, caps, p) -> TruncatedSeries:
+    """(Az)^p = prod_i (sum_j a_ij z_j)^{p_i}, truncated at caps."""
+    out = TruncatedSeries.one(caps, ring)
+    for i, pi in enumerate(p):
+        if pi:
+            out = out * _row_form(mat, i, ring, caps).power(pi)
+    return out
+
+
 def _monomial_power_table(mat, ring, caps):
     """(Az)^p for every p <= caps, built incrementally over the exponent grid."""
     m = _dim(mat)
@@ -268,15 +277,12 @@ def verify_dixon(n_max: int = 4, tolerance: float = 0.0) -> IdentityReport:
     """
     caps = (2 * n_max,) * 3
     inv = _inverse_det_eye_minus_za(DIXON_MATRIX, RATIONAL, caps)
-    mono = _monomial_power_table(DIXON_MATRIX, RATIONAL, caps)
-    strides = ((2 * n_max + 1) ** 2, 2 * n_max + 1, 1)
     acc = _Tracker()
     for n in range(1, n_max + 1):
         p = (2 * n,) * 3
         pf = factorial_product(p)
-        idx = sum(e * s for e, s in zip(p, strides))
         q_mmt = pf * inv.coefficient(p)
-        q_mono = pf * mono[idx].coefficient(p)
+        q_mono = pf * _monomial_power(DIXON_MATRIX, RATIONAL, caps, p).coefficient(p)
         binom_sum = sum((-1) ** k * math.comb(2 * n, k) ** 3 for k in range(2 * n + 1))
         closed = (-1) ** n * math.factorial(3 * n) // math.factorial(n) ** 3
         acc.add(q_mmt, q_mono)
@@ -484,10 +490,7 @@ def verify_monomial_glynn(a, p, cap: Union[int, Sequence[int]] = 2, tolerance: f
     m = _dim(mat)
     p = tuple(p)
     caps = _caps(cap, m)
-    rhs = TruncatedSeries.one(caps, ring)
-    for i in range(m):
-        if p[i]:
-            rhs = rhs * _row_form(mat, i, ring, caps).power(p[i])
+    rhs = _monomial_power(mat, ring, caps, p)
     acc = _Tracker()
     for q in _all_exponents(caps):
         per = _per(mat, p, q)
@@ -885,21 +888,12 @@ def run_battery(
     names: Optional[Sequence[str]] = None,
     seed: int = 7,
     tolerance: float = 1e-8,
-    max_workers: Optional[int] = None,
     **overrides,
 ) -> list[IdentityReport]:
-    """Run identity batteries in registry order; optional thread pool."""
+    """Run identity batteries in registry order."""
     if names is None:
         names = list(IDENTITY_REGISTRY)
     for name in names:
         if name not in IDENTITY_REGISTRY:
             raise KeyError(f"unknown identity {name!r}")
-    if max_workers is None or max_workers <= 1 or len(names) <= 1:
-        batches = [IDENTITY_REGISTRY[name](seed, tolerance, **overrides) for name in names]
-    else:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=max_workers) as pool:
-            futures = [pool.submit(IDENTITY_REGISTRY[name], seed, tolerance, **overrides) for name in names]
-            batches = [f.result() for f in futures]
-    return [report for batch in batches for report in batch]
+    return [report for name in names for report in IDENTITY_REGISTRY[name](seed, tolerance, **overrides)]

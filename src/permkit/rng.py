@@ -1,8 +1,7 @@
-"""Seeded randomness: counter-based generator, phase draws, Haar unitaries.
+"""Seeded randomness: counter-based generator, random matrices, Haar unitaries.
 
 Everything here is deterministic given (seed, stream): the bit generator is
-Philox (counter-based), streams are separated by `.jumped()`, and phase
-angles are derived from raw 64-bit draws so the stream is platform-stable.
+Philox (counter-based) and streams are separated by `.jumped()`.
 """
 
 from __future__ import annotations
@@ -10,8 +9,6 @@ from __future__ import annotations
 import numpy as np
 
 from .numerics import ComplexMatrix, UnitaryMatrix
-
-_TWO_PI_OVER_2_64 = 2.0 * np.pi / 2.0**64
 
 
 def bit_generator(seed: int, stream: int = 0) -> np.random.Philox:
@@ -23,17 +20,6 @@ def bit_generator(seed: int, stream: int = 0) -> np.random.Philox:
 
 def generator(seed: int, stream: int = 0) -> np.random.Generator:
     return np.random.Generator(bit_generator(seed, stream))
-
-
-def uniform_angles(bg: np.random.Philox, count: int) -> np.ndarray:
-    """Angles 2*pi*u with u a raw uniform 64-bit integer divided by 2^64."""
-    return bg.random_raw(count) * _TWO_PI_OVER_2_64
-
-
-def phase_matrix(bg: np.random.Philox, shape: tuple[int, ...]) -> np.ndarray:
-    """Unit-modulus complex samples exp(i*theta), theta from `uniform_angles`."""
-    n = int(np.prod(shape)) if shape else 1
-    return np.exp(1j * uniform_angles(bg, n)).reshape(shape)
 
 
 def unit_disk_matrix(m: int, seed: int) -> np.ndarray:

@@ -8,8 +8,11 @@ modulo the cap ideal.  Two coefficient rings are supported:
 - ``"rational"``: ``fractions.Fraction`` entries, exact;
 - ``"complex"``: Python complex entries, double precision.
 
-Multiplication is a double loop over stored nonzero exponents with early cap
-rejection; inversion, square root, exp and log run order-by-order.
+Multiplication is a double loop over the nonzero support of both factors with
+early cap rejection; in the rational ring it multiplies and adds integer
+numerators over one common denominator, so each output coefficient is built
+as a single ``Fraction``.  Inversion, square root, exp and log run
+order-by-order.
 """
 
 from __future__ import annotations
@@ -74,6 +77,12 @@ def _coerce_coeff(ring: str, v) -> Coeff:
     if ring == RATIONAL:
         return v if isinstance(v, Fraction) else Fraction(v)
     return complex(v)
+
+
+def _numerators(items):
+    """Items with rational coefficients as integer numerators over their lcm denominator."""
+    d = math.lcm(*(c.denominator for _, _, c in items))
+    return [(i, e, c.numerator * (d // c.denominator)) for i, e, c in items], d
 
 
 @dataclass(frozen=True, eq=False)
@@ -161,8 +170,7 @@ class TruncatedSeries:
     def items(self):
         """(index, exponents, coefficient) triples for nonzero coefficients."""
         _, exponents, _ = _layout(self.caps)
-        zero = _zero(self.ring)
-        return [(i, exponents[i], c) for i, c in enumerate(self.coeffs) if c != zero]
+        return [(i, exponents[i], c) for i, c in enumerate(self.coeffs) if c]
 
     def coefficient(self, p: Sequence[int]) -> Coeff:
         p = tuple(int(k) for k in p)
@@ -178,8 +186,7 @@ class TruncatedSeries:
 
     def max_total_degree(self) -> int:
         _, _, degrees = _layout(self.caps)
-        zero = _zero(self.ring)
-        nz = [degrees[i] for i, c in enumerate(self.coeffs) if c != zero]
+        nz = [degrees[i] for i, c in enumerate(self.coeffs) if c]
         return max(nz) if nz else 0
 
     # -- ring operations ----------------------------------------------
@@ -206,7 +213,13 @@ class TruncatedSeries:
         b_items = other.items()
         if len(b_items) < len(a_items):
             a_items, b_items = b_items, a_items
-        out = [_zero(self.ring)] * len(self.coeffs)
+        rational = self.ring == RATIONAL
+        if rational:
+            a_items, da = _numerators(a_items)
+            b_items, db = _numerators(b_items)
+            out = [0] * len(self.coeffs)
+        else:
+            out = [0j] * len(self.coeffs)
         for ia, ea, ca in a_items:
             for ib, eb, cb in b_items:
                 ok = True
@@ -216,6 +229,10 @@ class TruncatedSeries:
                         break
                 if ok:
                     out[ia + ib] += ca * cb
+        if rational:
+            d = da * db
+            zero = _zero(RATIONAL)
+            out = [Fraction(v, d) if v else zero for v in out]
         return TruncatedSeries(caps, self.ring, tuple(out))
 
     def inverse(self) -> "TruncatedSeries":
@@ -263,7 +280,7 @@ class TruncatedSeries:
                     if f[k] > e[k]:
                         ok = False
                         break
-                if ok and out[j] != _zero(self.ring):
+                if ok and out[j]:
                     acc += out[j] * out[idx - j]
             out[idx] = (u.coeffs[idx] - acc) / two
         return TruncatedSeries(self.caps, self.ring, tuple(out))
@@ -306,7 +323,7 @@ class TruncatedSeries:
             d = degrees[idx]
             acc = _zero(self.ring)
             for j in range(1, idx):
-                if out[j] == _zero(self.ring):
+                if not out[j]:
                     continue
                 f = exponents[j]
                 ok = True

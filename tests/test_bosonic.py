@@ -80,6 +80,11 @@ class TestCatAmplitude:
         with pytest.raises(ZeroAmplitude):
             CatInputSpec(0.0, 1, 2)
 
+    @pytest.mark.parametrize("alpha", [math.nan, math.inf, -math.inf, complex(0.5, math.nan), complex(0.0, math.inf)])
+    def test_non_finite_alpha_rejected(self, alpha):
+        with pytest.raises(ValueError, match="finite"):
+            CatInputSpec(alpha, 1, 2)
+
 
 class TestCatDistribution:
     def test_mass_at_n_is_cutoff_independent(self):
@@ -232,6 +237,12 @@ class TestPipeline:
         assert abs(rep.kept_fraction - rep.expected_fraction) <= 3 * rep.fraction_stderr
         assert rep.tv_kept_vs_single_photon <= 3.0 * math.sqrt(rep.support_size / rep.kept_samples)
         assert rep.expected_fraction == pytest.approx(photon_fraction(0.3, 2))
+
+    @pytest.mark.parametrize("count", [0, -1])
+    def test_count_below_one_rejected(self, count):
+        u = rng.haar_unitary(3, 61)
+        with pytest.raises(ValueError, match="count"):
+            rejection_sampling_pipeline(u, CatInputSpec(0.5, 2, 3), 3, count, 0)
 
 
 class TestRegimeCheck:

@@ -160,6 +160,14 @@ class TestSample:
         assert [json.loads(line) for line in lines[:-1]] == [{"overflow": True}] * 5
         assert json.loads(lines[-1])["truncated_mass"] == 1.0
 
+    def test_cat_non_finite_alpha_exits_one(self, capsys, hom_file):
+        code, out, err = run_cli(capsys, "sample", "--unitary", hom_file, "--input", "cat",
+                                 "--alpha", "nan,0", "--n", "1", "--cutoff", "3", "--count", "2")
+        assert code == 1
+        assert out == ""
+        assert len(err.strip().splitlines()) == 1
+        assert "finite" in err
+
     def test_negative_count_is_usage_error(self, capsys, hom_file):
         code, out, err = run_cli(capsys, "sample", "--unitary", hom_file, "--n", "2", "--count", "-1")
         assert code == 1

@@ -351,7 +351,7 @@ class TestRegistry:
         assert all(r.passed for r in reports)
 
     def test_full_battery(self):
-        reports = run_battery(seed=11, max_workers=2)
+        reports = run_battery(seed=11)
         assert all(isinstance(r, IdentityReport) for r in reports)
         assert all(r.passed for r in reports)
         names = {r.identity_name for r in reports}

@@ -1,6 +1,8 @@
+import itertools
 import math
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -14,7 +16,7 @@ from permkit.errors import (
     RingMismatch,
     TooLarge,
 )
-from permkit.identities import DIXON_MATRIX
+from permkit.identities import DIXON_MATRIX, _monomial_power, _monomial_power_table, verify_dixon
 from permkit.series import COMPLEX, RATIONAL, TruncatedSeries, det_series
 
 from oracles import leibniz_determinant
@@ -226,3 +228,81 @@ class TestRingAxioms:
         lhs = a * (b + c)
         rhs = a * b + a * c
         assert max(abs(x - y) for x, y in zip(lhs.coeffs, rhs.coeffs)) <= 1e-10
+
+
+def dense_product(a, b):
+    """Reference product: every pair of stored coefficients, zeros included."""
+    exps = list(itertools.product(*(range(c + 1) for c in a.caps)))
+    zero = Fraction(0) if a.ring == RATIONAL else 0j
+    out = dict.fromkeys(exps, zero)
+    for ea, ca in zip(exps, a.coeffs):
+        for eb, cb in zip(exps, b.coeffs):
+            e = tuple(x + y for x, y in zip(ea, eb))
+            if e in out:
+                out[e] += ca * cb
+    return tuple(out[e] for e in exps)
+
+
+def random_series(g, caps, ring, zero_frac):
+    """Sparse series; rational entries have denominators 1..12, complex entries
+    are dyadic, so every complex product and sum is exact in any order."""
+    size = math.prod(c + 1 for c in caps)
+    coeffs = []
+    for _ in range(size):
+        if g.random() < zero_frac:
+            coeffs.append(Fraction(0) if ring == RATIONAL else 0j)
+        elif ring == RATIONAL:
+            coeffs.append(Fraction(int(g.integers(-9, 10)), int(g.integers(1, 13))))
+        else:
+            coeffs.append(complex(int(g.integers(-9, 10)) / 4, int(g.integers(-9, 10)) / 8))
+    return TruncatedSeries(caps, ring, tuple(coeffs))
+
+
+class TestProductKernel:
+    CAPS = [(0,), (4,), (2, 3), (0, 3), (3, 0, 2), (2, 2, 2)]
+
+    def assert_matches_reference(self, a, b):
+        got = (a * b).coeffs
+        ref = dense_product(a, b)
+        assert got == ref
+        assert [type(c) for c in got] == [type(c) for c in ref]
+
+    @pytest.mark.parametrize("ring", [RATIONAL, COMPLEX])
+    @pytest.mark.parametrize("caps", CAPS)
+    def test_random_against_dense_reference(self, ring, caps):
+        g = np.random.default_rng(sum(caps) + len(caps))
+        for zero_frac in (0.0, 0.5, 0.9, 1.0):
+            a = random_series(g, caps, ring, zero_frac)
+            b = random_series(g, caps, ring, 0.5)
+            self.assert_matches_reference(a, b)
+            self.assert_matches_reference(b, a)
+
+    @pytest.mark.parametrize("ring, x, y", [(RATIONAL, Fraction(1, 3), Fraction(-5, 6)), (COMPLEX, 0.25, -0.625j)])
+    def test_cancellation_to_exact_zero(self, ring, x, y):
+        caps = (3, 2)
+        a = TruncatedSeries.from_terms(caps, ring, {(0, 0): 1, (1, 0): x, (0, 1): y})
+        b = TruncatedSeries.from_terms(caps, ring, {(0, 0): 1, (1, 0): -x, (0, 1): -y})
+        prod = a * b
+        assert prod.coefficient((1, 0)) == 0 and prod.coefficient((0, 1)) == 0
+        self.assert_matches_reference(a, b)
+
+    @pytest.mark.parametrize("ring", [RATIONAL, COMPLEX])
+    def test_all_zero_operand(self, ring):
+        caps = (2, 0, 3)
+        zero = TruncatedSeries.zero(caps, ring)
+        a = random_series(np.random.default_rng(5), caps, ring, 0.2)
+        assert (a * zero).coeffs == zero.coeffs == (zero * a).coeffs
+        self.assert_matches_reference(a, zero)
+
+    def test_dixon_checks_twelve_coefficients(self):
+        rep = verify_dixon(4)
+        assert rep.passed
+        assert rep.num_coefficients_checked == 12
+
+    def test_monomial_power_matches_table(self):
+        g = np.random.default_rng(17)
+        mat = tuple(tuple(int(v) for v in row) for row in g.integers(-3, 4, size=(3, 3)))
+        caps = (4, 4, 4)
+        table = _monomial_power_table(mat, RATIONAL, caps)
+        for idx, p in enumerate(itertools.product(range(5), repeat=3)):
+            assert _monomial_power(mat, RATIONAL, caps, p).coeffs == table[idx].coeffs
