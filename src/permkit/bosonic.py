@@ -6,12 +6,15 @@ A cat input (the odd superposition of +/- alpha coherent states) in the
 first n of m modes has closed-form amplitudes given by a 2^n sign sum; the
 distribution restricted to total photon number n is proportional to the
 single-photon distribution, with proportionality |alpha|^{2n}/sinh^n(|alpha|^2).
+Both are one repeated-row Glynn sign sum at different output weights, and
+the enumerated distributions take it once per weight, batched over all its
+outcomes; :func:`fock_amplitude` keeps the Ryser route as the reference.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from functools import lru_cache
 from typing import Mapping, Optional, Sequence, Union
 
@@ -20,10 +23,10 @@ import numpy as np
 from .combinatorics import (
     RepetitionPattern,
     count_weight,
-    enumerate_weight,
     factorial_product,
     repeat_matrix,
     weight,
+    weight_array,
 )
 from .errors import (
     DimensionMismatch,
@@ -31,8 +34,8 @@ from .errors import (
     TooLarge,
     ZeroAmplitude,
 )
-from .numerics import UnitaryMatrix, as_array
-from .permanents import permanent_ryser
+from .numerics import ComplexMatrix, UnitaryMatrix, as_array
+from .permanents import _sign_sums, permanent_ryser
 from .rng import bit_generator
 
 FockOutcome = tuple[int, ...]
@@ -113,8 +116,13 @@ def fock_amplitude(u, p: Sequence[int], q: Sequence[int]) -> complex:
     return complex(per) / math.sqrt(factorial_product(p) * factorial_product(q))
 
 
-def _input_pattern(n: int, m: int) -> FockOutcome:
-    return (1,) * n + (0,) * (m - n)
+def _weight_outcomes(m: int, k: int) -> tuple[list[FockOutcome], np.ndarray, np.ndarray]:
+    """The outcomes of weight k in enumeration order, as tuples and as an N x m
+    array, and sqrt(p!) of each."""
+    powers = weight_array(m, k)
+    outcomes = list(map(tuple, powers.tolist()))
+    factorials = np.array([math.factorial(e) for e in range(k + 1)], dtype=np.float64)
+    return outcomes, powers, np.sqrt(factorials[powers].prod(axis=1))
 
 
 def bs_distribution(u, n: int) -> OutcomeDistribution:
@@ -125,38 +133,9 @@ def bs_distribution(u, n: int) -> OutcomeDistribution:
         raise ValueError(f"need 0 <= n <= m, got n={n}, m={m}")
     if count_weight(m, n) > SUPPORT_BUDGET:
         raise TooLarge("outcome support exceeds the enumeration budget")
-    q = _input_pattern(n, m)
-    probs: dict[FockOutcome, float] = {}
-    for p in enumerate_weight(m, n):
-        amp = fock_amplitude(arr, p, q)
-        probs[p] = abs(amp) ** 2
-    return OutcomeDistribution(probs, cutoff=n, truncated_mass=0.0)
-
-
-def _power_product(v: np.ndarray, p: FockOutcome) -> complex:
-    out = 1.0 + 0.0j
-    for vi, pi in zip(v.tolist(), p):
-        if pi:
-            out *= vi**pi
-    return out
-
-
-def _cat_sign_sum(cols: np.ndarray, p: FockOutcome) -> complex:
-    """sum over x in {-1,1}^n of (prod x) * prod_i (cols @ x)_i^{p_i}, Gray-code updates."""
-    n = cols.shape[1]
-    if (1 << n) * max(n, 1) > 10**7:
-        raise TooLarge(f"sign sum over 2^{n} terms exceeds the budget")
-    v = cols.sum(axis=1)
-    sign = 1
-    total = _power_product(v, p)
-    xs = [1] * n
-    for k in range(1, 1 << n):
-        j = (k & -k).bit_length() - 1
-        xs[j] = -xs[j]
-        v = v + (2 * xs[j]) * cols[:, j]
-        sign = -sign
-        total += sign * _power_product(v, p)
-    return total
+    outcomes, powers, root_fact = _weight_outcomes(m, n)
+    amps = _sign_sums(arr[:, :n], powers) / (2**n * root_fact)
+    return OutcomeDistribution(dict(zip(outcomes, (np.abs(amps) ** 2).tolist())), cutoff=n, truncated_mass=0.0)
 
 
 def _log_sinh(x: float) -> float:
@@ -194,7 +173,7 @@ def cat_amplitude(u, spec: CatInputSpec, p: Sequence[int]) -> complex:
     total = weight(p)
     if total < n or (total - n) % 2 != 0:
         return 0j
-    sign_sum = _cat_sign_sum(arr[:, :n], p)
+    sign_sum = complex(_sign_sums(arr[:, :n], np.array([p], dtype=np.intp))[0])
     return _cat_scale(spec.alpha, n, total) * sign_sum / math.sqrt(factorial_product(p))
 
 
@@ -233,11 +212,6 @@ def cat_total_photon_pmf(alpha: complex, n: int, cutoff: int) -> list[float]:
     return conv
 
 
-def _cat_total_photon_tail(alpha: complex, n: int, cutoff: int) -> float:
-    """Exact P(total input photons > cutoff) for n independent cat modes."""
-    return max(0.0, 1.0 - sum(cat_total_photon_pmf(alpha, n, cutoff)))
-
-
 def cat_distribution(u, spec: CatInputSpec, cutoff: Optional[int] = None) -> OutcomeDistribution:
     """Enumerate cat-input outcome probabilities for |p| <= cutoff.
 
@@ -259,13 +233,12 @@ def cat_distribution(u, spec: CatInputSpec, cutoff: Optional[int] = None) -> Out
     if support > SUPPORT_BUDGET:
         raise TooLarge("outcome support exceeds the enumeration budget")
     probs: dict[FockOutcome, float] = {}
-    enumerated = 0.0
     for k in range(n, cutoff + 1, 2):
-        for p in enumerate_weight(m, k):
-            pr = abs(cat_amplitude(arr, spec, p)) ** 2
-            probs[p] = pr
-            enumerated += pr
-    tail = _cat_total_photon_tail(spec.alpha, n, cutoff)
+        outcomes, powers, root_fact = _weight_outcomes(m, k)
+        amps = _cat_scale(spec.alpha, n, k) * _sign_sums(arr[:, :n], powers) / root_fact
+        probs.update(zip(outcomes, (np.abs(amps) ** 2).tolist()))
+    enumerated = sum(probs.values())
+    tail = max(0.0, 1.0 - sum(cat_total_photon_pmf(spec.alpha, n, cutoff)))
     return OutcomeDistribution(probs, cutoff=cutoff, truncated_mass=max(0.0, 1.0 - enumerated), tail_bound=tail)
 
 
@@ -278,8 +251,9 @@ def reject_to_fixed_n(dist: OutcomeDistribution, n: int) -> OutcomeDistribution:
     return OutcomeDistribution({p: v / mass for p, v in kept.items()}, cutoff=n, truncated_mass=0.0)
 
 
-def sample(dist: OutcomeDistribution, count: int, seed: int) -> list[Outcome]:
-    """Inverse-CDF sampling; the truncated mass maps to the OVERFLOW sentinel."""
+def _sample_indices(dist: OutcomeDistribution, count: int, seed: int) -> tuple[list[Outcome], np.ndarray]:
+    """Inverse-CDF draws as indices into the outcome list, which ends with the
+    OVERFLOW sentinel when the distribution has truncated mass."""
     outcomes: list[Outcome] = list(dist.probs.keys())
     weights = [float(v) for v in dist.probs.values()]
     if dist.truncated_mass > 0.0:
@@ -290,8 +264,27 @@ def sample(dist: OutcomeDistribution, count: int, seed: int) -> list[Outcome]:
     bg = bit_generator(seed)
     u = bg.random_raw(count) * (total / 2.0**64)
     idx = np.searchsorted(cdf, u, side="right")
-    idx = np.minimum(idx, len(outcomes) - 1)
-    return [outcomes[i] for i in idx]
+    return outcomes, np.minimum(idx, len(outcomes) - 1)
+
+
+def sample(dist: OutcomeDistribution, count: int, seed: int) -> list[Outcome]:
+    """Inverse-CDF sampling; the truncated mass maps to the OVERFLOW sentinel."""
+    outcomes, idx = _sample_indices(dist, count, seed)
+    return [outcomes[i] for i in idx.tolist()]
+
+
+def kept_draws(
+    dist: OutcomeDistribution, n: int, count: int, seed: int, reference: Mapping[FockOutcome, float]
+) -> tuple[list[Outcome], np.ndarray, float]:
+    """Draw as `sample` does and keep |p| = n: the outcome list, the kept draws'
+    indices into it in draw order, and the TV distance of their empirical law
+    from ``reference``, counted per outcome index."""
+    outcomes, idx = _sample_indices(dist, count, seed)
+    at_n = np.array([o is not OVERFLOW and weight(o) == n for o in outcomes])
+    counts = np.bincount(idx, minlength=len(outcomes)) * at_n
+    kept = int(counts.sum())
+    empirical = {outcomes[i]: c / kept for i, c in enumerate(counts.tolist()) if c}
+    return outcomes, idx[at_n[idx]], tv_distance(empirical, reference)
 
 
 @dataclass(frozen=True)
@@ -307,17 +300,7 @@ class PipelineReport:
     seed: int
 
     def to_json_dict(self) -> dict:
-        return {
-            "total_samples": self.total_samples,
-            "kept_samples": self.kept_samples,
-            "kept_fraction": self.kept_fraction,
-            "expected_fraction": self.expected_fraction,
-            "fraction_stderr": self.fraction_stderr,
-            "tv_kept_vs_single_photon": self.tv_kept_vs_single_photon,
-            "support_size": self.support_size,
-            "cutoff": self.cutoff,
-            "seed": self.seed,
-        }
+        return asdict(self)
 
 
 def rejection_sampling_pipeline(
@@ -331,23 +314,15 @@ def rejection_sampling_pipeline(
     if count < 1:
         raise ValueError(f"count must be at least 1, got {count}")
     dist = cat_distribution(u, spec, cutoff)
-    draws = sample(dist, count, seed)
     n = spec.n
-    kept = [o for o in draws if o is not OVERFLOW and weight(o) == n]
-    kept_fraction = len(kept) / count
+    bs = bs_distribution(u, n)
+    _, kept, tv = kept_draws(dist, n, count, seed, bs.probs)
     expected = photon_fraction(spec.alpha, n)
     stderr = math.sqrt(expected * (1.0 - expected) / count)
-    bs = bs_distribution(u, n)
-    empirical: dict[FockOutcome, float] = {}
-    if kept:
-        inc = 1.0 / len(kept)
-        for o in kept:
-            empirical[o] = empirical.get(o, 0.0) + inc
-    tv = tv_distance(empirical, bs.probs)
     return PipelineReport(
         total_samples=count,
-        kept_samples=len(kept),
-        kept_fraction=kept_fraction,
+        kept_samples=kept.size,
+        kept_fraction=kept.size / count,
         expected_fraction=expected,
         fraction_stderr=stderr,
         tv_kept_vs_single_photon=tv,
@@ -368,15 +343,7 @@ class RegimeReport:
     leading_order: Optional[float]
 
     def to_json_dict(self) -> dict:
-        return {
-            "n": self.n,
-            "m": self.m,
-            "c": self.c,
-            "alpha": self.alpha,
-            "defined": self.defined,
-            "fraction": self.fraction,
-            "leading_order": self.leading_order,
-        }
+        return asdict(self)
 
 
 def amplitude_regime_check(n: int, m: int, c: float) -> RegimeReport:
@@ -399,6 +366,4 @@ def amplitude_regime_check(n: int, m: int, c: float) -> RegimeReport:
 
 def hong_ou_mandel_unitary() -> UnitaryMatrix:
     """Balanced beamsplitter [[1, 1], [1, -1]]/sqrt(2)."""
-    from .numerics import ComplexMatrix
-
     return UnitaryMatrix(ComplexMatrix(np.array([[1, 1], [1, -1]], dtype=np.complex128) / math.sqrt(2.0)))

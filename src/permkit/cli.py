@@ -20,13 +20,13 @@ from .bosonic import (
     CatInputSpec,
     bs_distribution,
     cat_distribution,
+    kept_draws,
     photon_fraction,
     reject_to_fixed_n,
     amplitude_regime_check,
     sample as sample_outcomes,
-    tv_distance,
 )
-from .combinatorics import RepetitionPattern, repeat_matrix, weight
+from .combinatorics import RepetitionPattern, repeat_matrix
 from .errors import PermkitError
 from .estimators import estimate_permanent, estimator_variance_scan
 from .identities import IDENTITY_REGISTRY, run_battery
@@ -248,28 +248,22 @@ def _cmd_sample(args) -> tuple[object, int, list]:
         return summary, 0, lines
     spec = CatInputSpec(_parse_complex(args.alpha), args.n, u.dim)
     dist = cat_distribution(u, spec, args.cutoff)
-    draws = sample_outcomes(dist, args.count, args.seed)
     if args.reject_to is not None:
         n = args.reject_to
-        kept = [o for o in draws if o is not OVERFLOW and weight(o) == n]
-        lines = [_outcome_line(o) for o in kept]
-        bs = bs_distribution(u, n)
-        empirical: dict = {}
-        if kept:
-            inc = 1.0 / len(kept)
-            for o in kept:
-                empirical[o] = empirical.get(o, 0.0) + inc
+        outcomes, kept, tv = kept_draws(dist, n, args.count, args.seed, bs_distribution(u, n).probs)
+        lines = [_outcome_line(outcomes[i]) for i in kept.tolist()]
         summary = {
             "input": "cat",
             "count": args.count,
-            "kept": len(kept),
-            "kept_fraction": len(kept) / args.count if args.count else None,
+            "kept": kept.size,
+            "kept_fraction": kept.size / args.count if args.count else None,
             "expected_fraction": photon_fraction(spec.alpha, n),
-            "tv_estimate": tv_distance(empirical, bs.probs),
+            "tv_estimate": tv,
             "cutoff": dist.cutoff,
             "truncated_mass": dist.truncated_mass,
         }
         return summary, 0, lines
+    draws = sample_outcomes(dist, args.count, args.seed)
     lines = [_outcome_line(o) for o in draws]
     summary = {
         "input": "cat",

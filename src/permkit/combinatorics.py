@@ -8,6 +8,7 @@ permanent routines map those to 0 and 1 respectively.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -108,18 +109,25 @@ def repeat_matrix(a, pattern: RepetitionPattern):
     return np.repeat(np.repeat(arr, p, axis=0), q, axis=1)
 
 
-def enumerate_weight(m: int, n: int) -> Iterator[MultiIndex]:
-    """All p in N^m with |p| = n, in ascending lexicographic order."""
+def weight_array(m: int, n: int) -> np.ndarray:
+    """All p in N^m with |p| = n as array rows, in ascending lexicographic order:
+    the gaps between m - 1 bars among n + m - 1 slots, bars in lexicographic order."""
     if m < 1:
         raise ValueError("need m >= 1")
     if n < 0:
         raise ValueError("need n >= 0")
-    if m == 1:
-        yield (n,)
-        return
-    for first in range(n + 1):
-        for rest in enumerate_weight(m - 1, n - first):
-            yield (first,) + rest
+    count = count_weight(m, n)
+    bars = itertools.chain.from_iterable(itertools.combinations(range(n + m - 1), m - 1))
+    edges = np.empty((count, m + 1), dtype=np.intp)
+    edges[:, 0] = -1
+    edges[:, 1:m] = np.fromiter(bars, dtype=np.intp, count=count * (m - 1)).reshape(count, m - 1)
+    edges[:, m] = n + m - 1
+    return np.diff(edges, axis=1) - 1
+
+
+def enumerate_weight(m: int, n: int) -> Iterator[MultiIndex]:
+    """All p in N^m with |p| = n, in ascending lexicographic order."""
+    yield from map(tuple, weight_array(m, n).tolist())
 
 
 def count_weight(m: int, n: int) -> int:

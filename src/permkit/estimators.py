@@ -21,8 +21,7 @@ import numpy as np
 
 from .combinatorics import RepetitionPattern, factorial_product, weight
 from .errors import DimensionMismatch, TooLarge, WeightMismatch, ZeroDerivative
-from .numerics import as_array
-from .permanents import _root_grid_digits
+from .permanents import _finite_array, _root_grid_double_sum
 from .rng import bit_generator
 
 F_CHOICES = ("pown", "exp", "geom")
@@ -81,7 +80,7 @@ def estimate_permanent(
     Deterministic given (seed, streams): stream s draws from the Philox
     generator jumped s times, and partial moments merge by summation.
     """
-    arr = as_array(a)
+    arr = _finite_array(a)
     m = arr.shape[0]
     if arr.shape[1] != m or pattern.length != m:
         raise DimensionMismatch("pattern length must equal the square matrix dimension")
@@ -170,7 +169,7 @@ def pown_grid_expectation(a, pattern: RepetitionPattern, order: Optional[int] = 
     Per(A_{p,q}) exactly (no aliasing survives), which makes this a frozen
     reference for the continuous-torus estimator.
     """
-    arr = as_array(a)
+    arr = _finite_array(a)
     m = arr.shape[0]
     p, q = pattern.rows, pattern.cols
     n = weight(p)
@@ -180,17 +179,5 @@ def pown_grid_expectation(a, pattern: RepetitionPattern, order: Optional[int] = 
     grid = order**m
     if grid * grid > 10**7:
         raise TooLarge("discrete grid exceeds the term budget")
-    roots = np.exp(2j * np.pi * np.arange(order) / order)
-    pts = roots[_root_grid_digits(np.arange(grid, dtype=np.int64), order, m)]
-    conj = np.conj(pts)
-    wx = np.ones(grid, dtype=np.complex128)
-    wy = np.ones(grid, dtype=np.complex128)
-    for i in range(m):
-        if p[i]:
-            wx *= conj[:, i] ** p[i]
-        if q[i]:
-            wy *= conj[:, i] ** q[i]
-    s = pts @ (arr @ pts.T)
     pq = float(factorial_product(p) * factorial_product(q))
-    total = wx @ (s**n) @ wy
-    return complex(total * pq / math.factorial(n) / (grid * grid))
+    return _root_grid_double_sum(arr, p, q, order, n) * pq / math.factorial(n) / (grid * grid)

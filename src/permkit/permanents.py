@@ -10,8 +10,9 @@ Exact (int / Fraction) inputs run the sign-vector sums (Ryser, Glynn,
 Glynn-Kan) as pure-Python Gray-code loops, so they stay exact and serve as the
 independent reference for the float path.  Float inputs run one chunked numpy
 kernel, :func:`_sign_sum`, for all of them (Glynn-Kan shares its vertex
-table); the roots-of-unity grids are vectorized with numpy and are
-numeric-only.
+table); :func:`_sign_sums` is its batched form over many exponent rows, for
+the sampler's distributions.  The roots-of-unity grids are vectorized with
+numpy and are numeric-only.
 """
 
 from __future__ import annotations
@@ -123,6 +124,43 @@ def _sign_sum(cols: np.ndarray, lo: int, base: Optional[np.ndarray] = None) -> c
     return sum(
         sh * complex((part + (high_cols @ xh)[:, None]).prod(axis=0) @ s_low) for xh, sh in zip(x_high, s_high)
     )
+
+
+# Entries (outcomes x low sign vectors) of one chunk's product block in _sign_sums.
+_SUMS_ENTRIES = 1 << 15
+
+
+def _sign_sums(cols: np.ndarray, powers: np.ndarray) -> np.ndarray:
+    """For each row p of the N x m int array ``powers``, sum over x in {-1, 1}^k
+    of (prod x) prod_i ((cols x)_i)^{p_i}, with ``cols`` m x k.
+
+    Per vertex block, the powers (cols x)^e, e <= max(p), are built by repeated
+    multiplication; each chunk of outcomes multiplies its gathered rows.
+    """
+    if not np.isfinite(cols).all():
+        raise ValueError("matrix entries must be finite")
+    m, k = cols.shape
+    if (1 << k) * max(k, 1) > TERM_BUDGET:
+        raise TooLarge(f"sign sum over 2^{k} terms exceeds the budget")
+    low = min(k, _LOW_BITS)
+    x_low, s_low = _vertices(low, -1)
+    x_high, s_high = _vertices(k - low, -1)
+    part = cols[:, :low] @ x_low.T
+    step = _SUMS_ENTRIES >> low
+    table = np.empty((int(powers.max(initial=0)) + 1, m, 1 << low), dtype=np.complex128)
+    table[0] = 1.0
+    out = np.zeros(powers.shape[0], dtype=np.complex128)
+    for xh, sh in zip(x_high, s_high):
+        v = part + (cols[:, low:] @ xh)[:, None]
+        for e in range(1, table.shape[0]):
+            np.multiply(table[e - 1], v, out=table[e])
+        for start in range(0, powers.shape[0], step):
+            chunk = powers[start : start + step]
+            acc = table[chunk[:, 0], 0]
+            for i in range(1, m):
+                acc *= table[chunk[:, i], i]
+            out[start : start + step] += sh * (acc @ s_low)
+    return out
 
 
 @lru_cache(maxsize=None)
@@ -291,6 +329,29 @@ def _root_grid_digits(ids: np.ndarray, n: int, m: int) -> np.ndarray:
     return digits
 
 
+def _root_grid_double_sum(arr: np.ndarray, p, q, order: int, power: int, chunk: int = 256) -> complex:
+    """sum over x, y in mu_order^m of x^{-p} y^{-q} (x^T A y)^power, over chunks of x."""
+    m = arr.shape[0]
+    grid = order**m
+    roots = np.exp(2j * np.pi * np.arange(order) / order)
+    pts = roots[_root_grid_digits(np.arange(grid, dtype=np.int64), order, m)]  # (grid, m)
+    conj = np.conj(pts)
+    wx = np.ones(grid, dtype=np.complex128)
+    wy = np.ones(grid, dtype=np.complex128)
+    for i in range(m):
+        if p[i]:
+            wx *= conj[:, i] ** p[i]
+        if q[i]:
+            wy *= conj[:, i] ** q[i]
+    ayt = arr @ pts.T  # column g = A y_g
+    total = 0j
+    for lo in range(0, grid, chunk):
+        hi = min(lo + chunk, grid)
+        s = pts[lo:hi] @ ayt  # (chunk, grid): x_g . (A y_h)
+        total += wx[lo:hi] @ (s**power) @ wy
+    return complex(total)
+
+
 def permanent_roots_of_unity(a, pattern: RepetitionPattern, chunk: int = 1 << 15) -> PermanentResult:
     """Per(A_{p,q}) = (q!/n^m) * sum over x in mu_n^m of x^{-q} (Ax)^p, n = |p| = |q|."""
     arr = _finite_array(a)
@@ -395,24 +456,8 @@ def permanent_glynn_kan_repeated(a, pattern: RepetitionPattern, chunk: int = 256
     if n ** (2 * m) > TERM_BUDGET:
         raise TooLarge(f"roots-of-unity grid n^(2m) = {n ** (2 * m)} exceeds the budget")
     grid = n**m
-    roots = np.exp(2j * np.pi * np.arange(n) / n)
-    pts = roots[_root_grid_digits(np.arange(grid, dtype=np.int64), n, m)]  # (grid, m)
-    conj = np.conj(pts)
-    wx = np.ones(grid, dtype=np.complex128)
-    wy = np.ones(grid, dtype=np.complex128)
-    for i in range(m):
-        if p[i]:
-            wx *= conj[:, i] ** p[i]
-        if q[i]:
-            wy *= conj[:, i] ** q[i]
-    ayt = arr @ pts.T  # column g = A y_g
-    total = 0j
-    for lo in range(0, grid, chunk):
-        hi = min(lo + chunk, grid)
-        s = pts[lo:hi] @ ayt  # (chunk, grid): x_g . (A y_h)
-        total += wx[lo:hi] @ (s**n) @ wy
     scalefac = float(Fraction(factorial_product(p) * factorial_product(q), grid * grid * math.factorial(n)))
-    value = complex(total) * scalefac
+    value = _root_grid_double_sum(arr, p, q, n, n, chunk) * scalefac
     return PermanentResult(value, "glynn_kan_repeated", grid * grid)
 
 

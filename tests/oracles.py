@@ -83,3 +83,28 @@ def permutation_permanent(a) -> complex:
             term *= a[i, perm[i]]
         total += term
     return total
+
+
+def _power_product(v, p) -> complex:
+    out = 1.0 + 0.0j
+    for vi, pi in zip(v.tolist(), p):
+        if pi:
+            out *= vi**pi
+    return out
+
+
+def gray_code_cat_sign_sum(cols: np.ndarray, p) -> complex:
+    """sum over x in {-1,1}^n of (prod x) * prod_i (cols @ x)_i^{p_i}, one sign
+    vector at a time with Gray-code column updates."""
+    n = cols.shape[1]
+    v = cols.sum(axis=1)
+    sign = 1
+    total = _power_product(v, p)
+    xs = [1] * n
+    for k in range(1, 1 << n):
+        j = (k & -k).bit_length() - 1
+        xs[j] = -xs[j]
+        v = v + (2 * xs[j]) * cols[:, j]
+        sign = -sign
+        total += sign * _power_product(v, p)
+    return total

@@ -20,7 +20,11 @@ from permkit.bosonic import (
     sample,
     tv_distance,
 )
-from permkit.errors import EmptyConditioning, ZeroAmplitude
+from permkit.combinatorics import count_weight, enumerate_weight
+from permkit.errors import EmptyConditioning, TooLarge, ZeroAmplitude
+from permkit.permanents import _LOW_BITS, _SUMS_ENTRIES
+
+from oracles import gray_code_cat_sign_sum
 
 
 class TestFockAmplitude:
@@ -243,6 +247,90 @@ class TestPipeline:
         u = rng.haar_unitary(3, 61)
         with pytest.raises(ValueError, match="count"):
             rejection_sampling_pipeline(u, CatInputSpec(0.5, 2, 3), 3, count, 0)
+
+
+class TestBatchedSignSums:
+    """The distributions evaluate one batched sign sum per photon weight; each
+    probability must match an independent per-outcome route."""
+
+    @staticmethod
+    def assert_same_law(got, expected):
+        assert list(got) == list(expected)
+        scale = max(expected.values())
+        for p, v in expected.items():
+            assert abs(got[p] - v) <= 1e-12 * scale, p
+
+    @pytest.mark.parametrize("m,n", [(3, 1), (4, 2), (6, 3), (7, 3), (10, 5)])
+    def test_bs_distribution_matches_ryser_route(self, m, n):
+        u = rng.haar_unitary(m, 70 + m)
+        q = (1,) * n + (0,) * (m - n)
+        expected = {p: abs(fock_amplitude(u, p, q)) ** 2 for p in enumerate_weight(m, n)}
+        self.assert_same_law(bs_distribution(u, n).probs, expected)
+
+    def test_outcomes_span_several_chunks(self):
+        # the (10, 5) case above: 2002 outcomes x 2^5 sign vectors
+        assert count_weight(10, 5) << 5 > _SUMS_ENTRIES
+
+    @pytest.mark.parametrize("m,n,cutoff,alpha", [(1, 1, 9, 0.7), (3, 1, 7, 0.9), (4, 2, 8, 0.4 + 0.3j), (5, 3, 7, 0.8)])
+    def test_cat_distribution_matches_gray_code_loop(self, m, n, cutoff, alpha):
+        u = rng.haar_unitary(m, 80 + m)
+        cols = np.asarray(u.matrix.data)[:, :n]
+        a2 = abs(alpha) ** 2
+        expected = {}
+        for k in range(n, cutoff + 1, 2):
+            scale = alpha**k / (2**n * math.sinh(a2) ** (n / 2))
+            for p in enumerate_weight(m, k):
+                amp = scale * gray_code_cat_sign_sum(cols, p) / math.sqrt(math.prod(map(math.factorial, p)))
+                expected[p] = abs(amp) ** 2
+        self.assert_same_law(cat_distribution(u, CatInputSpec(alpha, n, m), cutoff).probs, expected)
+
+    def test_cat_amplitude_across_vertex_blocks(self):
+        n = m = 11
+        assert n > _LOW_BITS
+        u = rng.haar_unitary(m, 90)
+        alpha = 0.6 - 0.2j
+        spec = CatInputSpec(alpha, n, m)
+        scale = alpha**n / math.sinh(abs(alpha) ** 2) ** (n / 2)
+        for p in [(1,) * 11, (3, 0, 2, 0, 0, 1, 1, 0, 2, 0, 2), (0,) * 10 + (11,)]:
+            expected = scale * fock_amplitude(u, p, (1,) * n)
+            assert abs(cat_amplitude(u, spec, p) - expected) <= 1e-12 * abs(scale)
+
+    def test_cat_amplitude_sign_sum_budget(self):
+        u = rng.haar_unitary(20, 91)
+        with pytest.raises(TooLarge):
+            cat_amplitude(u, CatInputSpec(0.5, 20, 20), (1,) * 20)
+
+    def test_pipeline_kept_count_matches_per_draw_count(self):
+        u = rng.haar_unitary(5, 92)
+        spec = CatInputSpec(0.8, 2, 5)
+        rep = rejection_sampling_pipeline(u, spec, 6, 30_000, 17)
+        draws = sample(cat_distribution(u, spec, 6), 30_000, 17)
+        kept = [o for o in draws if o is not OVERFLOW and sum(o) == 2]
+        empirical: dict = {}
+        for o in kept:
+            empirical[o] = empirical.get(o, 0) + 1 / len(kept)
+        assert rep.kept_samples == len(kept)
+        assert rep.tv_kept_vs_single_photon == pytest.approx(tv_distance(empirical, bs_distribution(u, 2).probs), abs=1e-12)
+
+
+class TestNonFiniteUnitary:
+    @staticmethod
+    def nan_unitary(m):
+        u = np.array(rng.haar_unitary(m, 93).matrix.data)
+        u[1, 0] = np.nan
+        return u
+
+    def test_bs_distribution(self):
+        with pytest.raises(ValueError, match="finite"):
+            bs_distribution(self.nan_unitary(3), 2)
+
+    def test_cat_distribution(self):
+        with pytest.raises(ValueError, match="finite"):
+            cat_distribution(self.nan_unitary(3), CatInputSpec(0.5, 2, 3), 4)
+
+    def test_cat_amplitude(self):
+        with pytest.raises(ValueError, match="finite"):
+            cat_amplitude(self.nan_unitary(3), CatInputSpec(0.5, 2, 3), (1, 1, 0))
 
 
 class TestRegimeCheck:

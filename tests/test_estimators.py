@@ -114,6 +114,25 @@ class TestVarianceScan:
         assert {row["f"] for row in table} == {"pown", "exp"}
 
 
+class TestNonFiniteMatrix:
+    @staticmethod
+    def matrix(bad):
+        a = np.array(rng.unit_disk_matrix(3, 57))
+        a[2, 1] = bad
+        return a
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, complex(0.0, -np.inf)])
+    @pytest.mark.parametrize("f", ["pown", "exp", "geom"])
+    def test_estimate_rejects(self, bad, f):
+        with pytest.raises(ValueError, match="finite"):
+            estimate_permanent(self.matrix(bad), RepetitionPattern.uniform(3), f, 100, 1)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_grid_expectation_rejects(self, bad):
+        with pytest.raises(ValueError, match="finite"):
+            pown_grid_expectation(self.matrix(bad), RepetitionPattern.uniform(3))
+
+
 def test_empirical_unbiasedness_across_seeds():
     a = rng.unit_disk_matrix(3, 90)
     pat = RepetitionPattern.uniform(3)
