@@ -31,29 +31,10 @@ from .errors import PermkitError
 from .estimators import estimate_permanent, estimator_variance_scan
 from .identities import IDENTITY_REGISTRY, run_battery
 from .numerics import ComplexMatrix, UnitaryMatrix
-from .permanents import (
-    permanent_cauchy_binet,
-    permanent_glynn,
-    permanent_glynn_kan,
-    permanent_glynn_kan_repeated,
-    permanent_glynn_repeated_rows,
-    permanent_naive,
-    permanent_roots_of_unity,
-    permanent_ryser,
-)
+from .permanents import ALGORITHMS, permanent_cauchy_binet, permanent_glynn_repeated_rows
 
-PLAIN_ALGOS = {
-    "naive": permanent_naive,
-    "ryser": permanent_ryser,
-    "glynn": permanent_glynn,
-    "glynn-kan": permanent_glynn_kan,
-}
-PATTERN_ALGOS = {
-    "glynn-repeated-rows": permanent_glynn_repeated_rows,
-    "roots-of-unity": permanent_roots_of_unity,
-    "glynn-kan-repeated": permanent_glynn_kan_repeated,
-    "cauchy-binet": permanent_cauchy_binet,
-}
+PLAIN_ALGOS = {name: ALGORITHMS[name] for name in ("naive", "ryser", "glynn", "glynn-kan")}
+PATTERN_ALGOS = {name: fn for name, fn in ALGORITHMS.items() if name not in PLAIN_ALGOS}
 
 
 def _load_json(arg: str):
@@ -70,7 +51,10 @@ def _load_matrix(arg: str) -> ComplexMatrix:
 
 def _load_multi_index(arg: str) -> tuple[int, ...]:
     data = _load_json(arg)
-    return tuple(int(k) for k in data)
+    # bool is an int subclass, but JSON true is no repetition count
+    if not isinstance(data, list) or not all(type(k) is int for k in data):
+        raise ValueError(f"multi-index must be a JSON array of integers, got {arg!r}")
+    return tuple(data)
 
 
 def _parse_cap(text: str):

@@ -171,6 +171,8 @@ def pown_grid_expectation(a, pattern: RepetitionPattern, order: Optional[int] = 
     """
     arr = _finite_array(a)
     m = arr.shape[0]
+    if arr.shape[1] != m or pattern.length != m:
+        raise DimensionMismatch("pattern length must equal the square matrix dimension")
     p, q = pattern.rows, pattern.cols
     n = weight(p)
     if weight(q) != n:

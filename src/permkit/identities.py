@@ -20,6 +20,7 @@ import numpy as np
 from . import rng
 from .combinatorics import (
     RepetitionPattern,
+    _is_exact_rows,
     count_weight,
     enumerate_splits,
     enumerate_weight,
@@ -100,12 +101,9 @@ class _Tracker:
 
 def _normalize(a):
     """-> (matrix object, ring). Exact nested int/Fraction input stays exact."""
-    if isinstance(a, (np.ndarray, ComplexMatrix, UnitaryMatrix)):
-        return as_array(a), COMPLEX
-    rows = tuple(tuple(r) for r in a)
-    if all(isinstance(v, (int, Fraction)) for r in rows for v in r):
-        return rows, RATIONAL
-    return np.array(rows, dtype=np.complex128), COMPLEX
+    if _is_exact_rows(a):
+        return tuple(tuple(r) for r in a), RATIONAL
+    return as_array(a), COMPLEX
 
 
 def _dim(mat) -> int:

@@ -62,11 +62,15 @@ class ComplexMatrix:
 
     @classmethod
     def from_json_dict(cls, obj: dict) -> "ComplexMatrix":
-        dim = int(obj["dim"])
-        entries = obj["entries"]
-        if len(entries) != dim * dim:
-            raise ValueError(f"expected {dim * dim} entries for dim={dim}, got {len(entries)}")
-        flat = [complex(re, im) for re, im in entries]
+        try:
+            dim, entries = obj["dim"], obj["entries"]
+            if type(dim) is not int:
+                raise TypeError(f"dim must be an integer, got {dim!r}")
+            if len(entries) != dim * dim:
+                raise ValueError(f"expected {dim * dim} entries for dim={dim}, got {len(entries)}")
+            flat = [complex(re, im) for re, im in entries]
+        except TypeError as exc:
+            raise ValueError(f'expected {{"dim": n, "entries": [[re, im], ...]}}: {exc}') from None
         return cls(np.array(flat, dtype=np.complex128).reshape(dim, dim))
 
     @classmethod
@@ -138,17 +142,6 @@ def embed_contraction(b: MatrixLike) -> UnitaryMatrix:
     bottom_left = (vh.conj().T * c) @ vh  # (I - B†B)^{1/2}
     u = np.block([[arr, top_right], [bottom_left, -arr.conj().T]])
     return UnitaryMatrix(ComplexMatrix(u))
-
-
-def matrix_product(a: MatrixLike, b: MatrixLike) -> np.ndarray:
-    aa, bb = as_array(a), as_array(b)
-    if aa.shape[1] != bb.shape[0]:
-        raise DimensionMismatch(f"cannot multiply shapes {aa.shape} and {bb.shape}")
-    return aa @ bb
-
-
-def adjoint(a: MatrixLike) -> np.ndarray:
-    return as_array(a).conj().T
 
 
 def scale(a: MatrixLike, c: complex) -> np.ndarray:

@@ -13,11 +13,12 @@ kernel, :func:`_sign_sum`, for all of them (Glynn-Kan shares its vertex
 table); :func:`_sign_sums` is its batched form over many exponent rows, for
 the sampler's distributions.  The roots-of-unity grids are vectorized with
 numpy and are numeric-only.
+The brute-force sum, :func:`_naive_sum`, walks the permutation prefix tree
+on float and exact input alike; exact zero partial products drop their subtree.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 import warnings
 from dataclasses import dataclass
@@ -164,16 +165,38 @@ def _sign_sums(cols: np.ndarray, powers: np.ndarray) -> np.ndarray:
 
 
 @lru_cache(maxsize=None)
-def _perm_indices(m: int) -> np.ndarray:
-    return np.array(list(itertools.permutations(range(m))), dtype=np.intp)
+def _others(k: int) -> np.ndarray:
+    """k x (k - 1) index rows: row t lists 0..k-1 without t.  Read-only."""
+    idx = np.arange(k - 1)
+    rows = idx + (idx >= np.arange(k)[:, None])
+    rows.setflags(write=False)
+    return rows
 
 
-def _naive_numeric(arr: np.ndarray, m: int) -> complex:
-    perms = _perm_indices(m)
-    prod = arr[0, perms[:, 0]].copy()
+def _naive_sum(arr: np.ndarray) -> Scalar:
+    """sum over permutations s of prod_i arr[i, s(i)], m >= 1, in lexicographic order.
+
+    Level i holds each partial product over rows < i once, with the columns it
+    has not used; row i multiplies in by one gather.  On an object (int /
+    Fraction) array a zero partial product drops its subtree.
+    """
+    m = arr.shape[0]
+    exact = arr.dtype == object
+    prods, free = arr[0], _others(m)
     for i in range(1, m):
-        prod *= arr[i, perms[:, i]]
-    return complex(prod.sum())
+        if exact:
+            keep = prods != 0
+            prods, free = prods[keep], free[keep]
+        k = free.shape[1]
+        # contiguous operands: a stride-0 broadcast rounds some products differently
+        prods = np.repeat(prods, k) * arr[i][free].reshape(-1)
+        if k > 1:
+            free = free[:, _others(k)].reshape(-1, k - 1)
+    if not exact:
+        return complex(prods.sum())
+    # the sum is a Fraction whenever an entry is one, pruned terms or not
+    zero = Fraction(0) if any(isinstance(v, Fraction) for v in arr.flat) else 0
+    return sum(prods.tolist(), zero)
 
 
 def permanent_naive(a) -> PermanentResult:
@@ -185,17 +208,8 @@ def permanent_naive(a) -> PermanentResult:
     m = nrows
     if m > NAIVE_MAX_DIM:
         raise TooLarge(f"naive permanent limited to dim <= {NAIVE_MAX_DIM}, got {m}")
-    if exact:
-        total = 0
-        for perm in itertools.permutations(range(m)):
-            term = 1
-            for i, j in enumerate(perm):
-                term *= data[i][j]
-            total += term
-        value: Scalar = total
-    else:
-        value = _naive_numeric(data, m)
-    return PermanentResult(value, "naive", math.factorial(m))
+    arr = np.array(data, dtype=object) if exact else data
+    return PermanentResult(_naive_sum(arr), "naive", math.factorial(m))
 
 
 def _columns(rows, m: int, ncols: int):

@@ -2,12 +2,13 @@
 
 These deliberately avoid the code paths they check: determinants by cofactor
 expansion, Hermitian eigenvalues by cyclic Jacobi rotations, polynomial-matrix
-determinants by the plain permutation (Leibniz) sum.
+determinants and permanents by the plain permutation sum.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 
 import numpy as np
 
@@ -72,17 +73,23 @@ def leibniz_determinant(mat, zero):
     return total
 
 
-def permutation_permanent(a) -> complex:
-    """Permutation-sum permanent for plain numeric matrices."""
-    a = np.asarray(a, dtype=np.complex128)
-    m = a.shape[0]
-    total = 0.0 + 0.0j
-    for perm in itertools.permutations(range(m)):
-        term = 1.0 + 0.0j
-        for i in range(m):
-            term *= a[i, perm[i]]
-        total += term
-    return total
+def permutation_permanent(a):
+    """Permutation-sum permanent, one term at a time in lexicographic order.
+
+    Nested int / Fraction rows stay exact.  The terms of a numpy array are
+    summed by ``math.fsum`` per real and imaginary part, so the sum adds no
+    rounding of its own to that of the term products.
+    """
+    rows = a.tolist() if isinstance(a, np.ndarray) else a
+    terms = []
+    for perm in itertools.permutations(range(len(rows))):
+        term = 1
+        for i, j in enumerate(perm):
+            term *= rows[i][j]
+        terms.append(term)
+    if isinstance(a, np.ndarray):
+        return complex(math.fsum(t.real for t in terms), math.fsum(t.imag for t in terms))
+    return sum(terms)
 
 
 def _power_product(v, p) -> complex:

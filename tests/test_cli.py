@@ -72,6 +72,37 @@ class TestPer:
     def test_help_exits_zero(self, capsys):
         assert run_cli(capsys, "--help")[0] == 0
 
+    @pytest.mark.parametrize(
+        "flag, text",
+        [
+            ("--matrix", "[]"),
+            ("--matrix", "[[1]]"),
+            ("--matrix", '{"dim": 1, "entries": [1]}'),
+            ("--matrix", '{"dim": [1], "entries": [[1, 0]]}'),
+            ("--matrix", '{"dim": 1.5, "entries": [[1, 0]]}'),
+            ("--matrix", '{"dim": true, "entries": [[1, 0]]}'),
+            ("--matrix-b", "[[1]]"),
+        ],
+    )
+    def test_matrix_json_not_the_documented_object_exits_one(self, capsys, flag, text):
+        one = '{"dim": 1, "entries": [[2, 0]]}'
+        matrices = {"--matrix": one, "--matrix-b": one, flag: text}
+        argv = ["per", "--algo", "cauchy-binet"]
+        for name, value in matrices.items():
+            argv += [name, value]
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error:") and len(err.strip().splitlines()) == 1
+
+    @pytest.mark.parametrize("index", ["[1.5,1,1]", "[true,1,1]", "[1,null,1]", "[[1],1,1]", '{"a": 1}', "[1.0,1,1]"])
+    @pytest.mark.parametrize("flag", ["--rows", "--cols"])
+    def test_non_integer_multi_index_exits_one(self, capsys, j3_file, flag, index):
+        code, out, err = run_cli(capsys, "per", "--algo", "naive", "--matrix", j3_file, flag, index)
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error:") and len(err.strip().splitlines()) == 1
+
 
 class TestVerify:
     def test_single_identity(self, capsys):
@@ -189,6 +220,12 @@ class TestSample:
                                  "--n", "1", "--count", "1", "--seed", "0")
         assert code == 1
         assert out == ""
+
+    def test_unitary_json_not_the_documented_object_exits_one(self, capsys):
+        code, out, err = run_cli(capsys, "sample", "--unitary", "[[1]]", "--n", "1", "--count", "1")
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error:") and len(err.strip().splitlines()) == 1
 
 
 class TestReport:

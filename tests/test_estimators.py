@@ -5,7 +5,7 @@ import pytest
 
 from permkit import rng
 from permkit.combinatorics import RepetitionPattern, repeat_matrix
-from permkit.errors import WeightMismatch
+from permkit.errors import DimensionMismatch, WeightMismatch
 from permkit.estimators import (
     default_geom_radius,
     estimate_permanent,
@@ -92,6 +92,14 @@ class TestGridExpectation:
             got = pown_grid_expectation(a, pat)
             ref = permanent_naive(repeat_matrix(a, pat)).value
             assert abs(got - ref) <= 1e-10 * max(1.0, abs(ref))
+
+    @pytest.mark.parametrize(
+        "m, pattern",
+        [(2, RepetitionPattern((1, 1, 0), (1, 0, 1))), (3, RepetitionPattern((1, 1), (1, 1)))],
+    )
+    def test_pattern_length_must_equal_dimension(self, m, pattern):
+        with pytest.raises(DimensionMismatch):
+            pown_grid_expectation(np.ones((m, m)), pattern)
 
 
 class TestVarianceScan:

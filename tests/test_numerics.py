@@ -8,11 +8,9 @@ from permkit.errors import DimensionMismatch, NormExceedsOne, NotUnitary
 from permkit.numerics import (
     ComplexMatrix,
     UnitaryMatrix,
-    adjoint,
     determinant,
     diag_from_vector,
     embed_contraction,
-    matrix_product,
     scale,
     spectral_norm,
 )
@@ -97,15 +95,6 @@ class TestEmbedContraction:
 
 
 class TestHelpers:
-    def test_identity_product(self):
-        a = rng.unit_disk_matrix(3, 31)
-        assert np.allclose(matrix_product(np.eye(3), a), a)
-
-    def test_adjoint_identity(self):
-        a = rng.unit_disk_matrix(3, 32)
-        b = rng.unit_disk_matrix(3, 33)
-        assert np.allclose(adjoint(matrix_product(a, b)), matrix_product(adjoint(b), adjoint(a)))
-
     def test_diag(self):
         d = diag_from_vector([1.0, 2.0 + 1j])
         assert d[0, 0] == 1.0 and d[1, 1] == 2.0 + 1j and d[0, 1] == 0
@@ -113,10 +102,6 @@ class TestHelpers:
     def test_scale(self):
         a = rng.unit_disk_matrix(2, 34)
         assert np.allclose(scale(a, 2j), 2j * a)
-
-    def test_dimension_mismatch(self):
-        with pytest.raises(DimensionMismatch):
-            matrix_product(np.eye(2), np.eye(3))
 
 
 class TestCarriers:

@@ -1,3 +1,4 @@
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -20,6 +21,8 @@ from permkit.permanents import (
     permanent_roots_of_unity,
     permanent_ryser,
 )
+
+from oracles import permutation_permanent
 
 DIXON = np.array([[0, 1, -1], [-1, 0, 1], [1, -1, 0]], dtype=complex)
 
@@ -49,11 +52,86 @@ class TestNaive:
         assert permanent_naive(np.ones((2, 3))).value == 0
 
     def test_too_large(self):
-        with pytest.raises(TooLarge):
-            permanent_naive(np.ones((11, 11)))
+        for a in (np.ones((11, 11)), [[1] * 11] * 11):
+            with pytest.raises(TooLarge):
+                permanent_naive(a)
 
     def test_term_count(self):
         assert permanent_naive(np.ones((4, 4))).term_count == 24
+
+
+# The prefix-tree kernel against the term-by-term permutation loop, m = 0..9.
+# Exact entries are a / b with a in [-3, 3] and b dividing 6, so zeros occur
+# and 6A is an integer matrix; the reference loop runs on 6A, since its
+# Fraction arithmetic takes seconds at m = 9.
+NAIVE_DIMS = range(10)
+EXACT_KINDS = ("int", "fraction", "mixed", "zero-row", "repeated")
+COMPLEX_KINDS = ("complex", "zeros", "zero-row", "repeated")
+
+
+def _repeated(m, base):
+    """A_{p,p} for a 3 x 3 base A and |p| = m."""
+    p = (m - 2 * (m // 3), m // 3, m // 3)
+    return repeat_matrix(base, RepetitionPattern(p, p))
+
+
+def _exact_rows(kind, m):
+    if kind == "repeated":
+        # as lists: the 0 x 0 repetition comes back as an empty numpy array
+        return [list(r) for r in _repeated(m, ((0, 1, -1), (-1, 0, 1), (1, -1, 0)))]
+    g = rng.generator(700 + m)
+    num = g.integers(-3, 4, size=(m, m)).tolist()
+    if kind == "int":
+        return num
+    if kind == "zero-row" and m:
+        num[m // 2] = [0] * m
+    den = g.choice((1, 2, 3, 6), size=(m, m)).tolist()
+    rows = [[Fraction(a, b) for a, b in zip(r, d)] for r, d in zip(num, den)]
+    if kind == "mixed":
+        return [[v if v.denominator > 1 else int(v) for v in r] for r in rows]
+    return rows
+
+
+def _complex_matrix(kind, m):
+    g = rng.generator(800 + m)
+    if kind == "repeated":
+        return _repeated(m, g.normal(size=(3, 3)) + 1j * g.normal(size=(3, 3)))
+    a = g.normal(size=(m, m)) + 1j * g.normal(size=(m, m))
+    if kind == "zeros":
+        a[g.random((m, m)) < 0.4] = 0
+    if kind == "zero-row" and m:
+        a[m // 2] = 0
+    return a
+
+
+@pytest.mark.parametrize("m", NAIVE_DIMS)
+@pytest.mark.parametrize("kind", EXACT_KINDS)
+def test_naive_exact_matches_permutation_loop(kind, m):
+    rows = _exact_rows(kind, m)
+    got = permanent_naive(rows)
+    per = Fraction(permutation_permanent([[int(6 * v) for v in r] for r in rows]), 6**m)
+    # the loop's sum is a Fraction exactly when an entry is one
+    if any(isinstance(v, Fraction) for r in rows for v in r):
+        want = per
+    else:
+        want = int(per)
+    assert got.value == want
+    assert type(got.value) is type(want)
+    assert got.term_count == math.factorial(m)
+    if m <= 6:
+        direct = permutation_permanent(rows)
+        assert got.value == direct and type(got.value) is type(direct)
+
+
+@pytest.mark.parametrize("m", NAIVE_DIMS)
+@pytest.mark.parametrize("kind", COMPLEX_KINDS)
+def test_naive_float_matches_permutation_loop(kind, m):
+    a = _complex_matrix(kind, m)
+    got = permanent_naive(a)
+    # the 0 x 0 permanent is the exact 1 for every input form
+    assert isinstance(got.value, complex) == (m > 0)
+    assert scaled_error(got.value, permutation_permanent(a)) <= 1e-13
+    assert got.term_count == math.factorial(m)
 
 
 class TestRyser:
