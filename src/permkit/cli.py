@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 import time
 
@@ -287,6 +288,8 @@ def main(argv=None) -> int:
         return 0 if exc.code == 0 else 1
     start = time.monotonic()
     try:
+        if not (math.isfinite(args.tolerance) and args.tolerance >= 0):
+            raise ValueError(f"--tolerance must be a finite, non-negative number, got {args.tolerance}")
         if args.command == "per":
             payload, code, lines = _cmd_per(args)
         elif args.command == "verify":

@@ -9,6 +9,7 @@ error on success.
 
 from __future__ import annotations
 
+import inspect
 import itertools
 import math
 from dataclasses import dataclass
@@ -30,14 +31,8 @@ from .combinatorics import (
 )
 from .errors import OddDimension, AmplitudeOutOfRange, TooLarge, WeightMismatch
 from .numerics import ComplexMatrix, UnitaryMatrix, as_array, scaled_error
-from .permanents import TERM_BUDGET, permanent_naive, permanent_ryser
-from .series import (
-    COMPLEX,
-    RATIONAL,
-    TruncatedSeries,
-    det_series,
-    series_mat_mul,
-)
+from .permanents import NAIVE_MAX_DIM, TERM_BUDGET, permanent_naive, permanent_ryser
+from .series import COMPLEX, RATIONAL, TruncatedSeries, det_series
 
 #: Matrix whose doubly-repeated permanents encode Dixon's alternating
 #: binomial-cube sum.
@@ -128,6 +123,13 @@ def _per(mat, p, q):
     return permanent_naive(repeat_matrix(mat, RepetitionPattern(p, q))).value
 
 
+def _check_oracle(dim: int) -> None:
+    """Raise before any series work if the permanent side needs a brute-force
+    permanent above the oracle's dimension limit."""
+    if dim > NAIVE_MAX_DIM:
+        raise TooLarge(f"permanent side needs a {dim}x{dim} brute-force permanent; limit is {NAIVE_MAX_DIM}")
+
+
 def _caps(cap: Union[int, Sequence[int]], nvars: int) -> tuple[int, ...]:
     if isinstance(cap, int):
         return (cap,) * nvars
@@ -141,17 +143,20 @@ def _all_exponents(caps):
     return itertools.product(*(range(c + 1) for c in caps))
 
 
-def _eye_minus(mat_series):
-    k = len(mat_series)
-    caps, ring = mat_series[0][0].caps, mat_series[0][0].ring
-    one = TruncatedSeries.one(caps, ring)
-    out = []
+def _det_eye_minus(caps, ring, k: int, entry_terms) -> TruncatedSeries:
+    """Det(I - T) for the k x k series matrix T whose (i, j) entry has the
+    {exponent tuple: coefficient} terms entry_terms(i, j)."""
+    zero = (0,) * len(caps)
+    rows = []
     for i in range(k):
         row = []
         for j in range(k):
-            row.append(one - mat_series[i][j] if i == j else -mat_series[i][j])
-        out.append(row)
-    return out
+            terms = {e: -v for e, v in entry_terms(i, j).items()}
+            if i == j:
+                terms[zero] = terms.get(zero, 0) + 1
+            row.append(TruncatedSeries.from_terms(caps, ring, terms))
+        rows.append(row)
+    return det_series(rows)
 
 
 def _xtay_series(mat, ring, caps) -> TruncatedSeries:
@@ -193,21 +198,13 @@ def _row_form(mat, i, ring, caps, offset=0) -> TruncatedSeries:
 
 def _inverse_det_eye_minus_za(mat, ring, caps) -> TruncatedSeries:
     m = _dim(mat)
-    rows = []
-    for i in range(m):
-        row = []
-        for j in range(m):
-            v = _entry(mat, i, j, ring)
-            terms = {}
-            if v != 0:
-                e = [0] * m
-                e[i] = 1
-                terms[tuple(e)] = -v
-            if i == j:
-                terms[(0,) * m] = 1
-            row.append(TruncatedSeries.from_terms(caps, ring, terms))
-        rows.append(row)
-    return det_series(rows).inverse()
+    unit = [tuple(int(k == i) for k in range(m)) for i in range(m)]
+
+    def entry(i, j):
+        v = _entry(mat, i, j, ring)
+        return {unit[i]: v} if v != 0 else {}
+
+    return _det_eye_minus(caps, ring, m, entry).inverse()
 
 
 def _monomial_power(mat, ring, caps, p) -> TruncatedSeries:
@@ -249,6 +246,8 @@ def verify_macmahon(a, cap: Union[int, Sequence[int]] = 2, tolerance: float = 1e
     mat, ring = _normalize(a)
     m = _dim(mat)
     caps = _caps(cap, m)
+    if ring == COMPLEX:
+        _check_oracle(sum(caps))
     inv = _inverse_det_eye_minus_za(mat, ring, caps)
     mono = _monomial_power_table(mat, ring, caps) if ring == RATIONAL else None
     acc = _Tracker()
@@ -280,7 +279,8 @@ def verify_dixon(n_max: int = 4, tolerance: float = 0.0) -> IdentityReport:
         p = (2 * n,) * 3
         pf = factorial_product(p)
         q_mmt = pf * inv.coefficient(p)
-        q_mono = pf * _monomial_power(DIXON_MATRIX, RATIONAL, caps, p).coefficient(p)
+        # [z^p] of a product of linear forms only reads exponents <= p
+        q_mono = pf * _monomial_power(DIXON_MATRIX, RATIONAL, p, p).coefficient(p)
         binom_sum = sum((-1) ** k * math.comb(2 * n, k) ** 3 for k in range(2 * n + 1))
         closed = (-1) ** n * math.factorial(3 * n) // math.factorial(n) ** 3
         acc.add(q_mmt, q_mono)
@@ -297,22 +297,19 @@ def verify_dixon(n_max: int = 4, tolerance: float = 0.0) -> IdentityReport:
 def _two_matrix_rhs(mat_a, mat_b, ring, caps) -> TruncatedSeries:
     """1/Det(I - X A Y B) with X = Diag(x), Y = Diag(y)."""
     m = _dim(mat_a)
-    rows = []
-    for i in range(m):
-        row = []
-        for l in range(m):
-            terms = {}
-            for k in range(m):
-                v = _entry(mat_a, i, k, ring) * _entry(mat_b, k, l, ring)
-                if v != 0:
-                    e = [0] * (2 * m)
-                    e[i] = 1
-                    e[m + k] = 1
-                    key = tuple(e)
-                    terms[key] = terms.get(key, 0) + v
-            row.append(TruncatedSeries.from_terms(caps, ring, terms))
-        rows.append(row)
-    return det_series(_eye_minus(rows)).inverse()
+
+    def entry(i, l):
+        terms = {}
+        for k in range(m):
+            v = _entry(mat_a, i, k, ring) * _entry(mat_b, k, l, ring)
+            if v != 0:
+                e = [0] * (2 * m)
+                e[i] = 1
+                e[m + k] = 1
+                terms[tuple(e)] = v
+        return terms
+
+    return _det_eye_minus(caps, ring, m, entry).inverse()
 
 
 def verify_mmmt_two(a, b, cap: Union[int, Sequence[int]] = 2, tolerance: float = 1e-8) -> IdentityReport:
@@ -331,6 +328,7 @@ def verify_mmmt_two(a, b, cap: Union[int, Sequence[int]] = 2, tolerance: float =
     if _dim(mat_b) != m:
         raise ValueError("matrices must have equal dimension")
     caps = _caps(cap, 2 * m)
+    _check_oracle(min(sum(caps[:m]), sum(caps[m:])))
     rhs = _two_matrix_rhs(mat_a, mat_b, ring, caps)
     bt = _transpose(mat_b)
     acc = _Tracker()
@@ -355,20 +353,21 @@ def _n_matrix_rhs(mats, ring, caps) -> TruncatedSeries:
     """1/Det(I - Z_1 A^(1) ... Z_N A^(N)), variable block k holding Diag(z_k)."""
     n_mats = len(mats)
     m = _dim(mats[0])
-    chain = None
-    for k, mat in enumerate(mats):
-        block = []
-        for i in range(m):
-            row = []
-            for j in range(m):
-                v = _entry(mat, i, j, ring)
+
+    def entry(i, j):
+        # sum over index paths i = k_0, k_1, ..., k_N = j of prod_t z_{t, k_t} A^(t)_{k_t k_(t+1)}
+        terms = {}
+        for inner in itertools.product(range(m), repeat=n_mats - 1):
+            ks = (i, *inner, j)
+            v = math.prod(_entry(mats[t], ks[t], ks[t + 1], ring) for t in range(n_mats))
+            if v != 0:
                 e = [0] * (n_mats * m)
-                e[k * m + i] = 1
-                terms = {tuple(e): v} if v != 0 else {}
-                row.append(TruncatedSeries.from_terms(caps, ring, terms))
-            block.append(row)
-        chain = block if chain is None else series_mat_mul(chain, block)
-    return det_series(_eye_minus(chain)).inverse()
+                for t in range(n_mats):
+                    e[t * m + ks[t]] = 1
+                terms[tuple(e)] = v
+        return terms
+
+    return _det_eye_minus(caps, ring, m, entry).inverse()
 
 
 def verify_mmmt_n(matrices, cap: Union[int, Sequence[int]] = 1, tolerance: float = 1e-8) -> IdentityReport:
@@ -387,6 +386,7 @@ def verify_mmmt_n(matrices, cap: Union[int, Sequence[int]] = 1, tolerance: float
     caps = _caps(cap, n_mats * m)
     if math.prod(c + 1 for c in caps) > 200_000:
         raise TooLarge("coefficient table too large")
+    _check_oracle(min(sum(caps[k * m : (k + 1) * m]) for k in range(n_mats)))
     rhs = _n_matrix_rhs(mats, ring, caps)
     acc = _Tracker()
     per_block = [list(_all_exponents(caps[k * m : (k + 1) * m])) for k in range(n_mats)]
@@ -412,6 +412,7 @@ def verify_corollary_rank_one(a, p, q, tolerance: float = 1e-8) -> IdentityRepor
     if weight(q) != n:
         raise WeightMismatch(f"|p| = {n} but |q| = {weight(q)}")
     caps = p + q
+    _check_oracle(n)
     s = _xtay_series(mat, ring, caps)
     coef = s.power(n).coefficient(caps)
     factor = Fraction(factorial_product(p) * factorial_product(q), math.factorial(n))
@@ -447,6 +448,10 @@ def verify_generating_function(
     mat, ring = _normalize(a)
     m = _dim(mat)
     caps = _caps(cap, 2 * m)
+    top = min(sum(caps[:m]), sum(caps[m:]))
+    if f == "pow":
+        top = power if power <= top else 0
+    _check_oracle(top)
     w = _xtay_series(mat, ring, caps)
     one = TruncatedSeries.one(caps, ring)
     if f == "exp":
@@ -488,6 +493,8 @@ def verify_monomial_glynn(a, p, cap: Union[int, Sequence[int]] = 2, tolerance: f
     m = _dim(mat)
     p = tuple(p)
     caps = _caps(cap, m)
+    if weight(p) <= sum(caps):
+        _check_oracle(weight(p))
     rhs = _monomial_power(mat, ring, caps, p)
     acc = _Tracker()
     for q in _all_exponents(caps):
@@ -626,24 +633,14 @@ def verify_even_matrix(a, mode: str = "single", cap: Union[int, Sequence[int]] =
         raise OddDimension(f"matrix dimension {dim} is odd")
     m = dim // 2
     if mode == "single":
+        _check_oracle(dim)
         caps = (m,)
         acc_series = TruncatedSeries.zero(caps, COMPLEX)
         for x in itertools.product((1, -1), repeat=m):
             vx = _v_sign(x)
             for y in itertools.product((1, -1), repeat=m):
-                c = vx @ mat @ _v_sign(y) @ mat.T
-                rows = []
-                for i in range(dim):
-                    row = []
-                    for j in range(dim):
-                        terms = {}
-                        if i == j:
-                            terms[(0,)] = 1
-                        if c[i, j] != 0:
-                            terms[(1,)] = -complex(c[i, j])
-                        row.append(TruncatedSeries.from_terms(caps, COMPLEX, terms))
-                    rows.append(row)
-                g = det_series(rows).sqrt_inverse()
+                c = (vx @ mat @ _v_sign(y) @ mat.T).tolist()
+                g = _det_eye_minus(caps, COMPLEX, dim, lambda i, j: {(1,): c[i][j]}).sqrt_inverse()
                 sign = math.prod(x) * math.prod(y)
                 acc_series = acc_series + (g if sign > 0 else -g)
         value = acc_series.scale(1.0 / 4**m).coefficient((m,))
@@ -653,28 +650,23 @@ def verify_even_matrix(a, mode: str = "single", cap: Union[int, Sequence[int]] =
     if mode != "full":
         raise ValueError(f"unknown mode {mode!r}")
     caps = _caps(cap, 2 * m)
-    const = [
-        [TruncatedSeries.constant(caps, COMPLEX, complex(mat[i, j])) for j in range(dim)]
-        for i in range(dim)
-    ]
-    const_t = [
-        [TruncatedSeries.constant(caps, COMPLEX, complex(mat[j, i])) for j in range(dim)]
-        for i in range(dim)
-    ]
-    zero = TruncatedSeries.zero(caps, COMPLEX)
+    _check_oracle(2 * min(sum(caps[:m]), sum(caps[m:])))
+    rows = mat.tolist()
+    swap = [(i + m) % dim for i in range(dim)]
 
-    def v_series(offset):
-        out = [[zero for _ in range(dim)] for _ in range(dim)]
-        for i in range(m):
-            e = [0] * (2 * m)
-            e[offset + i] = 1
-            mono = TruncatedSeries.monomial(caps, COMPLEX, e)
-            out[i][m + i] = mono
-            out[m + i][i] = mono
-        return out
+    def entry(i, j):
+        # (V_x M V_y M^T)_ij = sum_l x_{i mod m} y_{l mod m} M_{swap(i), l} M_{j, swap(l)}
+        terms = {}
+        for l in range(dim):
+            v = rows[swap[i]][l] * rows[j][swap[l]]
+            if v != 0:
+                e = [0] * dim
+                e[i % m] = 1
+                e[m + l % m] = 1
+                terms[tuple(e)] = terms.get(tuple(e), 0) + v
+        return terms
 
-    prod = series_mat_mul(series_mat_mul(v_series(0), const), series_mat_mul(v_series(m), const_t))
-    g = det_series(_eye_minus(prod)).sqrt_inverse()
+    g = _det_eye_minus(caps, COMPLEX, dim, entry).sqrt_inverse()
     acc = _Tracker()
     for p in _all_exponents(caps[:m]):
         for q in _all_exponents(caps[m:]):
@@ -764,64 +756,62 @@ def verify_sn_identity(a, b, n: int, tolerance: float = 0.0) -> IdentityReport:
 # ---------------------------------------------------------------------------
 
 
-def _battery_macmahon(seed, tol, matrix=None, cap=None, **_):
+# Each battery takes (seed, tol) and, as keyword arguments, exactly the
+# overrides it reads, with their defaults; `run_battery` rejects any other.
+
+
+def _battery_macmahon(seed, tol, matrix=None, cap=2):
     mat = matrix if matrix is not None else rng.unit_disk_matrix(3, seed)
-    return [
-        verify_macmahon(mat, cap if cap is not None else 2, tol),
-        verify_macmahon(DIXON_MATRIX, 4, 0.0),
-    ]
+    return [verify_macmahon(mat, cap, tol), verify_macmahon(DIXON_MATRIX, 4, 0.0)]
 
 
-def _battery_dixon(seed, tol, **_):
+def _battery_dixon(seed, tol):
     return [verify_dixon(4, 0.0)]
 
 
-def _battery_mmmt_two(seed, tol, matrix=None, matrix_b=None, cap=None, **_):
+def _battery_mmmt_two(seed, tol, matrix=None, matrix_b=None, cap=2):
     a = matrix if matrix is not None else rng.unit_disk_matrix(2, seed)
     b = matrix_b if matrix_b is not None else rng.unit_disk_matrix(2, seed + 1)
     m = a.shape[0] if isinstance(a, np.ndarray) else len(a)
     return [
-        verify_mmmt_two(a, b, cap if cap is not None else 2, tol),
+        verify_mmmt_two(a, b, cap, tol),
         verify_mmmt_two(a, np.eye(m), 2, tol),
         verify_mmmt_two(a, np.ones((m, m)), 2, tol),
     ]
 
 
-def _battery_mmmt_n(seed, tol, **_):
+def _battery_mmmt_n(seed, tol):
     mats = [rng.unit_disk_matrix(2, seed + k) for k in range(3)]
     return [verify_mmmt_n(mats, 1, tol), verify_mmmt_n(mats[:2], 2, tol)]
 
 
-def _battery_corollary(seed, tol, matrix=None, rows=None, cols=None, **_):
+def _battery_corollary(seed, tol, matrix=None, rows=(2, 1, 0), cols=(1, 1, 1)):
     a = matrix if matrix is not None else rng.unit_disk_matrix(3, seed)
-    p = tuple(rows) if rows is not None else (2, 1, 0)
-    q = tuple(cols) if cols is not None else (1, 1, 1)
-    return [verify_corollary_rank_one(a, p, q, tol)]
+    return [verify_corollary_rank_one(a, rows, cols, tol)]
 
 
 def _battery_generating(f):
-    def run(seed, tol, matrix=None, cap=None, **_):
+    def run(seed, tol, matrix=None, cap=2):
         a = matrix if matrix is not None else rng.unit_disk_matrix(2, seed)
         kwargs = {"power": 2} if f == "pow" else {}
-        return [verify_generating_function(a, f, cap if cap is not None else 2, tol, **kwargs)]
+        return [verify_generating_function(a, f, cap, tol, **kwargs)]
 
     return run
 
 
-def _battery_monomial(seed, tol, matrix=None, rows=None, cap=None, **_):
+def _battery_monomial(seed, tol, matrix=None, rows=(1, 2, 0), cap=3):
     a = matrix if matrix is not None else rng.unit_disk_matrix(3, seed)
-    p = tuple(rows) if rows is not None else (1, 2, 0)
-    return [verify_monomial_glynn(a, p, cap if cap is not None else 3, tol)]
+    return [verify_monomial_glynn(a, rows, cap, tol)]
 
 
-def _battery_sum_formula(seed, tol, matrix=None, matrix_b=None, **_):
+def _battery_sum_formula(seed, tol, matrix=None, matrix_b=None):
     a = matrix if matrix is not None else rng.unit_disk_matrix(3, seed)
     b = matrix_b if matrix_b is not None else rng.unit_disk_matrix(3, seed + 1)
     pat = RepetitionPattern((1, 1, 1), (1, 1, 1))
     return [verify_sum_formula(a, b, pat, tol)]
 
 
-def _battery_laplace(seed, tol, matrix=None, **_):
+def _battery_laplace(seed, tol, matrix=None):
     a = matrix if matrix is not None else rng.unit_disk_matrix(3, seed)
     return [
         verify_laplace(a, RepetitionPattern((1, 1, 1), (1, 1, 1)), 1, tol),
@@ -829,7 +819,7 @@ def _battery_laplace(seed, tol, matrix=None, **_):
     ]
 
 
-def _battery_sum_of_permanents(seed, tol, matrix=None, matrix_b=None, **_):
+def _battery_sum_of_permanents(seed, tol, matrix=None, matrix_b=None):
     a = matrix if matrix is not None else rng.unit_disk_matrix(3, seed)
     b = matrix_b if matrix_b is not None else rng.unit_disk_matrix(3, seed + 1)
     out = [verify_sum_of_permanents(a, b, RepetitionPattern((1, 1, 1), (1, 1, 1)), tol)]
@@ -839,22 +829,22 @@ def _battery_sum_of_permanents(seed, tol, matrix=None, matrix_b=None, **_):
     return out
 
 
-def _battery_even_single(seed, tol, matrix=None, **_):
+def _battery_even_single(seed, tol, matrix=None):
     a = matrix if matrix is not None else rng.unit_disk_matrix(4, seed)
     return [verify_even_matrix(a, "single", tolerance=tol)]
 
 
-def _battery_even_full(seed, tol, matrix=None, cap=None, **_):
+def _battery_even_full(seed, tol, matrix=None, cap=2):
     a = matrix if matrix is not None else rng.unit_disk_matrix(4, seed)
-    return [verify_even_matrix(a, "full", cap if cap is not None else 2, tol)]
+    return [verify_even_matrix(a, "full", cap, tol)]
 
 
-def _battery_tmss(seed, tol, **_):
+def _battery_tmss(seed, tol):
     u = rng.haar_unitary(2, seed)
     return [verify_tmss_overlap(u, [0.2], [0.15 + 0.1j], trunc=6, tolerance=max(tol, 1e-6))]
 
 
-def _battery_sn(seed, tol, **_):
+def _battery_sn(seed, tol):
     g = rng.generator(seed)
     a = Fraction(int(g.integers(-9, 10)), int(g.integers(1, 10)))
     b = Fraction(int(g.integers(-9, 10)), int(g.integers(1, 10)))
@@ -888,10 +878,18 @@ def run_battery(
     tolerance: float = 1e-8,
     **overrides,
 ) -> list[IdentityReport]:
-    """Run identity batteries in registry order."""
+    """Run identity batteries in registry order.
+
+    Raises ValueError for an override that a named battery does not read.
+    """
     if names is None:
         names = list(IDENTITY_REGISTRY)
     for name in names:
         if name not in IDENTITY_REGISTRY:
             raise KeyError(f"unknown identity {name!r}")
+        accepted = list(inspect.signature(IDENTITY_REGISTRY[name]).parameters)[2:] if overrides else []
+        unread = sorted(set(overrides) - set(accepted))
+        if unread:
+            takes = ", ".join(accepted) or "no overrides"
+            raise ValueError(f"identity {name!r} does not read {', '.join(unread)} (it takes {takes})")
     return [report for name in names for report in IDENTITY_REGISTRY[name](seed, tolerance, **overrides)]

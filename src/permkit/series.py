@@ -1,27 +1,39 @@
 """Truncated multivariate power series over exact rationals or complex floats.
 
-Coefficients are stored densely, indexed mixed-radix by exponent tuples:
-``index(e) = sum_i e_i * strides_i`` with per-variable caps.  Every exponent
-beyond the cap is dropped identically, so the ring operations are arithmetic
-modulo the cap ideal.  Two coefficient rings are supported:
+A series in ``len(caps)`` variables keeps the coefficient of every exponent
+tuple ``e`` with ``e_i <= caps_i``; exponents beyond a cap are dropped, so the
+ring operations are arithmetic modulo the cap ideal.  The coefficients live
+in a dense ndarray of shape ``caps + 1``, indexed by the exponent tuple:
 
-- ``"rational"``: ``fractions.Fraction`` entries, exact;
-- ``"complex"``: Python complex entries, double precision.
+- ``"complex"``: a ``complex128`` array, double precision;
+- ``"rational"``: an ``object`` array of Python-int numerators over one
+  positive common denominator, reduced so that the gcd of the denominator
+  and all numerators is 1.  Results are exact.
 
-Multiplication is a double loop over the nonzero support of both factors with
-early cap rejection; in the rational ring it multiplies and adds integer
-numerators over one common denominator, so each output coefficient is built
-as a single ``Fraction``.  Inversion, square root, exp and log run
-order-by-order.
+``coeffs`` gives the coefficients as a flat row-major tuple of ``Fraction``
+or Python ``complex``.  Construction rejects a float in the rational ring
+and a NaN or infinity in the complex ring.
+
+A product adds one scaled, shifted slice of one factor per nonzero entry of
+the sparser factor (one ``np.convolve`` for a single variable).  Inverse,
+inverse square root, exp and log are solved one total-degree layer at a time
+from the Euler-operator identities E(t)·s = α·t·E(s) for t = s^α,
+E(t) = E(g)·t for t = exp(g) and E(t)·s = E(s) for t = log(s), where E
+multiplies each coefficient by its total degree; each layer gathers from the
+lower layers once per nonzero entry of the operand.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
-from dataclasses import dataclass
+import numbers
+import operator
 from fractions import Fraction
 from functools import lru_cache
 from typing import Mapping, Sequence, Union
+
+import numpy as np
 
 from .errors import (
     BadConstantTerm,
@@ -41,82 +53,129 @@ DET_SERIES_MAX_DIM = 8
 
 Coeff = Union[Fraction, complex]
 
+_NONES = itertools.repeat(None)
+
 
 @lru_cache(maxsize=None)
 def _layout(caps: tuple[int, ...]):
-    """(strides, exponent table, total degrees) for a cap tuple."""
-    size = math.prod(c + 1 for c in caps)
-    strides = []
-    acc = 1
-    for c in reversed(caps):
-        strides.append(acc)
-        acc *= c + 1
-    strides = tuple(reversed(strides))
-    exponents = []
-    degrees = []
-    for idx in range(size):
-        rest = idx
-        e = []
-        for s, c in zip(strides, caps):
-            d, rest = divmod(rest, s)
-            e.append(d)
-        exponents.append(tuple(e))
-        degrees.append(sum(e))
-    return strides, tuple(exponents), tuple(degrees)
+    """(exponent table, total degree, flat indices of each degree layer) for a cap tuple."""
+    exponents = np.array(list(itertools.product(*(range(c + 1) for c in caps))), dtype=np.intp)
+    exponents = exponents.reshape(math.prod(c + 1 for c in caps), len(caps))
+    degree = exponents.sum(axis=1)
+    layers = tuple(np.flatnonzero(degree == d) for d in range(sum(caps) + 1))
+    return exponents, degree, layers
 
 
-def _zero(ring: str) -> Coeff:
-    return Fraction(0) if ring == RATIONAL else 0j
-
-
-def _one(ring: str) -> Coeff:
-    return Fraction(1) if ring == RATIONAL else 1 + 0j
-
-
-def _coerce_coeff(ring: str, v) -> Coeff:
+def _coerce(ring: str, v) -> Coeff:
+    """One coefficient, checked for the ring: int/Fraction, or a finite complex number."""
     if ring == RATIONAL:
-        return v if isinstance(v, Fraction) else Fraction(v)
-    return complex(v)
+        if type(v) is Fraction:
+            return v
+        if isinstance(v, numbers.Rational):
+            return Fraction(int(v.numerator), int(v.denominator))
+        raise ValueError(f"rational series coefficients must be int or Fraction, got {type(v).__name__} {v!r}")
+    if type(v) in (complex, float, int) or isinstance(v, numbers.Complex):
+        z = complex(v)
+        if math.isfinite(z.real) and math.isfinite(z.imag):
+            return z
+    raise ValueError(f"complex series coefficients must be finite numbers, got {v!r}")
 
 
-def _numerators(items):
-    """Items with rational coefficients as integer numerators over their lcm denominator."""
-    d = math.lcm(*(c.denominator for _, _, c in items))
-    return [(i, e, c.numerator * (d // c.denominator)) for i, e, c in items], d
+def _flat_index(exponents: tuple[int, ...], caps: tuple[int, ...], what: str) -> int:
+    if len(exponents) != len(caps):
+        raise DimensionMismatch("exponent tuple length must match the number of variables")
+    idx = 0
+    for e, c in zip(exponents, caps):
+        if not 0 <= e <= c:
+            raise ExceedsCap(f"{what} {exponents} exceeds caps {caps}")
+        idx = idx * (c + 1) + e
+    return idx
 
 
-@dataclass(frozen=True, eq=False)
+def _array_of(caps: tuple[int, ...], ring: str, entries: Mapping[int, Coeff]):
+    """(coefficient array, denominator) holding already coerced {flat index: value} entries."""
+    if min(caps, default=0) < 0:
+        raise ValueError("caps must be non-negative")
+    if ring not in (RATIONAL, COMPLEX):
+        raise ValueError(f"unknown ring {ring!r}")
+    # a series in no variables is a constant, kept as one entry of a 1-d array
+    shape = tuple(c + 1 for c in caps) or (1,)
+    if ring == RATIONAL:
+        den = math.lcm(*(v.denominator for v in entries.values()))
+        array = np.zeros(shape, dtype=object)
+        flat = array.reshape(-1)
+        for i, v in entries.items():
+            flat[i] = v.numerator * (den // v.denominator)
+        return array, den
+    array = np.zeros(shape, dtype=np.complex128)
+    flat = array.reshape(-1)
+    for i, v in entries.items():
+        flat[i] = v
+    return array, 1
+
+
+def _product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Truncated product of two coefficient arrays of one shape.
+
+    One variable: a single convolution.  Otherwise one scaled, shifted slice
+    of the denser factor per nonzero entry of the sparser one.
+    """
+    if a.ndim == 1:
+        return np.convolve(a, b)[: a.size]
+    nz_a, nz_b = np.nonzero(a), np.nonzero(b)
+    if nz_b[0].size < nz_a[0].size:
+        a, b, nz_a = b, a, nz_b
+    shape = b.shape
+    out = np.zeros_like(b)
+    for e in zip(*(idx.tolist() for idx in nz_a)):
+        out[tuple(map(slice, e, _NONES))] += a[e] * b[tuple(map(slice, map(operator.sub, shape, e)))]
+    return out
+
+
 class TruncatedSeries:
-    caps: tuple[int, ...]
-    ring: str
-    coeffs: tuple
+    """A truncated power series; see the module docstring for the storage."""
 
-    def __post_init__(self) -> None:
-        caps = tuple(int(c) for c in self.caps)
-        if any(c < 0 for c in caps):
-            raise ValueError("caps must be non-negative")
-        if self.ring not in (RATIONAL, COMPLEX):
-            raise ValueError(f"unknown ring {self.ring!r}")
+    __slots__ = ("caps", "ring", "_array", "_den")
+
+    def __init__(self, caps: Sequence[int], ring: str, coeffs: Sequence) -> None:
+        caps = tuple(int(c) for c in caps)
+        coeffs = tuple(coeffs)
         size = math.prod(c + 1 for c in caps)
-        if len(self.coeffs) != size:
-            raise ValueError(f"expected {size} coefficients, got {len(self.coeffs)}")
-        object.__setattr__(self, "caps", caps)
-        object.__setattr__(self, "coeffs", tuple(self.coeffs))
+        if len(coeffs) != size:
+            raise ValueError(f"expected {size} coefficients, got {len(coeffs)}")
+        array, den = _array_of(caps, ring, {i: _coerce(ring, v) for i, v in enumerate(coeffs)})
+        self._assign(caps, ring, array, den)
+
+    def _assign(self, caps, ring, array, den) -> None:
+        if ring == RATIONAL:
+            g = math.gcd(den, *array.ravel().tolist())
+            if g != 1:
+                array, den = array // g, den // g
+        self.caps, self.ring, self._array, self._den = caps, ring, array, den
+
+    @classmethod
+    def _new(cls, caps, ring, array, den=1) -> "TruncatedSeries":
+        """A series on an array built by the ring operations (no coefficient checks)."""
+        out = object.__new__(cls)
+        out._assign(caps, ring, array, den)
+        return out
+
+    @classmethod
+    def _from_entries(cls, caps, ring, entries: Mapping[int, Coeff]) -> "TruncatedSeries":
+        """A series with the given {flat index: coerced coefficient} entries, zero elsewhere."""
+        return cls._new(tuple(caps), ring, *_array_of(caps, ring, entries))
+
+    def __repr__(self) -> str:
+        return f"TruncatedSeries(caps={self.caps!r}, ring={self.ring!r}, coeffs={self.coeffs!r})"
 
     # -- constructors -------------------------------------------------
     @classmethod
     def zero(cls, caps: Sequence[int], ring: str) -> "TruncatedSeries":
-        caps = tuple(caps)
-        size = math.prod(c + 1 for c in caps)
-        return cls(caps, ring, (_zero(ring),) * size)
+        return cls._from_entries(caps, ring, {})
 
     @classmethod
     def constant(cls, caps: Sequence[int], ring: str, value) -> "TruncatedSeries":
-        caps = tuple(caps)
-        size = math.prod(c + 1 for c in caps)
-        coeffs = [_zero(ring)] * size
-        coeffs[0] = _coerce_coeff(ring, value)
-        return cls(caps, ring, tuple(coeffs))
+        return cls._from_entries(caps, ring, {0: _coerce(ring, value)})
 
     @classmethod
     def one(cls, caps: Sequence[int], ring: str) -> "TruncatedSeries":
@@ -125,16 +184,8 @@ class TruncatedSeries:
     @classmethod
     def monomial(cls, caps: Sequence[int], ring: str, exponents: Sequence[int], value=1) -> "TruncatedSeries":
         caps = tuple(caps)
-        exponents = tuple(int(e) for e in exponents)
-        if len(exponents) != len(caps):
-            raise DimensionMismatch("exponent tuple length must match the number of variables")
-        if any(e > c for e, c in zip(exponents, caps)):
-            raise ExceedsCap(f"monomial {exponents} exceeds caps {caps}")
-        strides, _, _ = _layout(caps)
-        size = math.prod(c + 1 for c in caps)
-        coeffs = [_zero(ring)] * size
-        coeffs[sum(e * s for e, s in zip(exponents, strides))] = _coerce_coeff(ring, value)
-        return cls(caps, ring, tuple(coeffs))
+        idx = _flat_index(tuple(int(e) for e in exponents), caps, "monomial")
+        return cls._from_entries(caps, ring, {idx: _coerce(ring, value)})
 
     @classmethod
     def variable(cls, caps: Sequence[int], ring: str, i: int) -> "TruncatedSeries":
@@ -145,21 +196,26 @@ class TruncatedSeries:
     @classmethod
     def from_terms(cls, caps: Sequence[int], ring: str, terms: Mapping[tuple, object]) -> "TruncatedSeries":
         caps = tuple(caps)
-        strides, _, _ = _layout(caps)
-        size = math.prod(c + 1 for c in caps)
-        coeffs = [_zero(ring)] * size
+        entries: dict[int, Coeff] = {}
         for exps, value in terms.items():
-            exps = tuple(int(e) for e in exps)
-            if any(e > c for e, c in zip(exps, caps)):
-                raise ExceedsCap(f"term {exps} exceeds caps {caps}")
-            idx = sum(e * s for e, s in zip(exps, strides))
-            coeffs[idx] = coeffs[idx] + _coerce_coeff(ring, value)
-        return cls(caps, ring, tuple(coeffs))
+            idx = _flat_index(tuple(int(e) for e in exps), caps, "term")
+            v = _coerce(ring, value)
+            entries[idx] = entries[idx] + v if idx in entries else v
+        return cls._from_entries(caps, ring, entries)
 
     # -- basics -------------------------------------------------------
     @property
     def num_vars(self) -> int:
         return len(self.caps)
+
+    @property
+    def coeffs(self) -> tuple:
+        """Every coefficient, flat in row-major exponent order, as Fraction or complex."""
+        values = self._array.ravel().tolist()
+        if self.ring == COMPLEX:
+            return tuple(values)
+        den = self._den
+        return tuple(Fraction(n, den) for n in values)
 
     def _compat(self, other: "TruncatedSeries") -> None:
         if self.caps != other.caps:
@@ -167,174 +223,139 @@ class TruncatedSeries:
         if self.ring != other.ring:
             raise RingMismatch(f"rings differ: {self.ring} vs {other.ring}")
 
-    def items(self):
-        """(index, exponents, coefficient) triples for nonzero coefficients."""
-        _, exponents, _ = _layout(self.caps)
-        return [(i, exponents[i], c) for i, c in enumerate(self.coeffs) if c]
+    def _value(self, v) -> Coeff:
+        return Fraction(v, self._den) if self.ring == RATIONAL else complex(v)
 
     def coefficient(self, p: Sequence[int]) -> Coeff:
-        p = tuple(int(k) for k in p)
-        if len(p) != self.num_vars:
+        p = tuple(map(int, p))
+        if len(p) != len(self.caps):
             raise DimensionMismatch("exponent tuple length must match the number of variables")
-        if any(e > c for e, c in zip(p, self.caps)):
+        if any(map(operator.gt, p, self.caps)) or min(p, default=0) < 0:
             raise ExceedsCap(f"exponent {p} exceeds caps {self.caps}")
-        strides, _, _ = _layout(self.caps)
-        return self.coeffs[sum(e * s for e, s in zip(p, strides))]
+        return self._value(self._array[p or 0])
 
     def constant_term(self) -> Coeff:
-        return self.coeffs[0]
+        return self._value(self._array.flat[0])
 
     def max_total_degree(self) -> int:
-        _, _, degrees = _layout(self.caps)
-        nz = [degrees[i] for i, c in enumerate(self.coeffs) if c]
-        return max(nz) if nz else 0
+        _, degree, _ = _layout(self.caps)
+        nz = np.flatnonzero(self._array)
+        return int(degree[nz].max()) if nz.size else 0
 
     # -- ring operations ----------------------------------------------
-    def __add__(self, other: "TruncatedSeries") -> "TruncatedSeries":
+    def _combine(self, other: "TruncatedSeries", sign: int) -> "TruncatedSeries":
         self._compat(other)
-        return TruncatedSeries(self.caps, self.ring, tuple(a + b for a, b in zip(self.coeffs, other.coeffs)))
+        if self.ring == COMPLEX:
+            return self._new(self.caps, self.ring, self._array + sign * other._array)
+        den = math.lcm(self._den, other._den)
+        array = self._array * (den // self._den) + other._array * (sign * (den // other._den))
+        return self._new(self.caps, self.ring, array, den)
+
+    def __add__(self, other: "TruncatedSeries") -> "TruncatedSeries":
+        return self._combine(other, 1)
 
     def __sub__(self, other: "TruncatedSeries") -> "TruncatedSeries":
-        self._compat(other)
-        return TruncatedSeries(self.caps, self.ring, tuple(a - b for a, b in zip(self.coeffs, other.coeffs)))
+        return self._combine(other, -1)
 
     def __neg__(self) -> "TruncatedSeries":
-        return TruncatedSeries(self.caps, self.ring, tuple(-a for a in self.coeffs))
+        return self._new(self.caps, self.ring, -self._array, self._den)
 
     def scale(self, value) -> "TruncatedSeries":
-        v = _coerce_coeff(self.ring, value)
-        return TruncatedSeries(self.caps, self.ring, tuple(v * a for a in self.coeffs))
+        v = _coerce(self.ring, value)
+        if self.ring == COMPLEX:
+            return self._new(self.caps, self.ring, self._array * v)
+        return self._new(self.caps, self.ring, self._array * v.numerator, self._den * v.denominator)
 
     def __mul__(self, other: "TruncatedSeries") -> "TruncatedSeries":
         self._compat(other)
-        caps = self.caps
-        nv = len(caps)
-        a_items = self.items()
-        b_items = other.items()
-        if len(b_items) < len(a_items):
-            a_items, b_items = b_items, a_items
-        rational = self.ring == RATIONAL
-        if rational:
-            a_items, da = _numerators(a_items)
-            b_items, db = _numerators(b_items)
-            out = [0] * len(self.coeffs)
+        return self._new(self.caps, self.ring, _product(self._array, other._array), self._den * other._den)
+
+    def _solve_layers(self, t0, weight, divisor, rhs: bool = False) -> "TruncatedSeries":
+        """Series t with t_0 = t0 and, for each exponent e of total degree d >= 1,
+
+            divisor(d) * t_e = [d * c_e if rhs] + sum_f c_f * weight(|f|, d) * t_{e-f},
+
+        where c is this series' numerator array (the coefficients times the
+        denominator) and f runs over its nonzero non-constant exponents with
+        f <= e.  Layer d only reads layers below it, so it is one gather per f.
+        In the rational ring each layer keeps its own reduced denominator
+        until the end.
+        """
+        exact = self.ring == RATIONAL
+        exponents, degree, layers = _layout(self.caps)
+        c = self._array.ravel()
+        terms = [
+            (j, int(degree[j]), c[j], np.all(exponents >= exponents[j], axis=1))
+            for j in np.flatnonzero(c).tolist()
+            if j
+        ]
+        t = np.zeros_like(c)
+        top = len(layers) - 1
+        dens = [1] * (top + 1)
+        if exact:
+            t0 = Fraction(t0)
+            t[0], dens[0] = t0.numerator, t0.denominator
         else:
-            out = [0j] * len(self.coeffs)
-        for ia, ea, ca in a_items:
-            for ib, eb, cb in b_items:
-                ok = True
-                for k in range(nv):
-                    if ea[k] + eb[k] > caps[k]:
-                        ok = False
-                        break
-                if ok:
-                    out[ia + ib] += ca * cb
-        if rational:
-            d = da * db
-            zero = _zero(RATIONAL)
-            out = [Fraction(v, d) if v else zero for v in out]
-        return TruncatedSeries(caps, self.ring, tuple(out))
+            t[0] = t0
+        # every nonzero layer of t has a degree divisible by that of all terms
+        step = math.gcd(*(k for _, k, _, _ in terms)) or top + 1
+        for d in range(step, top + 1, step):
+            pos = layers[d]
+            lcm = math.lcm(*(dens[d - k] for _, k, _, _ in terms if k <= d)) if exact else 1
+            acc = c[pos] * (d * lcm) if rhs else np.zeros(pos.size, dtype=c.dtype)
+            for j, k, cj, ok in terms:
+                w = weight(k, d) if k <= d else 0
+                if not w:
+                    continue
+                sel = ok[pos]
+                factor = cj * w * (lcm // dens[d - k]) if exact else cj * w
+                acc[sel] += t[pos[sel] - j] * factor
+            q = divisor(d)
+            if exact:
+                den = lcm * q
+                if den < 0:
+                    den, acc = -den, -acc
+                g = math.gcd(den, *acc.tolist())
+                t[pos], dens[d] = acc // g, den // g
+            else:
+                t[pos] = acc / q
+        den = 1
+        if exact:
+            den = math.lcm(*dens)
+            t = t * np.array([den // x for x in dens], dtype=object)[degree]
+        return self._new(self.caps, self.ring, t.reshape(self._array.shape), den)
+
+    def _has_constant(self, value: int) -> bool:
+        return self._array.flat[0] == value * self._den
 
     def inverse(self) -> "TruncatedSeries":
-        """t with self * t = 1 up to the cap (order-by-order recursion)."""
-        c0 = self.coeffs[0]
-        if c0 == _zero(self.ring):
+        """t with self * t = 1 up to the cap."""
+        c0 = self._array.flat[0]
+        if c0 == 0:
             raise NonInvertibleConstantTerm("constant term is zero")
-        inv0 = (Fraction(1) / c0) if self.ring == RATIONAL else 1.0 / c0
-        _, exponents, _ = _layout(self.caps)
-        s_items = [(i, e, c) for i, e, c in self.items() if i != 0]
-        out = [_zero(self.ring)] * len(self.coeffs)
-        out[0] = inv0
-        nv = self.num_vars
-        for idx in range(1, len(self.coeffs)):
-            e = exponents[idx]
-            acc = _zero(self.ring)
-            for j, f, sc in s_items:
-                ok = True
-                for k in range(nv):
-                    if f[k] > e[k]:
-                        ok = False
-                        break
-                if ok:
-                    acc += sc * out[idx - j]
-            out[idx] = -inv0 * acc
-        return TruncatedSeries(self.caps, self.ring, tuple(out))
+        t0 = Fraction(self._den, c0) if self.ring == RATIONAL else 1.0 / c0
+        return self._solve_layers(t0, lambda k, d: -1, lambda d: c0)
 
     def sqrt_inverse(self) -> "TruncatedSeries":
         """t with t^2 * self = 1 up to the cap; requires constant term exactly 1."""
-        if self.coeffs[0] != _one(self.ring):
-            raise ConstantTermNotOne(f"constant term {self.coeffs[0]!r} != 1")
-        u = self.inverse()
-        _, exponents, _ = _layout(self.caps)
-        out = [_zero(self.ring)] * len(self.coeffs)
-        out[0] = _one(self.ring)
-        nv = self.num_vars
-        two = 2
-        for idx in range(1, len(self.coeffs)):
-            e = exponents[idx]
-            acc = _zero(self.ring)
-            for j in range(1, idx):
-                f = exponents[j]
-                ok = True
-                for k in range(nv):
-                    if f[k] > e[k]:
-                        ok = False
-                        break
-                if ok and out[j]:
-                    acc += out[j] * out[idx - j]
-            out[idx] = (u.coeffs[idx] - acc) / two
-        return TruncatedSeries(self.caps, self.ring, tuple(out))
+        if not self._has_constant(1):
+            raise ConstantTermNotOne(f"constant term {self.constant_term()!r} != 1")
+        c0 = self._array.flat[0]
+        return self._solve_layers(1, lambda k, d: k - 2 * d, lambda d: 2 * d * c0)
 
     def exp(self) -> "TruncatedSeries":
-        """Formal exponential via the Euler-operator recursion; constant term must be 0."""
-        if self.coeffs[0] != _zero(self.ring):
+        """Formal exponential; constant term must be 0."""
+        if not self._has_constant(0):
             raise BadConstantTerm("exp needs constant term 0")
-        _, exponents, degrees = _layout(self.caps)
-        s_items = [(i, e, c, degrees[i]) for i, e, c in self.items()]
-        out = [_zero(self.ring)] * len(self.coeffs)
-        out[0] = _one(self.ring)
-        nv = self.num_vars
-        for idx in range(1, len(self.coeffs)):
-            e = exponents[idx]
-            d = degrees[idx]
-            acc = _zero(self.ring)
-            for j, f, sc, df in s_items:
-                if j > idx:
-                    continue
-                ok = True
-                for k in range(nv):
-                    if f[k] > e[k]:
-                        ok = False
-                        break
-                if ok:
-                    acc += df * sc * out[idx - j]
-            out[idx] = acc / d
-        return TruncatedSeries(self.caps, self.ring, tuple(out))
+        den = self._den
+        return self._solve_layers(1, lambda k, d: k, lambda d: d * den)
 
     def log(self) -> "TruncatedSeries":
-        """Formal logarithm via the Euler-operator recursion; constant term must be 1."""
-        if self.coeffs[0] != _one(self.ring):
+        """Formal logarithm; constant term must be 1."""
+        if not self._has_constant(1):
             raise BadConstantTerm("log needs constant term 1")
-        _, exponents, degrees = _layout(self.caps)
-        out = [_zero(self.ring)] * len(self.coeffs)
-        nv = self.num_vars
-        for idx in range(1, len(self.coeffs)):
-            e = exponents[idx]
-            d = degrees[idx]
-            acc = _zero(self.ring)
-            for j in range(1, idx):
-                if not out[j]:
-                    continue
-                f = exponents[j]
-                ok = True
-                for k in range(nv):
-                    if f[k] > e[k]:
-                        ok = False
-                        break
-                if ok:
-                    acc += degrees[j] * out[j] * self.coeffs[idx - j]
-            out[idx] = (d * self.coeffs[idx] - acc) / d
-        return TruncatedSeries(self.caps, self.ring, tuple(out))
+        c0 = self._array.flat[0]
+        return self._solve_layers(0, lambda k, d: k - d, lambda d: d * c0, rhs=True)
 
     def power(self, n: int) -> "TruncatedSeries":
         if n < 0:
@@ -355,7 +376,9 @@ def det_series(mat: Sequence[Sequence[TruncatedSeries]]) -> TruncatedSeries:
     """Determinant of a square matrix of series.
 
     Runs as a minor expansion over row subsets (2^k states instead of the k!
-    permutation terms of the plain Leibniz sum; same value).
+    permutation terms of the plain Leibniz sum; same value), on the
+    coefficient arrays; rational entries are first put over one common
+    denominator.
     """
     k = len(mat)
     if any(len(row) != k for row in mat):
@@ -365,40 +388,24 @@ def det_series(mat: Sequence[Sequence[TruncatedSeries]]) -> TruncatedSeries:
     if k > DET_SERIES_MAX_DIM:
         raise TooLarge(f"det_series limited to dim <= {DET_SERIES_MAX_DIM}")
     first = mat[0][0]
-    zero = TruncatedSeries.zero(first.caps, first.ring)
-    table: dict[int, TruncatedSeries] = {0: TruncatedSeries.one(first.caps, first.ring)}
+    for row in mat:
+        for s in row:
+            first._compat(s)
+    den = math.lcm(*(s._den for row in mat for s in row))
+    arrays = [[s._array * (den // s._den) if s._den != den else s._array for s in row] for row in mat]
+    table = {0: TruncatedSeries.one(first.caps, first.ring)._array}
     for mask in range(1, 1 << k):
         c = mask.bit_count() - 1  # expand along column index c
-        col_sign = 1 if c % 2 == 0 else -1
-        acc = zero
+        acc = None
         pos = 0
         rest = mask
         while rest:
             r = (rest & -rest).bit_length() - 1
             rest &= rest - 1
-            term = mat[r][c] * table[mask ^ (1 << r)]
-            if col_sign * (1 if pos % 2 == 0 else -1) < 0:
-                acc = acc - term
-            else:
-                acc = acc + term
+            term = _product(arrays[r][c], table[mask ^ (1 << r)])
+            if (c + pos) % 2:
+                term = -term
+            acc = term if acc is None else acc + term
             pos += 1
         table[mask] = acc
-    return table[(1 << k) - 1]
-
-
-def series_mat_mul(
-    a: Sequence[Sequence[TruncatedSeries]], b: Sequence[Sequence[TruncatedSeries]]
-) -> list[list[TruncatedSeries]]:
-    rows, inner, cols = len(a), len(b), len(b[0])
-    if any(len(r) != inner for r in a):
-        raise DimensionMismatch("incompatible series matrix product")
-    out = []
-    for i in range(rows):
-        out_row = []
-        for j in range(cols):
-            acc = a[i][0] * b[0][j]
-            for t in range(1, inner):
-                acc = acc + a[i][t] * b[t][j]
-            out_row.append(acc)
-        out.append(out_row)
-    return out
+    return TruncatedSeries._new(first.caps, first.ring, table[(1 << k) - 1], den**k)

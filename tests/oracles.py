@@ -2,7 +2,9 @@
 
 These deliberately avoid the code paths they check: determinants by cofactor
 expansion, Hermitian eigenvalues by cyclic Jacobi rotations, polynomial-matrix
-determinants and permanents by the plain permutation sum.
+determinants and permanents by the plain permutation sum, and the series
+inverse, inverse square root, exp and log by their order-by-order recursions
+over single coefficients.
 """
 
 from __future__ import annotations
@@ -115,3 +117,35 @@ def gray_code_cat_sign_sum(cols: np.ndarray, p) -> complex:
         sign = -sign
         total += sign * _power_product(v, p)
     return total
+
+
+def series_recursion(op: str, caps, coeffs):
+    """inverse / sqrt_inverse / exp / log of a dense series, one coefficient at
+    a time in flat (row-major) order: each coefficient sums over every lower
+    exponent it dominates.  `coeffs` are Fraction or complex; returns a list."""
+    exps = list(itertools.product(*(range(c + 1) for c in caps)))
+    deg = [sum(e) for e in exps]
+    below = [[j for j in range(i + 1) if all(f <= g for f, g in zip(exps[j], exps[i]))] for i in range(len(exps))]
+    s = list(coeffs)
+    zero = s[0] * 0
+    out = [zero] * len(s)
+    if op == "inverse":
+        out[0] = 1 / s[0]
+        for i in range(1, len(s)):
+            out[i] = -out[0] * sum((s[j] * out[i - j] for j in below[i] if j), zero)
+    elif op == "sqrt_inverse":
+        u = series_recursion("inverse", caps, coeffs)
+        out[0] = s[0] ** 0
+        for i in range(1, len(s)):
+            out[i] = (u[i] - sum((out[j] * out[i - j] for j in below[i] if 0 < j < i), zero)) / 2
+    elif op == "exp":
+        out[0] = s[0] ** 0
+        for i in range(1, len(s)):
+            out[i] = sum((deg[j] * s[j] * out[i - j] for j in below[i]), zero) / deg[i]
+    elif op == "log":
+        for i in range(1, len(s)):
+            acc = sum((deg[j] * out[j] * s[i - j] for j in below[i] if 0 < j < i), zero)
+            out[i] = (deg[i] * s[i] - acc) / deg[i]
+    else:
+        raise ValueError(op)
+    return out

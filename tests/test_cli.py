@@ -1,8 +1,12 @@
+import contextlib
+import io
 import json
 import math
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from permkit.cli import main
 from permkit.numerics import ComplexMatrix
@@ -131,6 +135,30 @@ class TestVerify:
         assert code == 1
         assert out == ""
 
+    @pytest.mark.parametrize("tolerance", ["nan", "inf", "-1"])
+    def test_tolerance_not_finite_non_negative_is_usage_error(self, capsys, tolerance):
+        code, out, err = run_cli(capsys, "--tolerance", tolerance, "verify", "--identity", "monomial")
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error:") and len(err.strip().splitlines()) == 1
+        assert "--tolerance" in err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [["--identity", "dixon", "--cap", "99"], ["--identity", "sn", "--matrix", '{"dim": 1, "entries": [[1, 0]]}']],
+    )
+    def test_override_the_identity_does_not_read_exits_one(self, capsys, argv):
+        code, out, err = run_cli(capsys, "verify", *argv)
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error:") and len(err.strip().splitlines()) == 1
+
+    def test_override_the_identity_reads_still_runs(self, capsys, j3_file):
+        code, out, _ = run_cli(capsys, "verify", "--identity", "macmahon", "--cap", "3", "--matrix", j3_file)
+        payload = last_json(out)
+        assert code == 0
+        assert payload["reports"][0]["caps_used"] == [3, 3, 3]
+
     def test_unachievable_tolerance_exits_two(self, capsys):
         code, out, _ = run_cli(capsys, "--tolerance", "0", "verify", "--identity", "macmahon")
         payload = last_json(out)
@@ -250,3 +278,63 @@ class TestReport:
         assert code == 0
         assert err == ""
         assert 0.0 < row["fraction"] < 1e-150
+
+
+MATRICES = [
+    '{"dim": 2, "entries": [[0.7071067811865476, 0], [0.7071067811865476, 0], [0.7071067811865476, 0], [-0.7071067811865476, 0]]}',
+    '{"dim": 3, "entries": [[0.5, 0.1], [0, 0], [0.2, 0], [0, 0.3], [0.4, 0], [0, 0], [0.1, 0], [0, 0], [0.3, -0.2]]}',
+    '{"dim": 1, "entries": [[1, 0]]}',
+    '{"dim": 2, "entries": [[1, 0]]}',
+    "[[1, 2], [3, 4]]",
+    "[]",
+    "not-json",
+]
+INDICES = ["[1,1,1]", "[2,0,1]", "[1,1]", "[0,2]", "[]", "[-1,1]", "[1.5]", "x"]
+NUMBERS = ["0", "1", "2", "3", "-1", "nan", "x"]
+FLAG_VALUES = {
+    "--matrix": MATRICES,
+    "--matrix-b": MATRICES,
+    "--unitary": MATRICES,
+    "--rows": INDICES,
+    "--cols": INDICES,
+    "--algo": ["naive", "glynn", "ryser", "glynn-kan", "cauchy-binet", "roots-of-unity", "glynn-repeated-rows", "bogus"],
+    "--identity": ["sn", "dixon", "monomial", "corollary-rank-one", "generating-pow", "laplace", "bogus"],
+    "--cap": ["0", "1", "2", "1,1", "-1", "x"],
+    "--seed": NUMBERS,
+    "--samples": ["1", "50", "0", "-5", "x"],
+    "--streams": ["1", "2", "0", "x"],
+    "--f": ["pown", "exp", "geom", "log", "pown,exp", "bogus"],
+    "--input": ["fock", "cat", "bogus"],
+    "--alpha": ["0.5", "0.5,0.1", "nan,0", "x"],
+    "--n": NUMBERS,
+    "--m": NUMBERS,
+    "--cutoff": NUMBERS,
+    "--count": ["0", "3", "-1", "x"],
+    "--reject-to": NUMBERS,
+    "--kind": ["variance", "regime", "bogus"],
+    "--c": ["1.0", "0.5,2", "x"],
+}
+SUBCOMMANDS = ["per", "verify", "estimate", "sample", "report", "bogus"]
+
+
+@st.composite
+def cli_argv(draw):
+    argv = []
+    if draw(st.booleans()):
+        argv += ["--tolerance", draw(st.sampled_from(["1e-8", "0", "-1", "nan", "inf", "x"]))]
+    argv.append(draw(st.sampled_from(SUBCOMMANDS)))
+    if draw(st.integers(0, 9)) == 0:
+        argv.append("--all")
+    for flag in draw(st.lists(st.sampled_from(sorted(FLAG_VALUES)), max_size=6, unique=True)):
+        argv += [flag, draw(st.sampled_from(FLAG_VALUES[flag]))]
+    return argv
+
+
+@settings(max_examples=50, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(cli_argv())
+def test_any_argv_exits_0_1_or_2_without_traceback(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    assert code in (0, 1, 2), argv
+    assert "Traceback" not in out.getvalue() + err.getvalue(), argv

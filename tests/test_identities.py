@@ -350,6 +350,19 @@ class TestRegistry:
         assert [r.identity_name for r in reports] == ["sn", "sn", "dixon"]
         assert all(r.passed for r in reports)
 
+    @pytest.mark.parametrize(
+        "name, overrides",
+        [("dixon", {"cap": 99}), ("sn", {"matrix": np.eye(2)}), ("macmahon", {"rows": (1, 1, 1)})],
+    )
+    def test_run_battery_rejects_unread_override(self, name, overrides):
+        with pytest.raises(ValueError, match=next(iter(overrides))):
+            run_battery([name], seed=5, **overrides)
+
+    def test_run_battery_reads_declared_overrides(self):
+        reports = run_battery(["macmahon"], seed=5, matrix=rng.unit_disk_matrix(2, 3), cap=3)
+        assert reports[0].caps_used == (3, 3)
+        assert all(r.passed for r in reports)
+
     def test_full_battery(self):
         reports = run_battery(seed=11)
         assert all(isinstance(r, IdentityReport) for r in reports)
@@ -388,3 +401,39 @@ def test_randomized_battery_sweep(seed):
     num = int(g.integers(-6, 7))
     den = int(g.integers(1, 5))
     assert verify_sn_identity(Fraction(num, den), Fraction(den, 3), 4).passed
+
+
+class TestOracleLimitBeforeSeriesWork:
+    """Verifiers whose permanent side needs a brute-force permanent above
+    NAIVE_MAX_DIM raise TooLarge before building any series."""
+
+    @pytest.fixture(autouse=True)
+    def no_series(self, monkeypatch):
+        def fail(*args, **kwargs):
+            raise AssertionError("series work started")
+
+        for name in ("det_series", "_xtay_series", "_monomial_power"):
+            monkeypatch.setattr(ident, name, fail)
+
+    @pytest.mark.parametrize(
+        "run",
+        [
+            lambda: verify_macmahon(rng.unit_disk_matrix(4, 1), 3),
+            lambda: verify_mmmt_two(rng.unit_disk_matrix(2, 1), rng.unit_disk_matrix(2, 2), 6),
+            lambda: verify_generating_function(rng.unit_disk_matrix(2, 1), "log", 6),
+            lambda: verify_corollary_rank_one(rng.unit_disk_matrix(2, 1), (6, 5), (5, 6)),
+            lambda: verify_monomial_glynn(rng.unit_disk_matrix(3, 1), (4, 4, 3), 4),
+            lambda: verify_even_matrix(rng.unit_disk_matrix(4, 1), "full", 3),
+            lambda: verify_even_matrix(rng.unit_disk_matrix(12, 1), "single"),
+        ],
+        ids=["macmahon", "mmmt-two", "generating", "corollary", "monomial", "even-full", "even-single"],
+    )
+    def test_raises_before_series(self, run):
+        with pytest.raises(TooLarge):
+            run()
+
+    def test_exact_macmahon_above_the_limit_uses_the_monomial_route(self):
+        caps = (4, 4, 4)
+        assert sum(caps) > ident.NAIVE_MAX_DIM
+        with pytest.raises(AssertionError, match="series work started"):
+            verify_macmahon(DIXON_MATRIX, caps)

@@ -19,7 +19,7 @@ from permkit.errors import (
 from permkit.identities import DIXON_MATRIX, _monomial_power, _monomial_power_table, verify_dixon
 from permkit.series import COMPLEX, RATIONAL, TruncatedSeries, det_series
 
-from oracles import leibniz_determinant
+from oracles import leibniz_determinant, series_recursion
 
 
 def rational_series(caps, min_exp=-6, max_exp=6):
@@ -71,6 +71,50 @@ class TestBasics:
             a + b
         with pytest.raises(RingMismatch):
             a * c
+
+
+class TestCoefficientChecks:
+    @pytest.mark.parametrize("bad", [1.5, 0.25 + 0j, "1", None])
+    def test_rational_ring_takes_only_int_and_fraction(self, bad):
+        with pytest.raises(ValueError, match="int or Fraction"):
+            TruncatedSeries((1,), RATIONAL, (1, bad))
+        with pytest.raises(ValueError):
+            TruncatedSeries.from_terms((1,), RATIONAL, {(1,): bad})
+        with pytest.raises(ValueError):
+            TruncatedSeries.constant((1,), RATIONAL, bad)
+
+    def test_rational_float_pair_from_the_old_failure(self):
+        with pytest.raises(ValueError):
+            TruncatedSeries((1,), RATIONAL, (1.5, 0.25))
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, complex(0, -math.inf), complex(math.nan, 1), "x"])
+    def test_complex_ring_rejects_non_finite(self, bad):
+        with pytest.raises(ValueError):
+            TruncatedSeries((1,), COMPLEX, (1, bad))
+        with pytest.raises(ValueError):
+            TruncatedSeries.monomial((1,), COMPLEX, (1,), bad)
+        with pytest.raises(ValueError):
+            TruncatedSeries.one((1,), COMPLEX).scale(bad)
+
+    def test_accepted_values_keep_their_value_and_type(self):
+        s = TruncatedSeries((2,), RATIONAL, (1, Fraction(-2, 6), np.int64(4)))
+        assert s.coeffs == (1, Fraction(-1, 3), 4)
+        assert all(type(c) is Fraction for c in s.coeffs)
+        z = TruncatedSeries((2,), COMPLEX, (1, 0.5, np.complex128(2j)))
+        assert z.coeffs == (1, 0.5, 2j)
+        assert all(type(c) is complex for c in z.coeffs)
+
+
+class TestNoVariables:
+    def test_constant_series_ring_operations(self):
+        s = TruncatedSeries.constant((), RATIONAL, 3)
+        assert (s * s).coeffs == (9,)
+        assert (s + s - s).coeffs == (3,)
+        assert s.inverse().coeffs == (Fraction(1, 3),)
+        assert s.power(3).coefficient(()) == 27
+        assert det_series([[s]]).coeffs == (3,)
+        assert TruncatedSeries.one((), COMPLEX).log().coeffs == (0j,)
+        assert TruncatedSeries.zero((), COMPLEX).exp().sqrt_inverse().coeffs == (1 + 0j,)
 
 
 class TestInverse:
@@ -306,3 +350,52 @@ class TestProductKernel:
         table = _monomial_power_table(mat, RATIONAL, caps)
         for idx, p in enumerate(itertools.product(range(5), repeat=3)):
             assert _monomial_power(mat, RATIONAL, caps, p).coeffs == table[idx].coeffs
+
+
+class TestLayeredRecursions:
+    """The layer-at-a-time recursions against the per-coefficient reference:
+    equal in the rational ring, within a few ulps of the coefficient scale in
+    the complex ring (the summation order differs)."""
+
+    CAPS = [(5,), (2, 3), (3, 0, 2), (2, 2, 2)]
+    OPS = ["inverse", "sqrt_inverse", "exp", "log"]
+
+    @staticmethod
+    def operand(g, caps, ring, op, zero_frac):
+        s = random_series(g, caps, ring, zero_frac)
+        c0 = {"exp": 0, "inverse": 3}.get(op, 1)
+        return TruncatedSeries(caps, ring, (Fraction(c0) if ring == RATIONAL else complex(c0),) + s.coeffs[1:])
+
+    @pytest.mark.parametrize("op", OPS)
+    @pytest.mark.parametrize("caps", CAPS)
+    def test_rational_equal(self, op, caps):
+        g = np.random.default_rng(len(caps) * 7 + sum(caps))
+        for zero_frac in (0.0, 0.6, 0.95):
+            s = self.operand(g, caps, RATIONAL, op, zero_frac)
+            got = getattr(s, op)().coeffs
+            assert list(got) == series_recursion(op, caps, s.coeffs)
+            assert all(type(c) is Fraction for c in got)
+
+    @pytest.mark.parametrize("op", OPS)
+    @pytest.mark.parametrize("caps", CAPS)
+    def test_complex_close(self, op, caps):
+        g = np.random.default_rng(len(caps) * 11 + sum(caps))
+        for zero_frac in (0.0, 0.6, 0.95):
+            s = self.operand(g, caps, COMPLEX, op, zero_frac).scale(0.25)
+            if op != "exp":
+                s = s + TruncatedSeries.constant(caps, COMPLEX, 0.75 if op != "inverse" else 0)
+            ref = np.array(series_recursion(op, caps, s.coeffs))
+            got = getattr(s, op)().coeffs
+            assert all(type(c) is complex for c in got)
+            assert np.max(np.abs(np.array(got) - ref)) <= 1e-13 * max(1.0, np.max(np.abs(ref)))
+
+    def test_exact_dixon_inverse_at_caps_8(self):
+        caps = (8, 8, 8)
+        det = det_series(
+            [
+                [TruncatedSeries.constant(caps, RATIONAL, int(i == j)) - TruncatedSeries.variable(caps, RATIONAL, i).scale(a)
+                 for j, a in enumerate(row)]
+                for i, row in enumerate(DIXON_MATRIX)
+            ]
+        )
+        assert det.inverse().coeffs == tuple(series_recursion("inverse", caps, det.coeffs))
