@@ -1,10 +1,14 @@
 """Executable verification of permanent identities.
 
-Every verifier computes both sides of an identity independently — the
-permanent side always from the brute-force oracle (`permanent_naive`), the
-closed-form side from determinants / truncated series — and reports the
-maximum coefficient discrepancy.  Exact-ring checks report a literal 0.0
-error on success.
+Every verifier computes both sides of an identity independently and reports
+the maximum coefficient discrepancy.  The permanent side comes from the
+multiplicity-aware Glynn sum: each verifier collects its (p, q) pairs and
+gets every Per(A_{p,q}) of one matrix from one batched call
+(`permanents._repeated_permanents`); only even-single takes the brute-force
+permanent of its matrix.  The closed-form side comes from determinants and
+truncated series.  Before any series work a verifier raises `TooLarge` when
+its permanent side needs more than the term budget, prod_j (q_j + 1) terms
+per pair.  Exact-ring checks report a literal 0.0 error on success.
 """
 
 from __future__ import annotations
@@ -26,22 +30,22 @@ from .combinatorics import (
     enumerate_splits,
     enumerate_weight,
     factorial_product,
-    repeat_matrix,
     weight,
 )
 from .errors import OddDimension, AmplitudeOutOfRange, TooLarge, WeightMismatch
-from .numerics import ComplexMatrix, UnitaryMatrix, as_array, scaled_error
-from .permanents import NAIVE_MAX_DIM, TERM_BUDGET, permanent_naive, permanent_ryser
+from .numerics import as_array, scaled_error
+from .permanents import (
+    NAIVE_MAX_DIM,
+    _check_terms,
+    _multiplicity_terms,
+    _repeated_permanents,
+    permanent_naive,
+)
 from .series import COMPLEX, RATIONAL, TruncatedSeries, det_series
 
 #: Matrix whose doubly-repeated permanents encode Dixon's alternating
 #: binomial-cube sum.
 DIXON_MATRIX = ((0, 1, -1), (-1, 0, 1), (1, -1, 0))
-
-# Brute-force oracle guard: above this repeated weight the exact verifiers
-# fall back to the monomial-coefficient route (still independent of the
-# determinant side under test).
-NAIVE_ORACLE_WEIGHT = 7
 
 
 @dataclass(frozen=True)
@@ -116,18 +120,19 @@ def _transpose(mat):
     return tuple(tuple(row) for row in zip(*mat))
 
 
-def _per(mat, p, q):
-    """Brute-force Per(A_{p,q}); exact 0 for non-square repetitions."""
-    if weight(p) != weight(q):
-        return 0
-    return permanent_naive(repeat_matrix(mat, RepetitionPattern(p, q))).value
+def _check_oracle(*pair_lists) -> None:
+    """Raise before any series work if the permanent side's sign sums, prod_j (q_j + 1)
+    terms per pair with |p| = |q|, exceed the term budget."""
+    terms = sum(_multiplicity_terms(q) for pairs in pair_lists for p, q in pairs if weight(p) == weight(q))
+    _check_terms("permanent side", terms)
 
 
-def _check_oracle(dim: int) -> None:
-    """Raise before any series work if the permanent side needs a brute-force
-    permanent above the oracle's dimension limit."""
-    if dim > NAIVE_MAX_DIM:
-        raise TooLarge(f"permanent side needs a {dim}x{dim} brute-force permanent; limit is {NAIVE_MAX_DIM}")
+def _equal_weight_pairs(ps, qs) -> list:
+    """The pairs (p, q) with p in ps, q in qs and |p| = |q|, p-major."""
+    by_weight: dict = {}
+    for q in qs:
+        by_weight.setdefault(weight(q), []).append(q)
+    return [(p, q) for p in ps for q in by_weight.get(weight(p), ())]
 
 
 def _caps(cap: Union[int, Sequence[int]], nvars: int) -> tuple[int, ...]:
@@ -239,29 +244,25 @@ def _monomial_power_table(mat, ring, caps):
 def verify_macmahon(a, cap: Union[int, Sequence[int]] = 2, tolerance: float = 1e-8) -> IdentityReport:
     """sum_p z^p/p! Per(A_{p,p}) = 1/Det(I - Diag(z) A), coefficientwise up to cap.
 
-    The permanent side comes from `permanent_naive`; in the exact ring,
-    coefficients whose repeated weight exceeds the brute-force guard are
-    checked against the monomial coefficient p![z^p](Az)^p instead.
+    Every coefficient is compared with its permanent; in the exact ring the
+    monomial coefficient [z^p](Az)^p is a second check of each.
     """
     mat, ring = _normalize(a)
     m = _dim(mat)
     caps = _caps(cap, m)
-    if ring == COMPLEX:
-        _check_oracle(sum(caps))
+    exponents = list(_all_exponents(caps))
+    pairs = [(p, p) for p in exponents]
+    _check_oracle(pairs)
+    per = _repeated_permanents(mat, pairs)
     inv = _inverse_det_eye_minus_za(mat, ring, caps)
     mono = _monomial_power_table(mat, ring, caps) if ring == RATIONAL else None
     acc = _Tracker()
-    for idx, p in enumerate(_all_exponents(caps)):
-        rhs = inv.coefficient(p)
+    for idx, p in enumerate(exponents):
         pf = factorial_product(p)
-        if weight(p) <= NAIVE_ORACLE_WEIGHT or ring == COMPLEX:
-            per = _per(mat, p, p)
-            ref = Fraction(per, pf) if ring == RATIONAL else per / pf
-            acc.add(rhs, ref)
-            if mono is not None:
-                acc.add(mono[idx].coefficient(p), ref)
-        else:
-            acc.add(rhs, mono[idx].coefficient(p))
+        ref = Fraction(per[p, p], pf) if ring == RATIONAL else per[p, p] / pf
+        acc.add(inv.coefficient(p), ref)
+        if mono is not None:
+            acc.add(mono[idx].coefficient(p), ref)
     return acc.report("macmahon", caps, tolerance, ring)
 
 
@@ -328,16 +329,20 @@ def verify_mmmt_two(a, b, cap: Union[int, Sequence[int]] = 2, tolerance: float =
     if _dim(mat_b) != m:
         raise ValueError("matrices must have equal dimension")
     caps = _caps(cap, 2 * m)
-    _check_oracle(min(sum(caps[:m]), sum(caps[m:])))
+    pairs = _equal_weight_pairs(_all_exponents(caps[:m]), _all_exponents(caps[m:]))
+    swapped = [(q, p) for p, q in pairs]
+    _check_oracle(pairs, swapped, pairs)
+    per_a = _repeated_permanents(mat_a, pairs)
+    per_b = _repeated_permanents(mat_b, swapped)
+    per_bt = _repeated_permanents(_transpose(mat_b), pairs)
     rhs = _two_matrix_rhs(mat_a, mat_b, ring, caps)
-    bt = _transpose(mat_b)
     acc = _Tracker()
     for p in _all_exponents(caps[:m]):
         for q in _all_exponents(caps[m:]):
             denom = factorial_product(p) * factorial_product(q)
-            pa = _per(mat_a, p, q)
-            lhs1 = pa * _per(mat_b, q, p)
-            lhs2 = pa * _per(bt, p, q)
+            pa = per_a.get((p, q), 0)
+            lhs1 = pa * per_b.get((q, p), 0)
+            lhs2 = pa * per_bt.get((p, q), 0)
             if ring == RATIONAL:
                 lhs1, lhs2 = Fraction(lhs1, denom), Fraction(lhs2, denom)
             else:
@@ -386,16 +391,18 @@ def verify_mmmt_n(matrices, cap: Union[int, Sequence[int]] = 1, tolerance: float
     caps = _caps(cap, n_mats * m)
     if math.prod(c + 1 for c in caps) > 200_000:
         raise TooLarge("coefficient table too large")
-    _check_oracle(min(sum(caps[k * m : (k + 1) * m]) for k in range(n_mats)))
+    per_block = [list(_all_exponents(caps[k * m : (k + 1) * m])) for k in range(n_mats)]
+    pairs = [_equal_weight_pairs(per_block[k], per_block[(k + 1) % n_mats]) for k in range(n_mats)]
+    _check_oracle(*pairs)
+    pers = [_repeated_permanents(mats[k], pairs[k]) for k in range(n_mats)]
     rhs = _n_matrix_rhs(mats, ring, caps)
     acc = _Tracker()
-    per_block = [list(_all_exponents(caps[k * m : (k + 1) * m])) for k in range(n_mats)]
     for ps in itertools.product(*per_block):
         weights = {weight(p) for p in ps}
         if len(weights) == 1:
             lhs = 1
             for k in range(n_mats):
-                lhs = lhs * _per(mats[k], ps[k], ps[(k + 1) % n_mats])
+                lhs = lhs * pers[k][ps[k], ps[(k + 1) % n_mats]]
             denom = math.prod(factorial_product(p) for p in ps)
             lhs = Fraction(lhs, denom) if ring == RATIONAL else lhs / denom
         else:
@@ -412,13 +419,14 @@ def verify_corollary_rank_one(a, p, q, tolerance: float = 1e-8) -> IdentityRepor
     if weight(q) != n:
         raise WeightMismatch(f"|p| = {n} but |q| = {weight(q)}")
     caps = p + q
-    _check_oracle(n)
+    _check_oracle([(p, q)])
+    per = _repeated_permanents(mat, [(p, q)])[p, q]
     s = _xtay_series(mat, ring, caps)
     coef = s.power(n).coefficient(caps)
     factor = Fraction(factorial_product(p) * factorial_product(q), math.factorial(n))
     rhs = factor * coef if ring == RATIONAL else float(factor) * coef
     acc = _Tracker()
-    acc.add(_per(mat, p, q), rhs)
+    acc.add(per, rhs)
     return acc.report("corollary-rank-one", caps, tolerance, ring)
 
 
@@ -448,20 +456,6 @@ def verify_generating_function(
     mat, ring = _normalize(a)
     m = _dim(mat)
     caps = _caps(cap, 2 * m)
-    top = min(sum(caps[:m]), sum(caps[m:]))
-    if f == "pow":
-        top = power if power <= top else 0
-    _check_oracle(top)
-    w = _xtay_series(mat, ring, caps)
-    one = TruncatedSeries.one(caps, ring)
-    if f == "exp":
-        lhs_series = w.exp()
-    elif f == "geom":
-        lhs_series = (one - w).inverse()
-    elif f == "pow":
-        lhs_series = w.power(power)
-    else:
-        lhs_series = -((one - w).log())
 
     def fn_times_nfac(n: int):
         # f_n * n! for the chosen f, exact.
@@ -473,13 +467,26 @@ def verify_generating_function(
             return math.factorial(n) if n == power else 0
         return 0 if n == 0 else math.factorial(n - 1)
 
+    ps = (p for p in _all_exponents(caps[:m]) if fn_times_nfac(weight(p)))
+    pairs = _equal_weight_pairs(ps, _all_exponents(caps[m:]))
+    _check_oracle(pairs)
+    per = _repeated_permanents(mat, pairs)
+    w = _xtay_series(mat, ring, caps)
+    one = TruncatedSeries.one(caps, ring)
+    if f == "exp":
+        lhs_series = w.exp()
+    elif f == "geom":
+        lhs_series = (one - w).inverse()
+    elif f == "pow":
+        lhs_series = w.power(power)
+    else:
+        lhs_series = -((one - w).log())
     acc = _Tracker()
     for p in _all_exponents(caps[:m]):
         for q in _all_exponents(caps[m:]):
-            n = weight(p)
-            if weight(q) == n and fn_times_nfac(n) != 0:
+            if (p, q) in per:
                 denom = factorial_product(p) * factorial_product(q)
-                num = fn_times_nfac(n) * _per(mat, p, q)
+                num = fn_times_nfac(weight(p)) * per[p, q]
                 ref = Fraction(num, denom) if ring == RATIONAL else num / denom
             else:
                 ref = Fraction(0) if ring == RATIONAL else 0j
@@ -493,14 +500,14 @@ def verify_monomial_glynn(a, p, cap: Union[int, Sequence[int]] = 2, tolerance: f
     m = _dim(mat)
     p = tuple(p)
     caps = _caps(cap, m)
-    if weight(p) <= sum(caps):
-        _check_oracle(weight(p))
+    pairs = _equal_weight_pairs([p], _all_exponents(caps))
+    _check_oracle(pairs)
+    per = _repeated_permanents(mat, pairs)
     rhs = _monomial_power(mat, ring, caps, p)
     acc = _Tracker()
     for q in _all_exponents(caps):
-        per = _per(mat, p, q)
         qf = factorial_product(q)
-        ref = Fraction(per, qf) if ring == RATIONAL else per / qf
+        ref = Fraction(per.get((p, q), 0), qf) if ring == RATIONAL else per.get((p, q), 0) / qf
         acc.add(ref, rhs.coefficient(q))
     return acc.report("monomial", caps, tolerance, ring)
 
@@ -527,16 +534,21 @@ def verify_sum_formula(a, b, pattern: RepetitionPattern, tolerance: float = 1e-8
         mat_sum = mat_a + mat_b
     else:
         mat_sum = tuple(tuple(x + y for x, y in zip(ra, rb)) for ra, rb in zip(mat_a, mat_b))
-    lhs = _per(mat_sum, p, q)
+    splits = [
+        (s, t, u, v) for s, t in enumerate_splits(p, 2) for u, v in enumerate_splits(q, 2) if weight(s) == weight(u)
+    ]
+    pairs_a = [(s, u) for s, _, u, _ in splits]
+    pairs_b = [(t, v) for _, t, _, v in splits]
+    _check_oracle([(p, q)], pairs_a, pairs_b)
+    lhs = _repeated_permanents(mat_sum, [(p, q)])[p, q]
+    per_a = _repeated_permanents(mat_a, pairs_a)
+    per_b = _repeated_permanents(mat_b, pairs_b)
     pq_fact = factorial_product(p) * factorial_product(q)
     total = Fraction(0) if ring == RATIONAL else 0j
-    for s, t in enumerate_splits(p, 2):
-        for u, v in enumerate_splits(q, 2):
-            if weight(s) != weight(u):
-                continue
-            coef = _split_coef(pq_fact, (s, t, u, v))
-            term = _per(mat_a, s, u) * _per(mat_b, t, v)
-            total += coef * term if ring == RATIONAL else float(coef) * term
+    for s, t, u, v in splits:
+        coef = _split_coef(pq_fact, (s, t, u, v))
+        term = per_a[s, u] * per_b[t, v]
+        total += coef * term if ring == RATIONAL else float(coef) * term
     acc = _Tracker()
     acc.add(lhs, total)
     return acc.report("sum-formula", p + q, tolerance, ring)
@@ -552,17 +564,19 @@ def verify_laplace(a, pattern: RepetitionPattern, k: int, tolerance: float = 1e-
     if not 0 <= k <= n:
         raise ValueError(f"need 0 <= k <= {n}")
     l = n - k
-    lhs = _per(mat, p, q)
+    splits = [(s, t, u, v) for s, t in enumerate_splits(p, 2, (k, l)) for u, v in enumerate_splits(q, 2, (k, l))]
+    pairs = [(p, q)] + [(s, u) for s, _, u, _ in splits] + [(t, v) for _, t, _, v in splits]
+    _check_oracle(pairs)
+    per = _repeated_permanents(mat, pairs)
     pq_fact = factorial_product(p) * factorial_product(q)
     prefactor = Fraction(math.factorial(k) * math.factorial(l), math.factorial(n))
     total = Fraction(0) if ring == RATIONAL else 0j
-    for s, t in enumerate_splits(p, 2, (k, l)):
-        for u, v in enumerate_splits(q, 2, (k, l)):
-            coef = prefactor * _split_coef(pq_fact, (s, t, u, v))
-            term = _per(mat, s, u) * _per(mat, t, v)
-            total += coef * term if ring == RATIONAL else float(coef) * term
+    for s, t, u, v in splits:
+        coef = prefactor * _split_coef(pq_fact, (s, t, u, v))
+        term = per[s, u] * per[t, v]
+        total += coef * term if ring == RATIONAL else float(coef) * term
     acc = _Tracker()
-    acc.add(lhs, total)
+    acc.add(per[p, q], total)
     return acc.report("laplace", p + q, tolerance, ring)
 
 
@@ -587,17 +601,28 @@ def verify_sum_of_permanents(a, b, pattern: RepetitionPattern, tolerance: float 
         mat_sum = mat_a + mat_b
     else:
         mat_sum = tuple(tuple(x + y for x, y in zip(ra, rb)) for ra, rb in zip(mat_a, mat_b))
-    lhs = _per(mat_a, p, q) + _per(mat_b, p, q)
+    splits = [
+        [(x, y) for x in enumerate_splits(p, 3, (k, k, n - 2 * k)) for y in enumerate_splits(q, 3, (k, k, n - 2 * k))]
+        for k in range(n // 2 + 1)
+    ]
+    flat = [xy for ksplits in splits for xy in ksplits]
+    pairs_a = [(p, q)] + [(x[0], y[0]) for x, y in flat]
+    pairs_b = [(p, q)] + [(x[1], y[1]) for x, y in flat]
+    pairs_sum = [(x[2], y[2]) for x, y in flat]
+    _check_oracle(pairs_a, pairs_b, pairs_sum)
+    per_a = _repeated_permanents(mat_a, pairs_a)
+    per_b = _repeated_permanents(mat_b, pairs_b)
+    per_sum = _repeated_permanents(mat_sum, pairs_sum)
+    lhs = per_a[p, q] + per_b[p, q]
     pq_fact = factorial_product(p) * factorial_product(q)
     total = Fraction(0) if ring == RATIONAL else 0j
-    for k in range(n // 2 + 1):
+    for k, ksplits in enumerate(splits):
         outer = Fraction((-1) ** k, math.comb(n - 1, k))
         ksum = Fraction(0) if ring == RATIONAL else 0j
-        for aa, bb, cc in enumerate_splits(p, 3, (k, k, n - 2 * k)):
-            for aa2, bb2, cc2 in enumerate_splits(q, 3, (k, k, n - 2 * k)):
-                coef = _split_coef(pq_fact, (aa, bb, cc, aa2, bb2, cc2))
-                term = _per(mat_a, aa, aa2) * _per(mat_b, bb, bb2) * _per(mat_sum, cc, cc2)
-                ksum += coef * term if ring == RATIONAL else float(coef) * term
+        for (aa, bb, cc), (aa2, bb2, cc2) in ksplits:
+            coef = _split_coef(pq_fact, (aa, bb, cc, aa2, bb2, cc2))
+            term = per_a[aa, aa2] * per_b[bb, bb2] * per_sum[cc, cc2]
+            ksum += coef * term if ring == RATIONAL else float(coef) * term
         total += outer * ksum if ring == RATIONAL else float(outer) * ksum
     acc = _Tracker()
     acc.add(lhs, total)
@@ -624,16 +649,14 @@ def verify_even_matrix(a, mode: str = "single", cap: Union[int, Sequence[int]] =
     mode='full': sum x^p y^q/(p!q!) Per(M_{p+p,q+q}) = 1/sqrt(Det(I - V_x M V_y M^T))
     in 2m formal variables, where p+p repeats both halves identically.
     """
-    if isinstance(a, (np.ndarray, ComplexMatrix, UnitaryMatrix)):
-        mat = as_array(a)
-    else:
-        mat = np.array([[complex(v) for v in row] for row in a], dtype=np.complex128)
+    mat = as_array(_normalize(a)[0])
     dim = mat.shape[0]
     if dim % 2 != 0:
         raise OddDimension(f"matrix dimension {dim} is odd")
     m = dim // 2
     if mode == "single":
-        _check_oracle(dim)
+        if dim > NAIVE_MAX_DIM:
+            _check_terms("brute-force permanent side", math.factorial(dim), math.factorial(NAIVE_MAX_DIM))
         caps = (m,)
         acc_series = TruncatedSeries.zero(caps, COMPLEX)
         for x in itertools.product((1, -1), repeat=m):
@@ -650,7 +673,9 @@ def verify_even_matrix(a, mode: str = "single", cap: Union[int, Sequence[int]] =
     if mode != "full":
         raise ValueError(f"unknown mode {mode!r}")
     caps = _caps(cap, 2 * m)
-    _check_oracle(2 * min(sum(caps[:m]), sum(caps[m:])))
+    pairs = [(p + p, q + q) for p, q in _equal_weight_pairs(_all_exponents(caps[:m]), _all_exponents(caps[m:]))]
+    _check_oracle(pairs)
+    per = _repeated_permanents(mat, pairs)
     rows = mat.tolist()
     swap = [(i + m) % dim for i in range(dim)]
 
@@ -670,9 +695,8 @@ def verify_even_matrix(a, mode: str = "single", cap: Union[int, Sequence[int]] =
     acc = _Tracker()
     for p in _all_exponents(caps[:m]):
         for q in _all_exponents(caps[m:]):
-            per = _per(mat, p + p, q + q)
             denom = factorial_product(p) * factorial_product(q)
-            acc.add(g.coefficient(p + q), per / denom)
+            acc.add(g.coefficient(p + q), per.get((p + p, q + q), 0) / denom)
     return acc.report("even-full", caps, tolerance, COMPLEX)
 
 
@@ -691,15 +715,14 @@ def verify_tmss_overlap(u, lam, mu, trunc: int = 6, tolerance: float = 1e-6) -> 
         raise ValueError("matrix must be 2m x 2m with length-m amplitude vectors")
     if np.any(np.abs(lam) >= 1) or np.any(np.abs(mu) >= 1):
         raise AmplitudeOutOfRange("need |lam_k| < 1 and |mu_k| < 1")
-    if (1 << (2 * trunc)) * max(2 * trunc, 1) > TERM_BUDGET:
-        raise TooLarge("truncation order too large for the inner permanents")
+    half = [(p, q) for k in range(trunc + 1) for p in enumerate_weight(m, k) for q in enumerate_weight(m, k)]
+    pairs = [(p + p, q + q) for p, q in half]
+    _check_oracle(pairs)
+    per = _repeated_permanents(arr, pairs)
     lhs = 0j
-    for k in range(trunc + 1):
-        for p in enumerate_weight(m, k):
-            for q in enumerate_weight(m, k):
-                per = permanent_ryser(repeat_matrix(arr, RepetitionPattern(p + p, q + q))).value
-                coef = np.prod(lam**np.array(p)) * np.prod(mu**np.array(q))
-                lhs += coef * per / (factorial_product(p) * factorial_product(q))
+    for p, q in half:
+        coef = np.prod(lam**np.array(p)) * np.prod(mu**np.array(q))
+        lhs += coef * per[p + p, q + q] / (factorial_product(p) * factorial_product(q))
     vl = np.diag(lam)
     vm = np.diag(mu)
     zero = np.zeros((m, m), dtype=np.complex128)

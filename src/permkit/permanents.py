@@ -4,17 +4,25 @@ variants, the Glynn-Kan double sum, and the Cauchy-Binet composition rule.
 Conventions: the permanent of a non-square matrix is 0, the permanent of the
 empty (0 x 0) matrix is 1.  Formulas that require |p| = |q| = n return 0 with
 a :class:`WeightMismatchWarning` when the weights differ, matching the fact
-that the corresponding repeated matrix is rectangular.
+that the corresponding repeated matrix is rectangular.  Every formula states
+its term count, and raises `TooLarge`, naming that count and the budget,
+when it exceeds the budget.
 
-Exact (int / Fraction) inputs run the sign-vector sums (Ryser, Glynn,
-Glynn-Kan) as pure-Python Gray-code loops, so they stay exact and serve as the
-independent reference for the float path.  Float inputs run one chunked numpy
-kernel, :func:`_sign_sum`, for all of them (Glynn-Kan shares its vertex
-table); :func:`_sign_sums` is its batched form over many exponent rows, for
-the sampler's distributions.  The roots-of-unity grids are vectorized with
-numpy and are numeric-only.
-The brute-force sum, :func:`_naive_sum`, walks the permutation prefix tree
-on float and exact input alike; exact zero partial products drop their subtree.
+Per(A_{p,q}) comes from Glynn's sum on A_{p,q} with the sign vectors of each
+repeated column grouped by their sum: prod_j (q_j + 1) terms
+(:func:`permanent_glynn_multiplicity`).  Glynn and repeated-row Glynn are its
+q = 1 case.  On exact (int / Fraction) input it is one pure-Python
+mixed-radix Gray-code loop, :func:`_exact_multiplicity_sums`, which sums one
+of each pair of equal terms; it is the independent reference for the float
+path.  Exact Ryser and Glynn-Kan keep their own Gray-code loops.  Float
+inputs run chunked numpy kernels: :func:`_sign_sum` for Ryser, Glynn and
+repeated-row Glynn (Glynn-Kan shares its vertex table), and
+:func:`_sign_sums`, batched over many (p, q), for the multiplicity sum, the
+verifiers' permanents (:func:`_repeated_permanents`) and the sampler's
+distributions.  The roots-of-unity grids come from :func:`_root_grid` and
+are numeric-only.  The brute-force sum, :func:`_naive_sum`, walks the
+permutation prefix tree on float and exact input alike; exact zero partial
+products drop their subtree.
 """
 
 from __future__ import annotations
@@ -24,6 +32,7 @@ import warnings
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from operator import add
 from typing import Optional, Union
 
 import numpy as np
@@ -42,8 +51,6 @@ from .numerics import ComplexMatrix, UnitaryMatrix, as_array
 TERM_BUDGET = 10**7
 
 NAIVE_MAX_DIM = 10
-RYSER_MAX_DIM = 30
-GLYNN_KAN_MAX_DIM = 14
 
 Scalar = Union[complex, Fraction, int]
 
@@ -80,6 +87,13 @@ def _finite_array(a) -> np.ndarray:
     return arr
 
 
+def _check_terms(what: str, terms: int, budget: int = TERM_BUDGET) -> None:
+    """Raise TooLarge, stating the term count and the budget, when terms > budget."""
+    if terms > budget:
+        shown = str(terms) if terms < 10**18 else f"about 10^{int(terms.bit_length() * math.log10(2))}"
+        raise TooLarge(f"{what} needs {shown} terms; the budget is {budget}")
+
+
 def _degenerate(nrows: int, ncols: int, algorithm: str) -> Optional[PermanentResult]:
     if nrows == 0 and ncols == 0:
         return PermanentResult(1, algorithm, 1)
@@ -88,8 +102,9 @@ def _degenerate(nrows: int, ncols: int, algorithm: str) -> Optional[PermanentRes
     return None
 
 
-# Bits of the sign vector enumerated by one matmul; the rest is an outer loop,
-# so the kernel's temporaries hold m * 2^_LOW_BITS entries at most.
+# Bits of the sign vector (or up to 2^_LOW_BITS points of the multiplicity
+# grid) enumerated by one matmul; the rest is an outer loop, so the kernels'
+# temporaries hold m * 2^_LOW_BITS entries at most.
 _LOW_BITS = 10
 
 
@@ -127,31 +142,86 @@ def _sign_sum(cols: np.ndarray, lo: int, base: Optional[np.ndarray] = None) -> c
     )
 
 
-# Entries (outcomes x low sign vectors) of one chunk's product block in _sign_sums.
+# Entries (rows x low grid points) of one chunk's product block in _sign_sums.
 _SUMS_ENTRIES = 1 << 15
 
 
-def _sign_sums(cols: np.ndarray, powers: np.ndarray) -> np.ndarray:
-    """For each row p of the N x m int array ``powers``, sum over x in {-1, 1}^k
-    of (prod x) prod_i ((cols x)_i)^{p_i}, with ``cols`` m x k.
+def _column_values(mults) -> np.ndarray:
+    """The values y = q - 2v, 0 <= v <= q, that any of the multiplicities q of one
+    column needs: -Q..Q for Q = max q, in steps of 2 if every q has one parity."""
+    top = max(mults)
+    return np.arange(-top, top + 1, 2 if len({q % 2 for q in mults}) == 1 else 1)
 
-    Per vertex block, the powers (cols x)^e, e <= max(p), are built by repeated
-    multiplication; each chunk of outcomes multiplies its gathered rows.
+
+def _multiplicity_weight(q: int, y: int) -> int:
+    """(-1)^v C(q, v) where y = q - 2v with 0 <= v <= q, else 0."""
+    v, odd = divmod(q - y, 2)
+    return 0 if odd or not 0 <= v <= q else (-1) ** v * math.comb(q, v)
+
+
+@lru_cache(maxsize=64)
+def _multiplicity_grid(qs: tuple[tuple[int, ...], ...]) -> tuple[np.ndarray, np.ndarray]:
+    """The points y of the grid that the multiplicity rows qs need, and each row's weights.
+
+    Column j takes `_column_values` of the q_j in qs, and column 0 is the fastest
+    digit of the point index.  Weight row r at y is prod_j (-1)^{v_j} C(q_j, v_j)
+    for q = qs[r] and y = q - 2v, and 0 where y is not of that form.  For
+    q = (1, ..., 1) these are the points and signs of `_vertices(k, -1)`.  Read-only.
+    """
+    k = len(qs[0])
+    columns = [_column_values([q[j] for q in qs]) for j in range(k)]
+    index = np.arange(math.prod(c.size for c in columns))
+    points = np.empty((index.size, k), dtype=np.complex128)
+    weights = np.ones((len(qs), index.size))
+    stride = 1
+    for j, values in enumerate(columns):
+        digit = index // stride % values.size
+        stride *= values.size
+        points[:, j] = values[digit]
+        table = np.array([[_multiplicity_weight(q[j], int(y)) for y in values] for q in qs], dtype=np.float64)
+        weights *= table[:, digit]
+    points.setflags(write=False)
+    weights.setflags(write=False)
+    return points, weights
+
+
+def _sign_sums(cols: np.ndarray, powers: np.ndarray, mults: Optional[list] = None) -> np.ndarray:
+    """For each row p of the N x m int array ``powers``, with q the matching
+    tuple of column multiplicities in the list ``mults`` (all ones when
+    omitted), the sum over 0 <= v <= q of
+    prod_j (-1)^{v_j} C(q_j, v_j) prod_i ((cols (q - 2v))_i)^{p_i}, with ``cols`` m x k.
+
+    That is Glynn's sign sum (Glynn, EJC 2010) on cols with column j repeated
+    q_j times, its sign vectors grouped by how many -1 each column's copies
+    hold, so 2^n Per(A_{p,q}) when cols = A and |p| = |q| = n.  All rows share
+    one grid (`_multiplicity_grid`): its first columns, at most 2^_LOW_BITS
+    points, come in one matmul, and the rest is an outer loop.  Per outer
+    point the powers (cols y)^e, e <= max(p), are built by repeated
+    multiplication; each chunk of rows multiplies its gathered entries and
+    contracts them with its weights.
     """
     if not np.isfinite(cols).all():
         raise ValueError("matrix entries must be finite")
     m, k = cols.shape
-    if (1 << k) * max(k, 1) > TERM_BUDGET:
-        raise TooLarge(f"sign sum over 2^{k} terms exceeds the budget")
-    low = min(k, _LOW_BITS)
-    x_low, s_low = _vertices(low, -1)
-    x_high, s_high = _vertices(k - low, -1)
+    index = {(1,) * k: 0} if mults is None else {}
+    which = np.array([index.setdefault(q, len(index)) for q in mults or ()], dtype=np.intp)
+    qs = tuple(index)
+    if len(qs) == 1:
+        which = None
+    sizes = [_column_values([q[j] for q in qs]).size for j in range(k)]
+    _check_terms("sign sum", math.prod(sizes) * max(k, 1))
+    low, block = 0, 1
+    while low < k and block * sizes[low] <= 1 << _LOW_BITS:
+        block *= sizes[low]
+        low += 1
+    x_low, w_low = _multiplicity_grid(tuple(q[:low] for q in qs))
+    x_high, w_high = _multiplicity_grid(tuple(q[low:] for q in qs))
     part = cols[:, :low] @ x_low.T
-    step = _SUMS_ENTRIES >> low
-    table = np.empty((int(powers.max(initial=0)) + 1, m, 1 << low), dtype=np.complex128)
+    step = _SUMS_ENTRIES // block
+    table = np.empty((int(powers.max(initial=0)) + 1, m, block), dtype=np.complex128)
     table[0] = 1.0
     out = np.zeros(powers.shape[0], dtype=np.complex128)
-    for xh, sh in zip(x_high, s_high):
+    for h, xh in enumerate(x_high):
         v = part + (cols[:, low:] @ xh)[:, None]
         for e in range(1, table.shape[0]):
             np.multiply(table[e - 1], v, out=table[e])
@@ -160,8 +230,104 @@ def _sign_sums(cols: np.ndarray, powers: np.ndarray) -> np.ndarray:
             acc = table[chunk[:, 0], 0]
             for i in range(1, m):
                 acc *= table[chunk[:, i], i]
-            out[start : start + step] += sh * (acc @ s_low)
+            if which is None:
+                out[start : start + step] += w_high[0, h] * (acc @ w_low[0])
+            else:
+                rows = which[start : start + step]
+                out[start : start + step] += w_high[rows, h] * np.einsum("ij,ij->i", acc, w_low[rows])
     return out
+
+
+def _exact_multiplicity_sums(rows, pairs) -> list[tuple[Scalar, int]]:
+    """(Per(A_{p,q}), term count) per pair, for int/Fraction rows and |p| = |q| >= 1.
+
+    Row i is scaled to integers by the lcm d_i of its denominators, which
+    scales Per(A_{p,q}) by prod d_i^{p_i}; `_half_sign_sum` does the rest.
+    A result is a Fraction when an entry of A_{p,q} is one, else an int.
+    """
+    dens = [math.lcm(*(v.denominator for v in row)) for row in rows]
+    cols = list(zip(*([int(v * d) for v in row] for row, d in zip(rows, dens))))
+    fractions = [[isinstance(v, Fraction) for v in row] for row in rows]
+    out = []
+    for p, q in pairs:
+        keep = [i for i, e in enumerate(p) if e]
+        # an odd multiplicity first, so that one box covers half the grid
+        order = sorted((j for j, e in enumerate(q) if e), key=lambda j: q[j] % 2 == 0)
+        exps = [p[i] for i in keep]
+        mults = [q[j] for j in order]
+        half = _half_sign_sum([[cols[j][i] for i in keep] for j in order], exps, mults)
+        value = Fraction(half, math.prod(dens[i] ** p[i] for i in keep) << (sum(exps) - 1))
+        if not any(fractions[i][j] for i in keep for j in order):
+            value = int(value)
+        out.append((value, _multiplicity_terms(mults) // 2))
+    return out
+
+
+def _half_sign_sum(cols: list, exps: list, mults: list) -> int:
+    """Half of sum over 0 <= v <= q of prod_t (-1)^{v_t} C(q_t, v_t) prod_i ((A(q - 2v))_i)^{p_i}
+    for an integer A with columns ``cols``, p = ``exps``, q = ``mults`` and |p| = |q|.
+
+    The terms at v and q - v are equal, so one of each pair is summed: box t
+    holds the columns before t at v = q/2 (y = 0), column t below q_t/2 and
+    the later columns free, and an odd q_t ends the boxes.  When every q_t is
+    even, the point v = q/2 is left over; its y = 0 and it adds 0.  That is
+    prod(q_t + 1) // 2 terms, visited in a mixed-radix reflected Gray code
+    (Knuth, TAOCP 7.2.1.1, Algorithm H) that changes one v_t by 1 per term.
+    """
+    rows = range(len(exps))
+    if all(e == 1 for e in exps):
+        exps = None
+    total, mid = 0, 1
+    for t, qt in enumerate(mults):
+        sums = [sum(c[i] * qc for c, qc in zip(cols[t:], mults[t:])) for i in rows]
+        digits = [((qt + 1) // 2, t)] + [(qc + 1, c) for c, qc in enumerate(mults[t + 1 :], t + 1)]
+        digits = [(radix, c) for radix, c in digits if radix > 1]
+        if digits:
+            total += mid * _gray_code_sum(sums, digits, cols, mults, exps)
+        else:
+            total += mid * (math.prod(sums) if exps is None else math.prod(map(pow, sums, exps)))
+        if qt % 2:
+            break
+        mid *= (-1) ** (qt // 2) * math.comb(qt, qt // 2)
+    return total
+
+
+def _gray_code_sum(sums: list, digits: list, cols: list, mults: list, exps: Optional[list]) -> int:
+    """sum over the digits v_t, 0 <= v_t < radix, of prod_t (-1)^{v_t} C(q_c, v_t) prod_i s_i(v)^{p_i}.
+
+    ``digits`` lists (radix >= 2, column c); v_t = k sets y_c = q_c - 2k,
+    and s = A y starts at ``sums``.  Every step changes one v_t by 1, so it
+    flips the sign and adds -2 or +2 times column c to the sums.  ``exps``
+    of None stands for p = (1, ..., 1).
+    """
+    prod = math.prod
+    k = len(digits)
+    last = [radix - 1 for radix, _ in digits]
+    binoms = [[math.comb(mults[c], v) for v in range(radix)] if mults[c] > 1 else None for radix, c in digits]
+    downs = [[-2 * x for x in cols[c]] for _, c in digits]
+    ups = [[2 * x for x in cols[c]] for _, c in digits]
+    v, rising, focus = [0] * k, [True] * k, list(range(k + 1))
+    w = 1
+    total = prod(sums) if exps is None else prod(map(pow, sums, exps))
+    while True:
+        t = focus[0]
+        if t == k:
+            return total
+        focus[0] = 0
+        old = v[t]
+        if rising[t]:
+            v[t] = new = old + 1
+            sums = list(map(add, sums, downs[t]))
+        else:
+            v[t] = new = old - 1
+            sums = list(map(add, sums, ups[t]))
+        if new == 0 or new == last[t]:
+            rising[t] = not rising[t]
+            focus[t] = focus[t + 1]
+            focus[t + 1] = t + 1
+        b = binoms[t]
+        w = -w if b is None else -w // b[old] * b[new]
+        total += w * (prod(sums) if exps is None else prod(map(pow, sums, exps)))
 
 
 @lru_cache(maxsize=None)
@@ -207,7 +373,7 @@ def permanent_naive(a) -> PermanentResult:
         return deg
     m = nrows
     if m > NAIVE_MAX_DIM:
-        raise TooLarge(f"naive permanent limited to dim <= {NAIVE_MAX_DIM}, got {m}")
+        _check_terms(f"naive permanent of dimension {m}", math.factorial(m), math.factorial(NAIVE_MAX_DIM))
     arr = np.array(data, dtype=object) if exact else data
     return PermanentResult(_naive_sum(arr), "naive", math.factorial(m))
 
@@ -223,8 +389,7 @@ def permanent_ryser(a) -> PermanentResult:
     if deg is not None:
         return deg
     m = nrows
-    if m > RYSER_MAX_DIM or (1 << m) > TERM_BUDGET:
-        raise TooLarge(f"Ryser sum over 2^{m} subsets exceeds the budget")
+    _check_terms("Ryser sum", 1 << m)
     if not exact:
         # x_j = 1 puts column j in the subset; the sign (-1)^(m - |S|) is Ryser's
         return PermanentResult(_sign_sum(data, 0), "ryser", (1 << m) - 1)
@@ -251,6 +416,11 @@ def permanent_ryser(a) -> PermanentResult:
     return PermanentResult(value, "ryser", (1 << m) - 1)
 
 
+def _glynn_float(arr: np.ndarray) -> complex:
+    """Glynn's sum on a float square matrix, x_1 fixed to +1."""
+    return _sign_sum(arr[:, 1:], -1, base=arr[:, 0]) / (1 << (arr.shape[0] - 1))
+
+
 def permanent_glynn(a) -> PermanentResult:
     """Glynn's sign-vector formula with x_1 fixed to +1 (2^(m-1) terms)."""
     data, nrows, ncols, exact = _coerce(a)
@@ -258,40 +428,20 @@ def permanent_glynn(a) -> PermanentResult:
     if deg is not None:
         return deg
     m = nrows
-    if m > RYSER_MAX_DIM or (1 << m) > TERM_BUDGET:
-        raise TooLarge(f"Glynn sum over 2^{m - 1} sign vectors exceeds the budget")
-    denom = 1 << (m - 1)
+    _check_terms("Glynn sum over all sign vectors", 1 << m)
     if not exact:
-        value = _sign_sum(data[:, 1:], -1, base=data[:, 0]) / denom
-        return PermanentResult(value, "glynn", denom)
-    cols = _columns(data, m, ncols)
-    sums = [sum(row) for row in data]
-    xs = [1] * m
-    sign = 1
-    term = 1
-    for s in sums:
-        term *= s
-    total = term
-    for k in range(1, 1 << (m - 1)):
-        j = (k & -k).bit_length()  # flip x_{j+1}; x_1 stays +1
-        xs[j] = -xs[j]
-        d = 2 * xs[j]
-        col = cols[j]
-        for i in range(m):
-            sums[i] += d * col[i]
-        sign = -sign
-        term = 1
-        for s in sums:
-            term *= s
-        total += sign * term
-    return PermanentResult(Fraction(total, denom), "glynn", denom)
+        return PermanentResult(_glynn_float(data), "glynn", 1 << (m - 1))
+    ones = (1,) * m
+    ((value, terms),) = _exact_multiplicity_sums(data, [(ones, ones)])
+    return PermanentResult(Fraction(value), "glynn", terms)
 
 
 def permanent_glynn_repeated_rows(a, q) -> PermanentResult:
     """Glynn-type sum for Per(A_{q,1}): row i enters with exponent q_i.
 
     The Kronecker delta in the formula makes the result 0 unless |q| equals
-    the dimension of A.
+    the dimension of A.  It is Glynn's sum on the row-repeated matrix, x_1
+    fixed to +1 (2^(n-1) terms).
     """
     data, nrows, ncols, exact = _coerce(a)
     if nrows != ncols:
@@ -302,61 +452,107 @@ def permanent_glynn_repeated_rows(a, q) -> PermanentResult:
         raise DimensionMismatch("repetition vector length must equal the matrix dimension")
     if weight(q) != n:
         return PermanentResult(0, "glynn_repeated_rows", 0)
-    if n > RYSER_MAX_DIM or (1 << n) > TERM_BUDGET:
-        raise TooLarge(f"sum over 2^{n} sign vectors exceeds the budget")
-    denom = 1 << n
+    _check_terms("repeated-row Glynn sum over all sign vectors", 1 << n)
     if not exact:
-        # row i repeated q_i times raises (A x)_i to the power q_i
-        value = _sign_sum(np.repeat(data, q, axis=0), -1) / denom
-        return PermanentResult(value, "glynn_repeated_rows", denom)
-    cols = _columns(data, n, n)
-    sums = [sum(row) for row in data]
-    xs = [1] * n
-    sign = 1
-    powered = [i for i in range(n) if q[i]]
-
-    def product():
-        term = 1
-        for i in powered:
-            term *= sums[i] ** q[i]
-        return term
-
-    total = product()
-    for k in range(1, 1 << n):
-        j = (k & -k).bit_length() - 1
-        xs[j] = -xs[j]
-        d = 2 * xs[j]
-        col = cols[j]
-        for i in range(n):
-            sums[i] += d * col[i]
-        sign = -sign
-        total += sign * product()
-    return PermanentResult(Fraction(total, denom), "glynn_repeated_rows", denom)
+        return PermanentResult(_glynn_float(np.repeat(data, q, axis=0)), "glynn_repeated_rows", 1 << (n - 1))
+    ((value, terms),) = _exact_multiplicity_sums(data, [(q, (1,) * n)])
+    return PermanentResult(Fraction(value), "glynn_repeated_rows", terms)
 
 
-def _root_grid_digits(ids: np.ndarray, n: int, m: int) -> np.ndarray:
+def permanent_glynn_multiplicity(a, pattern: RepetitionPattern) -> PermanentResult:
+    """Per(A_{p,q}) = 2^{-|q|} sum_{0 <= v <= q} prod_j (-1)^{v_j} C(q_j, v_j) prod_i ((A(q - 2v))_i)^{p_i}.
+
+    Glynn's formula on A_{p,q} (Glynn, EJC 2010) with the sign vectors of each
+    repeated column grouped by their sum, as Kan (2008) groups moments:
+    prod_j (q_j + 1) terms where Glynn on A_{p,q} takes 2^{|q| - 1}.  Float
+    input runs `_sign_sums` on the multiplicity grid; int/Fraction input the
+    exact Gray-code loop, which pairs the equal terms at v and q - v and sums
+    prod_j (q_j + 1) // 2 of them.  Exact results have the type
+    `permanent_naive` gives on A_{p,q}.  TooLarge applies to prod_j (q_j + 1),
+    and on float input also to the kernel's cost, that count times the
+    number of columns.
+    """
+    data, nrows, ncols, exact = _coerce(a)
+    if nrows != ncols or pattern.length != nrows:
+        raise DimensionMismatch("pattern length must equal the square matrix dimension")
+    p, q = pattern.rows, pattern.cols
+    n = weight(p)
+    if weight(q) != n:
+        warnings.warn("|p| != |q|: permanent of a rectangular repetition is 0", WeightMismatchWarning)
+        return PermanentResult(0 if exact else 0j, "glynn_multiplicity", 0)
+    if n == 0:
+        return PermanentResult(1 if exact else 1 + 0j, "glynn_multiplicity", 1)
+    terms = _multiplicity_terms(q)
+    _check_terms("multiplicity sign sum", terms)
+    if exact:
+        ((value, terms),) = _exact_multiplicity_sums(data, [(p, q)])
+        return PermanentResult(value, "glynn_multiplicity", terms)
+    value = complex(_sign_sums(data, np.array([p]), [q])[0]) / (1 << n)
+    return PermanentResult(value, "glynn_multiplicity", terms)
+
+
+def _multiplicity_terms(q) -> int:
+    """Terms of the multiplicity sign sum for column multiplicities q: prod_j (q_j + 1)."""
+    return math.prod(c + 1 for c in q)
+
+
+def _repeated_permanents(a, pairs) -> dict:
+    """{(p, q): Per(A_{p,q})} over the multi-index pairs, 0 where |p| != |q|.
+
+    Float input takes one `_sign_sums` call for every pair, unless their
+    shared grid would cost more than the term budget; then it takes one call
+    per column multiplicity q.  Int/Fraction input runs the exact Gray-code
+    sum per distinct pair.
+    """
+    data, _, _, exact = _coerce(a)
+    out: dict = {}
+    todo = []
+    for p, q in dict.fromkeys(pairs):
+        n = weight(p)
+        if weight(q) != n:
+            out[p, q] = 0
+        elif n == 0:
+            out[p, q] = 1
+        else:
+            todo.append((p, q))
+    if not todo:
+        return out
+    if exact:
+        out.update(zip(todo, (value for value, _ in _exact_multiplicity_sums(data, todo))))
+        return out
+    qs = [q for _, q in todo]
+    grid = math.prod(_column_values(col).size for col in zip(*qs))
+    if len(todo) * grid <= TERM_BUDGET:
+        batches = [todo]
+    else:
+        by_q: dict = {}
+        for p, q in todo:
+            by_q.setdefault(q, []).append((p, q))
+        batches = list(by_q.values())
+    for batch in batches:
+        sums = _sign_sums(data, np.array([p for p, _ in batch]), [q for _, q in batch])
+        for (p, q), s in zip(batch, sums.tolist()):
+            out[p, q] = s / (1 << weight(q))
+    return out
+
+
+def _root_grid(order: int, m: int, ids: np.ndarray, *exponents) -> tuple[np.ndarray, list]:
+    """The points x of mu_order^m numbered by ``ids`` (base-order digits of the id,
+    the last digit fastest) and, per exponent vector e, the weights x^{-e}."""
     digits = np.empty((ids.size, m), dtype=np.int64)
     rest = ids
     for j in range(m - 1, -1, -1):
-        digits[:, j] = rest % n
-        rest = rest // n
-    return digits
+        digits[:, j] = rest % order
+        rest = rest // order
+    roots = np.exp(2j * np.pi * np.arange(order) / order)
+    return roots[digits], [roots[-(digits @ np.asarray(e, dtype=np.int64)) % order] for e in exponents]
 
 
 def _root_grid_double_sum(arr: np.ndarray, p, q, order: int, power: int, chunk: int = 256) -> complex:
     """sum over x, y in mu_order^m of x^{-p} y^{-q} (x^T A y)^power, over chunks of x."""
     m = arr.shape[0]
     grid = order**m
-    roots = np.exp(2j * np.pi * np.arange(order) / order)
-    pts = roots[_root_grid_digits(np.arange(grid, dtype=np.int64), order, m)]  # (grid, m)
-    conj = np.conj(pts)
-    wx = np.ones(grid, dtype=np.complex128)
-    wy = np.ones(grid, dtype=np.complex128)
-    for i in range(m):
-        if p[i]:
-            wx *= conj[:, i] ** p[i]
-        if q[i]:
-            wy *= conj[:, i] ** q[i]
+    pts, (wx, wy) = _root_grid(order, m, np.arange(grid, dtype=np.int64), p, q)
     ayt = arr @ pts.T  # column g = A y_g
     total = 0j
     for lo in range(0, grid, chunk):
@@ -380,21 +576,14 @@ def permanent_roots_of_unity(a, pattern: RepetitionPattern, chunk: int = 1 << 15
     if n == 0:
         return PermanentResult(1 + 0j, "roots_of_unity", 1)
     grid = n**m
-    if grid > TERM_BUDGET:
-        raise TooLarge(f"roots-of-unity grid n^m = {grid} exceeds the budget")
-    roots = np.exp(2j * np.pi * np.arange(n) / n)
+    _check_terms("roots-of-unity grid n^m", grid)
     p_idx = [(i, p[i]) for i in range(m) if p[i]]
-    q_idx = [(j, q[j]) for j in range(m) if q[j]]
     total = 0j
     for lo in range(0, grid, chunk):
-        ids = np.arange(lo, min(lo + chunk, grid), dtype=np.int64)
-        x = roots[_root_grid_digits(ids, n, m)]
+        x, (term,) = _root_grid(n, m, np.arange(lo, min(lo + chunk, grid), dtype=np.int64), q)
         w = x @ arr.T
-        term = np.ones(ids.size, dtype=np.complex128)
         for i, pi in p_idx:
             term *= w[:, i] ** pi
-        for j, qj in q_idx:
-            term *= np.conj(x[:, j]) ** qj
         total += term.sum()
     value = complex(factorial_product(q) * total / grid)
     return PermanentResult(value, "roots_of_unity", grid)
@@ -421,8 +610,7 @@ def permanent_glynn_kan(a) -> PermanentResult:
     if deg is not None:
         return deg
     m = nrows
-    if m > GLYNN_KAN_MAX_DIM or 4**m > TERM_BUDGET:
-        raise TooLarge(f"Glynn-Kan sum over 4^{m} sign pairs exceeds the budget")
+    _check_terms("Glynn-Kan sum", 4**m)
     denom = 4**m * math.factorial(m)
     if not exact:
         return PermanentResult(_glynn_kan_sum(data) / denom, "glynn_kan", 4**m)
@@ -467,8 +655,7 @@ def permanent_glynn_kan_repeated(a, pattern: RepetitionPattern, chunk: int = 256
         return PermanentResult(0j, "glynn_kan_repeated", 0)
     if n == 0:
         return PermanentResult(1 + 0j, "glynn_kan_repeated", 1)
-    if n ** (2 * m) > TERM_BUDGET:
-        raise TooLarge(f"roots-of-unity grid n^(2m) = {n ** (2 * m)} exceeds the budget")
+    _check_terms("roots-of-unity double grid n^(2m)", n ** (2 * m))
     grid = n**m
     scalefac = float(Fraction(factorial_product(p) * factorial_product(q), grid * grid * math.factorial(n)))
     value = _root_grid_double_sum(arr, p, q, n, n, chunk) * scalefac
@@ -489,8 +676,7 @@ def permanent_cauchy_binet(a, b, pattern: RepetitionPattern) -> PermanentResult:
     if weight(q) != npq:
         return PermanentResult(0, "cauchy_binet", 0)
     terms = math.comb(npq + m - 1, m - 1)
-    if terms * (1 << min(npq, 60)) * max(npq, 1) > TERM_BUDGET:
-        raise TooLarge("Cauchy-Binet inner-permanent budget exceeded")
+    _check_terms("Cauchy-Binet sum of inner Ryser permanents", terms * (1 << min(npq, 60)) * max(npq, 1))
     exact = exact_a and exact_b
     if not exact:
         rows_a, rows_b = as_array(rows_a), as_array(rows_b)
@@ -513,6 +699,7 @@ ALGORITHMS = {
     "ryser": permanent_ryser,
     "glynn": permanent_glynn,
     "glynn-repeated-rows": permanent_glynn_repeated_rows,
+    "glynn-multiplicity": permanent_glynn_multiplicity,
     "roots-of-unity": permanent_roots_of_unity,
     "glynn-kan": permanent_glynn_kan,
     "glynn-kan-repeated": permanent_glynn_kan_repeated,

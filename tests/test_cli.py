@@ -8,6 +8,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from permkit import rng
 from permkit.cli import main
 from permkit.numerics import ComplexMatrix
 
@@ -106,6 +107,30 @@ class TestPer:
         assert code == 1
         assert out == ""
         assert err.startswith("error:") and len(err.strip().splitlines()) == 1
+
+    def test_glynn_multiplicity_agrees_with_ryser(self, capsys, tmp_path):
+        path = tmp_path / "a.json"
+        path.write_text(json.dumps(ComplexMatrix(rng.unit_disk_matrix(3, 41)).to_json_dict()))
+        payloads = {}
+        for algo in ("glynn-multiplicity", "ryser"):
+            code, out, _ = run_cli(
+                capsys, "per", "--algo", algo, "--matrix", str(path), "--rows", "[2,1,0]", "--cols", "[0,1,2]"
+            )
+            assert code == 0
+            payloads[algo] = last_json(out)
+        got, want = payloads["glynn-multiplicity"], payloads["ryser"]
+        assert abs(complex(got["re"], got["im"]) - complex(want["re"], want["im"])) <= 1e-12
+        assert got["algo"] == "glynn_multiplicity" and got["terms"] == 1 * 2 * 3
+
+    def test_glynn_multiplicity_over_the_budget_exits_one(self, capsys, j3_file):
+        big = "[300,300,300]"
+        argv = ["per", "--algo", "glynn-multiplicity", "--matrix", j3_file, "--rows", big, "--cols", big]
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 1
+        assert out == ""
+        lines = err.strip().splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error:")
+        assert f"{301**3} terms" in lines[0] and "10000000" in lines[0]
 
 
 class TestVerify:
@@ -297,7 +322,10 @@ FLAG_VALUES = {
     "--unitary": MATRICES,
     "--rows": INDICES,
     "--cols": INDICES,
-    "--algo": ["naive", "glynn", "ryser", "glynn-kan", "cauchy-binet", "roots-of-unity", "glynn-repeated-rows", "bogus"],
+    "--algo": [
+        "naive", "glynn", "ryser", "glynn-kan", "cauchy-binet", "roots-of-unity", "glynn-repeated-rows",
+        "glynn-multiplicity", "bogus",
+    ],
     "--identity": ["sn", "dixon", "monomial", "corollary-rank-one", "generating-pow", "laplace", "bogus"],
     "--cap": ["0", "1", "2", "1,1", "-1", "x"],
     "--seed": NUMBERS,

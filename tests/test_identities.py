@@ -266,6 +266,14 @@ class TestEvenMatrix:
         with pytest.raises(OddDimension):
             verify_even_matrix(np.eye(3), "single")
 
+    @pytest.mark.parametrize("mode", ["single", "full"])
+    def test_nested_exact_input_matches_array(self, mode):
+        rows = [[Fraction(1, 2), 1, 0, Fraction(-1, 3)], [0, 1, 1, 0], [1, 0, Fraction(2, 3), 1], [1, 1, 0, 1]]
+        as_array = np.array([[complex(v) for v in row] for row in rows])
+        assert verify_even_matrix(rows, mode) == verify_even_matrix(as_array, mode)
+        with pytest.raises(OddDimension):
+            verify_even_matrix([[1, 2, 3]] * 3, mode)
+
 
 class TestTmssOverlap:
     def test_zero_amplitudes(self):
@@ -291,8 +299,13 @@ class TestTmssOverlap:
             verify_tmss_overlap(np.eye(2), [1.0], [0.2], trunc=2)
 
     def test_budget_guard(self):
+        # sum_{k <= 320} (k + 1)^2 sign-sum terms for the pairs (k, k), (k, k)
         with pytest.raises(TooLarge):
-            verify_tmss_overlap(np.eye(2), [0.1], [0.1], trunc=12)
+            verify_tmss_overlap(np.eye(2), [0.1], [0.1], trunc=320)
+
+    def test_former_budget_case_runs(self):
+        r = verify_tmss_overlap(rng.haar_unitary(2, 97), [0.1], [0.1], trunc=12, tolerance=1e-9)
+        assert r.passed and r.tail_bound < 1e-9
 
 
 def _v(w):
@@ -404,8 +417,9 @@ def test_randomized_battery_sweep(seed):
 
 
 class TestOracleLimitBeforeSeriesWork:
-    """Verifiers whose permanent side needs a brute-force permanent above
-    NAIVE_MAX_DIM raise TooLarge before building any series."""
+    """Verifiers whose permanent side needs more than TERM_BUDGET sign-sum
+    terms, prod_j (q_j + 1) per pair (p, q), raise TooLarge before building
+    any series."""
 
     @pytest.fixture(autouse=True)
     def no_series(self, monkeypatch):
@@ -418,12 +432,14 @@ class TestOracleLimitBeforeSeriesWork:
     @pytest.mark.parametrize(
         "run",
         [
-            lambda: verify_macmahon(rng.unit_disk_matrix(4, 1), 3),
-            lambda: verify_mmmt_two(rng.unit_disk_matrix(2, 1), rng.unit_disk_matrix(2, 2), 6),
-            lambda: verify_generating_function(rng.unit_disk_matrix(2, 1), "log", 6),
-            lambda: verify_corollary_rank_one(rng.unit_disk_matrix(2, 1), (6, 5), (5, 6)),
-            lambda: verify_monomial_glynn(rng.unit_disk_matrix(3, 1), (4, 4, 3), 4),
-            lambda: verify_even_matrix(rng.unit_disk_matrix(4, 1), "full", 3),
+            # 66^4 terms over the pairs (p, p), p <= (10, 10, 10, 10)
+            lambda: verify_macmahon(rng.unit_disk_matrix(4, 1), 10),
+            # three tables of sum_{k <= 3000} (k + 1) terms
+            lambda: verify_mmmt_two(rng.unit_disk_matrix(1, 1), rng.unit_disk_matrix(1, 2), 3000),
+            lambda: verify_generating_function(rng.unit_disk_matrix(1, 1), "log", 5000),
+            lambda: verify_corollary_rank_one(rng.unit_disk_matrix(4, 1), (60,) * 4, (60,) * 4),
+            lambda: verify_monomial_glynn(rng.unit_disk_matrix(2, 1), (200, 200), 400),
+            lambda: verify_even_matrix(rng.unit_disk_matrix(2, 1), "full", 320),
             lambda: verify_even_matrix(rng.unit_disk_matrix(12, 1), "single"),
         ],
         ids=["macmahon", "mmmt-two", "generating", "corollary", "monomial", "even-full", "even-single"],
@@ -437,3 +453,38 @@ class TestOracleLimitBeforeSeriesWork:
         assert sum(caps) > ident.NAIVE_MAX_DIM
         with pytest.raises(AssertionError, match="series work started"):
             verify_macmahon(DIXON_MATRIX, caps)
+
+
+class TestPermanentSideAboveTheOldDimensionLimit:
+    """Inputs whose permanent side once needed a brute-force permanent above
+    dimension 10 now run on the multiplicity sign sum and pass."""
+
+    def test_complex_macmahon_4x4_cap_3(self):
+        r = verify_macmahon(rng.unit_disk_matrix(4, 1), 3)
+        assert r.passed and r.max_abs_error <= 1e-8
+        assert r.num_coefficients_checked == 4**4
+
+    @pytest.mark.parametrize(
+        "run",
+        [
+            lambda: verify_mmmt_two(rng.unit_disk_matrix(2, 1), rng.unit_disk_matrix(2, 2), 6),
+            lambda: verify_generating_function(rng.unit_disk_matrix(2, 1), "log", 6),
+            lambda: verify_corollary_rank_one(rng.unit_disk_matrix(2, 1), (6, 5), (5, 6)),
+            lambda: verify_monomial_glynn(rng.unit_disk_matrix(3, 1), (4, 4, 3), 4),
+            lambda: verify_even_matrix(rng.unit_disk_matrix(4, 1), "full", 3),
+        ],
+        ids=["mmmt-two", "generating", "corollary", "monomial", "even-full"],
+    )
+    def test_former_limit_cases_pass(self, run):
+        r = run()
+        assert r.passed and r.max_abs_error <= 1e-8
+
+    def test_exact_macmahon_checks_every_coefficient_against_a_permanent(self):
+        # 125 coefficients, each against its permanent and the monomial route
+        r = verify_macmahon(DIXON_MATRIX, 4, 0.0)
+        assert r.passed and r.max_abs_error == 0.0
+        assert r.num_coefficients_checked == 2 * 5**3
+
+    def test_term_rule_message_states_terms_and_budget(self):
+        with pytest.raises(TooLarge, match=r"needs 18974736 terms; the budget is 10000000"):
+            verify_macmahon(rng.unit_disk_matrix(4, 1), 10)

@@ -6,16 +6,20 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from permkit import rng
+from permkit import permanents, rng
 from permkit.combinatorics import RepetitionPattern, factorial_product, repeat_matrix
 from permkit.errors import TooLarge, WeightMismatchWarning
 from permkit.numerics import ComplexMatrix, scaled_error
 from permkit.permanents import (
     TERM_BUDGET,
+    _multiplicity_grid,
+    _repeated_permanents,
+    _vertices,
     permanent_cauchy_binet,
     permanent_glynn,
     permanent_glynn_kan,
     permanent_glynn_kan_repeated,
+    permanent_glynn_multiplicity,
     permanent_glynn_repeated_rows,
     permanent_naive,
     permanent_roots_of_unity,
@@ -451,3 +455,129 @@ def test_non_finite_entries_fail_loudly(bad):
         for form in (a, a.tolist()):
             with pytest.raises(ValueError, match="matrix entries must be finite"):
                 call(form)
+
+
+# The multiplicity sign sum against the brute-force permanent of the expanded
+# matrix A_{p,q}, |p| = |q| <= 9 on m = 1..4 (the base matrices of the naive
+# tests above), with zero multiplicities, zero rows, all-even q and q = 1.
+
+
+def _split(g, m, n):
+    return tuple(np.bincount(g.integers(0, m, size=n), minlength=m).tolist())
+
+
+def _multiplicity_patterns(m):
+    g = rng.generator(900 + m)
+    pairs = [(_split(g, m, n), _split(g, m, n)) for n in range(10) for _ in range(2 if n < 8 else 1)]
+    pairs.append(((0,) * (m - 1) + (4,), (4,) + (0,) * (m - 1)))
+    pairs.append(((2,) * m, (2,) * m))
+    pairs.append(((1,) * m, (1,) * m))
+    return pairs
+
+
+def _grid_size(q):
+    """prod_j (q_j + 1), the float term count; the empty repetition counts 1."""
+    return math.prod(c + 1 for c in q) if sum(q) else 1
+
+
+@pytest.mark.parametrize("m", range(1, 5))
+@pytest.mark.parametrize("kind", ("int", "fraction", "mixed", "zero-row"))
+def test_multiplicity_exact_matches_naive(kind, m):
+    rows = _exact_rows(kind, m)
+    # 6A is an integer matrix; its brute-force permanent is quick at |p| = 9
+    numerators = [[int(6 * v) for v in row] for row in rows]
+    for p, q in _multiplicity_patterns(m):
+        pat = RepetitionPattern(p, q)
+        got = permanent_glynn_multiplicity(rows, pat)
+        want = Fraction(permanent_naive(repeat_matrix(numerators, pat)).value, 6 ** sum(p))
+        if not any(isinstance(rows[i][j], Fraction) for i in range(m) if p[i] for j in range(m) if q[j]):
+            want = int(want)
+        assert got.value == want and type(got.value) is type(want), (p, q)
+        if sum(p) <= 6:
+            direct = permanent_naive(repeat_matrix(rows, pat)).value
+            assert got.value == direct and type(got.value) is type(direct)
+        # the exact loop sums one of the equal terms at v and q - v
+        assert got.term_count == (_grid_size(q) // 2 if sum(q) else 1)
+
+
+@pytest.mark.parametrize("m", range(1, 5))
+@pytest.mark.parametrize("kind", ("complex", "zeros", "zero-row"))
+def test_multiplicity_float_matches_naive(kind, m):
+    a = _complex_matrix(kind, m)
+    for p, q in _multiplicity_patterns(m):
+        pat = RepetitionPattern(p, q)
+        got = permanent_glynn_multiplicity(a, pat)
+        assert isinstance(got.value, complex)
+        assert scaled_error(got.value, permanent_naive(repeat_matrix(a, pat)).value) <= 1e-13, (p, q)
+        assert got.term_count == _grid_size(q)
+
+
+@pytest.mark.parametrize("n", range(8, 13))
+def test_multiplicity_float_matches_exact_fraction_path(n):
+    # every float64 is a dyadic rational, so the exact loop on Fraction(x) is exact
+    g = rng.generator(950 + n)
+    for m in (2, 3, 4):
+        a = g.uniform(-1.0, 1.0, size=(m, m))
+        pat = RepetitionPattern(_split(g, m, n), _split(g, m, n))
+        got = permanent_glynn_multiplicity(a, pat).value
+        want = permanent_glynn_multiplicity([[Fraction(float(x)) for x in row] for row in a], pat).value
+        scale = factorial_product(pat.rows) * factorial_product(pat.cols)
+        assert scaled_error(got / scale, complex(want / scale)) <= 1e-12
+
+
+def test_multiplicity_weight_mismatch_warns_and_returns_zero():
+    for a in (np.eye(2), [[1, 0], [0, 1]]):
+        with pytest.warns(WeightMismatchWarning):
+            res = permanent_glynn_multiplicity(a, RepetitionPattern((2, 0), (1, 0)))
+        assert res.value == 0 and res.term_count == 0
+
+
+def test_multiplicity_q_ones_is_glynn():
+    exact = _int_matrix(11)
+    ones = RepetitionPattern.uniform(11)
+    got = permanent_glynn_multiplicity(exact, ones)
+    assert got.value == permanent_ryser(exact).value and type(got.value) is int
+    assert got.term_count == permanent_glynn(exact).term_count == 1 << 10
+
+
+@pytest.mark.parametrize("k", range(12))
+def test_multiplicity_grid_of_ones_is_the_vertex_table(k):
+    # the distributions' sign sums stay bit-identical on this table
+    points, weights = _multiplicity_grid(((1,) * k,))
+    vertices, signs = _vertices(k, -1)
+    assert np.array_equal(points, vertices) and points.dtype == vertices.dtype
+    assert np.array_equal(weights[0], signs) and weights.dtype == signs.dtype
+
+
+@pytest.mark.parametrize("budget", [TERM_BUDGET, 1])
+def test_batched_permanents_match_naive(monkeypatch, budget):
+    # budget 1: the shared grid is over the budget, so each q gets its own call
+    monkeypatch.setattr(permanents, "TERM_BUDGET", budget)
+    a = rng.unit_disk_matrix(3, 940)
+    exact = _exact_rows("mixed", 3)
+    pairs = [(p, q) for p, q in _multiplicity_patterns(3) if sum(p) <= 6]
+    pairs += [((1, 0, 0), (0, 2, 0)), ((0, 0, 0), (0, 0, 0))]
+    got, got_exact = _repeated_permanents(a, pairs), _repeated_permanents(exact, pairs)
+    assert set(got) == set(pairs)
+    for p, q in pairs:
+        pat = RepetitionPattern(p, q)
+        assert scaled_error(got[p, q], permanent_naive(repeat_matrix(a, pat)).value) <= 1e-13
+        assert got_exact[p, q] == permanent_naive(repeat_matrix(exact, pat)).value
+
+
+@pytest.mark.parametrize(
+    "call, terms, budget",
+    [
+        (lambda: permanent_ryser(np.eye(31)), 2**31, TERM_BUDGET),
+        (lambda: permanent_glynn([[1] * 24] * 24), 2**24, TERM_BUDGET),
+        (lambda: permanent_naive(np.ones((11, 11))), math.factorial(11), math.factorial(10)),
+        (lambda: permanent_glynn_kan(np.eye(12)), 4**12, TERM_BUDGET),
+        (lambda: permanent_glynn_kan_repeated(np.eye(6), RepetitionPattern.uniform(6)), 6**12, TERM_BUDGET),
+        (lambda: permanent_roots_of_unity(np.eye(8), RepetitionPattern.uniform(8)), 8**8, TERM_BUDGET),
+        (lambda: permanent_glynn_multiplicity(np.eye(3), RepetitionPattern((300,) * 3, (300,) * 3)), 301**3, TERM_BUDGET),
+    ],
+    ids=["ryser", "glynn", "naive", "glynn-kan", "glynn-kan-repeated", "roots-of-unity", "glynn-multiplicity"],
+)
+def test_too_large_states_terms_and_budget(call, terms, budget):
+    with pytest.raises(TooLarge, match=f"needs {terms} terms; the budget is {budget}"):
+        call()
