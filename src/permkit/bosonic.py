@@ -31,8 +31,8 @@ from .combinatorics import (
 from .errors import (
     DimensionMismatch,
     EmptyConditioning,
-    TooLarge,
     ZeroAmplitude,
+    check_budget,
 )
 from .numerics import ComplexMatrix, UnitaryMatrix, as_array
 from .permanents import _sign_sums, permanent_ryser
@@ -131,8 +131,7 @@ def bs_distribution(u, n: int) -> OutcomeDistribution:
     m = arr.shape[0]
     if not 0 <= n <= m:
         raise ValueError(f"need 0 <= n <= m, got n={n}, m={m}")
-    if count_weight(m, n) > SUPPORT_BUDGET:
-        raise TooLarge("outcome support exceeds the enumeration budget")
+    check_budget(f"outcome support of {n} photons in {m} modes", count_weight(m, n), SUPPORT_BUDGET, "outcomes")
     outcomes, powers, root_fact = _weight_outcomes(m, n)
     amps = _sign_sums(arr[:, :n], powers) / (2**n * root_fact)
     return OutcomeDistribution(dict(zip(outcomes, (np.abs(amps) ** 2).tolist())), cutoff=n, truncated_mass=0.0)
@@ -230,8 +229,7 @@ def cat_distribution(u, spec: CatInputSpec, cutoff: Optional[int] = None) -> Out
     if cutoff < n:
         raise ValueError(f"cutoff {cutoff} below the minimum photon number {n}")
     support = sum(count_weight(m, k) for k in range(n, cutoff + 1, 2))
-    if support > SUPPORT_BUDGET:
-        raise TooLarge("outcome support exceeds the enumeration budget")
+    check_budget(f"outcome support of {n}..{cutoff} photons in {m} modes", support, SUPPORT_BUDGET, "outcomes")
     probs: dict[FockOutcome, float] = {}
     for k in range(n, cutoff + 1, 2):
         outcomes, powers, root_fact = _weight_outcomes(m, k)

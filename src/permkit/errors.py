@@ -1,4 +1,6 @@
-"""Exception and warning types shared across the package."""
+"""Exception and warning types shared across the package, and the budget check."""
+
+import math
 
 
 class PermkitError(Exception):
@@ -71,3 +73,10 @@ class ZeroDerivative(PermkitError):
 
 class EmptyConditioning(PermkitError):
     """Rejection step conditions on an event of zero enumerated probability."""
+
+
+def check_budget(what: str, count: int, budget: int, unit: str = "terms") -> None:
+    """Raise TooLarge, stating the count and the budget, when count > budget."""
+    if count > budget:
+        shown = str(count) if count < 10**18 else f"about 10^{int(count.bit_length() * math.log10(2))}"
+        raise TooLarge(f"{what} needs {shown} {unit}; the budget is {budget}")

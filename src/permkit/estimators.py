@@ -20,8 +20,8 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .combinatorics import RepetitionPattern, factorial_product, weight
-from .errors import DimensionMismatch, TooLarge, WeightMismatch, ZeroDerivative
-from .permanents import _finite_array, _root_grid_double_sum
+from .errors import DimensionMismatch, WeightMismatch, ZeroDerivative
+from .permanents import _check_terms, _finite_array, _root_grid_double_sum
 from .rng import bit_generator
 
 F_CHOICES = ("pown", "exp", "geom")
@@ -179,7 +179,6 @@ def pown_grid_expectation(a, pattern: RepetitionPattern, order: Optional[int] = 
         raise WeightMismatch(f"|p| = {n} but |q| = {weight(q)}")
     order = order if order is not None else n + 1
     grid = order**m
-    if grid * grid > 10**7:
-        raise TooLarge("discrete grid exceeds the term budget")
+    _check_terms(f"discrete grid {order}^(2m)", grid * grid)
     pq = float(factorial_product(p) * factorial_product(q))
     return _root_grid_double_sum(arr, p, q, order, n) * pq / math.factorial(n) / (grid * grid)

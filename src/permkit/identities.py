@@ -32,7 +32,7 @@ from .combinatorics import (
     factorial_product,
     weight,
 )
-from .errors import OddDimension, AmplitudeOutOfRange, TooLarge, WeightMismatch
+from .errors import OddDimension, AmplitudeOutOfRange, WeightMismatch, check_budget
 from .numerics import as_array, scaled_error
 from .permanents import (
     NAIVE_MAX_DIM,
@@ -389,8 +389,7 @@ def verify_mmmt_n(matrices, cap: Union[int, Sequence[int]] = 1, tolerance: float
     if any(_dim(x) != m for x in mats):
         raise ValueError("matrices must have equal dimension")
     caps = _caps(cap, n_mats * m)
-    if math.prod(c + 1 for c in caps) > 200_000:
-        raise TooLarge("coefficient table too large")
+    check_budget("mmmt-n coefficient table", math.prod(c + 1 for c in caps), 200_000, "coefficients")
     per_block = [list(_all_exponents(caps[k * m : (k + 1) * m])) for k in range(n_mats)]
     pairs = [_equal_weight_pairs(per_block[k], per_block[(k + 1) % n_mats]) for k in range(n_mats)]
     _check_oracle(*pairs)

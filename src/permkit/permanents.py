@@ -1,4 +1,4 @@
-"""Exact permanent evaluation: brute force, Ryser, Glynn and its repeated-index
+"""Permanent evaluation: brute force, Ryser, Glynn and its repeated-index
 variants, the Glynn-Kan double sum, and the Cauchy-Binet composition rule.
 
 Conventions: the permanent of a non-square matrix is 0, the permanent of the
@@ -8,21 +8,26 @@ that the corresponding repeated matrix is rectangular.  Every formula states
 its term count, and raises `TooLarge`, naming that count and the budget,
 when it exceeds the budget.
 
-Per(A_{p,q}) comes from Glynn's sum on A_{p,q} with the sign vectors of each
-repeated column grouped by their sum: prod_j (q_j + 1) terms
-(:func:`permanent_glynn_multiplicity`).  Glynn and repeated-row Glynn are its
-q = 1 case.  On exact (int / Fraction) input it is one pure-Python
-mixed-radix Gray-code loop, :func:`_exact_multiplicity_sums`, which sums one
-of each pair of equal terms; it is the independent reference for the float
-path.  Exact Ryser and Glynn-Kan keep their own Gray-code loops.  Float
-inputs run chunked numpy kernels: :func:`_sign_sum` for Ryser, Glynn and
-repeated-row Glynn (Glynn-Kan shares its vertex table), and
-:func:`_sign_sums`, batched over many (p, q), for the multiplicity sum, the
-verifiers' permanents (:func:`_repeated_permanents`) and the sampler's
-distributions.  The roots-of-unity grids come from :func:`_root_grid` and
-are numeric-only.  The brute-force sum, :func:`_naive_sum`, walks the
-permutation prefix tree on float and exact input alike; exact zero partial
-products drop their subtree.
+Exact (int / Fraction) input has three independent routes, and each returns
+a Fraction when an entry is one, else an int.  Ryser is multi-modular: the
+sum runs mod a few primes below 2^25 in float64 numpy
+(:func:`_ryser_residues`) and the Chinese remainder theorem rebuilds it.
+Glynn is a Python big-int Gray-code loop: Per(A_{p,q}) comes from Glynn's
+sum on A_{p,q} with the sign vectors of each repeated column grouped by
+their sum, prod_j (q_j + 1) terms (:func:`permanent_glynn_multiplicity`),
+and :func:`_exact_multiplicity_sums` sums one of each pair of equal terms;
+Glynn and repeated-row Glynn are its q = 1 case.  The brute-force sum,
+:func:`_naive_sum`, walks the permutation prefix tree, on an object array
+here and on float input alike; exact zero partial products drop their
+subtree.
+Glynn-Kan keeps its own exact double loop.
+
+Float inputs run chunked numpy kernels: :func:`_sign_sum` for Ryser, Glynn
+and repeated-row Glynn (Glynn-Kan shares its vertex table, and exact Ryser
+its low/high split), and :func:`_sign_sums`, batched over many (p, q), for
+the multiplicity sum, the verifiers' permanents
+(:func:`_repeated_permanents`) and the sampler's distributions.  The
+roots-of-unity grids come from :func:`_root_grid` and are numeric-only.
 """
 
 from __future__ import annotations
@@ -45,7 +50,7 @@ from .combinatorics import (
     repeat_matrix,
     weight,
 )
-from .errors import DimensionMismatch, TooLarge, WeightMismatchWarning
+from .errors import DimensionMismatch, WeightMismatchWarning, check_budget
 from .numerics import ComplexMatrix, UnitaryMatrix, as_array
 
 TERM_BUDGET = 10**7
@@ -88,10 +93,8 @@ def _finite_array(a) -> np.ndarray:
 
 
 def _check_terms(what: str, terms: int, budget: int = TERM_BUDGET) -> None:
-    """Raise TooLarge, stating the term count and the budget, when terms > budget."""
-    if terms > budget:
-        shown = str(terms) if terms < 10**18 else f"about 10^{int(terms.bit_length() * math.log10(2))}"
-        raise TooLarge(f"{what} needs {shown} terms; the budget is {budget}")
+    """`check_budget` on a term count, against the term budget by default."""
+    check_budget(what, terms, budget)
 
 
 def _degenerate(nrows: int, ncols: int, algorithm: str) -> Optional[PermanentResult]:
@@ -238,6 +241,17 @@ def _sign_sums(cols: np.ndarray, powers: np.ndarray, mults: Optional[list] = Non
     return out
 
 
+def _integer_rows(rows) -> tuple[list[int], list[list[int]]]:
+    """(d, C) for int/Fraction rows: d_i is the lcm of row i's denominators and c_ij = d_i a_ij."""
+    dens = [math.lcm(*(v.denominator for v in row)) for row in rows]
+    return dens, [[v.numerator * (d // v.denominator) for v in row] for row, d in zip(rows, dens)]
+
+
+def _exact_type(value, rows) -> Scalar:
+    """An exact permanent of ``rows`` as a Fraction when an entry is one, else as an int."""
+    return Fraction(value) if any(isinstance(v, Fraction) for row in rows for v in row) else int(value)
+
+
 def _exact_multiplicity_sums(rows, pairs) -> list[tuple[Scalar, int]]:
     """(Per(A_{p,q}), term count) per pair, for int/Fraction rows and |p| = |q| >= 1.
 
@@ -245,8 +259,8 @@ def _exact_multiplicity_sums(rows, pairs) -> list[tuple[Scalar, int]]:
     scales Per(A_{p,q}) by prod d_i^{p_i}; `_half_sign_sum` does the rest.
     A result is a Fraction when an entry of A_{p,q} is one, else an int.
     """
-    dens = [math.lcm(*(v.denominator for v in row)) for row in rows]
-    cols = list(zip(*([int(v * d) for v in row] for row, d in zip(rows, dens))))
+    dens, ints = _integer_rows(rows)
+    cols = list(zip(*ints))
     fractions = [[isinstance(v, Fraction) for v in row] for row in rows]
     out = []
     for p, q in pairs:
@@ -378,12 +392,122 @@ def permanent_naive(a) -> PermanentResult:
     return PermanentResult(_naive_sum(arr), "naive", math.factorial(m))
 
 
-def _columns(rows, m: int, ncols: int):
-    return [tuple(rows[i][j] for i in range(m)) for j in range(ncols)]
+# The exact Ryser kernel computes with integers held in float64, which is
+# exact for every integer of magnitude below 2^53.  Every float it makes is
+# such an integer:
+# - a shared row's subset sums lie within its bound r_i < 2^52, and a
+#   group's product of them within the product of the group's bounds (each
+#   r_i >= 1), which stays below 2^52;
+# - a per-prime row holds residues in [0, p) for p < 2^25, and its subset
+#   sums of at most m of them are reduced before use;
+# - `_balanced` gives residues in [-(p - 1)/2, (p - 1)/2], and its q p stays
+#   below 2^52 + 2^25;
+# - a per-prime factor adds two balanced residues (below 2^25), so a product
+#   of two factors is below 2^50 before it is reduced;
+# - a block's signed sum of at most 2^_LOW_BITS factors is below 2^35, and
+#   the blocks add up in int64.
+_PRIME_BITS = 25
+_EXACT = 1 << 52
+
+
+@lru_cache(maxsize=None)
+def _prime_below(n: int) -> int:
+    """The largest prime below n > 3, by trial division."""
+    c = (n - 2) | 1
+    while not all(c % d for d in range(3, math.isqrt(c) + 1, 2)):
+        c -= 2
+    return c
+
+
+def _crt_primes(bound: int) -> list[int]:
+    """The largest primes below 2^_PRIME_BITS, as few as make their product
+    exceed ``bound``, largest first.  Each is found on first use and cached."""
+    primes, product = [], 1
+    while product <= bound:
+        primes.append(_prime_below(primes[-1] if primes else 1 << _PRIME_BITS))
+        product *= primes[-1]
+    return primes
+
+
+def _balanced(x: np.ndarray, primes: np.ndarray) -> np.ndarray:
+    """x mod p in [-(p - 1)/2, (p - 1)/2] for integer-valued float64 |x| < 2^52 and odd p < 2^25.
+
+    x/p lies at least 1/(2p) from a half-integer, and float division moves it
+    by less than |x/p| 2^-53 < 1/(2p), so rint gives the nearest integer q;
+    then |q p| <= |x| + p/2 < 2^53 and x - q p are exact.
+    """
+    q = x / primes
+    np.rint(q, out=q)
+    q *= primes
+    return np.subtract(x, q, out=q)
+
+
+def _ryser_residues(ints: list, bounds: list, primes: list) -> list[int]:
+    """Ryser's sum for the integer rows ``ints`` mod each prime, in [0, p).
+
+    The sum runs as `_sign_sum` does with lo = 0: the low bits of the column
+    subset come from the cached `_vertices` table in one matmul, the high bits
+    are an outer loop.  A row with bound (absolute row sum) below 2^52 is
+    shared: its subset sums are exact in float64 for every prime at once, and
+    consecutive shared rows multiply while the product of their bounds stays
+    below 2^52 before the product is reduced mod each prime.  Other rows hold
+    per-prime residues.  The factors, shared (1, block) and per-prime
+    (k, block), multiply into one (k, block) product by broadcasting.
+    """
+    m, k = len(ints), len(primes)
+    shared = [i for i in range(m) if bounds[i] < _EXACT]
+    groups, start, product = [], 0, 1
+    for t, i in enumerate(shared):
+        if product * bounds[i] >= _EXACT:
+            groups.append((start, t))
+            start, product = t, 1
+        product *= bounds[i]
+    groups.append((start, len(shared)))
+    big = [ints[i] for i in range(m) if bounds[i] >= _EXACT]
+    ps = np.array(primes, dtype=np.float64)[:, None]
+    low = min(m, _LOW_BITS)
+    x_low, s_low = _vertices(low, 0)
+    x_high, s_high = _vertices(m - low, 0)
+    x_low, x_high = x_low.real.T, x_high.real
+    rows = np.array([ints[i] for i in shared], dtype=np.float64).reshape(len(shared), m)
+    part = rows[:, :low] @ x_low
+    moduli = np.array(primes, dtype=object)[:, None, None]
+    residues = (np.array(big, dtype=object).reshape(len(big), m) % moduli).astype(np.float64)
+    part_big = _balanced(residues[:, :, :low] @ x_low, ps[:, :, None])
+    total = np.zeros(k, dtype=np.int64)
+    for xh, sh in zip(x_high, s_high):
+        sums = part + (rows[:, low:] @ xh)[:, None]
+        factors = [_balanced(sums[lo:hi].prod(axis=0), ps) for lo, hi in groups if hi > lo]
+        if big:
+            per_prime = part_big + _balanced(residues[:, :, low:] @ xh, ps)[:, :, None]
+            factors += list(per_prime.transpose(1, 0, 2))
+        acc = factors[0]
+        for f in factors[1:]:
+            acc = _balanced(acc * f, ps)
+        total += int(sh) * (acc @ s_low).astype(np.int64)
+    return [int(t) % p for t, p in zip(total, primes)]
+
+
+def _crt(residues: list, primes: list) -> int:
+    """The x with |x| < M/2 and x = r mod p for each residue r and prime p, M = prod p (odd)."""
+    modulus = math.prod(primes)
+    x = sum(r * (modulus // p) * pow(modulus // p, -1, p) for r, p in zip(residues, primes)) % modulus
+    return x - modulus if 2 * x > modulus else x
 
 
 def permanent_ryser(a) -> PermanentResult:
-    """Inclusion-exclusion over column subsets with Gray-code row-sum updates."""
+    """Ryser's inclusion-exclusion over column subsets: (2^m - 1) terms.
+
+    Float input runs `_sign_sum`.  Int/Fraction input is exact and
+    multi-modular: row i is scaled to integers by the lcm d_i of its
+    denominators, and |Per| <= B = prod_i max(sum_j |c_ij|, 1) for the scaled
+    entries c.  The largest primes below 2^25 are taken until their product
+    M exceeds 2B; `_ryser_residues` gives Per mod each prime in float64, and
+    the Chinese remainder theorem rebuilds it in (-M/2, M/2), then divides by
+    prod_i d_i.  It costs about 2^m * m * k float operations for
+    k ~ log2(2B) / 25 primes.  The result is a Fraction when an entry is
+    one, else an int.
+    """
     data, nrows, ncols, exact = _coerce(a)
     deg = _degenerate(nrows, ncols, "ryser")
     if deg is not None:
@@ -393,27 +517,11 @@ def permanent_ryser(a) -> PermanentResult:
     if not exact:
         # x_j = 1 puts column j in the subset; the sign (-1)^(m - |S|) is Ryser's
         return PermanentResult(_sign_sum(data, 0), "ryser", (1 << m) - 1)
-    cols = _columns(data, m, ncols)
-    sums = [0] * m
-    total = 0
-    size = 0
-    for k in range(1, 1 << m):
-        j = (k & -k).bit_length() - 1
-        col = cols[j]
-        if ((k ^ (k >> 1)) >> j) & 1:
-            size += 1
-            for i in range(m):
-                sums[i] += col[i]
-        else:
-            size -= 1
-            for i in range(m):
-                sums[i] -= col[i]
-        term = 1
-        for s in sums:
-            term *= s
-        total += term if size % 2 == 0 else -term
-    value = total if m % 2 == 0 else -total
-    return PermanentResult(value, "ryser", (1 << m) - 1)
+    dens, ints = _integer_rows(data)
+    bounds = [max(sum(map(abs, row)), 1) for row in ints]
+    primes = _crt_primes(2 * math.prod(bounds))
+    value = _crt(_ryser_residues(ints, bounds, primes), primes)
+    return PermanentResult(_exact_type(Fraction(value, math.prod(dens)), data), "ryser", (1 << m) - 1)
 
 
 def _glynn_float(arr: np.ndarray) -> complex:
@@ -433,7 +541,7 @@ def permanent_glynn(a) -> PermanentResult:
         return PermanentResult(_glynn_float(data), "glynn", 1 << (m - 1))
     ones = (1,) * m
     ((value, terms),) = _exact_multiplicity_sums(data, [(ones, ones)])
-    return PermanentResult(Fraction(value), "glynn", terms)
+    return PermanentResult(value, "glynn", terms)
 
 
 def permanent_glynn_repeated_rows(a, q) -> PermanentResult:
@@ -452,11 +560,13 @@ def permanent_glynn_repeated_rows(a, q) -> PermanentResult:
         raise DimensionMismatch("repetition vector length must equal the matrix dimension")
     if weight(q) != n:
         return PermanentResult(0, "glynn_repeated_rows", 0)
+    if n == 0:
+        return PermanentResult(1, "glynn_repeated_rows", 1)
     _check_terms("repeated-row Glynn sum over all sign vectors", 1 << n)
     if not exact:
         return PermanentResult(_glynn_float(np.repeat(data, q, axis=0)), "glynn_repeated_rows", 1 << (n - 1))
     ((value, terms),) = _exact_multiplicity_sums(data, [(q, (1,) * n)])
-    return PermanentResult(Fraction(value), "glynn_repeated_rows", terms)
+    return PermanentResult(value, "glynn_repeated_rows", terms)
 
 
 def permanent_glynn_multiplicity(a, pattern: RepetitionPattern) -> PermanentResult:
@@ -614,7 +724,7 @@ def permanent_glynn_kan(a) -> PermanentResult:
     denom = 4**m * math.factorial(m)
     if not exact:
         return PermanentResult(_glynn_kan_sum(data) / denom, "glynn_kan", 4**m)
-    cols = _columns(data, m, ncols)
+    cols = list(zip(*data))
     w = [sum(row) for row in data]  # w_i = (A y)_i, y = all ones
     ys = [1] * m
     sign_y = 1
@@ -639,7 +749,7 @@ def permanent_glynn_kan(a) -> PermanentResult:
             sign_x = -sign_x
             inner += sign_x * s**m
         total += sign_y * inner
-    return PermanentResult(Fraction(total, denom), "glynn_kan", 4**m)
+    return PermanentResult(_exact_type(Fraction(total, denom), data), "glynn_kan", 4**m)
 
 
 def permanent_glynn_kan_repeated(a, pattern: RepetitionPattern, chunk: int = 256) -> PermanentResult:
@@ -685,12 +795,8 @@ def permanent_cauchy_binet(a, b, pattern: RepetitionPattern) -> PermanentResult:
         pa = permanent_ryser(repeat_matrix(rows_a, RepetitionPattern(p, k))).value
         pb = permanent_ryser(repeat_matrix(rows_b, RepetitionPattern(k, q))).value
         kfac = factorial_product(k)
-        if exact:
-            total += Fraction(pa * pb, kfac)
-        else:
-            total += pa * pb / kfac
-    if not exact:
-        total = complex(total)
+        total += Fraction(pa * pb, kfac) if exact else pa * pb / kfac
+    total = _exact_type(total, (*rows_a, *rows_b)) if exact else complex(total)
     return PermanentResult(total, "cauchy_binet", terms)
 
 

@@ -43,7 +43,7 @@ from .errors import (
     ExceedsCap,
     NonInvertibleConstantTerm,
     RingMismatch,
-    TooLarge,
+    check_budget,
 )
 
 RATIONAL = "rational"
@@ -385,8 +385,7 @@ def det_series(mat: Sequence[Sequence[TruncatedSeries]]) -> TruncatedSeries:
         raise DimensionMismatch("series matrix must be square")
     if k == 0:
         raise DimensionMismatch("empty series matrix")
-    if k > DET_SERIES_MAX_DIM:
-        raise TooLarge(f"det_series limited to dim <= {DET_SERIES_MAX_DIM}")
+    check_budget("det_series", k, DET_SERIES_MAX_DIM, "rows")
     first = mat[0][0]
     for row in mat:
         for s in row:

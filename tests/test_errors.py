@@ -1,0 +1,47 @@
+"""Every TooLarge message states what was counted, the count and the budget."""
+
+import numpy as np
+import pytest
+
+from permkit import bosonic, estimators, identities, series
+from permkit.combinatorics import RepetitionPattern
+from permkit.errors import TooLarge, check_budget
+
+SIX = RepetitionPattern((6, 0, 0, 0, 0, 0), (6, 0, 0, 0, 0, 0))
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (
+            lambda: bosonic.bs_distribution(np.eye(40), 8),
+            "outcome support of 8 photons in 40 modes needs 314457495 outcomes; the budget is 1000000",
+        ),
+        (
+            lambda: bosonic.cat_distribution(np.eye(40), bosonic.CatInputSpec(0.5, 2, 40), 8),
+            "outcome support of 2..8 photons in 40 modes needs 322726785 outcomes; the budget is 1000000",
+        ),
+        (
+            lambda: estimators.pown_grid_expectation(np.eye(6), SIX),
+            r"discrete grid 7\^\(2m\) needs 13841287201 terms; the budget is 10000000",
+        ),
+        (
+            lambda: identities.verify_mmmt_n([np.eye(3)] * 3, 3),
+            "mmmt-n coefficient table needs 262144 coefficients; the budget is 200000",
+        ),
+        (
+            lambda: series.det_series([[series.TruncatedSeries.one((1,), series.RATIONAL)] * 9] * 9),
+            "det_series needs 9 rows; the budget is 8",
+        ),
+    ],
+    ids=["bs-distribution", "cat-distribution", "pown-grid", "mmmt-n", "det-series"],
+)
+def test_too_large_states_count_and_budget(call, message):
+    with pytest.raises(TooLarge, match=f"^{message}$"):
+        call()
+
+
+def test_check_budget_passes_at_the_budget_and_rounds_huge_counts():
+    check_budget("x", 10, 10)
+    with pytest.raises(TooLarge, match=r"^x needs about 10\^30 terms; the budget is 10$"):
+        check_budget("x", 10**30, 10)

@@ -1,4 +1,7 @@
 import math
+import os
+import subprocess
+import sys
 from fractions import Fraction
 
 import numpy as np
@@ -187,6 +190,11 @@ class TestGlynnRepeatedRows:
     def test_weight_mismatch_is_zero(self):
         a = rng.unit_disk_matrix(3, 6)
         assert permanent_glynn_repeated_rows(a, (2, 1, 1)).value == 0
+
+    def test_empty_matrix_is_one(self):
+        for a in ([], np.zeros((0, 0))):
+            res = permanent_glynn_repeated_rows(a, ())
+            assert res.value == 1 and type(res.value) is int and res.term_count == 1
 
     def test_against_naive_on_repeated(self):
         a = rng.unit_disk_matrix(4, 7)
@@ -581,3 +589,182 @@ def test_batched_permanents_match_naive(monkeypatch, budget):
 def test_too_large_states_terms_and_budget(call, terms, budget):
     with pytest.raises(TooLarge, match=f"needs {terms} terms; the budget is {budget}"):
         call()
+
+
+# Exact Ryser runs mod primes below 2^25 in float64 and rebuilds Per by the
+# Chinese remainder theorem.  It must equal exact Glynn (a Python big-int
+# Gray code) and the brute-force sum (an object prefix tree) in value and
+# type on every kind of exact input.
+
+P1, P2, P3 = permanents._crt_primes(2**60)[:3]
+EDGE = (1 << 52) - 1
+
+
+def _sum_row(total, n, signs):
+    """n entries with the given signs whose absolute values sum to ``total``."""
+    head = total - 3 * (n - 1)
+    return [s * v for s, v in zip(signs, [head] + [3] * (n - 1))]
+
+
+def _ryser_cases():
+    g = rng.generator(1200)
+    cases = {f"int-{n}": g.integers(-9, 10, size=(n, n)).tolist() for n in range(1, 10)}
+    num, den = g.integers(-9, 10, size=(6, 6)).tolist(), g.integers(1, 30, size=(6, 6)).tolist()
+    cases["fraction"] = [[Fraction(a, b) for a, b in zip(r, d)] for r, d in zip(num, den)]
+    cases["near-1e30"] = [[10**30 * int(s) + int(v) for s, v in zip(r, t)]
+                          for r, t in zip(g.choice((-1, 1), size=(6, 6)), g.integers(-99, 100, size=(6, 6)))]
+    cases["dyadic"] = [[Fraction(float(x)) for x in row] for row in g.uniform(-1.0, 1.0, size=(7, 7))]
+    signs = g.choice((-1, 1), size=(5, 5)).tolist()
+    sums = (EDGE, EDGE + 1, EDGE + 2, EDGE - 1, 40)
+    cases["row-sums-near-2^52"] = [_sum_row(t, 5, s) for t, s in zip(sums, signs)]
+    cases["two-shared-at-2^52"] = [_sum_row(EDGE, 4, s[:4]) for s in signs[:4]]
+    # one shared product of bound 2^52 - 2^26, which the full subset reaches
+    cases["shared-product-near-2^52"] = [_sum_row(2**26, 3, (1, 1, 1)), _sum_row(2**26 - 1, 3, (1, 1, 1)), [1, -1, 1]]
+    # |Per| = B, with 2B just below the largest prime, just above it, and just
+    # below the product of the two and of the three largest primes
+    cases["crt-edge-one-prime"] = [[(P1 - 1) // 2]]
+    cases["crt-edge-past-one-prime"] = [[-(P1 + 1) // 2]]
+    cases["crt-edge-shared"] = [[(P1 * P2 - 1) // 2, 0, 0], [0, 1, 0], [0, 0, -1]]
+    cases["crt-edge-per-prime"] = [[-1, 0], [0, (P1 * P2 * P3 - 1) // 2]]
+    cases["zero-row"] = [[1, 2, 3], [0, 0, 0], [4, 5, 6]]
+    cases["fraction-zero-row"] = [[1, 2], [Fraction(0), 0]]
+    cases["1x1"] = [[-7]]
+    cases["1x1-fraction"] = [[Fraction(-7, 3)]]
+    cases["0x0"] = []
+    cases["2x3"] = [[1, 2, 3], [4, 5, 6]]
+    return cases
+
+
+RYSER_CASES = _ryser_cases()
+
+
+def _assert_exact_routes_agree(rows):
+    got = permanent_ryser(rows).value
+    for ref in (permanent_glynn(rows).value, permanent_naive(rows).value):
+        assert got == ref and type(got) is type(ref)
+    return got
+
+
+@pytest.mark.parametrize("name", RYSER_CASES)
+def test_exact_ryser_matches_glynn_and_naive(name):
+    rows = RYSER_CASES[name]
+    got = _assert_exact_routes_agree(rows)
+    assert isinstance(got, Fraction) == any(isinstance(v, Fraction) for r in rows for v in r)
+
+
+def test_exact_ryser_crt_edges_are_the_bound():
+    assert permanent_ryser(RYSER_CASES["crt-edge-one-prime"]).value == (P1 - 1) // 2
+    assert permanent_ryser(RYSER_CASES["crt-edge-past-one-prime"]).value == -(P1 + 1) // 2
+    assert permanent_ryser(RYSER_CASES["crt-edge-shared"]).value == -(P1 * P2 - 1) // 2
+    assert permanent_ryser(RYSER_CASES["crt-edge-per-prime"]).value == -(P1 * P2 * P3 - 1) // 2
+
+
+@pytest.mark.parametrize("n", (11, 13))
+def test_exact_ryser_high_bits_match_glynn(n):
+    g = rng.generator(1250 + n)
+    for rows in (
+        g.integers(-9, 10, size=(n, n)).tolist(),
+        [[int(v) * 10**12 + 1 for v in row] for row in g.integers(-9, 10, size=(n, n))],
+        [[Fraction(float(x)) for x in row] for row in g.uniform(-1.0, 1.0, size=(n, n))],
+    ):
+        got, ref = permanent_ryser(rows).value, permanent_glynn(rows).value
+        assert got == ref and type(got) is type(ref)
+
+
+ENTRIES = st.one_of(
+    st.integers(-9, 9),
+    st.integers(-(10**30), 10**30),
+    st.fractions(min_value=-1000, max_value=1000, max_denominator=10**9),
+    st.floats(-1.0, 1.0).map(Fraction),
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(1, 5).flatmap(lambda n: st.lists(st.lists(ENTRIES, min_size=n, max_size=n), min_size=n, max_size=n)))
+def test_exact_ryser_property_matches_glynn_and_naive(rows):
+    _assert_exact_routes_agree(rows)
+
+
+def test_balanced_residues_are_exact_at_the_float_limits():
+    # x up to 2^52 - 1 with the rounding of x/p at its worst, near half-integers
+    for p in (P1, permanents._crt_primes(2**2000)[-1]):
+        top = (1 << 52) // p
+        xs = [EDGE, EDGE - 1, 1, 0, p, (p - 1) // 2, (p + 1) // 2]
+        xs += [j * p + h for j in (top - 1, top // 3) for h in ((p - 1) // 2, (p + 1) // 2)]
+        xs += [-x for x in xs]
+        assert all(abs(x) <= EDGE for x in xs)
+        got = permanents._balanced(np.array(xs, dtype=np.float64), np.array([[float(p)]]))[0]
+        for x, r in zip(xs, got.tolist()):
+            want = x % p - p if x % p > p // 2 else x % p
+            assert r == want and abs(r) <= (p - 1) // 2, (x, p)
+
+
+def test_crt_primes_are_the_largest_primes_below_2_25():
+    primes = permanents._crt_primes(2**1000)
+    assert math.prod(primes) > 2**1000 >= math.prod(primes[:-1])
+    assert primes == sorted(primes, reverse=True) and primes[0] < 1 << 25
+    assert all(p % d for p in primes for d in range(2, math.isqrt(p) + 1))
+    gaps = [n for a, b in zip(primes, primes[1:]) for n in range(b + 1, a)]
+    assert not any(all(n % d for d in range(2, math.isqrt(n) + 1)) for n in gaps)
+    assert permanents._crt_primes(0) == [] and permanents._crt_primes(1) == primes[:1]
+
+
+def test_no_primes_at_import():
+    code = (
+        "import permkit.permanents as p; assert p._prime_below.cache_info().currsize == 0; "
+        "p.permanent_ryser([[2]]); print(p._prime_below.cache_info().currsize)"
+    )
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(permanents.__file__)))
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True, env=env)
+    assert out.stdout.strip() == "1"
+
+
+EXACT_ROUTES = {
+    "naive": permanent_naive,
+    "ryser": permanent_ryser,
+    "glynn": permanent_glynn,
+    "glynn-repeated-rows": lambda a: permanent_glynn_repeated_rows(a, (1,) * len(a)),
+    "glynn-multiplicity": lambda a: permanent_glynn_multiplicity(a, RepetitionPattern.uniform(len(a))),
+    "glynn-kan": permanent_glynn_kan,
+    "cauchy-binet": lambda a: permanent_cauchy_binet(a, [[1, 0, 0], [0, 1, 0], [0, 0, 1]], RepetitionPattern.uniform(3)),
+}
+
+
+def test_exact_routes_cover_the_algorithm_table():
+    assert set(EXACT_ROUTES) == set(permanents.ALGORITHMS) - {"roots-of-unity", "glynn-kan-repeated"}
+
+
+@pytest.mark.parametrize("route", EXACT_ROUTES)
+@pytest.mark.parametrize(
+    "rows, kind",
+    [
+        ([[1, 2, 0], [3, 4, 1], [0, 1, 1]], int),
+        ([[True, 2, 0], [3, 4, 1], [0, 1, 1]], int),
+        ([[Fraction(1), 2, 0], [3, 4, 1], [0, 1, 1]], Fraction),
+        ([[1, 2, 0], [3, 4, 1], [0, 1, Fraction(1, 2)]], Fraction),
+    ],
+    ids=["int", "bool", "integral-fraction", "fraction"],
+)
+def test_exact_result_is_a_fraction_iff_an_entry_is(route, rows, kind):
+    got = EXACT_ROUTES[route](rows).value
+    assert type(got) is kind
+    assert got == permanent_naive(rows).value
+
+
+# Float accuracy against the exact value: every float64 is a dyadic rational,
+# so exact Ryser on Fraction(x) entries is the true permanent of the float
+# matrix.  The a-priori scale of the rounding error is n * 2^-52 * B with
+# B = prod_i sum_j |a_ij| >= |Per|.
+
+
+@pytest.mark.parametrize("n", (8, 10, 12))
+def test_float_error_within_the_a_priori_bound(n):
+    a = rng.generator(1300 + n).uniform(-1.0, 1.0, size=(n, n))
+    exact = [[Fraction(float(x)) for x in row] for row in a]
+    want = permanent_ryser(exact).value
+    assert permanent_glynn(exact).value == want
+    bound = n * Fraction(2) ** -52 * math.prod(sum(abs(v) for v in row) for row in exact)
+    for kernel in (permanent_glynn, permanent_ryser):
+        got = kernel(a).value
+        assert got.imag == 0
+        assert abs(Fraction(got.real) - want) <= bound, kernel.__name__
