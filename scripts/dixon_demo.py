@@ -12,20 +12,20 @@ Prints all four exact big integers per n.
 import math
 
 from permkit.combinatorics import factorial_product
-from permkit.identities import DIXON_MATRIX, _inverse_det_eye_minus_za, _monomial_power
-from permkit.series import RATIONAL
+from permkit.identities import DIXON_MATRIX, _monomial_power, _n_matrix_rhs, _normalize
 
 N_MAX = 4
 
 
 def main() -> None:
     caps = (2 * N_MAX,) * 3
-    inv = _inverse_det_eye_minus_za(DIXON_MATRIX, RATIONAL, caps)
+    mat, ring = _normalize(DIXON_MATRIX)
+    inv = _n_matrix_rhs([mat], ring, caps)
     for n in range(1, N_MAX + 1):
         p = (2 * n,) * 3
         pf = factorial_product(p)
         from_det = pf * inv.coefficient(p)
-        from_monomial = pf * _monomial_power(DIXON_MATRIX, RATIONAL, caps, p).coefficient(p)
+        from_monomial = pf * _monomial_power(mat, ring, caps, p).coefficient(p)
         binom = pf * sum((-1) ** k * math.comb(2 * n, k) ** 3 for k in range(2 * n + 1))
         closed = pf * (-1) ** n * math.factorial(3 * n) // math.factorial(n) ** 3
         print(f"n={n}  p={p}")

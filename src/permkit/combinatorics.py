@@ -68,21 +68,21 @@ class RepetitionPattern:
 
 
 def _is_exact_rows(a) -> bool:
-    if isinstance(a, (np.ndarray, ComplexMatrix, UnitaryMatrix)):
+    """True when every entry is an int or a Fraction, given as nested sequences
+    or as a 2-d object array; exact routes keep such input exact."""
+    if isinstance(a, (ComplexMatrix, UnitaryMatrix)):
         return False
-    for row in a:
-        for v in row:
-            if not isinstance(v, (int, Fraction)):
-                return False
-    return True
+    if isinstance(a, np.ndarray) and (a.dtype != object or a.ndim != 2):
+        return False
+    return all(isinstance(v, (int, Fraction)) for row in a for v in row)
 
 
 def repeat_matrix(a, pattern: RepetitionPattern):
     """Return A_{p,q} with rows repeated first, then columns.
 
     Numeric input yields an ``np.ndarray`` of shape (|p|, |q|); exact input
-    (int / Fraction entries) yields nested tuples so downstream arithmetic
-    stays exact.
+    (int / Fraction entries, see `_is_exact_rows`) yields nested tuples so
+    downstream arithmetic stays exact.
     """
     p, q = pattern.rows, pattern.cols
     if _is_exact_rows(a):

@@ -1,14 +1,19 @@
 """Executable verification of permanent identities.
 
 Every verifier computes both sides of an identity independently and reports
-the maximum coefficient discrepancy.  The permanent side comes from the
-multiplicity-aware Glynn sum: each verifier collects its (p, q) pairs and
-gets every Per(A_{p,q}) of one matrix from one batched call
-(`permanents._repeated_permanents`); only even-single takes the brute-force
-permanent of its matrix.  The closed-form side comes from determinants and
-truncated series.  Before any series work a verifier raises `TooLarge` when
-its permanent side needs more than the term budget, prod_j (q_j + 1) terms
-per pair.  Exact-ring checks report a literal 0.0 error on success.
+the maximum coefficient discrepancy.  A matrix is held in one form: an
+object array of int/Fraction entries, checked in the rational ring, or a
+complex128 array, checked in the complex ring (`_normalize`); each scalar
+coefficient is made once in its ring (`_ratio`).  The permanent side comes
+from the multiplicity-aware Glynn sum: each verifier collects its (p, q)
+pairs and gets every Per(A_{p,q}) of one matrix from one batched call
+(`_permanent_side`); only even-single takes the brute-force permanent of
+its matrix.  The closed-form side comes from determinants and truncated
+series; MacMahon, the two-matrix and the N-matrix theorems share one,
+1/Det(I - Z_1 A_1 ... Z_N A_N) (`_n_matrix_rhs`).  Before any series work a
+verifier raises `TooLarge` when its permanent side needs more than the term
+budget, prod_j (q_j + 1) terms per pair.  Exact-ring checks report a
+literal 0.0 error on success.
 """
 
 from __future__ import annotations
@@ -25,7 +30,6 @@ import numpy as np
 from . import rng
 from .combinatorics import (
     RepetitionPattern,
-    _is_exact_rows,
     count_weight,
     enumerate_splits,
     enumerate_weight,
@@ -37,6 +41,7 @@ from .numerics import as_array, scaled_error
 from .permanents import (
     NAIVE_MAX_DIM,
     _check_terms,
+    _coerce,
     _multiplicity_terms,
     _repeated_permanents,
     permanent_naive,
@@ -99,32 +104,33 @@ class _Tracker:
 
 
 def _normalize(a):
-    """-> (matrix object, ring). Exact nested int/Fraction input stays exact."""
-    if _is_exact_rows(a):
-        return tuple(tuple(r) for r in a), RATIONAL
-    return as_array(a), COMPLEX
+    """-> (matrix, ring): an object array of the entries for int/Fraction input
+    (the rational ring), else a finite complex128 array (the complex ring).
+
+    Series builders read entries from ``matrix.tolist()``, which gives Python
+    int/Fraction or complex values, not numpy scalars.
+    """
+    data, nrows, ncols, exact = _coerce(a)
+    if exact:
+        return np.array(data, dtype=object).reshape(nrows, ncols), RATIONAL
+    return data, COMPLEX
 
 
-def _dim(mat) -> int:
-    return mat.shape[0] if isinstance(mat, np.ndarray) else len(mat)
+def _ratio(ring: str, num, den: int):
+    """num / den in the ring: a Fraction in the rational ring, else a float
+    or complex quotient."""
+    return Fraction(num, den) if ring == RATIONAL else num / den
 
 
-def _entry(mat, i: int, j: int, ring: str):
-    v = mat[i][j] if not isinstance(mat, np.ndarray) else mat[i, j]
-    return Fraction(v) if ring == RATIONAL else complex(v)
+def _permanent_side(*jobs) -> list[dict]:
+    """{(p, q): Per(A_{p,q})} for each (matrix A, pairs) job, one batched call per matrix.
 
-
-def _transpose(mat):
-    if isinstance(mat, np.ndarray):
-        return mat.T
-    return tuple(tuple(row) for row in zip(*mat))
-
-
-def _check_oracle(*pair_lists) -> None:
-    """Raise before any series work if the permanent side's sign sums, prod_j (q_j + 1)
-    terms per pair with |p| = |q|, exceed the term budget."""
-    terms = sum(_multiplicity_terms(q) for pairs in pair_lists for p, q in pairs if weight(p) == weight(q))
+    Raises before any series work if the sign sums of all the jobs, prod_j (q_j + 1)
+    terms per pair with |p| = |q|, exceed the term budget.
+    """
+    terms = sum(_multiplicity_terms(q) for _, pairs in jobs for p, q in pairs if weight(p) == weight(q))
     _check_terms("permanent side", terms)
+    return [_repeated_permanents(mat, pairs) for mat, pairs in jobs]
 
 
 def _equal_weight_pairs(ps, qs) -> list:
@@ -170,11 +176,10 @@ def _xtay_series(mat, ring, caps) -> TruncatedSeries:
     Terms beyond the caps are dropped: monomial exponents only grow under
     multiplication, so they can never reach a within-cap coefficient.
     """
-    m = _dim(mat)
+    m = len(mat)
     terms = {}
-    for i in range(m):
-        for j in range(m):
-            v = _entry(mat, i, j, ring)
+    for i, row in enumerate(mat.tolist()):
+        for j, v in enumerate(row):
             if v != 0 and caps[i] > 0 and caps[m + j] > 0:
                 e = [0] * (2 * m)
                 e[i] = 1
@@ -183,15 +188,13 @@ def _xtay_series(mat, ring, caps) -> TruncatedSeries:
     return TruncatedSeries.from_terms(caps, ring, terms)
 
 
-def _row_form(mat, i, ring, caps, offset=0) -> TruncatedSeries:
-    """Linear form sum_j a_ij * z_{offset+j}; terms beyond the caps are dropped."""
-    m = _dim(mat)
+def _row_form(row, ring, caps) -> TruncatedSeries:
+    """Linear form sum_j row_j * z_j; terms beyond the caps are dropped."""
     terms = {}
-    for j in range(m):
-        v = _entry(mat, i, j, ring)
-        if v != 0 and caps[offset + j] > 0:
+    for j, v in enumerate(row):
+        if v != 0 and caps[j] > 0:
             e = [0] * len(caps)
-            e[offset + j] = 1
+            e[j] = 1
             terms[tuple(e)] = v
     return TruncatedSeries.from_terms(caps, ring, terms)
 
@@ -201,30 +204,18 @@ def _row_form(mat, i, ring, caps, offset=0) -> TruncatedSeries:
 # ---------------------------------------------------------------------------
 
 
-def _inverse_det_eye_minus_za(mat, ring, caps) -> TruncatedSeries:
-    m = _dim(mat)
-    unit = [tuple(int(k == i) for k in range(m)) for i in range(m)]
-
-    def entry(i, j):
-        v = _entry(mat, i, j, ring)
-        return {unit[i]: v} if v != 0 else {}
-
-    return _det_eye_minus(caps, ring, m, entry).inverse()
-
-
 def _monomial_power(mat, ring, caps, p) -> TruncatedSeries:
     """(Az)^p = prod_i (sum_j a_ij z_j)^{p_i}, truncated at caps."""
     out = TruncatedSeries.one(caps, ring)
-    for i, pi in enumerate(p):
+    for row, pi in zip(mat.tolist(), p):
         if pi:
-            out = out * _row_form(mat, i, ring, caps).power(pi)
+            out = out * _row_form(row, ring, caps).power(pi)
     return out
 
 
 def _monomial_power_table(mat, ring, caps):
     """(Az)^p for every p <= caps, built incrementally over the exponent grid."""
-    m = _dim(mat)
-    forms = [_row_form(mat, i, ring, caps) for i in range(m)]
+    forms = [_row_form(row, ring, caps) for row in mat.tolist()]
     table = [None] * math.prod(c + 1 for c in caps)
     table[0] = TruncatedSeries.one(caps, ring)
     strides = []
@@ -248,18 +239,14 @@ def verify_macmahon(a, cap: Union[int, Sequence[int]] = 2, tolerance: float = 1e
     monomial coefficient [z^p](Az)^p is a second check of each.
     """
     mat, ring = _normalize(a)
-    m = _dim(mat)
-    caps = _caps(cap, m)
+    caps = _caps(cap, len(mat))
     exponents = list(_all_exponents(caps))
-    pairs = [(p, p) for p in exponents]
-    _check_oracle(pairs)
-    per = _repeated_permanents(mat, pairs)
-    inv = _inverse_det_eye_minus_za(mat, ring, caps)
+    (per,) = _permanent_side((mat, [(p, p) for p in exponents]))
+    inv = _n_matrix_rhs([mat], ring, caps)
     mono = _monomial_power_table(mat, ring, caps) if ring == RATIONAL else None
     acc = _Tracker()
     for idx, p in enumerate(exponents):
-        pf = factorial_product(p)
-        ref = Fraction(per[p, p], pf) if ring == RATIONAL else per[p, p] / pf
+        ref = _ratio(ring, per[p, p], factorial_product(p))
         acc.add(inv.coefficient(p), ref)
         if mono is not None:
             acc.add(mono[idx].coefficient(p), ref)
@@ -273,21 +260,22 @@ def verify_dixon(n_max: int = 4, tolerance: float = 0.0) -> IdentityReport:
     p![z^p](Az)^p, p! * sum_k (-1)^k C(2n,k)^3 and
     p! * (-1)^n (3n)!/(n!)^3 must agree exactly.
     """
+    mat, ring = _normalize(DIXON_MATRIX)
     caps = (2 * n_max,) * 3
-    inv = _inverse_det_eye_minus_za(DIXON_MATRIX, RATIONAL, caps)
+    inv = _n_matrix_rhs([mat], ring, caps)
     acc = _Tracker()
     for n in range(1, n_max + 1):
         p = (2 * n,) * 3
         pf = factorial_product(p)
         q_mmt = pf * inv.coefficient(p)
         # [z^p] of a product of linear forms only reads exponents <= p
-        q_mono = pf * _monomial_power(DIXON_MATRIX, RATIONAL, p, p).coefficient(p)
+        q_mono = pf * _monomial_power(mat, ring, p, p).coefficient(p)
         binom_sum = sum((-1) ** k * math.comb(2 * n, k) ** 3 for k in range(2 * n + 1))
         closed = (-1) ** n * math.factorial(3 * n) // math.factorial(n) ** 3
         acc.add(q_mmt, q_mono)
         acc.add(q_mmt, pf * binom_sum)
         acc.add(q_mmt, pf * closed)
-    return acc.report("dixon", caps, tolerance, RATIONAL)
+    return acc.report("dixon", caps, tolerance, ring)
 
 
 # ---------------------------------------------------------------------------
@@ -295,22 +283,15 @@ def verify_dixon(n_max: int = 4, tolerance: float = 0.0) -> IdentityReport:
 # ---------------------------------------------------------------------------
 
 
-def _two_matrix_rhs(mat_a, mat_b, ring, caps) -> TruncatedSeries:
-    """1/Det(I - X A Y B) with X = Diag(x), Y = Diag(y)."""
-    m = _dim(mat_a)
-
-    def entry(i, l):
-        terms = {}
-        for k in range(m):
-            v = _entry(mat_a, i, k, ring) * _entry(mat_b, k, l, ring)
-            if v != 0:
-                e = [0] * (2 * m)
-                e[i] = 1
-                e[m + k] = 1
-                terms[tuple(e)] = v
-        return terms
-
-    return _det_eye_minus(caps, ring, m, entry).inverse()
+def _common_ring(matrices) -> tuple[list, str]:
+    """The normalized matrices and their ring; they must share the ring and the dimension."""
+    norm = [_normalize(a) for a in matrices]
+    if len({ring for _, ring in norm}) > 1:
+        raise ValueError("matrices must live over the same ring")
+    mats = [mat for mat, _ in norm]
+    if len({mat.shape for mat in mats}) > 1:
+        raise ValueError("matrices must have equal dimension")
+    return mats, norm[0][1]
 
 
 def verify_mmmt_two(a, b, cap: Union[int, Sequence[int]] = 2, tolerance: float = 1e-8) -> IdentityReport:
@@ -320,33 +301,20 @@ def verify_mmmt_two(a, b, cap: Union[int, Sequence[int]] = 2, tolerance: float =
     equivalent form with Per(B^T_{p,q}) inside, and that the two left-hand
     coefficient tables agree.
     """
-    mat_a, ring_a = _normalize(a)
-    mat_b, ring_b = _normalize(b)
-    if ring_a != ring_b:
-        raise ValueError("matrices must live over the same ring")
-    ring = ring_a
-    m = _dim(mat_a)
-    if _dim(mat_b) != m:
-        raise ValueError("matrices must have equal dimension")
+    (mat_a, mat_b), ring = _common_ring((a, b))
+    m = len(mat_a)
     caps = _caps(cap, 2 * m)
     pairs = _equal_weight_pairs(_all_exponents(caps[:m]), _all_exponents(caps[m:]))
     swapped = [(q, p) for p, q in pairs]
-    _check_oracle(pairs, swapped, pairs)
-    per_a = _repeated_permanents(mat_a, pairs)
-    per_b = _repeated_permanents(mat_b, swapped)
-    per_bt = _repeated_permanents(_transpose(mat_b), pairs)
-    rhs = _two_matrix_rhs(mat_a, mat_b, ring, caps)
+    per_a, per_b, per_bt = _permanent_side((mat_a, pairs), (mat_b, swapped), (mat_b.T, pairs))
+    rhs = _n_matrix_rhs([mat_a, mat_b], ring, caps)
     acc = _Tracker()
     for p in _all_exponents(caps[:m]):
         for q in _all_exponents(caps[m:]):
             denom = factorial_product(p) * factorial_product(q)
             pa = per_a.get((p, q), 0)
-            lhs1 = pa * per_b.get((q, p), 0)
-            lhs2 = pa * per_bt.get((p, q), 0)
-            if ring == RATIONAL:
-                lhs1, lhs2 = Fraction(lhs1, denom), Fraction(lhs2, denom)
-            else:
-                lhs1, lhs2 = lhs1 / denom, lhs2 / denom
+            lhs1 = _ratio(ring, pa * per_b.get((q, p), 0), denom)
+            lhs2 = _ratio(ring, pa * per_bt.get((p, q), 0), denom)
             r = rhs.coefficient(p + q)
             acc.add(lhs1, r)
             acc.add(lhs2, r)
@@ -355,16 +323,20 @@ def verify_mmmt_two(a, b, cap: Union[int, Sequence[int]] = 2, tolerance: float =
 
 
 def _n_matrix_rhs(mats, ring, caps) -> TruncatedSeries:
-    """1/Det(I - Z_1 A^(1) ... Z_N A^(N)), variable block k holding Diag(z_k)."""
+    """1/Det(I - Z_1 A^(1) ... Z_N A^(N)), variable block k holding Diag(z_k).
+
+    N = 1 is MacMahon's 1/Det(I - Diag(z) A) and N = 2 the two-matrix 1/Det(I - XAYB).
+    """
     n_mats = len(mats)
-    m = _dim(mats[0])
+    m = len(mats[0])
+    rows = [mat.tolist() for mat in mats]
 
     def entry(i, j):
         # sum over index paths i = k_0, k_1, ..., k_N = j of prod_t z_{t, k_t} A^(t)_{k_t k_(t+1)}
         terms = {}
         for inner in itertools.product(range(m), repeat=n_mats - 1):
             ks = (i, *inner, j)
-            v = math.prod(_entry(mats[t], ks[t], ks[t + 1], ring) for t in range(n_mats))
+            v = math.prod(rows[t][ks[t]][ks[t + 1]] for t in range(n_mats))
             if v != 0:
                 e = [0] * (n_mats * m)
                 for t in range(n_mats):
@@ -377,35 +349,26 @@ def _n_matrix_rhs(mats, ring, caps) -> TruncatedSeries:
 
 def verify_mmmt_n(matrices, cap: Union[int, Sequence[int]] = 1, tolerance: float = 1e-8) -> IdentityReport:
     """N-matrix chain: sum prod z_k^{p_k}/p_k! Per(A^(k)_{p_k, p_{k+1}}) = 1/Det(I - Z_1 A^(1) ... Z_N A^(N))."""
-    norm = [_normalize(a) for a in matrices]
-    n_mats = len(norm)
+    mats, ring = _common_ring(matrices)
+    n_mats = len(mats)
     if n_mats < 2:
         raise ValueError("need at least two matrices")
-    ring = norm[0][1]
-    if any(r != ring for _, r in norm):
-        raise ValueError("matrices must live over the same ring")
-    mats = [m for m, _ in norm]
-    m = _dim(mats[0])
-    if any(_dim(x) != m for x in mats):
-        raise ValueError("matrices must have equal dimension")
+    m = len(mats[0])
     caps = _caps(cap, n_mats * m)
     check_budget("mmmt-n coefficient table", math.prod(c + 1 for c in caps), 200_000, "coefficients")
     per_block = [list(_all_exponents(caps[k * m : (k + 1) * m])) for k in range(n_mats)]
-    pairs = [_equal_weight_pairs(per_block[k], per_block[(k + 1) % n_mats]) for k in range(n_mats)]
-    _check_oracle(*pairs)
-    pers = [_repeated_permanents(mats[k], pairs[k]) for k in range(n_mats)]
+    pers = _permanent_side(
+        *((mats[k], _equal_weight_pairs(per_block[k], per_block[(k + 1) % n_mats])) for k in range(n_mats))
+    )
     rhs = _n_matrix_rhs(mats, ring, caps)
     acc = _Tracker()
     for ps in itertools.product(*per_block):
-        weights = {weight(p) for p in ps}
-        if len(weights) == 1:
+        lhs = 0
+        if len({weight(p) for p in ps}) == 1:
             lhs = 1
             for k in range(n_mats):
                 lhs = lhs * pers[k][ps[k], ps[(k + 1) % n_mats]]
-            denom = math.prod(factorial_product(p) for p in ps)
-            lhs = Fraction(lhs, denom) if ring == RATIONAL else lhs / denom
-        else:
-            lhs = Fraction(0) if ring == RATIONAL else 0j
+            lhs = _ratio(ring, lhs, math.prod(factorial_product(p) for p in ps))
         acc.add(lhs, rhs.coefficient(tuple(itertools.chain.from_iterable(ps))))
     return acc.report("mmmt-n", caps, tolerance, ring)
 
@@ -418,14 +381,11 @@ def verify_corollary_rank_one(a, p, q, tolerance: float = 1e-8) -> IdentityRepor
     if weight(q) != n:
         raise WeightMismatch(f"|p| = {n} but |q| = {weight(q)}")
     caps = p + q
-    _check_oracle([(p, q)])
-    per = _repeated_permanents(mat, [(p, q)])[p, q]
-    s = _xtay_series(mat, ring, caps)
-    coef = s.power(n).coefficient(caps)
-    factor = Fraction(factorial_product(p) * factorial_product(q), math.factorial(n))
-    rhs = factor * coef if ring == RATIONAL else float(factor) * coef
+    (per,) = _permanent_side((mat, [(p, q)]))
+    coef = _xtay_series(mat, ring, caps).power(n).coefficient(caps)
+    factor = _ratio(ring, factorial_product(p) * factorial_product(q), math.factorial(n))
     acc = _Tracker()
-    acc.add(per, rhs)
+    acc.add(per[p, q], factor * coef)
     return acc.report("corollary-rank-one", caps, tolerance, ring)
 
 
@@ -453,7 +413,7 @@ def verify_generating_function(
     if f == "pow" and power is None:
         raise ValueError("power must be given for f='pow'")
     mat, ring = _normalize(a)
-    m = _dim(mat)
+    m = len(mat)
     caps = _caps(cap, 2 * m)
 
     def fn_times_nfac(n: int):
@@ -467,9 +427,7 @@ def verify_generating_function(
         return 0 if n == 0 else math.factorial(n - 1)
 
     ps = (p for p in _all_exponents(caps[:m]) if fn_times_nfac(weight(p)))
-    pairs = _equal_weight_pairs(ps, _all_exponents(caps[m:]))
-    _check_oracle(pairs)
-    per = _repeated_permanents(mat, pairs)
+    (per,) = _permanent_side((mat, _equal_weight_pairs(ps, _all_exponents(caps[m:]))))
     w = _xtay_series(mat, ring, caps)
     one = TruncatedSeries.one(caps, ring)
     if f == "exp":
@@ -483,12 +441,10 @@ def verify_generating_function(
     acc = _Tracker()
     for p in _all_exponents(caps[:m]):
         for q in _all_exponents(caps[m:]):
+            ref = 0
             if (p, q) in per:
-                denom = factorial_product(p) * factorial_product(q)
                 num = fn_times_nfac(weight(p)) * per[p, q]
-                ref = Fraction(num, denom) if ring == RATIONAL else num / denom
-            else:
-                ref = Fraction(0) if ring == RATIONAL else 0j
+                ref = _ratio(ring, num, factorial_product(p) * factorial_product(q))
             acc.add(lhs_series.coefficient(p + q), ref)
     return acc.report(f"generating-{f}", caps, tolerance, ring)
 
@@ -496,18 +452,13 @@ def verify_generating_function(
 def verify_monomial_glynn(a, p, cap: Union[int, Sequence[int]] = 2, tolerance: float = 1e-8) -> IdentityReport:
     """sum_q z^q/q! Per(A_{p,q}) = (Az)^p, coefficientwise up to cap."""
     mat, ring = _normalize(a)
-    m = _dim(mat)
     p = tuple(p)
-    caps = _caps(cap, m)
-    pairs = _equal_weight_pairs([p], _all_exponents(caps))
-    _check_oracle(pairs)
-    per = _repeated_permanents(mat, pairs)
+    caps = _caps(cap, len(mat))
+    (per,) = _permanent_side((mat, _equal_weight_pairs([p], _all_exponents(caps))))
     rhs = _monomial_power(mat, ring, caps, p)
     acc = _Tracker()
     for q in _all_exponents(caps):
-        qf = factorial_product(q)
-        ref = Fraction(per.get((p, q), 0), qf) if ring == RATIONAL else per.get((p, q), 0) / qf
-        acc.add(ref, rhs.coefficient(q))
+        acc.add(_ratio(ring, per.get((p, q), 0), factorial_product(q)), rhs.coefficient(q))
     return acc.report("monomial", caps, tolerance, ring)
 
 
@@ -516,40 +467,27 @@ def verify_monomial_glynn(a, p, cap: Union[int, Sequence[int]] = 2, tolerance: f
 # ---------------------------------------------------------------------------
 
 
-def _split_coef(num_fact: int, parts) -> int:
-    denom = math.prod(factorial_product(s) for s in parts)
-    return Fraction(num_fact, denom)
+def _split_coef(ring, num: int, parts, den: int = 1):
+    """num / (den * prod of the parts' factorials), in the ring."""
+    return _ratio(ring, num, den * math.prod(factorial_product(s) for s in parts))
 
 
 def verify_sum_formula(a, b, pattern: RepetitionPattern, tolerance: float = 1e-8) -> IdentityReport:
     """Per((A+B)_{p,q}) = sum over splits s+t=p, u+v=q of p!q!/(s!t!u!v!) Per(A_{s,u})Per(B_{t,v})."""
-    mat_a, ring_a = _normalize(a)
-    mat_b, ring_b = _normalize(b)
-    ring = ring_a
-    if ring_a != ring_b:
-        raise ValueError("matrices must live over the same ring")
+    (mat_a, mat_b), ring = _common_ring((a, b))
     p, q = pattern.rows, pattern.cols
-    if isinstance(mat_a, np.ndarray):
-        mat_sum = mat_a + mat_b
-    else:
-        mat_sum = tuple(tuple(x + y for x, y in zip(ra, rb)) for ra, rb in zip(mat_a, mat_b))
     splits = [
         (s, t, u, v) for s, t in enumerate_splits(p, 2) for u, v in enumerate_splits(q, 2) if weight(s) == weight(u)
     ]
     pairs_a = [(s, u) for s, _, u, _ in splits]
     pairs_b = [(t, v) for _, t, _, v in splits]
-    _check_oracle([(p, q)], pairs_a, pairs_b)
-    lhs = _repeated_permanents(mat_sum, [(p, q)])[p, q]
-    per_a = _repeated_permanents(mat_a, pairs_a)
-    per_b = _repeated_permanents(mat_b, pairs_b)
+    per_sum, per_a, per_b = _permanent_side((mat_a + mat_b, [(p, q)]), (mat_a, pairs_a), (mat_b, pairs_b))
     pq_fact = factorial_product(p) * factorial_product(q)
-    total = Fraction(0) if ring == RATIONAL else 0j
+    total = 0
     for s, t, u, v in splits:
-        coef = _split_coef(pq_fact, (s, t, u, v))
-        term = per_a[s, u] * per_b[t, v]
-        total += coef * term if ring == RATIONAL else float(coef) * term
+        total += _split_coef(ring, pq_fact, (s, t, u, v)) * (per_a[s, u] * per_b[t, v])
     acc = _Tracker()
-    acc.add(lhs, total)
+    acc.add(per_sum[p, q], total)
     return acc.report("sum-formula", p + q, tolerance, ring)
 
 
@@ -565,15 +503,12 @@ def verify_laplace(a, pattern: RepetitionPattern, k: int, tolerance: float = 1e-
     l = n - k
     splits = [(s, t, u, v) for s, t in enumerate_splits(p, 2, (k, l)) for u, v in enumerate_splits(q, 2, (k, l))]
     pairs = [(p, q)] + [(s, u) for s, _, u, _ in splits] + [(t, v) for _, t, _, v in splits]
-    _check_oracle(pairs)
-    per = _repeated_permanents(mat, pairs)
-    pq_fact = factorial_product(p) * factorial_product(q)
-    prefactor = Fraction(math.factorial(k) * math.factorial(l), math.factorial(n))
-    total = Fraction(0) if ring == RATIONAL else 0j
+    (per,) = _permanent_side((mat, pairs))
+    # the prefactor k!l!/n! joins each split coefficient, so each is made once in the ring
+    num = math.factorial(k) * math.factorial(l) * factorial_product(p) * factorial_product(q)
+    total = 0
     for s, t, u, v in splits:
-        coef = prefactor * _split_coef(pq_fact, (s, t, u, v))
-        term = per[s, u] * per[t, v]
-        total += coef * term if ring == RATIONAL else float(coef) * term
+        total += _split_coef(ring, num, (s, t, u, v), math.factorial(n)) * (per[s, u] * per[t, v])
     acc = _Tracker()
     acc.add(per[p, q], total)
     return acc.report("laplace", p + q, tolerance, ring)
@@ -585,21 +520,13 @@ def verify_sum_of_permanents(a, b, pattern: RepetitionPattern, tolerance: float 
     Per(A_{p,q}) + Per(B_{p,q}) equals an alternating sum over three-way
     splits with weight pattern (k, k, n-2k), weighted by 1/C(n-1, k).
     """
-    mat_a, ring_a = _normalize(a)
-    mat_b, ring_b = _normalize(b)
-    ring = ring_a
-    if ring_a != ring_b:
-        raise ValueError("matrices must live over the same ring")
+    (mat_a, mat_b), ring = _common_ring((a, b))
     p, q = pattern.rows, pattern.cols
     n = weight(p)
     if weight(q) != n:
         raise WeightMismatch(f"|p| = {n} but |q| = {weight(q)}")
     if n < 1:
         raise ValueError("need |p| = |q| >= 1")
-    if isinstance(mat_a, np.ndarray):
-        mat_sum = mat_a + mat_b
-    else:
-        mat_sum = tuple(tuple(x + y for x, y in zip(ra, rb)) for ra, rb in zip(mat_a, mat_b))
     splits = [
         [(x, y) for x in enumerate_splits(p, 3, (k, k, n - 2 * k)) for y in enumerate_splits(q, 3, (k, k, n - 2 * k))]
         for k in range(n // 2 + 1)
@@ -608,23 +535,17 @@ def verify_sum_of_permanents(a, b, pattern: RepetitionPattern, tolerance: float 
     pairs_a = [(p, q)] + [(x[0], y[0]) for x, y in flat]
     pairs_b = [(p, q)] + [(x[1], y[1]) for x, y in flat]
     pairs_sum = [(x[2], y[2]) for x, y in flat]
-    _check_oracle(pairs_a, pairs_b, pairs_sum)
-    per_a = _repeated_permanents(mat_a, pairs_a)
-    per_b = _repeated_permanents(mat_b, pairs_b)
-    per_sum = _repeated_permanents(mat_sum, pairs_sum)
-    lhs = per_a[p, q] + per_b[p, q]
+    per_a, per_b, per_sum = _permanent_side((mat_a, pairs_a), (mat_b, pairs_b), (mat_a + mat_b, pairs_sum))
     pq_fact = factorial_product(p) * factorial_product(q)
-    total = Fraction(0) if ring == RATIONAL else 0j
+    total = 0
     for k, ksplits in enumerate(splits):
-        outer = Fraction((-1) ** k, math.comb(n - 1, k))
-        ksum = Fraction(0) if ring == RATIONAL else 0j
+        ksum = 0
         for (aa, bb, cc), (aa2, bb2, cc2) in ksplits:
-            coef = _split_coef(pq_fact, (aa, bb, cc, aa2, bb2, cc2))
-            term = per_a[aa, aa2] * per_b[bb, bb2] * per_sum[cc, cc2]
-            ksum += coef * term if ring == RATIONAL else float(coef) * term
-        total += outer * ksum if ring == RATIONAL else float(outer) * ksum
+            coef = _split_coef(ring, pq_fact, (aa, bb, cc, aa2, bb2, cc2))
+            ksum += coef * (per_a[aa, aa2] * per_b[bb, bb2] * per_sum[cc, cc2])
+        total += _ratio(ring, (-1) ** k, math.comb(n - 1, k)) * ksum
     acc = _Tracker()
-    acc.add(lhs, total)
+    acc.add(per_a[p, q] + per_b[p, q], total)
     return acc.report("sum-of-permanents", p + q, tolerance, ring)
 
 
@@ -673,8 +594,7 @@ def verify_even_matrix(a, mode: str = "single", cap: Union[int, Sequence[int]] =
         raise ValueError(f"unknown mode {mode!r}")
     caps = _caps(cap, 2 * m)
     pairs = [(p + p, q + q) for p, q in _equal_weight_pairs(_all_exponents(caps[:m]), _all_exponents(caps[m:]))]
-    _check_oracle(pairs)
-    per = _repeated_permanents(mat, pairs)
+    (per,) = _permanent_side((mat, pairs))
     rows = mat.tolist()
     swap = [(i + m) % dim for i in range(dim)]
 
@@ -715,9 +635,7 @@ def verify_tmss_overlap(u, lam, mu, trunc: int = 6, tolerance: float = 1e-6) -> 
     if np.any(np.abs(lam) >= 1) or np.any(np.abs(mu) >= 1):
         raise AmplitudeOutOfRange("need |lam_k| < 1 and |mu_k| < 1")
     half = [(p, q) for k in range(trunc + 1) for p in enumerate_weight(m, k) for q in enumerate_weight(m, k)]
-    pairs = [(p + p, q + q) for p, q in half]
-    _check_oracle(pairs)
-    per = _repeated_permanents(arr, pairs)
+    (per,) = _permanent_side((arr, [(p + p, q + q) for p, q in half]))
     lhs = 0j
     for p, q in half:
         coef = np.prod(lam**np.array(p)) * np.prod(mu**np.array(q))
@@ -794,7 +712,7 @@ def _battery_dixon(seed, tol):
 def _battery_mmmt_two(seed, tol, matrix=None, matrix_b=None, cap=2):
     a = matrix if matrix is not None else rng.unit_disk_matrix(2, seed)
     b = matrix_b if matrix_b is not None else rng.unit_disk_matrix(2, seed + 1)
-    m = a.shape[0] if isinstance(a, np.ndarray) else len(a)
+    m = len(a)
     return [
         verify_mmmt_two(a, b, cap, tol),
         verify_mmmt_two(a, np.eye(m), 2, tol),

@@ -144,21 +144,6 @@ def embed_contraction(b: MatrixLike) -> UnitaryMatrix:
     return UnitaryMatrix(ComplexMatrix(u))
 
 
-def scale(a: MatrixLike, c: complex) -> np.ndarray:
-    return as_array(a) * c
-
-
-def diag_from_vector(v: Sequence[complex]) -> np.ndarray:
-    vec = np.asarray(v, dtype=np.complex128)
-    if vec.ndim != 1:
-        raise DimensionMismatch("diag_from_vector expects a 1-d vector")
-    return np.diag(vec)
-
-
 def scaled_error(value: complex, reference: complex) -> float:
     """Comparison error: relative when |reference| > 1, absolute otherwise."""
     return abs(complex(value) - complex(reference)) / max(1.0, abs(complex(reference)))
-
-
-def close(value: complex, reference: complex, tol: float = 1e-8) -> bool:
-    return scaled_error(value, reference) <= tol

@@ -8,9 +8,10 @@ that the corresponding repeated matrix is rectangular.  Every formula states
 its term count, and raises `TooLarge`, naming that count and the budget,
 when it exceeds the budget.
 
-Exact (int / Fraction) input has three independent routes, and each returns
-a Fraction when an entry is one, else an int.  Ryser is multi-modular: the
-sum runs mod a few primes below 2^25 in float64 numpy
+Exact input, int / Fraction entries as nested sequences or as an object
+array (`combinatorics._is_exact_rows`), has three independent routes, and
+each returns a Fraction when an entry is one, else an int.  Ryser is
+multi-modular: the sum runs mod a few primes below 2^25 in float64 numpy
 (:func:`_ryser_residues`) and the Chinese remainder theorem rebuilds it.
 Glynn is a Python big-int Gray-code loop: Per(A_{p,q}) comes from Glynn's
 sum on A_{p,q} with the sign vectors of each repeated column grouped by
@@ -25,9 +26,10 @@ Glynn-Kan keeps its own exact double loop.
 Float inputs run chunked numpy kernels: :func:`_sign_sum` for Ryser, Glynn
 and repeated-row Glynn (Glynn-Kan shares its vertex table, and exact Ryser
 its low/high split), and :func:`_sign_sums`, batched over many (p, q), for
-the multiplicity sum, the verifiers' permanents
-(:func:`_repeated_permanents`) and the sampler's distributions.  The
-roots-of-unity grids come from :func:`_root_grid` and are numeric-only.
+the multiplicity sum, the verifiers' permanents and Cauchy-Binet's inner
+permanents (both through :func:`_repeated_permanents`) and the sampler's
+distributions.  The roots-of-unity grids come from :func:`_root_grid` and
+are numeric-only.
 """
 
 from __future__ import annotations
@@ -47,7 +49,6 @@ from .combinatorics import (
     _is_exact_rows,
     enumerate_weight,
     factorial_product,
-    repeat_matrix,
     weight,
 )
 from .errors import DimensionMismatch, WeightMismatchWarning, check_budget
@@ -70,9 +71,12 @@ class PermanentResult:
 def _coerce(a):
     """Normalize input to (data, nrows, ncols, exact).
 
-    Exact input (nested sequences of int / Fraction) gives ``data`` as a
-    tuple of row tuples; anything else a finite complex128 array.
+    Exact input (int / Fraction entries, as nested sequences or an object
+    array) gives ``data`` as a tuple of row tuples; anything else a finite
+    complex128 array.
     """
+    if isinstance(a, np.ndarray) and _is_exact_rows(a):
+        a = a.tolist()
     if not isinstance(a, (np.ndarray, ComplexMatrix, UnitaryMatrix)):
         rows = tuple(tuple(row) for row in a)
         ncols = len(rows[0]) if rows else 0
@@ -773,7 +777,15 @@ def permanent_glynn_kan_repeated(a, pattern: RepetitionPattern, chunk: int = 256
 
 
 def permanent_cauchy_binet(a, b, pattern: RepetitionPattern) -> PermanentResult:
-    """Per((AB)_{p,q}) = sum over |k| = |p| of Per(A_{p,k}) Per(B_{k,q}) / k!."""
+    """Per((AB)_{p,q}) = sum over |k| = |p| of Per(A_{p,k}) Per(B_{k,q}) / k!.
+
+    The inner permanents come from `_repeated_permanents`, one call per
+    matrix, as Per((A^T)_{k,p}) and Per(B_{k,q}): each call's pairs share one
+    column multiplicity (p, then q), so each is one multiplicity sum of
+    prod_j (p_j + 1), resp. prod_j (q_j + 1), terms per k.  TooLarge applies
+    to |K| (prod_j (p_j + 1) + prod_j (q_j + 1)) for the |K| multi-indices k;
+    the reported term count is |K|.
+    """
     rows_a, ra, ca, exact_a = _coerce(a)
     rows_b, rb, cb, exact_b = _coerce(b)
     if ra != ca or rb != cb or ra != rb:
@@ -786,15 +798,15 @@ def permanent_cauchy_binet(a, b, pattern: RepetitionPattern) -> PermanentResult:
     if weight(q) != npq:
         return PermanentResult(0, "cauchy_binet", 0)
     terms = math.comb(npq + m - 1, m - 1)
-    _check_terms("Cauchy-Binet sum of inner Ryser permanents", terms * (1 << min(npq, 60)) * max(npq, 1))
+    _check_terms("Cauchy-Binet inner multiplicity sums", terms * (_multiplicity_terms(p) + _multiplicity_terms(q)))
     exact = exact_a and exact_b
-    if not exact:
-        rows_a, rows_b = as_array(rows_a), as_array(rows_b)
+    kind = object if exact else np.complex128
+    ks = list(enumerate_weight(m, npq))
+    per_at = _repeated_permanents(np.array(rows_a, dtype=kind).T, [(k, p) for k in ks])
+    per_b = _repeated_permanents(np.array(rows_b, dtype=kind), [(k, q) for k in ks])
     total: Scalar = 0
-    for k in enumerate_weight(m, npq):
-        pa = permanent_ryser(repeat_matrix(rows_a, RepetitionPattern(p, k))).value
-        pb = permanent_ryser(repeat_matrix(rows_b, RepetitionPattern(k, q))).value
-        kfac = factorial_product(k)
+    for k in ks:
+        pa, pb, kfac = per_at[k, p], per_b[k, q], factorial_product(k)
         total += Fraction(pa * pb, kfac) if exact else pa * pb / kfac
     total = _exact_type(total, (*rows_a, *rows_b)) if exact else complex(total)
     return PermanentResult(total, "cauchy_binet", terms)

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from permkit import bosonic, estimators, identities, series
+from permkit import bosonic, estimators, identities, permanents, series
 from permkit.combinatorics import RepetitionPattern
 from permkit.errors import TooLarge, check_budget
 
@@ -33,8 +33,13 @@ SIX = RepetitionPattern((6, 0, 0, 0, 0, 0), (6, 0, 0, 0, 0, 0))
             lambda: series.det_series([[series.TruncatedSeries.one((1,), series.RATIONAL)] * 9] * 9),
             "det_series needs 9 rows; the budget is 8",
         ),
+        (
+            # |K| = C(23, 7) multi-indices k, each 3^8 + 3^8 terms
+            lambda: permanents.permanent_cauchy_binet(np.eye(8), np.eye(8), RepetitionPattern((2,) * 8, (2,) * 8)),
+            "Cauchy-Binet inner multiplicity sums needs 3216950154 terms; the budget is 10000000",
+        ),
     ],
-    ids=["bs-distribution", "cat-distribution", "pown-grid", "mmmt-n", "det-series"],
+    ids=["bs-distribution", "cat-distribution", "pown-grid", "mmmt-n", "det-series", "cauchy-binet"],
 )
 def test_too_large_states_count_and_budget(call, message):
     with pytest.raises(TooLarge, match=f"^{message}$"):

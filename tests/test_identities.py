@@ -90,11 +90,23 @@ class TestMmmtTwo:
         # With B all-ones the determinant collapses to 1 - x^T A y.
         a = rng.unit_disk_matrix(2, 5)
         caps = (2, 2, 2, 2)
-        rhs = ident._two_matrix_rhs(a, np.ones((2, 2)), COMPLEX, caps)
+        rhs = ident._n_matrix_rhs([a, np.ones((2, 2))], COMPLEX, caps)
         w = ident._xtay_series(a, COMPLEX, caps)
         geom = (ident.TruncatedSeries.one(caps, COMPLEX) - w).inverse()
         diff = max(abs(x - y) for x, y in zip(rhs.coeffs, geom.coeffs))
         assert diff <= 1e-10
+
+
+@pytest.mark.parametrize(
+    "verify",
+    [lambda a: verify_macmahon(a, 2, 0.0), lambda a: verify_mmmt_two(a, ((1, 1), (Fraction(1, 2), 3)), 2, 0.0)],
+    ids=["macmahon", "mmmt-two"],
+)
+def test_object_array_is_verified_exactly(verify):
+    rows = ((1, Fraction(1, 2)), (-1, 3))
+    got = verify(np.array(rows, dtype=object))
+    assert got == verify(rows)
+    assert got.ring == RATIONAL and got.passed and got.max_abs_error == 0.0
 
 
 class TestMmmtN:
@@ -102,14 +114,6 @@ class TestMmmtN:
         mats = [rng.unit_disk_matrix(2, 10 + k) for k in range(3)]
         r = verify_mmmt_n(mats, 1)
         assert r.passed and r.max_abs_error <= 1e-8
-
-    def test_n2_matches_two_matrix_table(self):
-        a, b = rng.unit_disk_matrix(2, 20), rng.unit_disk_matrix(2, 21)
-        caps = (2, 2, 2, 2)
-        chain = ident._n_matrix_rhs([a, b], COMPLEX, caps)
-        two = ident._two_matrix_rhs(a, b, COMPLEX, caps)
-        diff = max(abs(x - y) for x, y in zip(chain.coeffs, two.coeffs))
-        assert diff <= 1e-12
 
     def test_identity_tail_reduces_to_n2(self):
         # A chain ending in the identity matrix adds a factor delta_{p3,p1}/p3!,

@@ -9,9 +9,7 @@ from permkit.numerics import (
     ComplexMatrix,
     UnitaryMatrix,
     determinant,
-    diag_from_vector,
     embed_contraction,
-    scale,
     spectral_norm,
 )
 
@@ -92,16 +90,6 @@ class TestEmbedContraction:
     def test_output_passes_unitarity_check(self):
         b = rng.contraction_matrix(4, 9)
         UnitaryMatrix(embed_contraction(b).matrix)  # must not raise
-
-
-class TestHelpers:
-    def test_diag(self):
-        d = diag_from_vector([1.0, 2.0 + 1j])
-        assert d[0, 0] == 1.0 and d[1, 1] == 2.0 + 1j and d[0, 1] == 0
-
-    def test_scale(self):
-        a = rng.unit_disk_matrix(2, 34)
-        assert np.allclose(scale(a, 2j), 2j * a)
 
 
 class TestCarriers:

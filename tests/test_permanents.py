@@ -289,6 +289,34 @@ class TestCauchyBinet:
         res = permanent_cauchy_binet(np.eye(2), np.eye(2), RepetitionPattern((2, 0), (1, 0)))
         assert res.value == 0
 
+    @pytest.mark.parametrize("m", (3, 4))
+    @pytest.mark.parametrize("kind", (int, Fraction))
+    def test_exact_equals_naive_on_the_repeated_product(self, m, kind):
+        g = rng.generator(40 + m)
+        for _ in range(8):
+            a = g.integers(-4, 5, size=(m, m)).tolist()
+            b = g.integers(-4, 5, size=(m, m)).tolist()
+            if kind is Fraction:
+                b = [[Fraction(v, int(d)) for v, d in zip(row, g.integers(1, 7, size=m))] for row in b]
+            n = int(g.integers(1, 6))
+            pat = RepetitionPattern(_split(g, m, n), _split(g, m, n))
+            got = permanent_cauchy_binet(a, b, pat).value
+            want = permanent_naive(repeat_matrix(np.array(a, dtype=object) @ np.array(b, dtype=object), pat)).value
+            assert type(got) is type(want) is kind
+            assert got == want
+
+    @pytest.mark.parametrize("m", (3, 4))
+    def test_float_against_exact_on_the_same_dyadic_entries(self, m):
+        g = rng.generator(60 + m)
+        for _ in range(8):
+            a, b = g.uniform(-1.0, 1.0, size=(m, m)), g.uniform(-1.0, 1.0, size=(m, m))
+            n = int(g.integers(1, 6))
+            pat = RepetitionPattern(_split(g, m, n), _split(g, m, n))
+            exact = permanent_cauchy_binet(
+                [[Fraction(v) for v in row] for row in a.tolist()], [[Fraction(v) for v in row] for row in b.tolist()], pat
+            ).value
+            assert scaled_error(permanent_cauchy_binet(a, b, pat).value, exact) <= 1e-13
+
 
 @settings(max_examples=15, deadline=None)
 @given(st.integers(min_value=1, max_value=4), st.integers(min_value=0, max_value=2**31 - 1))
@@ -749,6 +777,37 @@ def test_exact_result_is_a_fraction_iff_an_entry_is(route, rows, kind):
     got = EXACT_ROUTES[route](rows).value
     assert type(got) is kind
     assert got == permanent_naive(rows).value
+
+
+ALL_ROUTES = {
+    **EXACT_ROUTES,
+    "roots-of-unity": lambda a: permanent_roots_of_unity(a, RepetitionPattern.uniform(len(a))),
+    "glynn-kan-repeated": lambda a: permanent_glynn_kan_repeated(a, RepetitionPattern.uniform(len(a))),
+}
+
+
+@pytest.mark.parametrize("route", ALL_ROUTES)
+@pytest.mark.parametrize(
+    "rows",
+    [[[1, 2, 0], [3, 4, 1], [0, 1, -2]], [[1, 2, 0], [3, Fraction(1, 3), 1], [0, 1, -2]]],
+    ids=["int", "fraction"],
+)
+def test_object_array_equals_nested_rows(route, rows):
+    assert set(ALL_ROUTES) == set(permanents.ALGORITHMS)
+    want = ALL_ROUTES[route](rows).value
+    got = ALL_ROUTES[route](np.array(rows, dtype=object)).value
+    assert type(got) is type(want) and got == want
+
+
+def test_object_array_exactness_in_repeat_matrix():
+    rows = [[1, 2], [3, Fraction(1, 3)]]
+    pat = RepetitionPattern((2, 0), (1, 1))
+    got = repeat_matrix(np.array(rows, dtype=object), pat)
+    assert type(got) is tuple and got == repeat_matrix(rows, pat) == ((1, 2), (1, 2))
+    # an object array holding a float is float input
+    floats = np.array([[1, 2], [3, 1.5]], dtype=object)
+    assert repeat_matrix(floats, pat).dtype == np.complex128
+    assert permanent_ryser(floats).value == permanent_naive(floats).value == 7.5 + 0j
 
 
 # Float accuracy against the exact value: every float64 is a dyadic rational,
