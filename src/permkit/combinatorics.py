@@ -170,11 +170,6 @@ def enumerate_splits(
                     yield split
 
 
-def _sub_indices(p: MultiIndex) -> Iterator[MultiIndex]:
+def _sub_indices(p: Sequence[int]) -> Iterator[MultiIndex]:
     """All s with 0 <= s <= p componentwise, lexicographic."""
-    if not p:
-        yield ()
-        return
-    for first in range(p[0] + 1):
-        for rest in _sub_indices(p[1:]):
-            yield (first,) + rest
+    return itertools.product(*(range(c + 1) for c in p))

@@ -8,6 +8,10 @@ and f(z) = 1/(1-z) ('geom').
 The geometric choice has a finite convergence radius, so it is evaluated on
 a shrunken torus x -> r x, y -> r y with r^2 * sum_ij |a_ij| < 1 and the
 result divided by r^(2n); this keeps |r^2 x^T A y| < 1 pointwise.
+
+The frozen reference `pown_grid_expectation` is the exact 'pown' average
+over the root-of-unity grids of order n + 1, summed by the double-sum
+kernel that Glynn-Kan uses, `permanents._grid_double_sum`.
 """
 
 from __future__ import annotations
@@ -15,16 +19,19 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Sequence
+from typing import Sequence
 
 import numpy as np
 
 from .combinatorics import RepetitionPattern, factorial_product, weight
 from .errors import DimensionMismatch, WeightMismatch, ZeroDerivative
-from .permanents import _check_terms, _finite_array, _root_grid_double_sum
+from .permanents import _check_terms, _finite_array, _grid_double_sum, _root_grid
 from .rng import bit_generator
 
 F_CHOICES = ("pown", "exp", "geom")
+
+# Phase vectors drawn per generator call; seeded estimates depend on it.
+_BATCH = 1 << 14
 
 
 @dataclass(frozen=True)
@@ -72,8 +79,6 @@ def estimate_permanent(
     samples: int = 100_000,
     seed: int = 0,
     streams: int = 1,
-    radius: Optional[float] = None,
-    batch: int = 1 << 14,
 ) -> EstimateReport:
     """Average the torus integrand over i.i.d. uniform phase vectors.
 
@@ -96,7 +101,7 @@ def estimate_permanent(
         raise ZeroDerivative(f"f_n = 0 at order {n} for {f!r}")
     pq = float(factorial_product(p) * factorial_product(q))
     nfac = float(math.factorial(n))
-    r = radius if radius is not None else (default_geom_radius(arr) if f == "geom" else 1.0)
+    r = default_geom_radius(arr) if f == "geom" else 1.0
     p_arr = np.array(p, dtype=np.float64)
     q_arr = np.array(q, dtype=np.float64)
 
@@ -110,7 +115,7 @@ def estimate_permanent(
         bg = bit_generator(seed, stream=s)
         done = 0
         while done < n_s:
-            b = min(batch, n_s - done)
+            b = min(_BATCH, n_s - done)
             angles = bg.random_raw(2 * b * m) * (2.0 * np.pi / 2.0**64)
             x = np.exp(1j * angles[: b * m].reshape(b, m))
             y = np.exp(1j * angles[b * m :].reshape(b, m))
@@ -162,12 +167,13 @@ def estimator_variance_scan(
     return rows
 
 
-def pown_grid_expectation(a, pattern: RepetitionPattern, order: Optional[int] = None) -> complex:
-    """Exact expectation of the 'pown' integrand over discrete root-of-unity grids.
+def pown_grid_expectation(a, pattern: RepetitionPattern) -> complex:
+    """Exact expectation of the 'pown' integrand over the root-of-unity grids of order n + 1.
 
-    With per-variable grids of order >= n+1 the discrete expectation equals
+    On per-variable grids of order n + 1 the discrete expectation equals
     Per(A_{p,q}) exactly (no aliasing survives), which makes this a frozen
-    reference for the continuous-torus estimator.
+    reference for the continuous-torus estimator.  The double sum is
+    `permanents._grid_double_sum` on `permanents._root_grid`.
     """
     arr = _finite_array(a)
     m = arr.shape[0]
@@ -177,8 +183,9 @@ def pown_grid_expectation(a, pattern: RepetitionPattern, order: Optional[int] = 
     n = weight(p)
     if weight(q) != n:
         raise WeightMismatch(f"|p| = {n} but |q| = {weight(q)}")
-    order = order if order is not None else n + 1
+    order = n + 1
     grid = order**m
     _check_terms(f"discrete grid {order}^(2m)", grid * grid)
     pq = float(factorial_product(p) * factorial_product(q))
-    return _root_grid_double_sum(arr, p, q, order, n) * pq / math.factorial(n) / (grid * grid)
+    points, (wx, wy) = _root_grid(order, m, np.arange(grid, dtype=np.int64), p, q)
+    return complex(_grid_double_sum(arr, points, wx, wy, n)) * pq / math.factorial(n) / (grid * grid)

@@ -30,13 +30,14 @@ import numpy as np
 from . import rng
 from .combinatorics import (
     RepetitionPattern,
+    _sub_indices,
     count_weight,
     enumerate_splits,
     enumerate_weight,
     factorial_product,
     weight,
 )
-from .errors import OddDimension, AmplitudeOutOfRange, WeightMismatch, check_budget
+from .errors import DimensionMismatch, OddDimension, AmplitudeOutOfRange, WeightMismatch, check_budget
 from .numerics import as_array, scaled_error
 from .permanents import (
     NAIVE_MAX_DIM,
@@ -106,11 +107,14 @@ class _Tracker:
 def _normalize(a):
     """-> (matrix, ring): an object array of the entries for int/Fraction input
     (the rational ring), else a finite complex128 array (the complex ring).
+    A matrix that is not square raises `DimensionMismatch`.
 
     Series builders read entries from ``matrix.tolist()``, which gives Python
     int/Fraction or complex values, not numpy scalars.
     """
     data, nrows, ncols, exact = _coerce(a)
+    if nrows != ncols:
+        raise DimensionMismatch("matrix must be square")
     if exact:
         return np.array(data, dtype=object).reshape(nrows, ncols), RATIONAL
     return data, COMPLEX
@@ -148,10 +152,6 @@ def _caps(cap: Union[int, Sequence[int]], nvars: int) -> tuple[int, ...]:
     if len(caps) != nvars:
         raise ValueError(f"expected {nvars} caps, got {len(caps)}")
     return caps
-
-
-def _all_exponents(caps):
-    return itertools.product(*(range(c + 1) for c in caps))
 
 
 def _det_eye_minus(caps, ring, k: int, entry_terms) -> TruncatedSeries:
@@ -224,7 +224,7 @@ def _monomial_power_table(mat, ring, caps):
         strides.append(acc)
         acc *= c + 1
     strides = list(reversed(strides))
-    for idx, e in enumerate(_all_exponents(caps)):
+    for idx, e in enumerate(_sub_indices(caps)):
         if idx == 0:
             continue
         i = next(k for k, ek in enumerate(e) if ek > 0)
@@ -240,7 +240,7 @@ def verify_macmahon(a, cap: Union[int, Sequence[int]] = 2, tolerance: float = 1e
     """
     mat, ring = _normalize(a)
     caps = _caps(cap, len(mat))
-    exponents = list(_all_exponents(caps))
+    exponents = list(_sub_indices(caps))
     (per,) = _permanent_side((mat, [(p, p) for p in exponents]))
     inv = _n_matrix_rhs([mat], ring, caps)
     mono = _monomial_power_table(mat, ring, caps) if ring == RATIONAL else None
@@ -304,13 +304,13 @@ def verify_mmmt_two(a, b, cap: Union[int, Sequence[int]] = 2, tolerance: float =
     (mat_a, mat_b), ring = _common_ring((a, b))
     m = len(mat_a)
     caps = _caps(cap, 2 * m)
-    pairs = _equal_weight_pairs(_all_exponents(caps[:m]), _all_exponents(caps[m:]))
+    pairs = _equal_weight_pairs(_sub_indices(caps[:m]), _sub_indices(caps[m:]))
     swapped = [(q, p) for p, q in pairs]
     per_a, per_b, per_bt = _permanent_side((mat_a, pairs), (mat_b, swapped), (mat_b.T, pairs))
     rhs = _n_matrix_rhs([mat_a, mat_b], ring, caps)
     acc = _Tracker()
-    for p in _all_exponents(caps[:m]):
-        for q in _all_exponents(caps[m:]):
+    for p in _sub_indices(caps[:m]):
+        for q in _sub_indices(caps[m:]):
             denom = factorial_product(p) * factorial_product(q)
             pa = per_a.get((p, q), 0)
             lhs1 = _ratio(ring, pa * per_b.get((q, p), 0), denom)
@@ -356,7 +356,7 @@ def verify_mmmt_n(matrices, cap: Union[int, Sequence[int]] = 1, tolerance: float
     m = len(mats[0])
     caps = _caps(cap, n_mats * m)
     check_budget("mmmt-n coefficient table", math.prod(c + 1 for c in caps), 200_000, "coefficients")
-    per_block = [list(_all_exponents(caps[k * m : (k + 1) * m])) for k in range(n_mats)]
+    per_block = [list(_sub_indices(caps[k * m : (k + 1) * m])) for k in range(n_mats)]
     pers = _permanent_side(
         *((mats[k], _equal_weight_pairs(per_block[k], per_block[(k + 1) % n_mats])) for k in range(n_mats))
     )
@@ -426,8 +426,8 @@ def verify_generating_function(
             return math.factorial(n) if n == power else 0
         return 0 if n == 0 else math.factorial(n - 1)
 
-    ps = (p for p in _all_exponents(caps[:m]) if fn_times_nfac(weight(p)))
-    (per,) = _permanent_side((mat, _equal_weight_pairs(ps, _all_exponents(caps[m:]))))
+    ps = (p for p in _sub_indices(caps[:m]) if fn_times_nfac(weight(p)))
+    (per,) = _permanent_side((mat, _equal_weight_pairs(ps, _sub_indices(caps[m:]))))
     w = _xtay_series(mat, ring, caps)
     one = TruncatedSeries.one(caps, ring)
     if f == "exp":
@@ -439,8 +439,8 @@ def verify_generating_function(
     else:
         lhs_series = -((one - w).log())
     acc = _Tracker()
-    for p in _all_exponents(caps[:m]):
-        for q in _all_exponents(caps[m:]):
+    for p in _sub_indices(caps[:m]):
+        for q in _sub_indices(caps[m:]):
             ref = 0
             if (p, q) in per:
                 num = fn_times_nfac(weight(p)) * per[p, q]
@@ -454,10 +454,10 @@ def verify_monomial_glynn(a, p, cap: Union[int, Sequence[int]] = 2, tolerance: f
     mat, ring = _normalize(a)
     p = tuple(p)
     caps = _caps(cap, len(mat))
-    (per,) = _permanent_side((mat, _equal_weight_pairs([p], _all_exponents(caps))))
+    (per,) = _permanent_side((mat, _equal_weight_pairs([p], _sub_indices(caps))))
     rhs = _monomial_power(mat, ring, caps, p)
     acc = _Tracker()
-    for q in _all_exponents(caps):
+    for q in _sub_indices(caps):
         acc.add(_ratio(ring, per.get((p, q), 0), factorial_product(q)), rhs.coefficient(q))
     return acc.report("monomial", caps, tolerance, ring)
 
@@ -593,7 +593,7 @@ def verify_even_matrix(a, mode: str = "single", cap: Union[int, Sequence[int]] =
     if mode != "full":
         raise ValueError(f"unknown mode {mode!r}")
     caps = _caps(cap, 2 * m)
-    pairs = [(p + p, q + q) for p, q in _equal_weight_pairs(_all_exponents(caps[:m]), _all_exponents(caps[m:]))]
+    pairs = [(p + p, q + q) for p, q in _equal_weight_pairs(_sub_indices(caps[:m]), _sub_indices(caps[m:]))]
     (per,) = _permanent_side((mat, pairs))
     rows = mat.tolist()
     swap = [(i + m) % dim for i in range(dim)]
@@ -612,8 +612,8 @@ def verify_even_matrix(a, mode: str = "single", cap: Union[int, Sequence[int]] =
 
     g = _det_eye_minus(caps, COMPLEX, dim, entry).sqrt_inverse()
     acc = _Tracker()
-    for p in _all_exponents(caps[:m]):
-        for q in _all_exponents(caps[m:]):
+    for p in _sub_indices(caps[:m]):
+        for q in _sub_indices(caps[m:]):
             denom = factorial_product(p) * factorial_product(q)
             acc.add(g.coefficient(p + q), per.get((p + p, q + q), 0) / denom)
     return acc.report("even-full", caps, tolerance, COMPLEX)

@@ -21,15 +21,19 @@ Glynn and repeated-row Glynn are its q = 1 case.  The brute-force sum,
 :func:`_naive_sum`, walks the permutation prefix tree, on an object array
 here and on float input alike; exact zero partial products drop their
 subtree.
-Glynn-Kan keeps its own exact double loop.
 
 Float inputs run chunked numpy kernels: :func:`_sign_sum` for Ryser, Glynn
-and repeated-row Glynn (Glynn-Kan shares its vertex table, and exact Ryser
-its low/high split), and :func:`_sign_sums`, batched over many (p, q), for
-the multiplicity sum, the verifiers' permanents and Cauchy-Binet's inner
-permanents (both through :func:`_repeated_permanents`) and the sampler's
-distributions.  The roots-of-unity grids come from :func:`_root_grid` and
-are numeric-only.
+and repeated-row Glynn (exact Ryser shares its low/high split), and
+:func:`_sign_sums`, batched over many (p, q), for the multiplicity sum, the
+verifiers' permanents and Cauchy-Binet's inner permanents (both through
+:func:`_repeated_permanents`) and the sampler's distributions.
+
+Glynn-Kan's double sum over x, y of w(x) w(y) (x^T A y)^n is one kernel,
+:func:`_grid_double_sum`.  Glynn-Kan runs it on the sign vectors of
+`_vertices` (the order-2 grid), in float or, on int/Fraction input, on an
+object array of Python ints, exactly.  Repeated-index Glynn-Kan and the
+estimators' `pown_grid_expectation` run it on the roots-of-unity grids of
+:func:`_root_grid`, which are numeric-only, as is the roots-of-unity sum.
 """
 
 from __future__ import annotations
@@ -144,9 +148,18 @@ def _sign_sum(cols: np.ndarray, lo: int, base: Optional[np.ndarray] = None) -> c
         return complex(part.prod(axis=0) @ s_low)
     x_high, s_high = _vertices(k - low, lo)
     high_cols = cols[:, low:]
-    return sum(
-        sh * complex((part + (high_cols @ xh)[:, None]).prod(axis=0) @ s_low) for xh, sh in zip(x_high, s_high)
-    )
+    # One buffer for every high point, on a 64-byte boundary: glibc malloc
+    # serves blocks of 128 KiB and more by mmap, 16 bytes past a boundary
+    # (until it frees a larger mmapped block), and this loop at m = 18 took
+    # 1.4x as long on such a buffer.
+    raw = np.empty(part.size + 3, dtype=np.complex128)
+    start = -raw.ctypes.data % 64 // 16
+    shifted = raw[start : start + part.size].reshape(part.shape)
+    total = 0
+    for xh, sh in zip(x_high, s_high):
+        np.add(part, (high_cols @ xh)[:, None], out=shifted)
+        total += sh * complex(shifted.prod(axis=0) @ s_low)
+    return total
 
 
 # Entries (rows x low grid points) of one chunk's product block in _sign_sums.
@@ -662,21 +675,27 @@ def _root_grid(order: int, m: int, ids: np.ndarray, *exponents) -> tuple[np.ndar
     return roots[digits], [roots[-(digits @ np.asarray(e, dtype=np.int64)) % order] for e in exponents]
 
 
-def _root_grid_double_sum(arr: np.ndarray, p, q, order: int, power: int, chunk: int = 256) -> complex:
-    """sum over x, y in mu_order^m of x^{-p} y^{-q} (x^T A y)^power, over chunks of x."""
-    m = arr.shape[0]
-    grid = order**m
-    pts, (wx, wy) = _root_grid(order, m, np.arange(grid, dtype=np.int64), p, q)
-    ayt = arr @ pts.T  # column g = A y_g
-    total = 0j
-    for lo in range(0, grid, chunk):
-        hi = min(lo + chunk, grid)
-        s = pts[lo:hi] @ ayt  # (chunk, grid): x_g . (A y_h)
-        total += wx[lo:hi] @ (s**power) @ wy
-    return complex(total)
+# Values of x^T A y in one block of `_grid_double_sum`, so that a block stays in cache.
+_DOUBLE_SUM_ENTRIES = 1 << 14
 
 
-def permanent_roots_of_unity(a, pattern: RepetitionPattern, chunk: int = 1 << 15) -> PermanentResult:
+def _grid_double_sum(arr: np.ndarray, points: np.ndarray, wx: np.ndarray, wy: np.ndarray, power: int):
+    """sum over the rows x, y of ``points`` of wx(x) wy(y) (x^T A y)^power.
+
+    Blocks of x hold at most _DOUBLE_SUM_ENTRIES values of x^T A y.  On an
+    object (int / Fraction) array, with int64 points and weights, every
+    value stays a Python int or Fraction, so the sum is exact.
+    """
+    ayt = arr @ points.T  # column g = A y_g
+    step = max(1, _DOUBLE_SUM_ENTRIES // points.shape[0])
+    total = 0
+    for lo in range(0, points.shape[0], step):
+        s = points[lo : lo + step] @ ayt
+        total += wx[lo : lo + step] @ (s**power) @ wy
+    return total
+
+
+def permanent_roots_of_unity(a, pattern: RepetitionPattern) -> PermanentResult:
     """Per(A_{p,q}) = (q!/n^m) * sum over x in mu_n^m of x^{-q} (Ax)^p, n = |p| = |q|."""
     arr = _finite_array(a)
     m = arr.shape[0]
@@ -693,8 +712,8 @@ def permanent_roots_of_unity(a, pattern: RepetitionPattern, chunk: int = 1 << 15
     _check_terms("roots-of-unity grid n^m", grid)
     p_idx = [(i, p[i]) for i in range(m) if p[i]]
     total = 0j
-    for lo in range(0, grid, chunk):
-        x, (term,) = _root_grid(n, m, np.arange(lo, min(lo + chunk, grid), dtype=np.int64), q)
+    for lo in range(0, grid, _SUMS_ENTRIES):
+        x, (term,) = _root_grid(n, m, np.arange(lo, min(lo + _SUMS_ENTRIES, grid), dtype=np.int64), q)
         w = x @ arr.T
         for i, pi in p_idx:
             term *= w[:, i] ** pi
@@ -703,22 +722,11 @@ def permanent_roots_of_unity(a, pattern: RepetitionPattern, chunk: int = 1 << 15
     return PermanentResult(value, "roots_of_unity", grid)
 
 
-def _glynn_kan_sum(arr: np.ndarray) -> complex:
-    """sum over x, y in {-1,1}^m of (prod x)(prod y)(x^T A y)^m, over chunks of y
-    that keep each chunk's block of x^T A y values at 2^14 entries or fewer."""
-    m = arr.shape[0]
-    points, signs = _vertices(m, -1)
-    ay = points @ arr.T  # row y is (A y)^T
-    step = max(1, (1 << 14) >> m)
-    total = 0j
-    for start in range(0, 1 << m, step):
-        xay = ay[start : start + step] @ points.T
-        total += complex(signs[start : start + step] @ (xay**m @ signs))
-    return total
-
-
 def permanent_glynn_kan(a) -> PermanentResult:
-    """Symmetrized double sign sum: (1/(4^m m!)) sum_{x,y} (prod x)(prod y)(x^T A y)^m."""
+    """Symmetrized double sign sum: (1/(4^m m!)) sum_{x,y} (prod x)(prod y)(x^T A y)^m.
+
+    `_grid_double_sum` on the sign vectors {-1, 1}^m, exact on int/Fraction input.
+    """
     data, nrows, ncols, exact = _coerce(a)
     deg = _degenerate(nrows, ncols, "glynn_kan")
     if deg is not None:
@@ -726,37 +734,17 @@ def permanent_glynn_kan(a) -> PermanentResult:
     m = nrows
     _check_terms("Glynn-Kan sum", 4**m)
     denom = 4**m * math.factorial(m)
+    points, signs = _vertices(m, -1)
     if not exact:
-        return PermanentResult(_glynn_kan_sum(data) / denom, "glynn_kan", 4**m)
-    cols = list(zip(*data))
-    w = [sum(row) for row in data]  # w_i = (A y)_i, y = all ones
-    ys = [1] * m
-    sign_y = 1
-    total = 0
-    for ky in range(1 << m):
-        if ky:
-            j = (ky & -ky).bit_length() - 1
-            ys[j] = -ys[j]
-            d = 2 * ys[j]
-            col = cols[j]
-            for i in range(m):
-                w[i] += d * col[i]
-            sign_y = -sign_y
-        s = sum(w)
-        sign_x = 1
-        inner = s**m
-        xs = [1] * m
-        for kx in range(1, 1 << m):
-            i = (kx & -kx).bit_length() - 1
-            xs[i] = -xs[i]
-            s += 2 * xs[i] * w[i]
-            sign_x = -sign_x
-            inner += sign_x * s**m
-        total += sign_y * inner
-    return PermanentResult(_exact_type(Fraction(total, denom), data), "glynn_kan", 4**m)
+        return PermanentResult(complex(_grid_double_sum(data, points, signs, signs, m)) / denom, "glynn_kan", 4**m)
+    # Per(A) = Per(DA) / prod(d) for the row scaling D that makes the entries integers
+    dens, ints = _integer_rows(data)
+    points, signs = points.real.astype(np.int64), signs.astype(np.int64)
+    total = _grid_double_sum(np.array(ints, dtype=object), points, signs, signs, m)
+    return PermanentResult(_exact_type(Fraction(total, denom * math.prod(dens)), data), "glynn_kan", 4**m)
 
 
-def permanent_glynn_kan_repeated(a, pattern: RepetitionPattern, chunk: int = 256) -> PermanentResult:
+def permanent_glynn_kan_repeated(a, pattern: RepetitionPattern) -> PermanentResult:
     """Per(A_{p,q}) = p!q!/(n^{2m} n!) * sum over x,y in mu_n^m of x^{-p} y^{-q} (x^T A y)^n."""
     arr = _finite_array(a)
     m = arr.shape[0]
@@ -772,7 +760,8 @@ def permanent_glynn_kan_repeated(a, pattern: RepetitionPattern, chunk: int = 256
     _check_terms("roots-of-unity double grid n^(2m)", n ** (2 * m))
     grid = n**m
     scalefac = float(Fraction(factorial_product(p) * factorial_product(q), grid * grid * math.factorial(n)))
-    value = _root_grid_double_sum(arr, p, q, n, n, chunk) * scalefac
+    points, (wx, wy) = _root_grid(n, m, np.arange(grid, dtype=np.int64), p, q)
+    value = complex(_grid_double_sum(arr, points, wx, wy, n)) * scalefac
     return PermanentResult(value, "glynn_kan_repeated", grid * grid)
 
 

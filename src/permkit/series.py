@@ -205,10 +205,6 @@ class TruncatedSeries:
 
     # -- basics -------------------------------------------------------
     @property
-    def num_vars(self) -> int:
-        return len(self.caps)
-
-    @property
     def coeffs(self) -> tuple:
         """Every coefficient, flat in row-major exponent order, as Fraction or complex."""
         values = self._array.ravel().tolist()

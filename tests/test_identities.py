@@ -7,7 +7,7 @@ import pytest
 import permkit.identities as ident
 from permkit import rng
 from permkit.combinatorics import RepetitionPattern, repeat_matrix
-from permkit.errors import OddDimension, TooLarge, WeightMismatch
+from permkit.errors import DimensionMismatch, OddDimension, TooLarge, WeightMismatch
 from permkit.identities import (
     DIXON_MATRIX,
     IDENTITY_REGISTRY,
@@ -418,6 +418,42 @@ def test_randomized_battery_sweep(seed):
     num = int(g.integers(-6, 7))
     den = int(g.integers(1, 5))
     assert verify_sn_identity(Fraction(num, den), Fraction(den, 3), 4).passed
+
+
+ONE = RepetitionPattern((1,), (1,))
+
+
+class TestSquareMatrices:
+    """Every matrix verifier rejects a non-square matrix in any input form."""
+
+    @pytest.mark.parametrize(
+        "mat",
+        [[[1, 2]], np.array([[1, 2]], dtype=object), np.array([[1.0, 2.0]]), [[]]],
+        ids=["nested", "object", "float", "empty-row"],
+    )
+    @pytest.mark.parametrize(
+        "run",
+        [
+            lambda a: verify_macmahon(a, 1),
+            lambda a: verify_mmmt_two(a, a, 1),
+            lambda a: verify_mmmt_n([a, a], 1),
+            lambda a: verify_corollary_rank_one(a, (1,), (1,)),
+            lambda a: verify_generating_function(a, "exp", 1),
+            lambda a: verify_monomial_glynn(a, (1,), 1),
+            lambda a: verify_sum_formula(a, a, ONE),
+            lambda a: verify_laplace(a, ONE, 0),
+            lambda a: verify_sum_of_permanents(a, a, ONE),
+            lambda a: verify_even_matrix(a, "single"),
+            lambda a: verify_even_matrix(a, "full", 1),
+        ],
+        ids=[
+            "macmahon", "mmmt-two", "mmmt-n", "corollary", "generating", "monomial",
+            "sum-formula", "laplace", "sum-of-permanents", "even-single", "even-full",
+        ],
+    )
+    def test_non_square_raises_dimension_mismatch(self, run, mat):
+        with pytest.raises(DimensionMismatch, match="square"):
+            run(mat)
 
 
 class TestOracleLimitBeforeSeriesWork:

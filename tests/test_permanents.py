@@ -451,10 +451,24 @@ def test_float_glynn_kan_matches_exact_int_path(n):
             permanent_glynn_kan(arr)
         return
     got = permanent_glynn_kan(arr)
-    # the exact Glynn-Kan loop takes seconds at n = 11; exact Ryser gives the same int
+    # exact Glynn-Kan takes seconds at n = 11; exact Ryser gives the same int
     ref = permanent_glynn_kan(exact) if n <= 10 else permanent_ryser(exact)
     assert scaled_error(got.value, ref.value) <= 1e-10
     assert got.term_count == 4**n
+
+
+@pytest.mark.parametrize("m", (8, 9))
+@pytest.mark.parametrize("kind", ("int", "fraction"))
+def test_exact_glynn_kan_matches_exact_ryser_across_blocks(kind, m):
+    # 4^m values of x^T A y: 4 blocks of the double sum at m = 8, 16 at m = 9
+    assert 4**m >= 4 * permanents._DOUBLE_SUM_ENTRIES
+    g = rng.generator(1300 + m)
+    rows = g.integers(-9, 10, size=(m, m)).tolist()
+    if kind == "fraction":
+        rows = [[Fraction(v, d) for v, d in zip(row, dens)] for row, dens in zip(rows, g.integers(1, 7, size=(m, m)).tolist())]
+    got, ref = permanent_glynn_kan(rows).value, permanent_ryser(rows).value
+    assert got == ref and type(got) is type(ref)
+    assert isinstance(got, Fraction) == (kind == "fraction")
 
 
 @pytest.mark.parametrize("n", (2, 11))
