@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import numbers
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator, Optional, Sequence
@@ -23,6 +24,10 @@ MultiIndex = tuple[int, ...]
 
 
 def as_multi_index(p: Sequence[int]) -> MultiIndex:
+    """``p`` as a tuple of ints.  A component that is not an integer (a float
+    or a bool included) or is negative raises ValueError."""
+    if not all(isinstance(k, numbers.Integral) and not isinstance(k, bool) for k in p):
+        raise ValueError(f"multi-index components must be integers: {tuple(p)}")
     out = tuple(int(k) for k in p)
     if any(k < 0 for k in out):
         raise ValueError(f"multi-index components must be non-negative: {out}")

@@ -10,14 +10,16 @@ when it exceeds the budget.
 
 Exact input, int / Fraction entries as nested sequences or as an object
 array (`combinatorics._is_exact_rows`), has three independent routes, and
-each returns a Fraction when an entry is one, else an int.  Ryser is
-multi-modular: the sum runs mod a few primes below 2^25 in float64 numpy
-(:func:`_ryser_residues`) and the Chinese remainder theorem rebuilds it.
-Glynn is a Python big-int Gray-code loop: Per(A_{p,q}) comes from Glynn's
-sum on A_{p,q} with the sign vectors of each repeated column grouped by
-their sum, prod_j (q_j + 1) terms (:func:`permanent_glynn_multiplicity`),
-and :func:`_exact_multiplicity_sums` sums one of each pair of equal terms;
-Glynn and repeated-row Glynn are its q = 1 case.  The brute-force sum,
+each returns a Fraction when an entry is one, else an int.  Ryser and Glynn
+are multi-modular: the rows are scaled to integers, each sum runs mod a few
+primes below 2^25 in float64 numpy, and the Chinese remainder theorem
+rebuilds it from a bound on |Per|.  They share that reduction (`_balanced`,
+`_row_groups`, `_crt`) but not their formulas: Ryser sums over column
+subsets (:func:`_ryser_residues`); Glynn gives Per(A_{p,q}) by Glynn's sum
+on A_{p,q} with the sign vectors of each repeated column grouped by their
+sum, prod_j (q_j + 1) terms (:func:`permanent_glynn_multiplicity`), of which
+:func:`_multiplicity_residues` sums one of each pair of equal terms; Glynn
+and repeated-row Glynn are its q = 1 case.  The brute-force sum,
 :func:`_naive_sum`, walks the permutation prefix tree, on an object array
 here and on float input alike; exact zero partial products drop their
 subtree.
@@ -26,7 +28,9 @@ Float inputs run chunked numpy kernels: :func:`_sign_sum` for Ryser, Glynn
 and repeated-row Glynn (exact Ryser shares its low/high split), and
 :func:`_sign_sums`, batched over many (p, q), for the multiplicity sum, the
 verifiers' permanents and Cauchy-Binet's inner permanents (both through
-:func:`_repeated_permanents`) and the sampler's distributions.
+:func:`_repeated_permanents`) and the sampler's distributions.  The exact
+multiplicity sum is the residue twin of `_sign_sums`, on the same grid and
+split.
 
 Glynn-Kan's double sum over x, y of w(x) w(y) (x^T A y)^n is one kernel,
 :func:`_grid_double_sum`.  Glynn-Kan runs it on the sign vectors of
@@ -43,7 +47,7 @@ import warnings
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from operator import add
+from operator import mul
 from typing import Optional, Union
 
 import numpy as np
@@ -51,6 +55,7 @@ import numpy as np
 from .combinatorics import (
     RepetitionPattern,
     _is_exact_rows,
+    as_multi_index,
     enumerate_weight,
     factorial_product,
     weight,
@@ -131,6 +136,20 @@ def _vertices(k: int, lo: int) -> tuple[np.ndarray, np.ndarray]:
     return points, signs
 
 
+def _aligned(shape: tuple, dtype) -> np.ndarray:
+    """An uninitialised array for a buffer that a kernel's outer loop reuses,
+    on a 64-byte boundary when it takes 128 KiB or more.  glibc malloc serves
+    such blocks by mmap, 16 bytes past a boundary (until it frees a larger
+    mmapped block), and `_sign_sum`'s loop at m = 18 took 1.4x as long on
+    such a buffer; smaller ones are not moved, as the move costs a few us."""
+    size, itemsize = math.prod(shape), np.dtype(dtype).itemsize
+    if size * itemsize < 1 << 17:
+        return np.empty(shape, dtype=dtype)
+    raw = np.empty(size + 64 // itemsize - 1, dtype=dtype)
+    start = -raw.ctypes.data % 64 // itemsize
+    return raw[start : start + size].reshape(shape)
+
+
 def _sign_sum(cols: np.ndarray, lo: int, base: Optional[np.ndarray] = None) -> complex:
     """sum over x in {lo, 1}^k of (prod_j s(x_j)) prod_i (base + cols x)_i.
 
@@ -148,13 +167,7 @@ def _sign_sum(cols: np.ndarray, lo: int, base: Optional[np.ndarray] = None) -> c
         return complex(part.prod(axis=0) @ s_low)
     x_high, s_high = _vertices(k - low, lo)
     high_cols = cols[:, low:]
-    # One buffer for every high point, on a 64-byte boundary: glibc malloc
-    # serves blocks of 128 KiB and more by mmap, 16 bytes past a boundary
-    # (until it frees a larger mmapped block), and this loop at m = 18 took
-    # 1.4x as long on such a buffer.
-    raw = np.empty(part.size + 3, dtype=np.complex128)
-    start = -raw.ctypes.data % 64 // 16
-    shifted = raw[start : start + part.size].reshape(part.shape)
+    shifted = _aligned(part.shape, np.complex128)
     total = 0
     for xh, sh in zip(x_high, s_high):
         np.add(part, (high_cols @ xh)[:, None], out=shifted)
@@ -179,6 +192,18 @@ def _multiplicity_weight(q: int, y: int) -> int:
     return 0 if odd or not 0 <= v <= q else (-1) ** v * math.comb(q, v)
 
 
+def _grid_columns(qs) -> list[tuple[np.ndarray, np.ndarray]]:
+    """Per column j of the grid for the multiplicity rows qs: its `_column_values`
+    and, per grid point, the digit that picks its value; column 0 is the fastest."""
+    columns = [_column_values([q[j] for q in qs]) for j in range(len(qs[0]))]
+    index = np.arange(math.prod(c.size for c in columns))
+    out, stride = [], 1
+    for values in columns:
+        out.append((values, index // stride % values.size))
+        stride *= values.size
+    return out
+
+
 @lru_cache(maxsize=64)
 def _multiplicity_grid(qs: tuple[tuple[int, ...], ...]) -> tuple[np.ndarray, np.ndarray]:
     """The points y of the grid that the multiplicity rows qs need, and each row's weights.
@@ -188,21 +213,28 @@ def _multiplicity_grid(qs: tuple[tuple[int, ...], ...]) -> tuple[np.ndarray, np.
     for q = qs[r] and y = q - 2v, and 0 where y is not of that form.  For
     q = (1, ..., 1) these are the points and signs of `_vertices(k, -1)`.  Read-only.
     """
-    k = len(qs[0])
-    columns = [_column_values([q[j] for q in qs]) for j in range(k)]
-    index = np.arange(math.prod(c.size for c in columns))
-    points = np.empty((index.size, k), dtype=np.complex128)
-    weights = np.ones((len(qs), index.size))
-    stride = 1
-    for j, values in enumerate(columns):
-        digit = index // stride % values.size
-        stride *= values.size
+    columns = _grid_columns(qs)
+    points = np.empty((math.prod(v.size for v, _ in columns), len(columns)), dtype=np.complex128)
+    weights = np.ones((len(qs), points.shape[0]))
+    for j, (values, digit) in enumerate(columns):
         points[:, j] = values[digit]
         table = np.array([[_multiplicity_weight(q[j], int(y)) for y in values] for q in qs], dtype=np.float64)
         weights *= table[:, digit]
     points.setflags(write=False)
     weights.setflags(write=False)
     return points, weights
+
+
+def _grid_split(qs) -> tuple[int, int, int]:
+    """(low, block, size) for the grid of the multiplicity rows qs: its first
+    ``low`` columns, as many as fit, make ``block`` <= 2^_LOW_BITS points, of
+    ``size`` in all."""
+    sizes = [_column_values([q[j] for q in qs]).size for j in range(len(qs[0]))]
+    low, block = 0, 1
+    while low < len(sizes) and block * sizes[low] <= 1 << _LOW_BITS:
+        block *= sizes[low]
+        low += 1
+    return low, block, math.prod(sizes)
 
 
 def _sign_sums(cols: np.ndarray, powers: np.ndarray, mults: Optional[list] = None) -> np.ndarray:
@@ -228,12 +260,8 @@ def _sign_sums(cols: np.ndarray, powers: np.ndarray, mults: Optional[list] = Non
     qs = tuple(index)
     if len(qs) == 1:
         which = None
-    sizes = [_column_values([q[j] for q in qs]).size for j in range(k)]
-    _check_terms("sign sum", math.prod(sizes) * max(k, 1))
-    low, block = 0, 1
-    while low < k and block * sizes[low] <= 1 << _LOW_BITS:
-        block *= sizes[low]
-        low += 1
+    low, block, size = _grid_split(qs)
+    _check_terms("sign sum", size * max(k, 1))
     x_low, w_low = _multiplicity_grid(tuple(q[:low] for q in qs))
     x_high, w_high = _multiplicity_grid(tuple(q[low:] for q in qs))
     part = cols[:, :low] @ x_low.T
@@ -241,8 +269,9 @@ def _sign_sums(cols: np.ndarray, powers: np.ndarray, mults: Optional[list] = Non
     table = np.empty((int(powers.max(initial=0)) + 1, m, block), dtype=np.complex128)
     table[0] = 1.0
     out = np.zeros(powers.shape[0], dtype=np.complex128)
+    v = _aligned(part.shape, np.complex128)
     for h, xh in enumerate(x_high):
-        v = part + (cols[:, low:] @ xh)[:, None]
+        np.add(part, (cols[:, low:] @ xh)[:, None], out=v)
         for e in range(1, table.shape[0]):
             np.multiply(table[e - 1], v, out=table[e])
         for start in range(0, powers.shape[0], step):
@@ -267,98 +296,6 @@ def _integer_rows(rows) -> tuple[list[int], list[list[int]]]:
 def _exact_type(value, rows) -> Scalar:
     """An exact permanent of ``rows`` as a Fraction when an entry is one, else as an int."""
     return Fraction(value) if any(isinstance(v, Fraction) for row in rows for v in row) else int(value)
-
-
-def _exact_multiplicity_sums(rows, pairs) -> list[tuple[Scalar, int]]:
-    """(Per(A_{p,q}), term count) per pair, for int/Fraction rows and |p| = |q| >= 1.
-
-    Row i is scaled to integers by the lcm d_i of its denominators, which
-    scales Per(A_{p,q}) by prod d_i^{p_i}; `_half_sign_sum` does the rest.
-    A result is a Fraction when an entry of A_{p,q} is one, else an int.
-    """
-    dens, ints = _integer_rows(rows)
-    cols = list(zip(*ints))
-    fractions = [[isinstance(v, Fraction) for v in row] for row in rows]
-    out = []
-    for p, q in pairs:
-        keep = [i for i, e in enumerate(p) if e]
-        # an odd multiplicity first, so that one box covers half the grid
-        order = sorted((j for j, e in enumerate(q) if e), key=lambda j: q[j] % 2 == 0)
-        exps = [p[i] for i in keep]
-        mults = [q[j] for j in order]
-        half = _half_sign_sum([[cols[j][i] for i in keep] for j in order], exps, mults)
-        value = Fraction(half, math.prod(dens[i] ** p[i] for i in keep) << (sum(exps) - 1))
-        if not any(fractions[i][j] for i in keep for j in order):
-            value = int(value)
-        out.append((value, _multiplicity_terms(mults) // 2))
-    return out
-
-
-def _half_sign_sum(cols: list, exps: list, mults: list) -> int:
-    """Half of sum over 0 <= v <= q of prod_t (-1)^{v_t} C(q_t, v_t) prod_i ((A(q - 2v))_i)^{p_i}
-    for an integer A with columns ``cols``, p = ``exps``, q = ``mults`` and |p| = |q|.
-
-    The terms at v and q - v are equal, so one of each pair is summed: box t
-    holds the columns before t at v = q/2 (y = 0), column t below q_t/2 and
-    the later columns free, and an odd q_t ends the boxes.  When every q_t is
-    even, the point v = q/2 is left over; its y = 0 and it adds 0.  That is
-    prod(q_t + 1) // 2 terms, visited in a mixed-radix reflected Gray code
-    (Knuth, TAOCP 7.2.1.1, Algorithm H) that changes one v_t by 1 per term.
-    """
-    rows = range(len(exps))
-    if all(e == 1 for e in exps):
-        exps = None
-    total, mid = 0, 1
-    for t, qt in enumerate(mults):
-        sums = [sum(c[i] * qc for c, qc in zip(cols[t:], mults[t:])) for i in rows]
-        digits = [((qt + 1) // 2, t)] + [(qc + 1, c) for c, qc in enumerate(mults[t + 1 :], t + 1)]
-        digits = [(radix, c) for radix, c in digits if radix > 1]
-        if digits:
-            total += mid * _gray_code_sum(sums, digits, cols, mults, exps)
-        else:
-            total += mid * (math.prod(sums) if exps is None else math.prod(map(pow, sums, exps)))
-        if qt % 2:
-            break
-        mid *= (-1) ** (qt // 2) * math.comb(qt, qt // 2)
-    return total
-
-
-def _gray_code_sum(sums: list, digits: list, cols: list, mults: list, exps: Optional[list]) -> int:
-    """sum over the digits v_t, 0 <= v_t < radix, of prod_t (-1)^{v_t} C(q_c, v_t) prod_i s_i(v)^{p_i}.
-
-    ``digits`` lists (radix >= 2, column c); v_t = k sets y_c = q_c - 2k,
-    and s = A y starts at ``sums``.  Every step changes one v_t by 1, so it
-    flips the sign and adds -2 or +2 times column c to the sums.  ``exps``
-    of None stands for p = (1, ..., 1).
-    """
-    prod = math.prod
-    k = len(digits)
-    last = [radix - 1 for radix, _ in digits]
-    binoms = [[math.comb(mults[c], v) for v in range(radix)] if mults[c] > 1 else None for radix, c in digits]
-    downs = [[-2 * x for x in cols[c]] for _, c in digits]
-    ups = [[2 * x for x in cols[c]] for _, c in digits]
-    v, rising, focus = [0] * k, [True] * k, list(range(k + 1))
-    w = 1
-    total = prod(sums) if exps is None else prod(map(pow, sums, exps))
-    while True:
-        t = focus[0]
-        if t == k:
-            return total
-        focus[0] = 0
-        old = v[t]
-        if rising[t]:
-            v[t] = new = old + 1
-            sums = list(map(add, sums, downs[t]))
-        else:
-            v[t] = new = old - 1
-            sums = list(map(add, sums, ups[t]))
-        if new == 0 or new == last[t]:
-            rising[t] = not rising[t]
-            focus[t] = focus[t + 1]
-            focus[t + 1] = t + 1
-        b = binoms[t]
-        w = -w if b is None else -w // b[old] * b[new]
-        total += w * (prod(sums) if exps is None else prod(map(pow, sums, exps)))
 
 
 @lru_cache(maxsize=None)
@@ -409,20 +346,31 @@ def permanent_naive(a) -> PermanentResult:
     return PermanentResult(_naive_sum(arr), "naive", math.factorial(m))
 
 
-# The exact Ryser kernel computes with integers held in float64, which is
-# exact for every integer of magnitude below 2^53.  Every float it makes is
-# such an integer:
-# - a shared row's subset sums lie within its bound r_i < 2^52, and a
-#   group's product of them within the product of the group's bounds (each
-#   r_i >= 1), which stays below 2^52;
-# - a per-prime row holds residues in [0, p) for p < 2^25, and its subset
-#   sums of at most m of them are reduced before use;
+# The exact kernels compute with integers held in float64, which is exact
+# for every integer of magnitude below 2^53.  Every float they make is such
+# an integer:
+# - a shared row's values (Ryser's subset sums, or the multiplicity sum's
+#   (C y)_i and their powers up to P_i) lie within its bound, below 2^52, and
+#   a group's product of them within the product of the group's bounds (each
+#   at least 1), which stays below 2^52 (`_row_groups`);
+# - a per-prime row holds balanced residues, and its sums of them times the
+#   grid's values, at most 2^24 sum_j Q_j < 2^52 on grids of fewer than
+#   2^28 points, are reduced before use;
 # - `_balanced` gives residues in [-(p - 1)/2, (p - 1)/2], and its q p stays
 #   below 2^52 + 2^25;
 # - a per-prime factor adds two balanced residues (below 2^25), so a product
-#   of two factors is below 2^50 before it is reduced;
-# - a block's signed sum of at most 2^_LOW_BITS factors is below 2^35, and
-#   the blocks add up in int64.
+#   of two factors, or of a factor and a weight residue, is below 2^50 before
+#   it is reduced;
+# - a grid weight multiplies the exact integers (-1)^v C(q_j, v) while the
+#   product of their bounds stays below 2^52, then is reduced; a factor of
+#   2^28 or more enters as its residues, so that a residue times a factor
+#   stays below 2^52 (`_weight_residues`);
+# - a block's weighted sum of at most 2^_LOW_BITS factors below 2^25 is
+#   below 2^35 for Ryser's signs and below 2^52 for weights below 2^17;
+#   larger weights are multiplied in and reduced first;
+# - the blocks add up in int64: Ryser's sums directly, the multiplicity
+#   sum's reduced, then times the outer weight's residue and reduced again,
+#   so that no total passes 2^62.
 _PRIME_BITS = 25
 _EXACT = 1 << 52
 
@@ -459,28 +407,47 @@ def _balanced(x: np.ndarray, primes: np.ndarray) -> np.ndarray:
     return np.subtract(x, q, out=q)
 
 
-def _ryser_residues(ints: list, bounds: list, primes: list) -> list[int]:
-    """Ryser's sum for the integer rows ``ints`` mod each prime, in [0, p).
+def _row_groups(bounds: list) -> tuple[list[int], list[tuple[int, int]], list[int]]:
+    """(shared, groups, per_prime) for rows whose values are bounded by ``bounds`` (each >= 1).
 
-    The sum runs as `_sign_sum` does with lo = 0: the low bits of the column
-    subset come from the cached `_vertices` table in one matmul, the high bits
-    are an outer loop.  A row with bound (absolute row sum) below 2^52 is
-    shared: its subset sums are exact in float64 for every prime at once, and
-    consecutive shared rows multiply while the product of their bounds stays
-    below 2^52 before the product is reduced mod each prime.  Other rows hold
-    per-prime residues.  The factors, shared (1, block) and per-prime
-    (k, block), multiply into one (k, block) product by broadcasting.
+    A row with bound below 2^52 is shared: its values are exact float64
+    integers for every prime at once.  ``groups`` cuts the list ``shared``
+    into runs (lo, hi) of consecutive rows whose bounds multiply to less than
+    2^52, so that a run's product is exact before it is reduced mod each
+    prime.  The other rows, ``per_prime``, hold residues mod each prime.
     """
-    m, k = len(ints), len(primes)
-    shared = [i for i in range(m) if bounds[i] < _EXACT]
+    shared = [i for i, b in enumerate(bounds) if b < _EXACT]
     groups, start, product = [], 0, 1
     for t, i in enumerate(shared):
         if product * bounds[i] >= _EXACT:
             groups.append((start, t))
             start, product = t, 1
         product *= bounds[i]
-    groups.append((start, len(shared)))
-    big = [ints[i] for i in range(m) if bounds[i] >= _EXACT]
+    if shared:
+        groups.append((start, len(shared)))
+    return shared, groups, [i for i, b in enumerate(bounds) if b >= _EXACT]
+
+
+def _residue_rows(ints: list, rows: list, primes: list) -> np.ndarray:
+    """The rows ``rows`` of the integer matrix ``ints`` mod each prime, balanced,
+    as float64 of shape (k, len(rows), ncols)."""
+    picked = np.array([ints[i] for i in rows], dtype=object).reshape(len(rows), len(ints[0]))
+    residues = (picked % np.array(primes, dtype=object)[:, None, None]).astype(np.float64)
+    return _balanced(residues, np.array(primes, dtype=np.float64)[:, None, None])
+
+
+def _ryser_residues(ints: list, bounds: list, primes: list) -> list[int]:
+    """Ryser's sum for the integer rows ``ints`` mod each prime, in [0, p).
+
+    The sum runs as `_sign_sum` does with lo = 0: the low bits of the column
+    subset come from the cached `_vertices` table in one matmul, the high bits
+    are an outer loop.  A row's bound is its absolute row sum, and
+    `_row_groups` splits the rows into shared groups and per-prime rows.  The
+    factors, shared (1, block) and per-prime (k, block), multiply into one
+    (k, block) product by broadcasting.
+    """
+    m, k = len(ints), len(primes)
+    shared, groups, big = _row_groups(bounds)
     ps = np.array(primes, dtype=np.float64)[:, None]
     low = min(m, _LOW_BITS)
     x_low, s_low = _vertices(low, 0)
@@ -488,13 +455,12 @@ def _ryser_residues(ints: list, bounds: list, primes: list) -> list[int]:
     x_low, x_high = x_low.real.T, x_high.real
     rows = np.array([ints[i] for i in shared], dtype=np.float64).reshape(len(shared), m)
     part = rows[:, :low] @ x_low
-    moduli = np.array(primes, dtype=object)[:, None, None]
-    residues = (np.array(big, dtype=object).reshape(len(big), m) % moduli).astype(np.float64)
+    residues = _residue_rows(ints, big, primes)
     part_big = _balanced(residues[:, :, :low] @ x_low, ps[:, :, None])
     total = np.zeros(k, dtype=np.int64)
     for xh, sh in zip(x_high, s_high):
         sums = part + (rows[:, low:] @ xh)[:, None]
-        factors = [_balanced(sums[lo:hi].prod(axis=0), ps) for lo, hi in groups if hi > lo]
+        factors = [_balanced(sums[lo:hi].prod(axis=0), ps) for lo, hi in groups]
         if big:
             per_prime = part_big + _balanced(residues[:, :, low:] @ xh, ps)[:, :, None]
             factors += list(per_prime.transpose(1, 0, 2))
@@ -505,11 +471,173 @@ def _ryser_residues(ints: list, bounds: list, primes: list) -> list[int]:
     return [int(t) % p for t, p in zip(total, primes)]
 
 
-def _crt(residues: list, primes: list) -> int:
-    """The x with |x| < M/2 and x = r mod p for each residue r and prime p, M = prod p (odd)."""
+def _weight_residues(qs: tuple, columns: list, primes: tuple) -> np.ndarray:
+    """The weights of the grid ``columns`` (`_grid_columns(qs)`) mod each prime:
+    shape (len(qs), len(primes), grid), balanced, or (len(qs), 1, grid) when
+    every weight is at most half of each prime and so its own residue.
+
+    A weight is the product over the columns j of the exact integers
+    (-1)^v C(q_j, v), or of their residues where a residue times them could
+    reach 2^52.  The factors multiply exactly in float64 while the product
+    of their bounds stays below 2^52; then the product is reduced mod each
+    prime.
+    """
+    ps = np.array(primes, dtype=np.float64)[:, None]
+    half = max(primes) // 2
+    out, bound = np.ones((len(qs), 1, 1)), 1
+    # the slowest column first: each one's values become the new fastest axis
+    for j in reversed(range(len(columns))):
+        mults = sorted({q[j] for q in qs})
+        table = [[_multiplicity_weight(c, int(y)) for y in columns[j][0]] for c in mults]
+        top = max(abs(w) for row in table for w in row)
+        if half * top < _EXACT:
+            factor = np.array(table, dtype=np.float64)[:, None, :]
+        else:
+            factor, top = _balanced(np.array([[[w % p for w in row] for p in primes] for row in table], dtype=np.float64), ps), half
+        if bound * top >= _EXACT:
+            out, bound = _balanced(out, ps), half
+        factor = factor[np.searchsorted(mults, [q[j] for q in qs])]
+        out = (out[..., None] * factor[:, :, None, :]).reshape(len(qs), -1, out.shape[2] * factor.shape[2])
+        bound *= top
+    return out if bound <= min(primes) // 2 else _balanced(out, ps)
+
+
+@lru_cache(maxsize=64)
+def _residue_grid(qs: tuple, primes: tuple) -> tuple:
+    """What `_multiplicity_residues` needs of the grid for the multiplicity rows
+    qs: `_grid_split`'s (low, block, size), the float64 points of the low
+    columns (low x block) and of the high ones (one row per outer point), the
+    `_weight_residues` of both, and whether every low weight is below 2^17,
+    so that a block's weighted sum of factors below 2^25 stays below 2^52."""
+    low, block, size = _grid_split(qs)
+    points, weights = [], []
+    for part in (tuple(q[:low] for q in qs), tuple(q[low:] for q in qs)):
+        columns = _grid_columns(part)
+        grid = math.prod(values.size for values, _ in columns)
+        points.append(np.array([values[digit] for values, digit in columns], dtype=np.float64).reshape(-1, grid))
+        weights.append(_weight_residues(part, columns, primes))
+    direct = bool(np.abs(weights[0]).max() < 1 << (52 - _PRIME_BITS - _LOW_BITS))
+    out = (low, block, size, points[0], np.ascontiguousarray(points[1].T), *weights, direct)
+    for a in out[3:7]:
+        a.setflags(write=False)
+    return out
+
+
+def _multiplicity_residues(ints: list, powers: np.ndarray, mults: list, primes: list) -> np.ndarray:
+    """Half of `_sign_sums` on the integer rows ``ints``, mod each prime, as an
+    N x k int64 array in [0, p): row r for p = powers[r] and q = mults[r].
+
+    The grid is `_multiplicity_grid`'s with the column order reversed, so the
+    grid indices i and G - 1 - i hold the points y and -y, and the sum runs
+    over i >= (G + 1) // 2: the points whose first nonzero y_j is positive.
+    Where |p| = |q| the terms at y and -y are equal and y = 0 adds 0, so
+    twice this is the full sum; for q = (1, ..., 1) it is Glynn's sum with
+    x_1 = +1.  Rows with no power and columns with no multiplicity are left out.
+
+    The split is `_sign_sums`': the first columns' points, at most
+    2^_LOW_BITS, in one matmul, the rest an outer loop.  Row i's values
+    (C y)_i are bounded by r_i = sum_j |c_ij| Q_j, with Q_j the largest q_j,
+    and its factors by r_i^{P_i}, with P_i the largest p_i; `_row_groups`
+    splits the rows by those bounds.  Per outer point, each row's powers are
+    tabled, exact for a shared row and as residues for a per-prime row; each
+    chunk of pairs gathers its powers, multiplies each group's exactly before
+    reducing it, and contracts the reduced product with the weight residues
+    of `_residue_grid`.
+    """
+    top = powers.max(axis=0)
+    rows = [i for i in range(len(ints)) if top[i]]
+    widest = [max(col) for col in zip(*mults)]
+    cols = [j for j, t in enumerate(widest) if t][::-1]
+    ints = [[ints[i][j] for j in cols] for i in rows]
+    powers, widest = powers[:, rows], [widest[j] for j in cols]
+    index: dict = {}
+    which = np.array([index.setdefault(tuple(q[j] for j in cols), len(index)) for q in mults], dtype=np.intp)
+    qs, k = tuple(index), len(primes)
+    reach = np.abs(np.array(ints, dtype=object)) @ np.array(widest, dtype=object)
+    shared, groups, big = _row_groups([max(r, 1) ** int(e) for r, e in zip(reach.tolist(), top[rows])])
+    low, block, size, x_low, x_high, w_low, w_high, direct = _residue_grid(qs, tuple(primes))
+    ps = np.array(primes, dtype=np.float64)
+    ps2, ps3 = ps[:, None], ps[:, None, None]
+    exact_rows = np.array([ints[i] for i in shared], dtype=np.float64).reshape(len(shared), len(cols))
+    part = exact_rows[:, :low] @ x_low
+    residues = _residue_rows(ints, big, primes)
+    part_big = _balanced(residues[:, :, :low] @ x_low, ps3)
+    pw_shared, pw_big = powers[:, shared], powers[:, big]
+    table = _aligned((int(pw_shared.max(initial=1)) + 1, len(shared), block), np.float64)
+    table[0] = 1.0
+    table_big = np.ones((int(pw_big.max(initial=1)) + 1, k, len(big), block))
+    members = [np.arange(lo, hi) for lo, hi in groups]
+    # the primes along whole rows: a (k, 1) column would be a slower broadcast
+    moduli = np.repeat(ps2, block, axis=1)
+    step = max(1, _SUMS_ENTRIES // (k * block))
+    total = np.zeros((len(mults), k), dtype=np.int64)
+    first, skip = divmod((size + 1) // 2, block)
+    for h in range(first, x_high.shape[0]):
+        lo = skip if h == first else 0
+        tab, tab_big, mod = table[:, :, lo:], table_big[..., lo:], moduli[:, lo:]
+        np.add(part[:, lo:], (exact_rows[:, low:] @ x_high[h])[:, None], out=tab[1])
+        for e in range(2, tab.shape[0]):
+            np.multiply(tab[e - 1], tab[1], out=tab[e])
+        if big:
+            tab_big[1] = part_big[..., lo:] + _balanced(residues[:, :, low:] @ x_high[h], ps2)[:, :, None]
+            for e in range(2, tab_big.shape[0]):
+                tab_big[e] = _balanced(tab_big[e - 1] * tab_big[1], ps3)
+        for start in range(0, len(mults), step):
+            chunk = slice(start, start + step)
+            factors = [
+                _balanced(tab[pw_shared[chunk, lo_:hi_], g].prod(axis=1)[:, None], mod)
+                for (lo_, hi_), g in zip(groups, members)
+            ]
+            if big:
+                factors += list(tab_big[pw_big[chunk], :, np.arange(len(big))].transpose(1, 0, 2, 3))
+            acc = factors[0]
+            for f in factors[1:]:
+                acc = _balanced(acc * f, mod)
+            pick = slice(0, 1) if len(qs) == 1 else which[chunk]
+            w = w_low[pick, :, lo:]
+            sums = np.einsum("nkb,nkb->nk", acc, w) if direct else _balanced(acc * w, mod).sum(axis=-1)
+            total[chunk] += _balanced(_balanced(sums, ps) * w_high[pick, :, h], ps).astype(np.int64)
+    return total % np.array(primes, dtype=np.int64)
+
+
+def _crt(residues: list, primes: list) -> list[int]:
+    """Per row r of ``residues``, the x with |x| < M/2 and x = r_t mod p_t for
+    each prime p_t, M = prod p (odd)."""
     modulus = math.prod(primes)
-    x = sum(r * (modulus // p) * pow(modulus // p, -1, p) for r, p in zip(residues, primes)) % modulus
-    return x - modulus if 2 * x > modulus else x
+    coeffs = [modulus // p * pow(modulus // p, -1, p) for p in primes]
+    out = []
+    for row in residues:
+        x = sum(map(mul, row, coeffs)) % modulus
+        out.append(x - modulus if 2 * x > modulus else x)
+    return out
+
+
+def _exact_multiplicity_sums(rows, pairs) -> list[Scalar]:
+    """Per(A_{p,q}) per pair, for int/Fraction rows and |p| = |q| >= 1, multi-modular.
+
+    Row i is scaled to integers by the lcm d_i of its denominators, which
+    scales Per(A_{p,q}) by prod_i d_i^{p_i}, and for the scaled rows C
+    |Per(C_{p,q})| <= B = prod_i max(sum_j |c_ij| q_j, 1)^{p_i}.  The largest
+    primes below 2^25 are taken until their product M exceeds 2B for every
+    pair.  `_multiplicity_residues` gives half the sign sum mod each prime;
+    times the inverse of 2^{|q| - 1} that is Per(C_{p,q}) mod p, and the
+    Chinese remainder theorem rebuilds it in (-M/2, M/2).  A result is a
+    Fraction when an entry of A_{p,q} is one, else an int.
+    """
+    dens, ints = _integer_rows(rows)
+    reach = (np.abs(np.array(ints, dtype=object)) @ np.array([q for _, q in pairs], dtype=object).T).T.tolist()
+    primes = _crt_primes(2 * max(math.prod(max(r, 1) ** e for r, e in zip(rs, p)) for rs, (p, _) in zip(reach, pairs)))
+    half = _multiplicity_residues(ints, np.array([p for p, _ in pairs]), [q for _, q in pairs], primes)
+    inverses = {n: [pow(2, 1 - n, p) for p in primes] for n in {weight(q) for _, q in pairs}}
+    scale = np.array([inverses[weight(q)] for _, q in pairs], dtype=np.int64)
+    values = _crt((half * scale % np.array(primes, dtype=np.int64)).tolist(), primes)
+    # the places of the Fractions; the other exact entries are ints (bools among them)
+    fractions = [(i, j) for i, row in enumerate(rows) for j, v in enumerate(row) if not isinstance(v, int)]
+    out: list[Scalar] = []
+    for (p, q), value in zip(pairs, values):
+        value = Fraction(value, math.prod(d**e for d, e in zip(dens, p)))
+        out.append(value if any(p[i] and q[j] for i, j in fractions) else int(value))
+    return out
 
 
 def permanent_ryser(a) -> PermanentResult:
@@ -537,7 +665,7 @@ def permanent_ryser(a) -> PermanentResult:
     dens, ints = _integer_rows(data)
     bounds = [max(sum(map(abs, row)), 1) for row in ints]
     primes = _crt_primes(2 * math.prod(bounds))
-    value = _crt(_ryser_residues(ints, bounds, primes), primes)
+    (value,) = _crt([_ryser_residues(ints, bounds, primes)], primes)
     return PermanentResult(_exact_type(Fraction(value, math.prod(dens)), data), "ryser", (1 << m) - 1)
 
 
@@ -557,8 +685,8 @@ def permanent_glynn(a) -> PermanentResult:
     if not exact:
         return PermanentResult(_glynn_float(data), "glynn", 1 << (m - 1))
     ones = (1,) * m
-    ((value, terms),) = _exact_multiplicity_sums(data, [(ones, ones)])
-    return PermanentResult(value, "glynn", terms)
+    (value,) = _exact_multiplicity_sums(data, [(ones, ones)])
+    return PermanentResult(value, "glynn", 1 << (m - 1))
 
 
 def permanent_glynn_repeated_rows(a, q) -> PermanentResult:
@@ -572,7 +700,7 @@ def permanent_glynn_repeated_rows(a, q) -> PermanentResult:
     if nrows != ncols:
         raise DimensionMismatch("matrix must be square")
     n = nrows
-    q = tuple(int(v) for v in q)
+    q = as_multi_index(q)
     if len(q) != n:
         raise DimensionMismatch("repetition vector length must equal the matrix dimension")
     if weight(q) != n:
@@ -582,8 +710,8 @@ def permanent_glynn_repeated_rows(a, q) -> PermanentResult:
     _check_terms("repeated-row Glynn sum over all sign vectors", 1 << n)
     if not exact:
         return PermanentResult(_glynn_float(np.repeat(data, q, axis=0)), "glynn_repeated_rows", 1 << (n - 1))
-    ((value, terms),) = _exact_multiplicity_sums(data, [(q, (1,) * n)])
-    return PermanentResult(value, "glynn_repeated_rows", terms)
+    (value,) = _exact_multiplicity_sums(data, [(q, (1,) * n)])
+    return PermanentResult(value, "glynn_repeated_rows", 1 << (n - 1))
 
 
 def permanent_glynn_multiplicity(a, pattern: RepetitionPattern) -> PermanentResult:
@@ -592,12 +720,12 @@ def permanent_glynn_multiplicity(a, pattern: RepetitionPattern) -> PermanentResu
     Glynn's formula on A_{p,q} (Glynn, EJC 2010) with the sign vectors of each
     repeated column grouped by their sum, as Kan (2008) groups moments:
     prod_j (q_j + 1) terms where Glynn on A_{p,q} takes 2^{|q| - 1}.  Float
-    input runs `_sign_sums` on the multiplicity grid; int/Fraction input the
-    exact Gray-code loop, which pairs the equal terms at v and q - v and sums
-    prod_j (q_j + 1) // 2 of them.  Exact results have the type
-    `permanent_naive` gives on A_{p,q}.  TooLarge applies to prod_j (q_j + 1),
-    and on float input also to the kernel's cost, that count times the
-    number of columns.
+    input runs `_sign_sums` on the multiplicity grid.  Int/Fraction input
+    runs its multi-modular twin (`_exact_multiplicity_sums`), which pairs the
+    equal terms at v and q - v and sums prod_j (q_j + 1) // 2 of them.  Exact
+    results have the type `permanent_naive` gives on A_{p,q}.  TooLarge
+    applies to prod_j (q_j + 1), and on float input also to the kernel's
+    cost, that count times the number of columns.
     """
     data, nrows, ncols, exact = _coerce(a)
     if nrows != ncols or pattern.length != nrows:
@@ -612,8 +740,8 @@ def permanent_glynn_multiplicity(a, pattern: RepetitionPattern) -> PermanentResu
     terms = _multiplicity_terms(q)
     _check_terms("multiplicity sign sum", terms)
     if exact:
-        ((value, terms),) = _exact_multiplicity_sums(data, [(p, q)])
-        return PermanentResult(value, "glynn_multiplicity", terms)
+        (value,) = _exact_multiplicity_sums(data, [(p, q)])
+        return PermanentResult(value, "glynn_multiplicity", terms // 2)
     value = complex(_sign_sums(data, np.array([p]), [q])[0]) / (1 << n)
     return PermanentResult(value, "glynn_multiplicity", terms)
 
@@ -623,13 +751,29 @@ def _multiplicity_terms(q) -> int:
     return math.prod(c + 1 for c in q)
 
 
+def _batches(pairs: list, *keys) -> list[list]:
+    """[pairs] when one shared grid for them all costs at most the term budget
+    (pairs times grid points), else the pairs grouped by keys[0](q), each
+    group split again by the other keys; the last groups stay whole."""
+    if keys:
+        grid = math.prod(_column_values(col).size for col in zip(*(q for _, q in pairs)))
+    if not keys or len(pairs) * grid <= TERM_BUDGET:
+        return [pairs]
+    groups: dict = {}
+    for p, q in pairs:
+        groups.setdefault(keys[0](q), []).append((p, q))
+    return [batch for group in groups.values() for batch in _batches(group, *keys[1:])]
+
+
 def _repeated_permanents(a, pairs) -> dict:
     """{(p, q): Per(A_{p,q})} over the multi-index pairs, 0 where |p| != |q|.
 
-    Float input takes one `_sign_sums` call for every pair, unless their
-    shared grid would cost more than the term budget; then it takes one call
-    per column multiplicity q.  Int/Fraction input runs the exact Gray-code
-    sum per distinct pair.
+    One kernel call takes every pair, unless their shared grid would cost
+    more than the term budget.  Then the pairs whose q agree in parity,
+    whose grid is prod_j (max q_j + 1) points, share a call, and a parity
+    class over the budget takes one call per q.  The kernel is `_sign_sums`
+    on float input and its multi-modular twin, `_exact_multiplicity_sums`,
+    on int/Fraction input.
     """
     data, _, _, exact = _coerce(a)
     out: dict = {}
@@ -644,19 +788,10 @@ def _repeated_permanents(a, pairs) -> dict:
             todo.append((p, q))
     if not todo:
         return out
-    if exact:
-        out.update(zip(todo, (value for value, _ in _exact_multiplicity_sums(data, todo))))
-        return out
-    qs = [q for _, q in todo]
-    grid = math.prod(_column_values(col).size for col in zip(*qs))
-    if len(todo) * grid <= TERM_BUDGET:
-        batches = [todo]
-    else:
-        by_q: dict = {}
-        for p, q in todo:
-            by_q.setdefault(q, []).append((p, q))
-        batches = list(by_q.values())
-    for batch in batches:
+    for batch in _batches(todo, lambda q: tuple(c % 2 for c in q), lambda q: q):
+        if exact:
+            out.update(zip(batch, _exact_multiplicity_sums(data, batch)))
+            continue
         sums = _sign_sums(data, np.array([p for p, _ in batch]), [q for _, q in batch])
         for (p, q), s in zip(batch, sums.tolist()):
             out[p, q] = s / (1 << weight(q))

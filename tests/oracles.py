@@ -2,7 +2,8 @@
 
 These deliberately avoid the code paths they check: determinants by cofactor
 expansion, Hermitian eigenvalues by cyclic Jacobi rotations, polynomial-matrix
-determinants and permanents by the plain permutation sum, and the series
+determinants and permanents by the plain permutation sum, repeated-index
+permanents by a sum over contingency tables, and the series
 inverse, inverse square root, exp and log by their order-by-order recursions
 over single coefficients.
 """
@@ -11,6 +12,7 @@ from __future__ import annotations
 
 import itertools
 import math
+from fractions import Fraction
 
 import numpy as np
 
@@ -92,6 +94,46 @@ def permutation_permanent(a):
     if isinstance(a, np.ndarray):
         return complex(math.fsum(t.real for t in terms), math.fsum(t.imag for t in terms))
     return sum(terms)
+
+
+def table_permanent(rows, p, q):
+    """Per(A_{p,q}) = p! q! sum over the m x m tables K of non-negative integers
+    with row sums p and column sums q of prod_ij a_ij^{k_ij} / k_ij!.
+
+    A permutation of the expanded matrix sends k_ij copies of row i to copies
+    of column j; p! q! / prod k_ij! permutations share one table K.  Exact on
+    int / Fraction rows: the result is a Fraction.
+    """
+    m = len(rows)
+
+    def tables(i, left):
+        if i == m:
+            if not any(left):
+                yield ()
+            return
+        for row in _compositions(p[i], left):
+            for rest in tables(i + 1, tuple(c - k for c, k in zip(left, row))):
+                yield (row,) + rest
+
+    total = Fraction(0)
+    for table in tables(0, tuple(q)):
+        term = Fraction(1)
+        for i, row in enumerate(table):
+            for j, k in enumerate(row):
+                term *= Fraction(rows[i][j]) ** k / math.factorial(k)
+        total += term
+    return total * math.prod(map(math.factorial, p)) * math.prod(map(math.factorial, q))
+
+
+def _compositions(n, caps):
+    """Tuples k with sum n and 0 <= k_j <= caps_j."""
+    if not caps:
+        if n == 0:
+            yield ()
+        return
+    for k in range(min(n, caps[0]) + 1):
+        for rest in _compositions(n - k, caps[1:]):
+            yield (k,) + rest
 
 
 def _power_product(v, p) -> complex:

@@ -121,3 +121,13 @@ class TestRepetitionPattern:
     def test_length_mismatch(self):
         with pytest.raises(DimensionMismatch):
             RepetitionPattern((1,), (1, 1))
+
+    @pytest.mark.parametrize("rows", [(2.5, 0.5), (2.0, 1), (True, 2), (np.float64(1.0), 2), ("1", 2)])
+    def test_non_integer_rejected(self, rows):
+        with pytest.raises(ValueError, match="multi-index components must be integers"):
+            RepetitionPattern(rows, (1, 2))
+
+    def test_numpy_integers_accepted(self):
+        pat = RepetitionPattern(np.array([1, 2]), (np.int64(2), np.uint8(1)))
+        assert pat.rows == (1, 2) and pat.cols == (2, 1)
+        assert all(type(k) is int for k in pat.rows + pat.cols)

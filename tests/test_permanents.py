@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 from permkit import permanents, rng
 from permkit.combinatorics import RepetitionPattern, factorial_product, repeat_matrix
-from permkit.errors import TooLarge, WeightMismatchWarning
+from permkit.errors import DimensionMismatch, TooLarge, WeightMismatchWarning
 from permkit.numerics import ComplexMatrix, scaled_error
 from permkit.permanents import (
     TERM_BUDGET,
@@ -29,7 +29,7 @@ from permkit.permanents import (
     permanent_ryser,
 )
 
-from oracles import permutation_permanent
+from oracles import permutation_permanent, table_permanent
 
 DIXON = np.array([[0, 1, -1], [-1, 0, 1], [1, -1, 0]], dtype=complex)
 
@@ -546,7 +546,7 @@ def test_multiplicity_exact_matches_naive(kind, m):
         if sum(p) <= 6:
             direct = permanent_naive(repeat_matrix(rows, pat)).value
             assert got.value == direct and type(got.value) is type(direct)
-        # the exact loop sums one of the equal terms at v and q - v
+        # the exact kernel sums one of the equal terms at v and q - v
         assert got.term_count == (_grid_size(q) // 2 if sum(q) else 1)
 
 
@@ -564,7 +564,7 @@ def test_multiplicity_float_matches_naive(kind, m):
 
 @pytest.mark.parametrize("n", range(8, 13))
 def test_multiplicity_float_matches_exact_fraction_path(n):
-    # every float64 is a dyadic rational, so the exact loop on Fraction(x) is exact
+    # every float64 is a dyadic rational, so the exact kernel on Fraction(x) is exact
     g = rng.generator(950 + n)
     for m in (2, 3, 4):
         a = g.uniform(-1.0, 1.0, size=(m, m))
@@ -633,10 +633,12 @@ def test_too_large_states_terms_and_budget(call, terms, budget):
         call()
 
 
-# Exact Ryser runs mod primes below 2^25 in float64 and rebuilds Per by the
-# Chinese remainder theorem.  It must equal exact Glynn (a Python big-int
-# Gray code) and the brute-force sum (an object prefix tree) in value and
-# type on every kind of exact input.
+# Exact Ryser and exact Glynn (with its repeated-index forms) run mod primes
+# below 2^25 in float64 and rebuild Per by the Chinese remainder theorem, on
+# two formulas: Ryser's column subsets and Glynn's sign sum on the
+# multiplicity grid.  They must equal each other, the brute-force sum (an
+# object prefix tree) and the contingency-table sum in value and type on
+# every kind of exact input.
 
 P1, P2, P3 = permanents._crt_primes(2**60)[:3]
 EDGE = (1 << 52) - 1
@@ -725,6 +727,141 @@ ENTRIES = st.one_of(
 @given(st.integers(1, 5).flatmap(lambda n: st.lists(st.lists(ENTRIES, min_size=n, max_size=n), min_size=n, max_size=n)))
 def test_exact_ryser_property_matches_glynn_and_naive(rows):
     _assert_exact_routes_agree(rows)
+
+
+def _pattern_for(m):
+    """A repetition pattern of weight m with a repeated row, a repeated column and zeros."""
+    if m < 2:
+        return (m,) * m, (m,) * m
+    return (2, 0) + (1,) * (m - 2), (1,) * (m - 2) + (0, 2)
+
+
+@pytest.mark.parametrize("name", RYSER_CASES)
+def test_exact_multiplicity_routes_match_ryser_and_naive(name):
+    rows = RYSER_CASES[name]
+    m = len(rows)
+    if any(len(r) != m for r in rows):
+        with pytest.raises(DimensionMismatch):
+            permanent_glynn_multiplicity(rows, RepetitionPattern.uniform(m))
+        return
+    want = permanent_ryser(rows).value
+    ones = RepetitionPattern.uniform(m)
+    for got in (permanent_glynn_multiplicity(rows, ones), permanent_glynn_repeated_rows(rows, (1,) * m)):
+        assert got.value == want and type(got.value) is type(want)
+        assert got.term_count == (1 << (m - 1) if m else 1)
+    p, q = _pattern_for(m)
+    expanded = repeat_matrix(rows, RepetitionPattern(p, q))
+    want = permanent_ryser(expanded).value
+    assert want == permanent_naive(expanded).value
+    got = permanent_glynn_multiplicity(rows, RepetitionPattern(p, q))
+    assert got.value == want and type(got.value) is type(want)
+    assert got.term_count == (_grid_size(q) // 2 if m else 1)
+    expanded = repeat_matrix(rows, RepetitionPattern(p, (1,) * m))
+    want = permanent_ryser(expanded).value
+    got = permanent_glynn_repeated_rows(rows, p)
+    assert got.value == want and type(got.value) is type(want)
+
+
+# Multiplicities whose binomial weights prod_j C(q_j, v_j) pass 2^25 (C(26, 13)
+# = 10400600 * 2 and more) and 2^53 (C(60, 30), C(40, 20) C(20, 10) in both
+# column orders, C(23, 11)^3), where float64 weights are no longer exact, and
+# all-even ones, whose grid has a centre y = 0.
+BIG_Q_CASES = [
+    ((60,), (60,)),
+    ((30, 30), (40, 20)),
+    ((30, 30), (20, 40)),
+    ((46, 23, 0), (23, 23, 23)),
+    ((30,), (30,)),
+    ((20, 10), (28, 2)),
+    ((14, 16), (30, 0)),
+    ((16, 16), (26, 6)),
+    ((1, 27), (28, 0)),
+    ((6, 6, 6), (4, 4, 10)),
+    ((2, 2, 2), (2, 2, 2)),
+    ((3, 1), (2, 2)),
+    ((0, 4), (4, 0)),
+]
+
+
+@pytest.mark.parametrize("p, q", BIG_Q_CASES, ids=[f"{p}-{q}" for p, q in BIG_Q_CASES])
+@pytest.mark.parametrize("kind", ("int", "fraction", "big"))
+def test_exact_multiplicity_large_and_even_q_match_the_table_sum(kind, p, q):
+    m = len(p)
+    g = rng.generator(1400 + sum(q) + m)
+    rows = g.integers(-3, 4, size=(m, m)).tolist()
+    if kind == "fraction":
+        rows = [[Fraction(v, d) for v, d in zip(r, e)] for r, e in zip(rows, g.integers(1, 5, size=(m, m)).tolist())]
+    elif kind == "big":
+        rows = [[v * 10**9 + 1 for v in r] for r in rows]
+    got = permanent_glynn_multiplicity(rows, RepetitionPattern(p, q))
+    want = table_permanent(rows, p, q)
+    if not any(isinstance(rows[i][j], Fraction) for i in range(m) if p[i] for j in range(m) if q[j]):
+        want = int(want)
+    assert got.value == want and type(got.value) is type(want)
+    assert got.term_count == _grid_size(q) // 2
+    if m == 1:
+        assert got.value == math.factorial(p[0]) * rows[0][0] ** p[0]
+
+
+def test_exact_batches_match_single_pairs():
+    # one shared grid for mixed q, parities and weights past 2^25, then one call per q
+    rows = [[1, Fraction(-2, 3), 3], [0, 5, -1], [2, 2, Fraction(1, 2)]]
+    pairs = [(p, q) for p, q in BIG_Q_CASES if len(p) == 3]
+    pairs += [((1, 2, 0), (0, 1, 2)), ((3, 0, 0), (1, 1, 1)), ((0, 0, 2), (2, 0, 0)), ((1, 1, 1), (1, 1, 1))]
+    pairs += [((12, 0, 14), (26, 0, 0)), ((0, 1, 0), (1, 0, 0))]
+    want = {pair: permanent_glynn_multiplicity(rows, RepetitionPattern(*pair)).value for pair in pairs}
+    got = _repeated_permanents(rows, pairs)
+    assert got == want and all(type(got[k]) is type(want[k]) for k in pairs)
+    for pair in pairs[:3]:
+        assert want[pair] == table_permanent(rows, *pair)
+
+
+MULTI_INDEX_PAIRS = st.integers(1, 3).flatmap(
+    lambda m: st.tuples(
+        st.lists(st.lists(ENTRIES, min_size=m, max_size=m), min_size=m, max_size=m),
+        st.integers(1, 6).flatmap(
+            lambda n: st.tuples(
+                st.lists(st.integers(0, m - 1), min_size=n, max_size=n),
+                st.lists(st.integers(0, m - 1), min_size=n, max_size=n),
+            )
+        ),
+    )
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(MULTI_INDEX_PAIRS)
+def test_exact_multiplicity_property_matches_table_and_naive(case):
+    rows, (row_picks, col_picks) = case
+    m = len(rows)
+    p = tuple(row_picks.count(i) for i in range(m))
+    q = tuple(col_picks.count(j) for j in range(m))
+    got = permanent_glynn_multiplicity(rows, RepetitionPattern(p, q)).value
+    want = permanent_naive(repeat_matrix(rows, RepetitionPattern(p, q))).value
+    assert got == want and type(got) is type(want)
+    assert got == table_permanent(rows, p, q)
+
+
+def test_direct_contraction_only_for_weights_below_2_17():
+    # a block's sum of up to 2^10 products of a factor below 2^25 and a weight
+    # stays below 2^52 only for weights below 2^17; C(16, 8) = 12870, C(20, 10) = 184756
+    primes = tuple(permanents._crt_primes(2**80))
+    for qs, direct in ((((1,) * 12,), True), (((16,),), True), (((20,),), False), (((2, 2), (16, 1)), True), (((30, 2),), False)):
+        assert permanents._residue_grid(qs, primes)[-1] is direct, qs
+
+
+def test_aligned_buffers_of_128_kib_start_on_64_bytes():
+    for shape, dtype in (((18, 1024), np.complex128), ((16385,), np.float64), ((2, 9, 1024), np.float64), ((3, 5), np.float64)):
+        buf = permanents._aligned(shape, dtype)
+        assert buf.shape == shape and buf.dtype == dtype and buf.flags.c_contiguous
+        assert buf.nbytes < 1 << 17 or buf.ctypes.data % 64 == 0
+
+
+def test_repeated_rows_rejects_invalid_q_on_both_routes():
+    for a in ([[1, 2, 3], [4, 5, 6], [7, 8, 9]], np.eye(3)):
+        for q in ((-1, 2, 2), (1.5, 1, 0.5), (True, 1, 1)):
+            with pytest.raises(ValueError, match="multi-index components"):
+                permanent_glynn_repeated_rows(a, q)
 
 
 def test_balanced_residues_are_exact_at_the_float_limits():
