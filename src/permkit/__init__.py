@@ -30,7 +30,7 @@ from .permanents import (
     permanent_roots_of_unity,
     permanent_ryser,
 )
-from .series import TruncatedSeries, det_series
+from .series import TruncatedSeries
 from .identities import IdentityReport, run_battery
 from .estimators import EstimateReport, estimate_permanent
 from .bosonic import (
@@ -70,7 +70,6 @@ __all__ = [
     "permanent_glynn_kan_repeated",
     "permanent_cauchy_binet",
     "TruncatedSeries",
-    "det_series",
     "IdentityReport",
     "run_battery",
     "EstimateReport",

@@ -9,11 +9,15 @@ from the multiplicity-aware Glynn sum: each verifier collects its (p, q)
 pairs and gets every Per(A_{p,q}) of one matrix from one batched call
 (`_permanent_side`); only even-single takes the brute-force permanent of
 its matrix.  The closed-form side comes from determinants and truncated
-series; MacMahon, the two-matrix and the N-matrix theorems share one,
-1/Det(I - Z_1 A_1 ... Z_N A_N) (`_n_matrix_rhs`).  Before any series work a
-verifier raises `TooLarge` when its permanent side needs more than the term
-budget, prod_j (q_j + 1) terms per pair.  Exact-ring checks report a
-literal 0.0 error on success.
+series.  Every determinant has the form Det(I - D_1 A_1 ... D_N A_N) with
+diagonal variable matrices D_t, and one builder (`_det_side`) gives its
+polynomial from minors by Cauchy-Binet, keeping only the monomials within
+the caps.  MacMahon, the two-matrix and the N-matrix theorems share
+1/Det(I - Z_1 A_1 ... Z_N A_N) (`_n_matrix_rhs`); the even-matrix modes use
+the half-swap form.  Caps must be non-negative integers.  Before any
+series work a verifier raises `TooLarge` when its permanent side needs more
+than the term budget, prod_j (q_j + 1) terms per pair.  Exact-ring checks
+report a literal 0.0 error on success.
 """
 
 from __future__ import annotations
@@ -21,8 +25,11 @@ from __future__ import annotations
 import inspect
 import itertools
 import math
+import numbers
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from typing import Callable, Optional, Sequence, Union
 
 import numpy as np
@@ -43,11 +50,12 @@ from .permanents import (
     NAIVE_MAX_DIM,
     _check_terms,
     _coerce,
+    _integer_rows,
     _multiplicity_terms,
     _repeated_permanents,
     permanent_naive,
 )
-from .series import COMPLEX, RATIONAL, TruncatedSeries, det_series
+from .series import COMPLEX, RATIONAL, TruncatedSeries
 
 #: Matrix whose doubly-repeated permanents encode Dixon's alternating
 #: binomial-cube sum.
@@ -146,28 +154,191 @@ def _equal_weight_pairs(ps, qs) -> list:
 
 
 def _caps(cap: Union[int, Sequence[int]], nvars: int) -> tuple[int, ...]:
-    if isinstance(cap, int):
-        return (cap,) * nvars
-    caps = tuple(int(c) for c in cap)
+    """One cap for every variable, or one per variable: integers (numpy's
+    included, bools not) that are non-negative, else ValueError."""
+    caps = (cap,) * nvars if np.ndim(cap) == 0 else tuple(cap)
     if len(caps) != nvars:
         raise ValueError(f"expected {nvars} caps, got {len(caps)}")
-    return caps
+    if not all(isinstance(c, numbers.Integral) and not isinstance(c, bool) for c in caps):
+        raise ValueError(f"caps must be integers, got {caps}")
+    if min(caps, default=0) < 0:
+        raise ValueError("caps must be non-negative")
+    return tuple(int(c) for c in caps)
 
 
-def _det_eye_minus(caps, ring, k: int, entry_terms) -> TruncatedSeries:
-    """Det(I - T) for the k x k series matrix T whose (i, j) entry has the
-    {exponent tuple: coefficient} terms entry_terms(i, j)."""
-    zero = (0,) * len(caps)
-    rows = []
-    for i in range(k):
-        row = []
-        for j in range(k):
-            terms = {e: -v for e, v in entry_terms(i, j).items()}
-            if i == j:
-                terms[zero] = terms.get(zero, 0) + 1
-            row.append(TruncatedSeries.from_terms(caps, ring, terms))
-        rows.append(row)
-    return det_series(rows)
+# ---------------------------------------------------------------------------
+# Determinant side: Det(I - D_1 A_1 ... D_N A_N) from minors
+# ---------------------------------------------------------------------------
+
+# Entries gathered per batched determinant call: the number of k x k matrices times k^2.
+_MINOR_BLOCK = 1 << 18
+
+
+def _subset_counts(var_of, caps) -> list[int]:
+    """n_k for k = 0..len(var_of): the size-k row subsets S whose monomial
+    prod_{i in S} z[var_of[i]] is within the caps."""
+    counts = [1]
+    for v, r in Counter(var_of).items():
+        ways = [math.comb(r, j) for j in range(min(r, caps[v]) + 1)]
+        counts = [
+            sum(counts[k - j] * w for j, w in enumerate(ways) if 0 <= k - j < len(counts))
+            for k in range(len(counts) + len(ways) - 1)
+        ]
+    return counts + [0] * (len(var_of) + 1 - len(counts))
+
+
+def _row_subsets(var_of, caps, strides) -> list[tuple[np.ndarray, np.ndarray]]:
+    """Per size k, the row subsets S counted by `_subset_counts`, as an (n_k, k)
+    array, and the flat series index of each one's monomial.
+
+    A subset's rows come in any order: each subset gives the rows of one
+    minor and the columns of the next, so the sign of a reordering cancels.
+    """
+    by_var: dict = {}
+    for i, v in enumerate(var_of):
+        by_var.setdefault(v, []).append(i)
+    picks = [
+        [c for j in range(min(len(rows), caps[v]) + 1) for c in itertools.combinations(rows, j)]
+        for v, rows in by_var.items()
+    ]
+    sizes: list = [[] for _ in range(len(var_of) + 1)]
+    for choice in itertools.product(*picks):
+        sizes[sum(map(len, choice))].append(list(itertools.chain.from_iterable(choice)))
+    return [
+        (
+            np.array(subsets, dtype=np.intp).reshape(len(subsets), k),
+            np.array([sum(strides[var_of[i]] for i in s) for s in subsets], dtype=np.intp),
+        )
+        for k, subsets in enumerate(sizes)
+    ]
+
+
+@lru_cache(maxsize=16)
+def _chain_plan(var_of: tuple, caps: tuple) -> list:
+    """The chains S_1 -> S_2 -> ... -> S_N -> S_1 of `_det_side` for one
+    variable map, after pricing them by the term budget; read-only.
+
+    One entry (k, pairs, shapes, index) per size k >= 1 that every matrix has
+    subsets of.  pairs[t] = (rows, cols) lists the minors of A_t, one per
+    (row subset, column subset) pair, ordered so that reshaped to shapes[t]
+    they broadcast over the chain axes (S_1, ..., S_N): the axes of S_t and
+    S_{t+1}, or of S_1 and S_N for the last matrix.  index is each chain's
+    flat series index, raveled.
+    """
+    if sum(len(set(v)) for v in var_of) != len(set().union(*var_of)):
+        raise ValueError("a variable may appear in one matrix's map only")
+    n_mats, m = len(var_of), len(var_of[0])
+    counts = [_subset_counts(v, caps) for v in var_of]
+    _check_terms("determinant side", sum(math.prod(c[k] for c in counts) for k in range(m + 1)))
+    strides = [math.prod(c + 1 for c in caps[i + 1 :]) for i in range(len(caps))]
+    subsets = [_row_subsets(v, caps, strides) for v in var_of]
+    plan = []
+    for k in range(1, m + 1):
+        sets = [subs[k][0] for subs in subsets]
+        sizes = [len(s) for s in sets]
+        if not all(sizes):
+            continue
+        pairs, shapes, index = [], [], 0
+        for t in range(n_mats):
+            shape = [1] * n_mats
+            shape[t] = sizes[t]
+            index = index + subsets[t][k][1].reshape(shape)
+            if n_mats == 1:
+                pairs.append((sets[0], sets[0]))
+            elif t < n_mats - 1:
+                shape[t + 1] = sizes[t + 1]
+                pairs.append((np.repeat(sets[t], sizes[t + 1], axis=0), np.tile(sets[t + 1], (sizes[t], 1))))
+            else:
+                shape[0] = sizes[0]
+                pairs.append((np.tile(sets[t], (sizes[0], 1)), np.repeat(sets[0], sizes[t], axis=0)))
+            shapes.append(tuple(shape))
+        arrays = [index.ravel()] + [a for pair in pairs for a in pair]
+        for a in arrays:
+            a.setflags(write=False)
+        plan.append((k, pairs, shapes, arrays[0]))
+    return plan
+
+
+def _float_minors(a: np.ndarray, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
+    """det a[..., S, T] for each pair S = rows[r], T = cols[r] of one size k >= 1:
+    shape a.shape[:-2] + (len(rows),), batched per block of pairs."""
+    batch, k = math.prod(a.shape[:-2]), rows.shape[1]
+    step = max(1, _MINOR_BLOCK // (batch * k * k))
+    out = np.empty(a.shape[:-2] + (len(rows),), dtype=np.complex128)
+    for lo in range(0, len(rows), step):
+        r, c = rows[lo : lo + step], cols[lo : lo + step]
+        out[..., lo : lo + step] = np.linalg.det(a[..., r[:, :, None], c[:, None, :]])
+    return out
+
+
+def _bareiss(a: list) -> int:
+    """Determinant of a k x k integer matrix (a list of rows, overwritten) by
+    fraction-free Gaussian elimination: every division is exact."""
+    k, sign, prev = len(a), 1, 1
+    for c in range(k - 1):
+        if a[c][c] == 0:
+            pivot = next((r for r in range(c + 1, k) if a[r][c]), None)
+            if pivot is None:
+                return 0
+            a[c], a[pivot], sign = a[pivot], a[c], -sign
+        top, p = a[c], a[c][c]
+        for row in a[c + 1 :]:
+            rc = row[c]
+            for j in range(c + 1, k):
+                row[j] = (row[j] * p - rc * top[j]) // prev
+        prev = p
+    return sign * a[-1][-1]
+
+
+def _exact_minors(ints: list, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
+    """det C[S, T] of the integer rows C for each pair S = rows[r], T = cols[r],
+    as an object array of ints."""
+    out = np.empty(len(rows), dtype=object)
+    for r, (s, t) in enumerate(zip(rows.tolist(), cols.tolist())):
+        out[r] = _bareiss([[ints[i][j] for j in t] for i in s])
+    return out
+
+
+def _det_side(mats, var_of, ring, caps) -> TruncatedSeries:
+    """Det(I - D_1 A_1 D_2 A_2 ... D_N A_N), D_t = Diag(z[var_of[t][i]]), truncated at caps.
+
+    Cauchy-Binet gives the coefficient of z^{S_1} ... z^{S_N}, for row subsets
+    S_t of one size k and z^S = prod_{i in S} z[var_of[t][i]], as
+    (-1)^k det A_1[S_1, S_2] det A_2[S_2, S_3] ... det A_N[S_N, S_1]; chains
+    with one monomial add up.  For N = 1 that is the principal-minor
+    expansion.  Only subsets whose monomial is within the caps are formed, so
+    nothing beyond the caps is computed; this is exact because a variable may
+    appear in one map only.  The chains, sum_k prod_t n_t(k), are priced by
+    the term budget before any minor is computed.
+
+    Complex minors come from batched `np.linalg.det`.  Exact input is scaled
+    to integer rows C_t = Diag(d_t) A_t (`_integer_rows`) and its minors taken
+    by Bareiss: det A[S, T] = det C[S, T] / prod_{i in S} d_i, so each chain
+    is an integer over the common denominator prod_t prod_i d_{t,i}.
+    """
+    plan = _chain_plan(tuple(tuple(v) for v in var_of), tuple(caps))
+    exact = ring == RATIONAL
+    flat = np.zeros(math.prod(c + 1 for c in caps), dtype=object if exact else np.complex128)
+    den = 1
+    if exact:
+        scaled = [_integer_rows(mat.tolist()) for mat in mats]
+        den = math.prod(math.prod(d) for d, _ in scaled)
+    flat[0] = den
+    for k, pairs, shapes, index in plan:
+        values = (-1) ** k
+        for t, (mat, (rows, cols), shape) in enumerate(zip(mats, pairs, shapes)):
+            if exact:
+                dens, ints = scaled[t]
+                whole = math.prod(dens)
+                # det C[S, T] prod_{i not in S} d_i: the minor over the denominator prod_i d_i
+                rest = np.array([whole // math.prod(dens[i] for i in s) for s in rows.tolist()], dtype=object)
+                minors = _exact_minors(ints, rows, cols) * rest
+            else:
+                minors = _float_minors(mat, rows, cols)
+            values = values * minors.reshape(shape)
+        np.add.at(flat, index, values.ravel())
+    shape = tuple(c + 1 for c in caps) or (1,)
+    return TruncatedSeries._new(tuple(caps), ring, flat.reshape(shape), den)
 
 
 def _xtay_series(mat, ring, caps) -> TruncatedSeries:
@@ -327,24 +498,8 @@ def _n_matrix_rhs(mats, ring, caps) -> TruncatedSeries:
 
     N = 1 is MacMahon's 1/Det(I - Diag(z) A) and N = 2 the two-matrix 1/Det(I - XAYB).
     """
-    n_mats = len(mats)
     m = len(mats[0])
-    rows = [mat.tolist() for mat in mats]
-
-    def entry(i, j):
-        # sum over index paths i = k_0, k_1, ..., k_N = j of prod_t z_{t, k_t} A^(t)_{k_t k_(t+1)}
-        terms = {}
-        for inner in itertools.product(range(m), repeat=n_mats - 1):
-            ks = (i, *inner, j)
-            v = math.prod(rows[t][ks[t]][ks[t + 1]] for t in range(n_mats))
-            if v != 0:
-                e = [0] * (n_mats * m)
-                for t in range(n_mats):
-                    e[t * m + ks[t]] = 1
-                terms[tuple(e)] = v
-        return terms
-
-    return _det_eye_minus(caps, ring, m, entry).inverse()
+    return _det_side(mats, [range(t * m, (t + 1) * m) for t in range(len(mats))], ring, caps).inverse()
 
 
 def verify_mmmt_n(matrices, cap: Union[int, Sequence[int]] = 1, tolerance: float = 1e-8) -> IdentityReport:
@@ -554,13 +709,6 @@ def verify_sum_of_permanents(a, b, pattern: RepetitionPattern, tolerance: float 
 # ---------------------------------------------------------------------------
 
 
-def _v_sign(x: Sequence[float]) -> np.ndarray:
-    m = len(x)
-    d = np.diag(np.asarray(x, dtype=np.complex128))
-    z = np.zeros((m, m), dtype=np.complex128)
-    return np.block([[z, d], [d, z]])
-
-
 def verify_even_matrix(a, mode: str = "single", cap: Union[int, Sequence[int]] = 2, tolerance: float = 1e-8) -> IdentityReport:
     """Square-root determinant identities for a (2m) x (2m) matrix M.
 
@@ -568,49 +716,47 @@ def verify_even_matrix(a, mode: str = "single", cap: Union[int, Sequence[int]] =
     1/sqrt(Det(I - z V_x M V_y M^T)).
     mode='full': sum x^p y^q/(p!q!) Per(M_{p+p,q+q}) = 1/sqrt(Det(I - V_x M V_y M^T))
     in 2m formal variables, where p+p repeats both halves identically.
+
+    With P the half swap, V_x = Diag(x, x) P, so both determinants are
+    Det(I - Diag(x, x)(MP) Diag(y, y)(M^T P)): `_det_side` with each variable
+    on both halves for 'full', and for 'single' the characteristic polynomial
+    of C = Diag(x, x)(MP) Diag(y, y)(M^T P), whose z^k coefficient is (-1)^k
+    times the sum of C's k x k principal minors.
     """
     mat = as_array(_normalize(a)[0])
     dim = mat.shape[0]
     if dim % 2 != 0:
         raise OddDimension(f"matrix dimension {dim} is odd")
     m = dim // 2
+    swap = [(i + m) % dim for i in range(dim)]
+    left, right = mat[:, swap], mat.T[:, swap]
     if mode == "single":
         if dim > NAIVE_MAX_DIM:
             _check_terms("brute-force permanent side", math.factorial(dim), math.factorial(NAIVE_MAX_DIM))
         caps = (m,)
-        acc_series = TruncatedSeries.zero(caps, COMPLEX)
-        for x in itertools.product((1, -1), repeat=m):
-            vx = _v_sign(x)
-            for y in itertools.product((1, -1), repeat=m):
-                c = (vx @ mat @ _v_sign(y) @ mat.T).tolist()
-                g = _det_eye_minus(caps, COMPLEX, dim, lambda i, j: {(1,): c[i][j]}).sqrt_inverse()
-                sign = math.prod(x) * math.prod(y)
-                acc_series = acc_series + (g if sign > 0 else -g)
-        value = acc_series.scale(1.0 / 4**m).coefficient((m,))
+        signs = np.array(list(itertools.product((1, -1), repeat=m)), dtype=np.float64)
+        halves = np.hstack([signs, signs])[:, :, None]
+        # C for every sign pair (x, y), x-major
+        c = ((halves * left)[:, None] @ (halves * right)[None]).reshape(4**m, dim, dim)
+        coeffs = np.ones((len(c), m + 1), dtype=np.complex128)
+        for k in range(1, m + 1):
+            rows = np.array(list(itertools.combinations(range(dim), k)), dtype=np.intp)
+            coeffs[:, k] = (-1) ** k * _float_minors(c, rows, rows).sum(axis=1)
+        parity = signs.prod(axis=1)
+        total = 0j
+        for sign, row in zip(np.outer(parity, parity).ravel(), coeffs):
+            g = TruncatedSeries(caps, COMPLEX, row).sqrt_inverse().coefficient((m,))
+            total = total + g if sign > 0 else total - g
         acc = _Tracker()
-        acc.add(value, permanent_naive(mat).value)
+        acc.add(total * (1.0 / 4**m), permanent_naive(mat).value)
         return acc.report("even-single", caps, tolerance, COMPLEX)
     if mode != "full":
         raise ValueError(f"unknown mode {mode!r}")
     caps = _caps(cap, 2 * m)
     pairs = [(p + p, q + q) for p, q in _equal_weight_pairs(_sub_indices(caps[:m]), _sub_indices(caps[m:]))]
     (per,) = _permanent_side((mat, pairs))
-    rows = mat.tolist()
-    swap = [(i + m) % dim for i in range(dim)]
-
-    def entry(i, j):
-        # (V_x M V_y M^T)_ij = sum_l x_{i mod m} y_{l mod m} M_{swap(i), l} M_{j, swap(l)}
-        terms = {}
-        for l in range(dim):
-            v = rows[swap[i]][l] * rows[j][swap[l]]
-            if v != 0:
-                e = [0] * dim
-                e[i % m] = 1
-                e[m + l % m] = 1
-                terms[tuple(e)] = terms.get(tuple(e), 0) + v
-        return terms
-
-    g = _det_eye_minus(caps, COMPLEX, dim, entry).sqrt_inverse()
+    var_of = [[i % m for i in range(dim)], [m + i % m for i in range(dim)]]
+    g = _det_side([left, right], var_of, COMPLEX, caps).sqrt_inverse()
     acc = _Tracker()
     for p in _sub_indices(caps[:m]):
         for q in _sub_indices(caps[m:]):

@@ -444,12 +444,14 @@ def _ryser_residues(ints: list, bounds: list, primes: list) -> list[int]:
     are an outer loop.  A row's bound is its absolute row sum, and
     `_row_groups` splits the rows into shared groups and per-prime rows.  The
     factors, shared (1, block) and per-prime (k, block), multiply into one
-    (k, block) product by broadcasting.
+    (k, block) product by broadcasting, reduced against a (k, block) array of
+    the primes: a (k, 1) column would be a slower broadcast.
     """
     m, k = len(ints), len(primes)
     shared, groups, big = _row_groups(bounds)
     ps = np.array(primes, dtype=np.float64)[:, None]
     low = min(m, _LOW_BITS)
+    moduli = np.repeat(ps, 1 << low, axis=1)
     x_low, s_low = _vertices(low, 0)
     x_high, s_high = _vertices(m - low, 0)
     x_low, x_high = x_low.real.T, x_high.real
@@ -460,13 +462,13 @@ def _ryser_residues(ints: list, bounds: list, primes: list) -> list[int]:
     total = np.zeros(k, dtype=np.int64)
     for xh, sh in zip(x_high, s_high):
         sums = part + (rows[:, low:] @ xh)[:, None]
-        factors = [_balanced(sums[lo:hi].prod(axis=0), ps) for lo, hi in groups]
+        factors = [_balanced(sums[lo:hi].prod(axis=0), moduli) for lo, hi in groups]
         if big:
             per_prime = part_big + _balanced(residues[:, :, low:] @ xh, ps)[:, :, None]
             factors += list(per_prime.transpose(1, 0, 2))
         acc = factors[0]
         for f in factors[1:]:
-            acc = _balanced(acc * f, ps)
+            acc = _balanced(acc * f, moduli)
         total += int(sh) * (acc @ s_low).astype(np.int64)
     return [int(t) % p for t, p in zip(total, primes)]
 

@@ -21,6 +21,9 @@ from the Euler-operator identities E(t)·s = α·t·E(s) for t = s^α,
 E(t) = E(g)·t for t = exp(g) and E(t)·s = E(s) for t = log(s), where E
 multiplies each coefficient by its total degree; each layer gathers from the
 lower layers once per nonzero entry of the operand.
+
+Determinants are not built here: the identities take theirs in closed form
+from matrix minors (`identities._det_side`).
 """
 
 from __future__ import annotations
@@ -43,13 +46,10 @@ from .errors import (
     ExceedsCap,
     NonInvertibleConstantTerm,
     RingMismatch,
-    check_budget,
 )
 
 RATIONAL = "rational"
 COMPLEX = "complex"
-
-DET_SERIES_MAX_DIM = 8
 
 Coeff = Union[Fraction, complex]
 
@@ -367,40 +367,3 @@ class TruncatedSeries:
                 base = base * base
         return result
 
-
-def det_series(mat: Sequence[Sequence[TruncatedSeries]]) -> TruncatedSeries:
-    """Determinant of a square matrix of series.
-
-    Runs as a minor expansion over row subsets (2^k states instead of the k!
-    permutation terms of the plain Leibniz sum; same value), on the
-    coefficient arrays; rational entries are first put over one common
-    denominator.
-    """
-    k = len(mat)
-    if any(len(row) != k for row in mat):
-        raise DimensionMismatch("series matrix must be square")
-    if k == 0:
-        raise DimensionMismatch("empty series matrix")
-    check_budget("det_series", k, DET_SERIES_MAX_DIM, "rows")
-    first = mat[0][0]
-    for row in mat:
-        for s in row:
-            first._compat(s)
-    den = math.lcm(*(s._den for row in mat for s in row))
-    arrays = [[s._array * (den // s._den) if s._den != den else s._array for s in row] for row in mat]
-    table = {0: TruncatedSeries.one(first.caps, first.ring)._array}
-    for mask in range(1, 1 << k):
-        c = mask.bit_count() - 1  # expand along column index c
-        acc = None
-        pos = 0
-        rest = mask
-        while rest:
-            r = (rest & -rest).bit_length() - 1
-            rest &= rest - 1
-            term = _product(arrays[r][c], table[mask ^ (1 << r)])
-            if (c + pos) % 2:
-                term = -term
-            acc = term if acc is None else acc + term
-            pos += 1
-        table[mask] = acc
-    return TruncatedSeries._new(first.caps, first.ring, table[(1 << k) - 1], den**k)

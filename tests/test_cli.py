@@ -184,6 +184,24 @@ class TestVerify:
         assert code == 0
         assert payload["reports"][0]["caps_used"] == [3, 3, 3]
 
+    def test_zero_cap_even_full_passes(self, capsys, tmp_path):
+        path = tmp_path / "m4.json"
+        path.write_text(json.dumps(ComplexMatrix(rng.unit_disk_matrix(4, 1)).to_json_dict()))
+        code, out, _ = run_cli(capsys, "verify", "--identity", "even-full", "--matrix", str(path), "--cap", "0")
+        payload = last_json(out)
+        assert code == 0
+        assert payload["reports"][0]["caps_used"] == [0, 0, 0, 0]
+
+    @pytest.mark.parametrize(
+        "argv",
+        [["--identity", "macmahon", "--cap=-1"], ["--identity", "mmmt-two", "--cap", "1,1,-1,1"]],
+    )
+    def test_negative_cap_exits_one(self, capsys, argv):
+        code, out, err = run_cli(capsys, "verify", *argv)
+        assert code == 1
+        assert out == ""
+        assert err == "error: caps must be non-negative\n"
+
     def test_unachievable_tolerance_exits_two(self, capsys):
         code, out, _ = run_cli(capsys, "--tolerance", "0", "verify", "--identity", "macmahon")
         payload = last_json(out)

@@ -30,8 +30,11 @@ SIX = RepetitionPattern((6, 0, 0, 0, 0, 0), (6, 0, 0, 0, 0, 0))
             "mmmt-n coefficient table needs 262144 coefficients; the budget is 200000",
         ),
         (
-            lambda: series.det_series([[series.TruncatedSeries.one((1,), series.RATIONAL)] * 9] * 9),
-            "det_series needs 9 rows; the budget is 8",
+            # sum_k C(12, k)^3 chains S_1 -> S_2 -> S_3 -> S_1 of row subsets
+            lambda: identities._det_side(
+                [np.eye(12)] * 3, [range(12 * t, 12 * t + 12) for t in range(3)], series.COMPLEX, (1,) * 36
+            ),
+            "determinant side needs 2046924400 terms; the budget is 10000000",
         ),
         (
             # |K| = C(23, 7) multi-indices k, each 3^8 + 3^8 terms
@@ -39,7 +42,7 @@ SIX = RepetitionPattern((6, 0, 0, 0, 0, 0), (6, 0, 0, 0, 0, 0))
             "Cauchy-Binet inner multiplicity sums needs 3216950154 terms; the budget is 10000000",
         ),
     ],
-    ids=["bs-distribution", "cat-distribution", "pown-grid", "mmmt-n", "det-series", "cauchy-binet"],
+    ids=["bs-distribution", "cat-distribution", "pown-grid", "mmmt-n", "det-side", "cauchy-binet"],
 )
 def test_too_large_states_count_and_budget(call, message):
     with pytest.raises(TooLarge, match=f"^{message}$"):

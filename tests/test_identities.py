@@ -29,7 +29,9 @@ from permkit.identities import (
     verify_tmss_overlap,
 )
 from permkit.permanents import permanent_naive
-from permkit.series import COMPLEX, RATIONAL
+from permkit.series import COMPLEX, RATIONAL, TruncatedSeries
+
+from oracles import leibniz_determinant
 
 
 class TestMacMahon:
@@ -466,7 +468,7 @@ class TestOracleLimitBeforeSeriesWork:
         def fail(*args, **kwargs):
             raise AssertionError("series work started")
 
-        for name in ("det_series", "_xtay_series", "_monomial_power"):
+        for name in ("_det_side", "_xtay_series", "_monomial_power"):
             monkeypatch.setattr(ident, name, fail)
 
     @pytest.mark.parametrize(
@@ -528,3 +530,162 @@ class TestPermanentSideAboveTheOldDimensionLimit:
     def test_term_rule_message_states_terms_and_budget(self):
         with pytest.raises(TooLarge, match=r"needs 18974736 terms; the budget is 10000000"):
             verify_macmahon(rng.unit_disk_matrix(4, 1), 10)
+
+
+def explicit_det(mats, var_of, ring, caps):
+    """Det(I - D_1 A_1 ... D_N A_N) by the permutation sum over the explicit
+    matrix of series; a variable with cap 0 enters as 0."""
+    k = len(mats[0])
+    one, zero = TruncatedSeries.one(caps, ring), TruncatedSeries.zero(caps, ring)
+    prod = [[one if i == j else zero for j in range(k)] for i in range(k)]
+    for mat, vars_ in zip(mats, var_of):
+        z = [TruncatedSeries.variable(caps, ring, v) if caps[v] else zero for v in vars_]
+        step = [[z[i].scale(a) for a in row] for i, row in enumerate(mat.tolist())]
+        prod = [[sum((prod[i][l] * step[l][j] for l in range(k)), zero) for j in range(k)] for i in range(k)]
+    return leibniz_determinant([[(one if i == j else zero) - prod[i][j] for j in range(k)] for i in range(k)], zero)
+
+
+def random_matrix(g, k, ring):
+    if ring == RATIONAL:
+        entries = [Fraction(int(n), int(d)) for n, d in zip(g.integers(-2, 3, k * k), g.integers(1, 4, k * k))]
+        return np.array(entries, dtype=object).reshape(k, k)
+    return g.normal(size=(k, k)) + 1j * g.normal(size=(k, k))
+
+
+# (rows k, variable map per matrix, caps): one map per matrix, every variable in one map
+DET_SIDE_CASES = [
+    (1, [[0]], (2,)),
+    (3, [[0, 1, 2]], (1, 0, 2)),
+    (5, [[0, 1, 2, 3, 4]], (1, 2, 1, 0, 1)),
+    (6, [[0, 1, 2, 3, 4, 5]], (1, 1, 1, 1, 1, 1)),
+    (2, [[0, 1], [2, 3]], (1, 2, 0, 1)),
+    (3, [[0, 1, 2], [3, 4, 5]], (1, 1, 1, 1, 0, 1)),
+    # even-full's map: rows i and i + m share a variable
+    (4, [[0, 1, 0, 1], [2, 3, 2, 3]], (2, 1, 1, 2)),
+    (6, [[0, 1, 2, 0, 1, 2], [3, 4, 5, 3, 4, 5]], (1, 1, 0, 1, 2, 1)),
+    (2, [[0, 1], [2, 3], [4, 5]], (1, 1, 1, 0, 1, 1)),
+]
+
+
+class TestDetSide:
+    """`_det_side` against the permutation-sum determinant of the explicit series matrix."""
+
+    @pytest.mark.parametrize("ring", [RATIONAL, COMPLEX])
+    @pytest.mark.parametrize("k, var_of, caps", DET_SIDE_CASES)
+    def test_matches_leibniz(self, k, var_of, caps, ring):
+        g = np.random.default_rng(31 * k + len(var_of) + sum(caps))
+        mats = [random_matrix(g, k, ring) for _ in var_of]
+        got = ident._det_side(mats, var_of, ring, caps)
+        ref = explicit_det(mats, var_of, ring, caps)
+        if ring == RATIONAL:
+            assert got.coeffs == ref.coeffs
+        else:
+            assert np.allclose(got.coeffs, ref.coeffs, rtol=0, atol=1e-12 * max(1.0, np.max(np.abs(ref.coeffs))))
+
+    def test_dixon_matrix_against_leibniz(self):
+        mat = ident._normalize(DIXON_MATRIX)[0]
+        caps = (2, 2, 2)
+        got = ident._det_side([mat], [range(3)], RATIONAL, caps)
+        assert got.coeffs == explicit_det([mat], [range(3)], RATIONAL, caps).coeffs
+
+    def test_singular_minors_are_zero(self):
+        # every 2 x 2 minor vanishes: the determinant is 1 - trace
+        mat = ident._normalize([[1, 2, 3], [2, 4, 6], [Fraction(1, 2), 1, Fraction(3, 2)]])[0]
+        d = ident._det_side([mat], [range(3)], RATIONAL, (1, 1, 1))
+        assert d.coeffs == explicit_det([mat], [range(3)], RATIONAL, (1, 1, 1)).coeffs
+        assert d.max_total_degree() == 1
+
+    def test_polynomiality_degree_bound(self):
+        # Det(I - Diag(z) A) has total degree <= m in the formal variables.
+        mat = ident._normalize([[i + j + 1 for j in range(3)] for i in range(3)])[0]
+        assert ident._det_side([mat], [range(3)], RATIONAL, (3, 3, 3)).max_total_degree() <= 3
+
+    def test_too_large(self, monkeypatch):
+        def fail(*args):
+            raise AssertionError("minor computed")
+
+        monkeypatch.setattr(ident, "_float_minors", fail)
+        with pytest.raises(TooLarge, match="determinant side needs"):
+            ident._det_side([np.eye(12)] * 3, [range(12 * t, 12 * t + 12) for t in range(3)], COMPLEX, (1,) * 36)
+
+    @pytest.mark.parametrize(
+        "run",
+        [
+            lambda a: verify_macmahon(a, 1),
+            lambda a: verify_mmmt_two(a, a, 1),
+            lambda a: verify_even_matrix(a, "full", 1),
+            lambda a: verify_even_matrix(a, "single"),
+        ],
+        ids=["macmahon", "mmmt-two", "even-full", "even-single"],
+    )
+    def test_empty_matrix_determinant_is_one(self, run):
+        # Per and Det of the 0 x 0 matrix are both 1
+        r = run(np.zeros((0, 0)))
+        assert r.passed and r.max_abs_error == 0.0
+
+    def test_variable_in_two_maps_rejected(self):
+        with pytest.raises(ValueError, match="one matrix's map"):
+            ident._det_side([np.eye(2)] * 2, [[0, 1], [1, 2]], COMPLEX, (1, 1, 1))
+
+
+class TestCaps:
+    @pytest.mark.parametrize(
+        "run",
+        [
+            lambda: verify_macmahon(rng.unit_disk_matrix(2, 1), (1, 0)),
+            lambda: verify_macmahon(DIXON_MATRIX, (2, 0, 1), 0.0),
+            lambda: verify_mmmt_two(rng.unit_disk_matrix(2, 1), rng.unit_disk_matrix(2, 2), (1, 1, 0, 1)),
+            lambda: verify_mmmt_n([rng.unit_disk_matrix(2, k) for k in range(3)], (1, 0, 1, 1, 0, 1)),
+            lambda: verify_even_matrix(rng.unit_disk_matrix(4, 1), "full", 0),
+            lambda: verify_even_matrix(rng.unit_disk_matrix(4, 1), "full", (2, 0, 1, 1)),
+        ],
+        ids=["macmahon", "macmahon-exact", "mmmt-two", "mmmt-n", "even-full", "even-full-mixed"],
+    )
+    def test_zero_cap_passes(self, run):
+        r = run()
+        assert r.passed
+
+    @pytest.mark.parametrize("cap", [(1.5, 1), 2.0, True, (1, "1")])
+    def test_non_integer_cap_rejected(self, cap):
+        with pytest.raises(ValueError, match="caps must be integers"):
+            verify_macmahon(rng.unit_disk_matrix(2, 1), cap)
+
+    def test_numpy_integer_caps(self):
+        a = rng.unit_disk_matrix(2, 1)
+        assert verify_macmahon(a, np.int64(2)).caps_used == (2, 2)
+        assert verify_macmahon(a, np.array([2, 1])).caps_used == (2, 1)
+
+    @pytest.mark.parametrize(
+        "run",
+        [
+            lambda: verify_macmahon(rng.unit_disk_matrix(2, 1), -1),
+            lambda: verify_mmmt_two(rng.unit_disk_matrix(2, 1), rng.unit_disk_matrix(2, 2), (1, 1, -1, 1)),
+            lambda: verify_mmmt_n([rng.unit_disk_matrix(2, k) for k in range(3)], -1),
+            lambda: verify_even_matrix(rng.unit_disk_matrix(4, 1), "full", -1),
+            lambda: verify_generating_function(rng.unit_disk_matrix(2, 1), "exp", -1),
+            lambda: verify_monomial_glynn(rng.unit_disk_matrix(2, 1), (1, 0), (0, -1)),
+        ],
+        ids=["macmahon", "mmmt-two", "mmmt-n", "even-full", "generating", "monomial"],
+    )
+    def test_negative_cap_rejected_before_permanent_work(self, run, monkeypatch):
+        def fail(*args):
+            raise AssertionError("permanent work started")
+
+        monkeypatch.setattr(ident, "_permanent_side", fail)
+        with pytest.raises(ValueError, match="^caps must be non-negative$"):
+            run()
+
+
+class TestDeterminantSideBeyondEightRows:
+    """Sizes the series-matrix determinant refused (more than 8 rows)."""
+
+    @pytest.mark.parametrize("m", [9, 10])
+    def test_complex_macmahon_cap_1(self, m):
+        r = verify_macmahon(rng.unit_disk_matrix(m, 1), 1)
+        assert r.passed and r.max_abs_error <= 1e-8
+        assert r.num_coefficients_checked == 2**m
+
+    def test_even_full_m_5_cap_1(self):
+        r = verify_even_matrix(rng.unit_disk_matrix(10, 1), "full", 1)
+        assert r.passed and r.max_abs_error <= 1e-8
+        assert r.num_coefficients_checked == 4**5

@@ -14,12 +14,11 @@ from permkit.errors import (
     ExceedsCap,
     NonInvertibleConstantTerm,
     RingMismatch,
-    TooLarge,
 )
-from permkit.identities import DIXON_MATRIX, _monomial_power, _monomial_power_table, _normalize, verify_dixon
-from permkit.series import COMPLEX, RATIONAL, TruncatedSeries, det_series
+from permkit.identities import DIXON_MATRIX, _det_side, _monomial_power, _monomial_power_table, _normalize, verify_dixon
+from permkit.series import COMPLEX, RATIONAL, TruncatedSeries
 
-from oracles import leibniz_determinant, series_recursion
+from oracles import series_recursion
 
 
 def rational_series(caps, min_exp=-6, max_exp=6):
@@ -112,7 +111,6 @@ class TestNoVariables:
         assert (s + s - s).coeffs == (3,)
         assert s.inverse().coeffs == (Fraction(1, 3),)
         assert s.power(3).coefficient(()) == 27
-        assert det_series([[s]]).coeffs == (3,)
         assert TruncatedSeries.one((), COMPLEX).log().coeffs == (0j,)
         assert TruncatedSeries.zero((), COMPLEX).exp().sqrt_inverse().coeffs == (1 + 0j,)
 
@@ -189,63 +187,6 @@ class TestExpLog:
     @given(rational_series((2, 2)))
     def test_exp_log_round_trip(self, s):
         assert s.log().exp().coeffs == s.coeffs
-
-
-class TestDetSeries:
-    def test_two_by_two_one_variable(self):
-        one = TruncatedSeries.one((2,), RATIONAL)
-        z = TruncatedSeries.variable((2,), RATIONAL, 0)
-        zero = TruncatedSeries.zero((2,), RATIONAL)
-        d = det_series([[one - z, zero], [zero, one - z]])
-        assert d.coeffs == (1, -2, 1)
-
-    def test_diagonal_product(self):
-        caps = (2, 2)
-        a = TruncatedSeries.from_terms(caps, RATIONAL, {(0, 0): 1, (1, 0): 2})
-        b = TruncatedSeries.from_terms(caps, RATIONAL, {(0, 0): 1, (0, 1): -3})
-        zero = TruncatedSeries.zero(caps, RATIONAL)
-        assert det_series([[a, zero], [zero, b]]).coeffs == (a * b).coeffs
-
-    def test_dixon_matrix_against_leibniz(self):
-        caps = (2, 2, 2)
-        rows = []
-        for i in range(3):
-            row = []
-            for j in range(3):
-                terms = {}
-                if i == j:
-                    terms[(0, 0, 0)] = 1
-                if DIXON_MATRIX[i][j] != 0:
-                    e = [0, 0, 0]
-                    e[i] = 1
-                    terms[tuple(e)] = -DIXON_MATRIX[i][j]
-                row.append(TruncatedSeries.from_terms(caps, RATIONAL, terms))
-            rows.append(row)
-        zero = TruncatedSeries.zero(caps, RATIONAL)
-        assert det_series(rows).coeffs == leibniz_determinant(rows, zero).coeffs
-
-    def test_polynomiality_degree_bound(self):
-        # Det(I - Diag(z) A) has total degree <= m in the formal variables.
-        caps = (3, 3, 3)
-        rows = []
-        for i in range(3):
-            row = []
-            for j in range(3):
-                terms = {}
-                if i == j:
-                    terms[(0, 0, 0)] = 1
-                e = [0, 0, 0]
-                e[i] = 1
-                terms[tuple(e)] = terms.get(tuple(e), 0) - (i + j + 1)
-                row.append(TruncatedSeries.from_terms(caps, RATIONAL, terms))
-            rows.append(row)
-        assert det_series(rows).max_total_degree() <= 3
-
-    def test_too_large(self):
-        one = TruncatedSeries.one((1,), RATIONAL)
-        mat = [[one] * 9 for _ in range(9)]
-        with pytest.raises(TooLarge):
-            det_series(mat)
 
 
 class TestRingAxioms:
@@ -391,11 +332,5 @@ class TestLayeredRecursions:
 
     def test_exact_dixon_inverse_at_caps_8(self):
         caps = (8, 8, 8)
-        det = det_series(
-            [
-                [TruncatedSeries.constant(caps, RATIONAL, int(i == j)) - TruncatedSeries.variable(caps, RATIONAL, i).scale(a)
-                 for j, a in enumerate(row)]
-                for i, row in enumerate(DIXON_MATRIX)
-            ]
-        )
+        det = _det_side([_normalize(DIXON_MATRIX)[0]], [range(3)], RATIONAL, caps)
         assert det.inverse().coeffs == tuple(series_recursion("inverse", caps, det.coeffs))
