@@ -5,7 +5,8 @@ expansion, Hermitian eigenvalues by cyclic Jacobi rotations, polynomial-matrix
 determinants and permanents by the plain permutation sum, repeated-index
 permanents by a sum over contingency tables, and the series
 inverse, inverse square root, exp and log by their order-by-order recursions
-over single coefficients.
+over single coefficients, and the torus estimator's integrand from float
+angles and float powers.
 """
 
 from __future__ import annotations
@@ -191,3 +192,39 @@ def series_recursion(op: str, caps, coeffs):
     else:
         raise ValueError(op)
     return out
+
+
+def torus_integrand_samples(a, p, q, f: str, samples: int, seed: int, streams: int, batch: int) -> np.ndarray:
+    """Per-point values of the torus integrand p!q! f(x^T A y) / (x^p y^q f^(n)(0))
+    on the estimator's raw Philox words, drawn the direct way: each word is an
+    angle theta = 2 pi word / 2^64, x = exp(i theta), and the inverse monomial
+    is a product of float powers of conj(x) and conj(y).  Stream s is the
+    generator jumped s times and gets samples // streams points, the last one
+    the remainder; each call of `batch` points draws x, then y."""
+    a = np.asarray(a, dtype=np.complex128)
+    m = a.shape[0]
+    n = sum(p)
+    pq = math.prod(math.factorial(k) for k in p) * math.prod(math.factorial(k) for k in q)
+    r = math.sqrt(0.5 / float(np.abs(a).sum())) if f == "geom" and np.abs(a).sum() else 1.0
+    counts = [samples // streams] * streams
+    counts[-1] += samples - sum(counts)
+    out = []
+    for s, n_s in enumerate(counts):
+        bg = np.random.Philox(key=seed % (1 << 64))
+        if s:
+            bg = bg.jumped(s)
+        for done in range(0, n_s, batch):
+            b = min(batch, n_s - done)
+            angles = bg.random_raw(2 * b * m) * (2.0 * np.pi / 2.0**64)
+            x = np.exp(1j * angles[: b * m].reshape(b, m))
+            y = np.exp(1j * angles[b * m :].reshape(b, m))
+            w = np.einsum("bi,ij,bj->b", x, a, y)
+            inv = np.prod(np.conj(x) ** np.array(p, float), axis=1) * np.prod(np.conj(y) ** np.array(q, float), axis=1)
+            if f == "pown":
+                vals = pq / math.factorial(n) * w**n * inv
+            elif f == "exp":
+                vals = pq * np.exp(w) * inv
+            else:
+                vals = pq / math.factorial(n) * inv / ((1.0 - r * r * w) * r ** (2 * n))
+            out.append(vals)
+    return np.concatenate(out)

@@ -5,7 +5,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from permkit import rng
@@ -230,6 +230,32 @@ class TestEstimate:
         assert err <= 5 * payload["stderr"]
 
 
+    @pytest.mark.parametrize("f", ["pown", "exp", "geom"])
+    def test_overflowing_integrand_exits_one(self, capsys, tmp_path, f):
+        path = tmp_path / "big.json"
+        path.write_text(json.dumps(ComplexMatrix(np.full((3, 3), 1e200)).to_json_dict()))
+        code, out, err = run_cli(capsys, "estimate", "--matrix", str(path), "--rows", "[1,1,1]",
+                                 "--cols", "[1,1,1]", "--f", f, "--samples", "1000")
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error:") and "overflows" in err and len(err.strip().splitlines()) == 1
+
+    def test_overflowing_variance_report_exits_one(self, capsys, tmp_path):
+        path = tmp_path / "big.json"
+        path.write_text(json.dumps(ComplexMatrix(np.full((3, 3), 1e200)).to_json_dict()))
+        code, out, err = run_cli(capsys, "report", "--kind", "variance", "--matrix", str(path),
+                                 "--rows", "[1,1,1]", "--cols", "[1,1,1]", "--samples", "1000")
+        assert (code, out) == (1, "")
+        assert err.startswith("error:") and len(err.strip().splitlines()) == 1
+
+    @pytest.mark.parametrize("samples", ["1", "0"])
+    def test_fewer_than_two_samples_exits_one(self, capsys, j3_file, samples):
+        code, out, err = run_cli(capsys, "estimate", "--matrix", j3_file, "--rows", "[1,1,1]",
+                                 "--cols", "[1,1,1]", "--samples", samples)
+        assert (code, out) == (1, "")
+        assert "samples >= 2" in err
+
+
 class TestSample:
     def test_fock_lines_plus_summary(self, capsys, hom_file):
         code, out, _ = run_cli(capsys, "sample", "--unitary", hom_file, "--input", "fock",
@@ -329,6 +355,7 @@ MATRICES = [
     '{"dim": 1, "entries": [[1, 0]]}',
     '{"dim": 2, "entries": [[1, 0]]}',
     "[[1, 2], [3, 4]]",
+    '{"dim": 2, "entries": [[1e200, 0], [1e200, 0], [1e200, 0], [1e200, 0]]}',
     "[]",
     "not-json",
 ]
@@ -378,9 +405,18 @@ def cli_argv(draw):
 
 @settings(max_examples=50, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 @given(cli_argv())
+@example(["estimate", "--matrix", MATRICES[1], "--rows", "[1,1,1]", "--cols", "[1,1,1]", "--samples", "1"])
+@example(["report", "--kind", "variance", "--matrix", MATRICES[5], "--rows", "[1,1]", "--cols", "[1,1]"])
 def test_any_argv_exits_0_1_or_2_without_traceback(argv):
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = main(argv)
     assert code in (0, 1, 2), argv
     assert "Traceback" not in out.getvalue() + err.getvalue(), argv
+    if code == 0:
+        for line in out.getvalue().splitlines():
+            json.loads(line, parse_constant=_reject_constant)
+
+
+def _reject_constant(token):
+    raise AssertionError(f"{token} is not JSON")
