@@ -16,6 +16,7 @@ from __future__ import annotations
 import math
 from dataclasses import asdict, dataclass
 from functools import lru_cache
+from itertools import chain
 from typing import Mapping, Optional, Sequence, Union
 
 import numpy as np
@@ -41,6 +42,7 @@ from .rng import bit_generator
 FockOutcome = tuple[int, ...]
 
 SUPPORT_BUDGET = 10**6
+DRAW_BUDGET = 10**7
 
 
 class _OverflowType:
@@ -249,26 +251,90 @@ def reject_to_fixed_n(dist: OutcomeDistribution, n: int) -> OutcomeDistribution:
     return OutcomeDistribution({p: v / mass for p, v in kept.items()}, cutoff=n, truncated_mass=0.0)
 
 
-def _sample_indices(dist: OutcomeDistribution, count: int, seed: int) -> tuple[list[Outcome], np.ndarray]:
-    """Inverse-CDF draws as indices into the outcome list, which ends with the
-    OVERFLOW sentinel when the distribution has truncated mass."""
-    outcomes: list[Outcome] = list(dist.probs.keys())
-    weights = [float(v) for v in dist.probs.values()]
-    if dist.truncated_mass > 0.0:
-        outcomes.append(OVERFLOW)
-        weights.append(dist.truncated_mass)
-    cdf = np.cumsum(np.array(weights, dtype=np.float64))
-    total = cdf[-1]
-    bg = bit_generator(seed)
-    u = bg.random_raw(count) * (total / 2.0**64)
-    idx = np.searchsorted(cdf, u, side="right")
-    return outcomes, np.minimum(idx, len(outcomes) - 1)
+# The guide has at most 2^_GUIDE_BITS buckets, indexed by the top bits of a raw word.
+_GUIDE_BITS = 16
+
+
+def _guide_bits(draws: int, outcomes: int) -> int:
+    """log2 of the guide's bucket count for `draws` draws from `outcomes` outcomes.
+
+    About sqrt(draws * outcomes) buckets balance building the guide against
+    the searches it saves.  With fewer draws than outcomes the guide shrinks
+    to draws^2 / outcomes buckets, as most buckets of a flat distribution
+    would straddle a step; it has at least 2 buckets and at most 2^_GUIDE_BITS.
+    """
+    target = min(math.isqrt(draws * outcomes), draws * draws // outcomes)
+    return min(max(1, target.bit_length()), _GUIDE_BITS)
+
+
+def _guide(cdf: np.ndarray, scale: np.float64, bits: int) -> np.ndarray:
+    """For each of the 2^bits buckets of words that share their top bits, the
+    index that all its words take, or -1 where the bucket straddles a step.
+
+    The index of a bucket's first and last word, keyed with the draws' own
+    `scale`, bound that of every word in it.  searchsorted(cdf, keys,
+    side="right") counts the CDF entries <= each key; the same counts come
+    from placing each of the N entries among the keys and accumulating, one
+    search per entry instead of two per bucket.
+    """
+    words = np.repeat(np.arange(1 << bits, dtype=np.uint64) << np.uint64(64 - bits), 2)
+    words[1::2] |= np.uint64((1 << (64 - bits)) - 1)
+    below = np.bincount(np.searchsorted(words * scale, cdf, side="left"), minlength=words.size + 1)
+    bounds = np.minimum(below[:-1].cumsum(), cdf.size - 1).reshape(-1, 2)
+    return np.where(bounds[:, 0] == bounds[:, 1], bounds[:, 0], -1)
+
+
+def _inverse_cdf(cdf: np.ndarray, raw: np.ndarray) -> np.ndarray:
+    """min(searchsorted(cdf, raw * (cdf[-1] / 2^64), side="right"), N - 1) for
+    each raw uint64 word, by a guide table over the words' top bits.
+
+    Converting a word to float64 and scaling it are both correctly rounded,
+    hence monotone, so the index never decreases as the word grows.  The guide
+    splits the words into buckets by their top bits, and the indices of a
+    bucket's first and last word bound those of every word in it.  A draw in a
+    bucket where the two agree takes that index by one gather; only draws in
+    buckets that straddle a step of the CDF are searched.
+    """
+    scale = cdf[-1] / 2.0**64
+    bits = _guide_bits(raw.size, cdf.size)
+    idx = _guide(cdf, scale, bits)[(raw >> np.uint64(64 - bits)).view(np.int64)]
+    straddle = np.flatnonzero(idx < 0)
+    idx[straddle] = np.minimum(np.searchsorted(cdf, raw[straddle] * scale, side="right"), cdf.size - 1)
+    return idx
+
+
+def _sample_indices(dist: OutcomeDistribution, count: int, seed: int) -> tuple[np.ndarray, np.ndarray]:
+    """Inverse-CDF draws as indices into the outcome table, an object array
+    that ends with the OVERFLOW sentinel when the distribution has truncated
+    mass.  Every draw equals that of earlier versions, which searched the CDF
+    once per draw (`_inverse_cdf` says why).
+
+    Raises ValueError for a negative count, for a NaN, infinite or negative
+    weight and for a zero total, and TooLarge above DRAW_BUDGET draws.
+    """
+    if count < 0:
+        raise ValueError(f"count must be non-negative, got {count}")
+    check_budget("sampling", count, DRAW_BUDGET, "draws")
+    # a truncated mass that is not a valid weight is kept, so the check below sees it
+    tail = () if dist.truncated_mass == 0.0 else (dist.truncated_mass,)
+    table = np.fromiter(chain(dist.probs, (OVERFLOW,) * len(tail)), dtype=object, count=len(dist.probs) + len(tail))
+    weights = np.fromiter(chain(dist.probs.values(), tail), dtype=np.float64, count=table.size)
+    with np.errstate(over="ignore"):  # an overflowing total is refused below
+        cdf = np.cumsum(weights)
+    if not (weights.size and weights.min() >= 0.0 and 0.0 < cdf[-1] < math.inf):
+        raise ValueError("outcome weights must be finite and non-negative with a positive total")
+    return table, _inverse_cdf(cdf, bit_generator(seed).random_raw(count))
 
 
 def sample(dist: OutcomeDistribution, count: int, seed: int) -> list[Outcome]:
-    """Inverse-CDF sampling; the truncated mass maps to the OVERFLOW sentinel."""
-    outcomes, idx = _sample_indices(dist, count, seed)
-    return [outcomes[i] for i in idx.tolist()]
+    """Inverse-CDF sampling; the truncated mass maps to the OVERFLOW sentinel.
+
+    Draw i is outcome min(searchsorted(cdf, w_i * total / 2^64, side="right"),
+    N - 1) for the i-th raw Philox word w_i of `seed`, over the outcomes in
+    dict order followed by OVERFLOW: the same draws as earlier versions.
+    """
+    table, idx = _sample_indices(dist, count, seed)
+    return table[idx].tolist()
 
 
 def kept_draws(
@@ -277,7 +343,8 @@ def kept_draws(
     """Draw as `sample` does and keep |p| = n: the outcome list, the kept draws'
     indices into it in draw order, and the TV distance of their empirical law
     from ``reference``, counted per outcome index."""
-    outcomes, idx = _sample_indices(dist, count, seed)
+    table, idx = _sample_indices(dist, count, seed)
+    outcomes = table.tolist()
     at_n = np.array([o is not OVERFLOW and weight(o) == n for o in outcomes])
     counts = np.bincount(idx, minlength=len(outcomes)) * at_n
     kept = int(counts.sum())

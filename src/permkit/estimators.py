@@ -186,9 +186,10 @@ def estimate_permanent(
     # Exponents mod 2^48 fit uint64 and leave every turn mod 2^48 unchanged.
     exponents = np.array([k & ((1 << _TURN_BITS) - 1) for k in p + q], dtype=np.uint64)
 
-    per_stream = [samples // streams] * streams
-    per_stream[-1] += samples - sum(per_stream)
-    width = min(_CHUNK, max(per_stream))
+    # Every stream draws samples // streams points and the last one also the
+    # remainder, so with more streams than samples only the last one draws.
+    base, extra = divmod(samples, streams)
+    width = min(_CHUNK, base + extra)
     turns = np.empty((2 * m + 1, width), dtype=np.uint64)
     limb = np.empty_like(turns)
     phase = np.empty(turns.shape, dtype=np.complex128)
@@ -200,7 +201,8 @@ def estimate_permanent(
     total_sq_im = 0.0
     # Overflow is caught from the sums below, so numpy need not warn about it.
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        for s, n_s in enumerate(per_stream):
+        for s in range(0 if base else streams - 1, streams):
+            n_s = base + extra if s == streams - 1 else base
             bg = bit_generator(seed, stream=s)
             for done in range(0, n_s, _BATCH):
                 b = min(_BATCH, n_s - done)

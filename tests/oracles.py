@@ -5,8 +5,9 @@ expansion, Hermitian eigenvalues by cyclic Jacobi rotations, polynomial-matrix
 determinants and permanents by the plain permutation sum, repeated-index
 permanents by a sum over contingency tables, and the series
 inverse, inverse square root, exp and log by their order-by-order recursions
-over single coefficients, and the torus estimator's integrand from float
-angles and float powers.
+over single coefficients, the torus estimator's integrand from float
+angles and float powers, and the sampler's inverse-CDF map by one binary
+search per draw.
 """
 
 from __future__ import annotations
@@ -194,13 +195,23 @@ def series_recursion(op: str, caps, coeffs):
     return out
 
 
-def torus_integrand_samples(a, p, q, f: str, samples: int, seed: int, streams: int, batch: int) -> np.ndarray:
+def inverse_cdf_indices(cdf, raw) -> np.ndarray:
+    """The sampler's inverse-CDF map by one binary search per raw uint64 word:
+    min(searchsorted(cdf, raw * (cdf[-1] / 2^64), side="right"), N - 1)."""
+    cdf = np.asarray(cdf, dtype=np.float64)
+    keys = np.asarray(raw, dtype=np.uint64) * (cdf[-1] / 2.0**64)
+    return np.minimum(np.searchsorted(cdf, keys, side="right"), cdf.size - 1)
+
+
+def torus_integrand_samples(
+    a, p, q, f: str, samples: int, seed: int, streams: int, batch: int, jump: int = 0
+) -> np.ndarray:
     """Per-point values of the torus integrand p!q! f(x^T A y) / (x^p y^q f^(n)(0))
     on the estimator's raw Philox words, drawn the direct way: each word is an
     angle theta = 2 pi word / 2^64, x = exp(i theta), and the inverse monomial
     is a product of float powers of conj(x) and conj(y).  Stream s is the
-    generator jumped s times and gets samples // streams points, the last one
-    the remainder; each call of `batch` points draws x, then y."""
+    generator jumped s + jump times and gets samples // streams points, the
+    last one the remainder; each call of `batch` points draws x, then y."""
     a = np.asarray(a, dtype=np.complex128)
     m = a.shape[0]
     n = sum(p)
@@ -211,8 +222,8 @@ def torus_integrand_samples(a, p, q, f: str, samples: int, seed: int, streams: i
     out = []
     for s, n_s in enumerate(counts):
         bg = np.random.Philox(key=seed % (1 << 64))
-        if s:
-            bg = bg.jumped(s)
+        if s + jump:
+            bg = bg.jumped(s + jump)
         for done in range(0, n_s, batch):
             b = min(batch, n_s - done)
             angles = bg.random_raw(2 * b * m) * (2.0 * np.pi / 2.0**64)

@@ -1,10 +1,15 @@
+import hashlib
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from permkit import rng
+from permkit import bosonic, rng
 from permkit.bosonic import (
+    _GUIDE_BITS,
+    DRAW_BUDGET,
     OVERFLOW,
     CatInputSpec,
     OutcomeDistribution,
@@ -14,6 +19,7 @@ from permkit.bosonic import (
     cat_distribution,
     fock_amplitude,
     hong_ou_mandel_unitary,
+    kept_draws,
     photon_fraction,
     reject_to_fixed_n,
     rejection_sampling_pipeline,
@@ -24,7 +30,7 @@ from permkit.combinatorics import count_weight, enumerate_weight
 from permkit.errors import EmptyConditioning, TooLarge, ZeroAmplitude
 from permkit.permanents import _LOW_BITS, _SUMS_ENTRIES
 
-from oracles import gray_code_cat_sign_sum
+from oracles import gray_code_cat_sign_sum, inverse_cdf_indices
 
 
 class TestFockAmplitude:
@@ -231,6 +237,237 @@ class TestSampling:
         draws = sample(d, 4000, 5)
         overflow = sum(1 for o in draws if o is OVERFLOW)
         assert 0.4 <= overflow / 4000 <= 0.6
+
+
+def _edge_words(bits: int) -> np.ndarray:
+    """0, 2^64 - 1 and the words either side of bucket edges of a 2^bits
+    guide: every edge up to 2^6 buckets, else the outer ones, the middle ones
+    and a seeded sample."""
+    buckets = 1 << bits
+    if bits <= 6:
+        starts = list(range(buckets))
+    else:
+        starts = [0, 1, 2, buckets // 2 - 1, buckets // 2, buckets // 2 + 1, buckets - 1]
+        starts += rng.generator(bits).integers(0, buckets, 48).tolist()
+    words = {0, (1 << 64) - 1}
+    for b in starts:
+        first = b << (64 - bits)
+        words.update(w for w in (first - 1, first, first + 1, first + (1 << (64 - bits)) - 1) if w >= 0)
+    return np.array(sorted(words), dtype=np.uint64)
+
+
+def _oracle_sample(dist, count, seed):
+    """Draws by one binary search per raw word, over a plainly built table."""
+    outcomes = list(dist.probs)
+    weights = [float(v) for v in dist.probs.values()]
+    if dist.truncated_mass > 0.0:
+        outcomes.append(OVERFLOW)
+        weights.append(dist.truncated_mass)
+    idx = inverse_cdf_indices(np.cumsum(weights), rng.bit_generator(seed).random_raw(count))
+    return [outcomes[i] for i in idx.tolist()]
+
+
+def _dyadic_grid(bits: int) -> np.ndarray:
+    """2^bits weights summing to 1, every other one zero: the CDF steps sit on
+    the keys of bucket edges of every guide with at least 2^(bits - 1) buckets."""
+    return np.tile([0.0, 2.0 ** (1 - bits)], 1 << (bits - 1))
+
+
+SEARCH_CDFS = {
+    "one outcome": np.array([0.3]),
+    "flat steps": np.cumsum([0.0, 0.25, 0.0, 0.0, 0.5, 0.0, 0.25, 0.0]),
+    "last outcome empty": np.cumsum([0.5, 0.5, 0.0]),
+    "skewed": np.cumsum(rng.generator(3).random(3000) ** 30),
+    "beyond the guide cap": np.cumsum(rng.generator(4).random((1 << _GUIDE_BITS) + 5000)),
+    # total / 2^64 rounds up to 2^-1073, so high words' keys reach the total
+    "scale rounded up": np.array([1.5 * 2.0**-1010]),
+}
+COUNTS = [0, 1, 2, 3, 7, 9, 255, 257, 4095, 4097, (1 << 17) - 1, (1 << 17) + 1]
+
+
+class TestGuideTable:
+    """The guide-table search must return exactly the binary search's index for
+    every raw word: earlier versions searched once per draw."""
+
+    @pytest.mark.parametrize("name", sorted(SEARCH_CDFS))
+    @pytest.mark.parametrize("count", COUNTS)
+    def test_adversarial_words(self, name, count):
+        cdf = SEARCH_CDFS[name]
+        edges = _edge_words(bosonic._guide_bits(count, cdf.size))
+        filler = rng.bit_generator(count).random_raw(count)
+        # every edge word once, in calls of `count` draws so the guide keeps its size
+        for start in range(0, edges.size, max(count, 1)):
+            raw = filler.copy()
+            chunk = edges[start : start + count]
+            raw[: chunk.size] = chunk
+            assert np.array_equal(bosonic._inverse_cdf(cdf, raw), inverse_cdf_indices(cdf, raw)), start
+
+    @pytest.mark.parametrize("count", [1, 5, 64, 4097, 1 << 16])
+    @pytest.mark.parametrize("grid_bits", [1, 2, 5, 8])
+    def test_steps_on_bucket_edges(self, count, grid_bits):
+        cdf = np.cumsum(_dyadic_grid(grid_bits))
+        assert cdf[-1] == 1.0
+        raw = np.resize(_edge_words(bosonic._guide_bits(count, cdf.size)), count)
+        assert np.array_equal(bosonic._inverse_cdf(cdf, raw), inverse_cdf_indices(cdf, raw))
+
+    def test_steps_between_adjacent_words(self):
+        # Words below 2^53 keep distinct keys, so a step can fall between a
+        # bucket's last word and the word before it.  4097 draws from 4096
+        # outcomes give 2^13 buckets; the first four steps sit on the keys of
+        # the last words of buckets 0..3, and the total is 1.
+        count, size = 4097, 4096
+        bits = bosonic._guide_bits(count, size)
+        assert bits == 13
+        last_words = [((b + 1) << (64 - bits)) - 1 for b in range(4)]
+        cdf = np.concatenate([np.array(last_words, dtype=np.float64) / 2.0**64, np.linspace(0.5, 1.0, size - 4)])
+        raw = np.resize(np.array([w + d for w in last_words for d in (-1, 0, 1)], dtype=np.uint64), count)
+        expected = inverse_cdf_indices(cdf, raw)
+        assert expected[:12].tolist() == [0, 1, 1, 1, 2, 2, 2, 3, 3, 3, 4, 4]
+        assert np.array_equal(bosonic._inverse_cdf(cdf, raw), expected)
+
+    def test_top_word_takes_the_last_outcome(self):
+        # the key of 2^64 - 1 equals the total, so it is capped at N - 1, as in
+        # earlier versions, even where that outcome has zero probability
+        cdf = SEARCH_CDFS["last outcome empty"]
+        assert bosonic._inverse_cdf(cdf, np.array([0, (1 << 64) - 1], dtype=np.uint64)).tolist() == [0, 2]
+
+    def test_guide_size(self):
+        assert bosonic._guide_bits(0, 10) == 1
+        assert bosonic._guide_bits(10**7, 10**6) == _GUIDE_BITS
+        # fewer draws than outcomes: draws^2 / outcomes buckets
+        assert bosonic._guide_bits(10_000, 54_264) == (10_000**2 // 54_264).bit_length()
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        weights=st.lists(
+            st.one_of(st.just(0.0), st.floats(0.0, 1e300), st.floats(0.0, 1e-300), st.integers(1, 8).map(lambda k: 2.0**-k)),
+            min_size=1,
+            max_size=80,
+        ),
+        words=st.lists(
+            st.one_of(
+                st.integers(0, (1 << 64) - 1),
+                st.tuples(st.integers(1, _GUIDE_BITS), st.integers(0, 1 << _GUIDE_BITS), st.integers(-1, 1)).map(
+                    lambda t: min(max(((t[1] % (1 << t[0])) << (64 - t[0])) + t[2], 0), (1 << 64) - 1)
+                ),
+            ),
+            max_size=300,
+        ),
+    )
+    def test_matches_binary_search(self, weights, words):
+        with np.errstate(over="ignore"):
+            cdf = np.cumsum(weights)
+        if not 0.0 < cdf[-1] < math.inf:
+            return
+        raw = np.array(words, dtype=np.uint64)
+        assert np.array_equal(bosonic._inverse_cdf(cdf, raw), inverse_cdf_indices(cdf, raw))
+
+
+def _wide_distribution():
+    """70,000 outcomes, more than the guide has buckets."""
+    weights = rng.generator(203).random(70_000) ** 4
+    return OutcomeDistribution({(i,): w for i, w in enumerate(weights.tolist())}, cutoff=1, truncated_mass=0.0)
+
+
+def _digest(value) -> str:
+    return hashlib.sha256(repr(value).encode()).hexdigest()
+
+
+def _pipeline_fields():
+    rep = rejection_sampling_pipeline(rng.haar_unitary(5, 204), CatInputSpec(0.7, 2, 5), 6, 30_000, 16)
+    return (rep.total_samples, rep.kept_samples, rep.support_size, rep.cutoff, f"{rep.tv_kept_vs_single_photon:.9e}")
+
+
+def _kept_fields():
+    u = rng.haar_unitary(6, 205)
+    dist = cat_distribution(u, CatInputSpec(0.9, 3, 6), 7)
+    outcomes, kept, tv = kept_draws(dist, 3, 50_000, 17, bs_distribution(u, 3).probs)
+    return outcomes, kept.tolist(), f"{tv:.9e}"
+
+
+# SHA-256 of each output's repr, recorded from the version that searched the
+# CDF once per draw; the sampler must keep every draw.
+PINNED = {
+    "toy": (
+        lambda: sample(OutcomeDistribution({(2, 0): 0.0, (1, 1): 0.375, (0, 2): 0.125, (3, 0): 0.0}, 3, 0.5), 4097, 11),
+        "cf85f7a4e23a11c001cc40bb6c560bb106bc29619c630aea6329ace2fc22e91a",
+    ),
+    "one": (
+        lambda: sample(OutcomeDistribution({(1,): 1.0}, 1, 0.0), 1, 15),
+        "2f89a856b49d78145fad2bef112e0a7279679104ddb8b55e95b949266fe943ac",
+    ),
+    "bs": (
+        lambda: sample(bs_distribution(rng.haar_unitary(5, 201), 3), 10_001, 12),
+        "ccab3ac50f9971a250cb65b16460e18e74a066e6010660e2e5da9a79f93e6714",
+    ),
+    "cat": (
+        lambda: sample(cat_distribution(rng.haar_unitary(6, 202), CatInputSpec(0.8, 2, 6)), 100_000, 13),
+        "b8b0e33ee27171bdadf4a6dd13686ea6f5499509105e7e429764994d6f467628",
+    ),
+    "wide": (
+        lambda: sample(_wide_distribution(), (1 << 17) + 1, 14),
+        "204159460c73f25e60e08158f6ec44f80db885e08f7d408c6d7a2ce55e1c76a2",
+    ),
+    "pipeline": (_pipeline_fields, "7a0a719bd814fd6c4ca566dd88cd4abe38a3c78364885322f77e5de809d49840"),
+    "kept_draws": (_kept_fields, "01740e38353cfec55a237bf884665ba399b991912c295fab94258794d0597fe0"),
+}
+
+
+class TestSameDraws:
+    @pytest.mark.parametrize("name", sorted(PINNED))
+    def test_pinned_digest(self, name):
+        run, digest = PINNED[name]
+        assert _digest(run()) == digest
+
+    @pytest.mark.parametrize(
+        "dist",
+        [
+            OutcomeDistribution({(1, 1): 1.0}, 2, 0.0),
+            OutcomeDistribution({(0, 2): 0.0, (1, 1): 0.25, (2, 0): 0.0, (0, 1): 0.75}, 2, 0.0),
+            OutcomeDistribution({(1, 0): 0.1, (0, 1): 0.0}, 1, 0.9),
+            _wide_distribution(),
+        ],
+        ids=["one outcome", "zero-probability outcomes", "overflow mass", "beyond the guide cap"],
+    )
+    @pytest.mark.parametrize("count", [0, 1, 2, 255, 257, (1 << 17) + 1])
+    def test_sample_matches_binary_search(self, dist, count):
+        assert sample(dist, count, count + 3) == _oracle_sample(dist, count, count + 3)
+
+
+class TestBadDraws:
+    @pytest.mark.parametrize(
+        "probs,mass",
+        [
+            ({(1,): math.nan, (0,): 0.5}, 0.0),
+            ({(1,): 0.5, (0,): math.inf}, 0.0),
+            ({(1,): -0.1, (0,): 1.1}, 0.0),
+            ({(1,): 0.0, (0,): 0.0}, 0.0),
+            ({}, 0.0),
+            ({(1,): 1e308, (0,): 1e308}, 0.0),
+            ({(1,): 0.5}, math.nan),
+            ({(1,): 0.5}, -0.5),
+        ],
+        ids=["nan", "inf", "negative", "all zero", "empty", "total overflows", "nan mass", "negative mass"],
+    )
+    def test_bad_weights_raise(self, probs, mass):
+        dist = OutcomeDistribution(probs, 1, mass)
+        with pytest.raises(ValueError, match="finite and non-negative"):
+            sample(dist, 5, 0)
+
+    def test_negative_count_raises(self):
+        with pytest.raises(ValueError, match="count"):
+            sample(OutcomeDistribution({(1,): 1.0}, 1, 0.0), -1, 0)
+
+    def test_count_over_budget_refused_before_drawing(self, monkeypatch):
+        def no_draws(*args, **kwargs):
+            raise AssertionError("draws were generated")
+
+        monkeypatch.setattr(bosonic, "bit_generator", no_draws)
+        dist = OutcomeDistribution({(1,): 1.0}, 1, 0.0)
+        with pytest.raises(TooLarge, match=f"budget is {DRAW_BUDGET}"):
+            sample(dist, 10**12, 0)
+        with pytest.raises(TooLarge):
+            kept_draws(dist, 1, DRAW_BUDGET + 1, 0, dist.probs)
 
 
 class TestPipeline:

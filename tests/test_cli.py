@@ -8,7 +8,8 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
-from permkit import rng
+from permkit import bosonic, cli, rng
+from permkit.bosonic import DRAW_BUDGET, OutcomeDistribution
 from permkit.cli import main
 from permkit.numerics import ComplexMatrix
 
@@ -309,6 +310,26 @@ class TestSample:
         assert code == 0
         assert summary["kept"] == 0
         assert summary["kept_fraction"] is None
+
+    @pytest.mark.parametrize("weight", [math.nan, -0.25, 0.0])
+    def test_bad_weights_exit_one(self, capsys, hom_file, monkeypatch, weight):
+        bad = OutcomeDistribution({(2, 0): weight, (0, 2): 0.0 if weight == 0.0 else 0.5}, 2, 0.0)
+        monkeypatch.setattr(cli, "bs_distribution", lambda u, n: bad)
+        code, out, err = run_cli(capsys, "sample", "--unitary", hom_file, "--n", "2", "--count", "3")
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error:") and len(err.strip().splitlines()) == 1
+
+    def test_count_over_budget_exits_one_before_drawing(self, capsys, hom_file, monkeypatch):
+        def no_draws(*args, **kwargs):
+            raise AssertionError("draws were generated")
+
+        monkeypatch.setattr(bosonic, "bit_generator", no_draws)
+        code, out, err = run_cli(capsys, "sample", "--unitary", hom_file, "--n", "2", "--count", "1000000000000")
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error:") and len(err.strip().splitlines()) == 1
+        assert f"the budget is {DRAW_BUDGET}" in err
 
     def test_rejects_nonunitary(self, capsys, tmp_path):
         path = tmp_path / "half.json"

@@ -1,5 +1,6 @@
 import json
 import math
+import time
 
 import numpy as np
 import pytest
@@ -227,6 +228,21 @@ class TestAgainstFloatAngleFormula:
                 assert abs(rep.stderr**2 - stderr**2) <= 1e-12 * np.mean(np.abs(v) ** 2) / samples, case
                 if m > 1:
                     assert abs(rep.stderr - stderr) <= 1e-12 * stderr, case
+
+    @pytest.mark.parametrize("f", ["pown", "exp", "geom"])
+    def test_empty_streams_are_skipped(self, f):
+        # samples // streams = 0, so only the last stream draws, and it draws all
+        a = rng.unit_disk_matrix(3, 103)
+        p, q = _pattern(3)
+        streams, seed = 10**9, 41
+        start = time.perf_counter()
+        rep = estimate_permanent(a, RepetitionPattern(p, q), f, 2, seed, streams)
+        assert time.perf_counter() - start < 0.5
+        v = torus_integrand_samples(a, p, q, f, 2, seed, 1, _BATCH, jump=streams - 1)
+        var = (np.sum(np.abs(v) ** 2) - 2 * abs(v.mean()) ** 2) / 1
+        assert rep.samples == 2 and rep.streams == streams
+        assert abs(rep.estimate - v.mean()) <= 1e-12 * abs(v.mean())
+        assert rep.stderr == pytest.approx(math.sqrt(var / 2), rel=1e-9)
 
     @pytest.mark.parametrize("f", ["pown", "exp", "geom"])
     def test_one_sample_names_the_limit(self, f):
