@@ -267,9 +267,10 @@ def _guide_bits(draws: int, outcomes: int) -> int:
     return min(max(1, target.bit_length()), _GUIDE_BITS)
 
 
-def _guide(cdf: np.ndarray, scale: np.float64, bits: int) -> np.ndarray:
+def _guide(cdf: np.ndarray, scale: np.float64, bits: int, last: int) -> np.ndarray:
     """For each of the 2^bits buckets of words that share their top bits, the
-    index that all its words take, or -1 where the bucket straddles a step.
+    index that all its words take, at most ``last``, or -1 where the bucket
+    straddles a step.
 
     The index of a bucket's first and last word, keyed with the draws' own
     `scale`, bound that of every word in it.  searchsorted(cdf, keys,
@@ -280,13 +281,18 @@ def _guide(cdf: np.ndarray, scale: np.float64, bits: int) -> np.ndarray:
     words = np.repeat(np.arange(1 << bits, dtype=np.uint64) << np.uint64(64 - bits), 2)
     words[1::2] |= np.uint64((1 << (64 - bits)) - 1)
     below = np.bincount(np.searchsorted(words * scale, cdf, side="left"), minlength=words.size + 1)
-    bounds = np.minimum(below[:-1].cumsum(), cdf.size - 1).reshape(-1, 2)
+    bounds = np.minimum(below[:-1].cumsum(), last).reshape(-1, 2)
     return np.where(bounds[:, 0] == bounds[:, 1], bounds[:, 0], -1)
 
 
 def _inverse_cdf(cdf: np.ndarray, raw: np.ndarray) -> np.ndarray:
-    """min(searchsorted(cdf, raw * (cdf[-1] / 2^64), side="right"), N - 1) for
-    each raw uint64 word, by a guide table over the words' top bits.
+    """min(searchsorted(cdf, raw * (cdf[-1] / 2^64), side="right"), L) for each
+    raw uint64 word, by a guide table over the words' top bits; L is the last
+    outcome whose CDF step is positive, the first that reaches the total.
+
+    A key below the total searches no further than L.  One that reaches it,
+    as for the words from 2^64 - 2^10 up, whose float64 is 2^64, is capped at
+    L, so no draw takes a trailing outcome of zero weight.
 
     Converting a word to float64 and scaling it are both correctly rounded,
     hence monotone, so the index never decreases as the word grows.  The guide
@@ -296,10 +302,11 @@ def _inverse_cdf(cdf: np.ndarray, raw: np.ndarray) -> np.ndarray:
     buckets that straddle a step of the CDF are searched.
     """
     scale = cdf[-1] / 2.0**64
+    last = int(np.searchsorted(cdf, cdf[-1], side="left"))
     bits = _guide_bits(raw.size, cdf.size)
-    idx = _guide(cdf, scale, bits)[(raw >> np.uint64(64 - bits)).view(np.int64)]
+    idx = _guide(cdf, scale, bits, last)[(raw >> np.uint64(64 - bits)).view(np.int64)]
     straddle = np.flatnonzero(idx < 0)
-    idx[straddle] = np.minimum(np.searchsorted(cdf, raw[straddle] * scale, side="right"), cdf.size - 1)
+    idx[straddle] = np.minimum(np.searchsorted(cdf, raw[straddle] * scale, side="right"), last)
     return idx
 
 
@@ -330,8 +337,10 @@ def sample(dist: OutcomeDistribution, count: int, seed: int) -> list[Outcome]:
     """Inverse-CDF sampling; the truncated mass maps to the OVERFLOW sentinel.
 
     Draw i is outcome min(searchsorted(cdf, w_i * total / 2^64, side="right"),
-    N - 1) for the i-th raw Philox word w_i of `seed`, over the outcomes in
-    dict order followed by OVERFLOW: the same draws as earlier versions.
+    L) for the i-th raw Philox word w_i of `seed`, over the outcomes in dict
+    order followed by OVERFLOW, with L the last of positive weight: the same
+    draws as earlier versions, which capped at N - 1, except that a top word
+    never takes a trailing outcome of zero weight.
     """
     table, idx = _sample_indices(dist, count, seed)
     return table[idx].tolist()

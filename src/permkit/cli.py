@@ -210,10 +210,10 @@ def _cmd_estimate(args) -> tuple[object, int, list]:
     return rep.to_json_dict(), 0, []
 
 
-def _outcome_line(outcome) -> dict:
-    if outcome is OVERFLOW:
-        return {"overflow": True}
-    return {"counts": list(outcome)}
+def _outcome_lines(draws) -> list[str]:
+    """One JSON line per draw, each distinct outcome formatted once."""
+    text = {o: json.dumps({"overflow": True} if o is OVERFLOW else {"counts": list(o)}) for o in set(draws)}
+    return [text[o] for o in draws]
 
 
 def _cmd_sample(args) -> tuple[object, int, list]:
@@ -222,8 +222,7 @@ def _cmd_sample(args) -> tuple[object, int, list]:
         dist = bs_distribution(u, args.n)
         if args.reject_to is not None:
             dist = reject_to_fixed_n(dist, args.reject_to)
-        draws = sample_outcomes(dist, args.count, args.seed)
-        lines = [_outcome_line(o) for o in draws]
+        lines = _outcome_lines(sample_outcomes(dist, args.count, args.seed))
         summary = {
             "input": "fock",
             "count": args.count,
@@ -236,7 +235,7 @@ def _cmd_sample(args) -> tuple[object, int, list]:
     if args.reject_to is not None:
         n = args.reject_to
         outcomes, kept, tv = kept_draws(dist, n, args.count, args.seed, bs_distribution(u, n).probs)
-        lines = [_outcome_line(outcomes[i]) for i in kept.tolist()]
+        lines = _outcome_lines([outcomes[i] for i in kept.tolist()])
         summary = {
             "input": "cat",
             "count": args.count,
@@ -248,8 +247,7 @@ def _cmd_sample(args) -> tuple[object, int, list]:
             "truncated_mass": dist.truncated_mass,
         }
         return summary, 0, lines
-    draws = sample_outcomes(dist, args.count, args.seed)
-    lines = [_outcome_line(o) for o in draws]
+    lines = _outcome_lines(sample_outcomes(dist, args.count, args.seed))
     summary = {
         "input": "cat",
         "count": args.count,
@@ -305,8 +303,7 @@ def main(argv=None) -> int:
         return 1
     wall_ms = int((time.monotonic() - start) * 1000)
     manifest = _manifest(args, wall_ms)
-    for line in lines:
-        print(json.dumps(line))
+    sys.stdout.write("".join(line + "\n" for line in lines))
     if isinstance(payload, list):
         print(json.dumps({"reports": payload, "manifest": manifest}))
     else:

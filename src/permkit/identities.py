@@ -3,10 +3,9 @@
 Every verifier computes both sides of an identity independently and reports
 the maximum coefficient discrepancy.  A matrix is held in one form: an
 object array of int/Fraction entries, checked in the rational ring, or a
-complex128 array, checked in the complex ring (`_normalize`); each scalar
-coefficient is made once in its ring (`_ratio`).  The permanent side comes
-from the multiplicity-aware Glynn sum: each verifier collects its (p, q)
-pairs and gets every Per(A_{p,q}) of one matrix from one batched call
+complex128 array, checked in the complex ring (`_normalize`).  The permanent
+side comes from the multiplicity-aware Glynn sum: each verifier collects its
+(p, q) pairs and gets every Per(A_{p,q}) of one matrix from one batched call
 (`_permanent_side`); only even-single takes the brute-force permanent of
 its matrix.  The closed-form side comes from determinants and truncated
 series.  Every determinant has the form Det(I - D_1 A_1 ... D_N A_N) with
@@ -16,8 +15,15 @@ the caps.  MacMahon, the two-matrix and the N-matrix theorems share
 1/Det(I - Z_1 A_1 ... Z_N A_N) (`_n_matrix_rhs`); the even-matrix modes use
 the half-swap form.  Caps must be non-negative integers.  Before any
 series work a verifier raises `TooLarge` when its permanent side needs more
-than the term budget, prod_j (q_j + 1) terms per pair.  Exact-ring checks
-report a literal 0.0 error on success.
+than the term budget, prod_j (q_j + 1) terms per pair.
+
+The sides are compared table-wise (`_report`): a coefficient table's
+permanent side is one flat array over the series' row-major layout, each
+pair placed once at its flat index and divided by the exponent factorials
+(`_table`), and meets the coefficient array in one numpy step.  Rational
+entries are compared exactly (a literal 0.0 error when the identity holds);
+a complex max_abs_error is `numerics.scaled_error` of the worst entry, bit
+for bit what a one-by-one comparison gives.
 """
 
 from __future__ import annotations
@@ -55,7 +61,7 @@ from .permanents import (
     _repeated_permanents,
     permanent_naive,
 )
-from .series import COMPLEX, RATIONAL, TruncatedSeries
+from .series import COMPLEX, RATIONAL, TruncatedSeries, _flat_index, _layout
 
 #: Matrix whose doubly-repeated permanents encode Dixon's alternating
 #: binomial-cube sum.
@@ -88,28 +94,64 @@ class IdentityReport:
         return out
 
 
-class _Tracker:
-    def __init__(self) -> None:
-        self.max_err = 0.0
-        self.count = 0
+# Errors within this relative margin of the largest are evaluated again one by
+# one: numpy's complex abs may differ from Python's in the last bit.
+_NEAR = 1e-9
 
-    def add(self, value, reference) -> None:
-        self.count += 1
-        if value == reference:
-            return
-        self.max_err = max(self.max_err, scaled_error(complex(value), complex(reference)))
 
-    def report(self, name, caps, tolerance, ring, tail_bound=None) -> IdentityReport:
-        return IdentityReport(
-            identity_name=name,
-            max_abs_error=self.max_err,
-            num_coefficients_checked=self.count,
-            caps_used=tuple(caps),
-            passed=self.max_err <= tolerance,
-            tolerance=tolerance,
-            ring=ring,
-            tail_bound=tail_bound,
-        )
+def _report(name, caps, tolerance, ring, *checks, tail_bound=None) -> IdentityReport:
+    """The report on ``checks``, (value, reference) pairs of flat arrays in the
+    ring (`_side`), compared in one numpy step.
+
+    Rational entries n/d and n'/d' are equal when n d' = n' d; only unequal
+    ones get an error.  Complex errors |v - r| / max(1, |r|) are taken
+    array-wide, and those within _NEAR of the largest again by `scaled_error`,
+    so that max_abs_error is the one-by-one rule's to the last bit.  A NaN
+    error is reported and fails.
+    """
+    vn, vd, rn, rd = (np.concatenate([c[k][j] for c in checks]) for k in (0, 1) for j in (0, 1))
+    if ring == RATIONAL:
+        top, near = 0.0, np.flatnonzero(vn * rd != rn * vd)
+        v, r = vn[near] / vd[near], rn[near] / rd[near]
+    else:
+        # complex / real as Python divides it: each part by the real divisor
+        v, r = ((n.view(np.float64) / np.repeat(d, 2)).view(np.complex128) for n, d in ((vn, vd), (rn, rd)))
+        err = np.abs(v - r) / np.maximum(1.0, np.abs(r))
+        top = float(err.max(initial=0.0))
+        near = np.flatnonzero((err > 0) & (err >= top * (1 - _NEAR)))
+        v, r = v[near], r[near]
+    max_err = max(map(scaled_error, v.tolist(), r.tolist()), default=top)
+    return IdentityReport(name, max_err, vn.size, tuple(caps), max_err <= tolerance, tolerance, ring, tail_bound)
+
+
+def _side(ring, values) -> tuple[np.ndarray, np.ndarray]:
+    """int/Fraction or complex values as a flat array in the ring: (numerators, denominators)."""
+    if ring == RATIONAL:
+        nums = np.array([v.numerator for v in values], dtype=object)
+        return nums, np.array([v.denominator for v in values], dtype=object)
+    return np.array(values, dtype=np.complex128), np.ones(len(values))
+
+
+def _series_side(s: TruncatedSeries) -> tuple[np.ndarray, np.ndarray]:
+    """Every coefficient of s, flat in row-major order, as `_side` gives them."""
+    flat = s._array.ravel()
+    return flat, np.full(flat.size, s._den, dtype=object if s.ring == RATIONAL else np.float64)
+
+
+def _table(ring, caps, entries: dict) -> tuple[np.ndarray, np.ndarray]:
+    """{flat index: value} entries over the layout of caps, zero elsewhere, each
+    over the factorial product e! of its exponent e, as `_side` gives them."""
+    exponents, _, _ = _layout(caps)
+    fact = np.array([math.factorial(k) for k in range(max(caps, default=0) + 1)], dtype=object)
+    den = fact[exponents].prod(axis=1)
+    index = np.fromiter(entries, dtype=np.intp, count=len(entries))
+    if ring == RATIONAL:
+        num, scale = np.zeros(len(den), dtype=object), np.ones(len(den), dtype=object)
+        num[index], scale[index] = _side(ring, entries.values())
+        return num, den * scale
+    num = np.zeros(len(den), dtype=np.complex128)
+    num[index] = list(entries.values())
+    return num, den.astype(np.float64)
 
 
 def _normalize(a):
@@ -389,12 +431,7 @@ def _monomial_power_table(mat, ring, caps):
     forms = [_row_form(row, ring, caps) for row in mat.tolist()]
     table = [None] * math.prod(c + 1 for c in caps)
     table[0] = TruncatedSeries.one(caps, ring)
-    strides = []
-    acc = 1
-    for c in reversed(caps):
-        strides.append(acc)
-        acc *= c + 1
-    strides = list(reversed(strides))
+    strides = [math.prod(c + 1 for c in caps[i + 1 :]) for i in range(len(caps))]
     for idx, e in enumerate(_sub_indices(caps)):
         if idx == 0:
             continue
@@ -413,15 +450,13 @@ def verify_macmahon(a, cap: Union[int, Sequence[int]] = 2, tolerance: float = 1e
     caps = _caps(cap, len(mat))
     exponents = list(_sub_indices(caps))
     (per,) = _permanent_side((mat, [(p, p) for p in exponents]))
-    inv = _n_matrix_rhs([mat], ring, caps)
-    mono = _monomial_power_table(mat, ring, caps) if ring == RATIONAL else None
-    acc = _Tracker()
-    for idx, p in enumerate(exponents):
-        ref = _ratio(ring, per[p, p], factorial_product(p))
-        acc.add(inv.coefficient(p), ref)
-        if mono is not None:
-            acc.add(mono[idx].coefficient(p), ref)
-    return acc.report("macmahon", caps, tolerance, ring)
+    ref = _table(ring, caps, {idx: per[p, p] for idx, p in enumerate(exponents)})
+    checks = [(_series_side(_n_matrix_rhs([mat], ring, caps)), ref)]
+    if ring == RATIONAL:
+        mono = _monomial_power_table(mat, ring, caps)
+        nums = np.array([t._array.flat[idx] for idx, t in enumerate(mono)], dtype=object)
+        checks.append(((nums, np.array([t._den for t in mono], dtype=object)), ref))
+    return _report("macmahon", caps, tolerance, ring, *checks)
 
 
 def verify_dixon(n_max: int = 4, tolerance: float = 0.0) -> IdentityReport:
@@ -434,19 +469,17 @@ def verify_dixon(n_max: int = 4, tolerance: float = 0.0) -> IdentityReport:
     mat, ring = _normalize(DIXON_MATRIX)
     caps = (2 * n_max,) * 3
     inv = _n_matrix_rhs([mat], ring, caps)
-    acc = _Tracker()
+    values, refs = [], []
     for n in range(1, n_max + 1):
         p = (2 * n,) * 3
         pf = factorial_product(p)
-        q_mmt = pf * inv.coefficient(p)
         # [z^p] of a product of linear forms only reads exponents <= p
         q_mono = pf * _monomial_power(mat, ring, p, p).coefficient(p)
         binom_sum = sum((-1) ** k * math.comb(2 * n, k) ** 3 for k in range(2 * n + 1))
         closed = (-1) ** n * math.factorial(3 * n) // math.factorial(n) ** 3
-        acc.add(q_mmt, q_mono)
-        acc.add(q_mmt, pf * binom_sum)
-        acc.add(q_mmt, pf * closed)
-    return acc.report("dixon", caps, tolerance, ring)
+        values += [pf * inv.coefficient(p)] * 3
+        refs += [q_mono, pf * binom_sum, pf * closed]
+    return _report("dixon", caps, tolerance, ring, (_side(ring, values), _side(ring, refs)))
 
 
 # ---------------------------------------------------------------------------
@@ -478,19 +511,11 @@ def verify_mmmt_two(a, b, cap: Union[int, Sequence[int]] = 2, tolerance: float =
     pairs = _equal_weight_pairs(_sub_indices(caps[:m]), _sub_indices(caps[m:]))
     swapped = [(q, p) for p, q in pairs]
     per_a, per_b, per_bt = _permanent_side((mat_a, pairs), (mat_b, swapped), (mat_b.T, pairs))
-    rhs = _n_matrix_rhs([mat_a, mat_b], ring, caps)
-    acc = _Tracker()
-    for p in _sub_indices(caps[:m]):
-        for q in _sub_indices(caps[m:]):
-            denom = factorial_product(p) * factorial_product(q)
-            pa = per_a.get((p, q), 0)
-            lhs1 = _ratio(ring, pa * per_b.get((q, p), 0), denom)
-            lhs2 = _ratio(ring, pa * per_bt.get((p, q), 0), denom)
-            r = rhs.coefficient(p + q)
-            acc.add(lhs1, r)
-            acc.add(lhs2, r)
-            acc.add(lhs1, lhs2)
-    return acc.report("mmmt-two", caps, tolerance, ring)
+    index = [_flat_index(p + q, caps, "pair") for p, q in pairs]
+    lhs1 = _table(ring, caps, {i: per_a[p, q] * per_b[q, p] for i, (p, q) in zip(index, pairs)})
+    lhs2 = _table(ring, caps, {i: per_a[p, q] * per_bt[p, q] for i, (p, q) in zip(index, pairs)})
+    rhs = _series_side(_n_matrix_rhs([mat_a, mat_b], ring, caps))
+    return _report("mmmt-two", caps, tolerance, ring, (lhs1, rhs), (lhs2, rhs), (lhs1, lhs2))
 
 
 def _n_matrix_rhs(mats, ring, caps) -> TruncatedSeries:
@@ -515,17 +540,16 @@ def verify_mmmt_n(matrices, cap: Union[int, Sequence[int]] = 1, tolerance: float
     pers = _permanent_side(
         *((mats[k], _equal_weight_pairs(per_block[k], per_block[(k + 1) % n_mats])) for k in range(n_mats))
     )
-    rhs = _n_matrix_rhs(mats, ring, caps)
-    acc = _Tracker()
-    for ps in itertools.product(*per_block):
-        lhs = 0
-        if len({weight(p) for p in ps}) == 1:
-            lhs = 1
+    # only chains of one weight have a nonzero product
+    lhs = {}
+    for w in range(sum(caps) + 1):
+        for ps in itertools.product(*([p for p in block if weight(p) == w] for block in per_block)):
+            value = 1
             for k in range(n_mats):
-                lhs = lhs * pers[k][ps[k], ps[(k + 1) % n_mats]]
-            lhs = _ratio(ring, lhs, math.prod(factorial_product(p) for p in ps))
-        acc.add(lhs, rhs.coefficient(tuple(itertools.chain.from_iterable(ps))))
-    return acc.report("mmmt-n", caps, tolerance, ring)
+                value = value * pers[k][ps[k], ps[(k + 1) % n_mats]]
+            lhs[_flat_index(sum(ps, ()), caps, "chain")] = value
+    rhs = _series_side(_n_matrix_rhs(mats, ring, caps))
+    return _report("mmmt-n", caps, tolerance, ring, (_table(ring, caps, lhs), rhs))
 
 
 def verify_corollary_rank_one(a, p, q, tolerance: float = 1e-8) -> IdentityReport:
@@ -539,9 +563,8 @@ def verify_corollary_rank_one(a, p, q, tolerance: float = 1e-8) -> IdentityRepor
     (per,) = _permanent_side((mat, [(p, q)]))
     coef = _xtay_series(mat, ring, caps).power(n).coefficient(caps)
     factor = _ratio(ring, factorial_product(p) * factorial_product(q), math.factorial(n))
-    acc = _Tracker()
-    acc.add(per[p, q], factor * coef)
-    return acc.report("corollary-rank-one", caps, tolerance, ring)
+    check = (_side(ring, [per[p, q]]), _side(ring, [factor * coef]))
+    return _report("corollary-rank-one", caps, tolerance, ring, check)
 
 
 # ---------------------------------------------------------------------------
@@ -593,15 +616,8 @@ def verify_generating_function(
         lhs_series = w.power(power)
     else:
         lhs_series = -((one - w).log())
-    acc = _Tracker()
-    for p in _sub_indices(caps[:m]):
-        for q in _sub_indices(caps[m:]):
-            ref = 0
-            if (p, q) in per:
-                num = fn_times_nfac(weight(p)) * per[p, q]
-                ref = _ratio(ring, num, factorial_product(p) * factorial_product(q))
-            acc.add(lhs_series.coefficient(p + q), ref)
-    return acc.report(f"generating-{f}", caps, tolerance, ring)
+    ref = {_flat_index(p + q, caps, "pair"): fn_times_nfac(weight(p)) * v for (p, q), v in per.items()}
+    return _report(f"generating-{f}", caps, tolerance, ring, (_series_side(lhs_series), _table(ring, caps, ref)))
 
 
 def verify_monomial_glynn(a, p, cap: Union[int, Sequence[int]] = 2, tolerance: float = 1e-8) -> IdentityReport:
@@ -610,11 +626,8 @@ def verify_monomial_glynn(a, p, cap: Union[int, Sequence[int]] = 2, tolerance: f
     p = tuple(p)
     caps = _caps(cap, len(mat))
     (per,) = _permanent_side((mat, _equal_weight_pairs([p], _sub_indices(caps))))
-    rhs = _monomial_power(mat, ring, caps, p)
-    acc = _Tracker()
-    for q in _sub_indices(caps):
-        acc.add(_ratio(ring, per.get((p, q), 0), factorial_product(q)), rhs.coefficient(q))
-    return acc.report("monomial", caps, tolerance, ring)
+    lhs = _table(ring, caps, {_flat_index(q, caps, "pair"): v for (_, q), v in per.items()})
+    return _report("monomial", caps, tolerance, ring, (lhs, _series_side(_monomial_power(mat, ring, caps, p))))
 
 
 # ---------------------------------------------------------------------------
@@ -641,9 +654,7 @@ def verify_sum_formula(a, b, pattern: RepetitionPattern, tolerance: float = 1e-8
     total = 0
     for s, t, u, v in splits:
         total += _split_coef(ring, pq_fact, (s, t, u, v)) * (per_a[s, u] * per_b[t, v])
-    acc = _Tracker()
-    acc.add(per_sum[p, q], total)
-    return acc.report("sum-formula", p + q, tolerance, ring)
+    return _report("sum-formula", p + q, tolerance, ring, (_side(ring, [per_sum[p, q]]), _side(ring, [total])))
 
 
 def verify_laplace(a, pattern: RepetitionPattern, k: int, tolerance: float = 1e-8) -> IdentityReport:
@@ -664,9 +675,7 @@ def verify_laplace(a, pattern: RepetitionPattern, k: int, tolerance: float = 1e-
     total = 0
     for s, t, u, v in splits:
         total += _split_coef(ring, num, (s, t, u, v), math.factorial(n)) * (per[s, u] * per[t, v])
-    acc = _Tracker()
-    acc.add(per[p, q], total)
-    return acc.report("laplace", p + q, tolerance, ring)
+    return _report("laplace", p + q, tolerance, ring, (_side(ring, [per[p, q]]), _side(ring, [total])))
 
 
 def verify_sum_of_permanents(a, b, pattern: RepetitionPattern, tolerance: float = 1e-8) -> IdentityReport:
@@ -699,9 +708,8 @@ def verify_sum_of_permanents(a, b, pattern: RepetitionPattern, tolerance: float 
             coef = _split_coef(ring, pq_fact, (aa, bb, cc, aa2, bb2, cc2))
             ksum += coef * (per_a[aa, aa2] * per_b[bb, bb2] * per_sum[cc, cc2])
         total += _ratio(ring, (-1) ** k, math.comb(n - 1, k)) * ksum
-    acc = _Tracker()
-    acc.add(per_a[p, q] + per_b[p, q], total)
-    return acc.report("sum-of-permanents", p + q, tolerance, ring)
+    lhs = per_a[p, q] + per_b[p, q]
+    return _report("sum-of-permanents", p + q, tolerance, ring, (_side(ring, [lhs]), _side(ring, [total])))
 
 
 # ---------------------------------------------------------------------------
@@ -747,9 +755,8 @@ def verify_even_matrix(a, mode: str = "single", cap: Union[int, Sequence[int]] =
         for sign, row in zip(np.outer(parity, parity).ravel(), coeffs):
             g = TruncatedSeries(caps, COMPLEX, row).sqrt_inverse().coefficient((m,))
             total = total + g if sign > 0 else total - g
-        acc = _Tracker()
-        acc.add(total * (1.0 / 4**m), permanent_naive(mat).value)
-        return acc.report("even-single", caps, tolerance, COMPLEX)
+        check = (_side(COMPLEX, [total * (1.0 / 4**m)]), _side(COMPLEX, [permanent_naive(mat).value]))
+        return _report("even-single", caps, tolerance, COMPLEX, check)
     if mode != "full":
         raise ValueError(f"unknown mode {mode!r}")
     caps = _caps(cap, 2 * m)
@@ -757,12 +764,8 @@ def verify_even_matrix(a, mode: str = "single", cap: Union[int, Sequence[int]] =
     (per,) = _permanent_side((mat, pairs))
     var_of = [[i % m for i in range(dim)], [m + i % m for i in range(dim)]]
     g = _det_side([left, right], var_of, COMPLEX, caps).sqrt_inverse()
-    acc = _Tracker()
-    for p in _sub_indices(caps[:m]):
-        for q in _sub_indices(caps[m:]):
-            denom = factorial_product(p) * factorial_product(q)
-            acc.add(g.coefficient(p + q), per.get((p + p, q + q), 0) / denom)
-    return acc.report("even-full", caps, tolerance, COMPLEX)
+    ref = _table(COMPLEX, caps, {_flat_index(p[:m] + q[:m], caps, "pair"): v for (p, q), v in per.items()})
+    return _report("even-full", caps, tolerance, COMPLEX, (_series_side(g), ref))
 
 
 def verify_tmss_overlap(u, lam, mu, trunc: int = 6, tolerance: float = 1e-6) -> IdentityReport:
@@ -802,9 +805,8 @@ def verify_tmss_overlap(u, lam, mu, trunc: int = 6, tolerance: float = 1e-6) -> 
         if term < 1e-30:
             break
         k += 1
-    acc = _Tracker()
-    acc.add(lhs, rhs)
-    return acc.report("tmss-overlap", (trunc,) * (2 * m), tolerance, COMPLEX, tail_bound=tail)
+    check = (_side(COMPLEX, [lhs]), _side(COMPLEX, [rhs]))
+    return _report("tmss-overlap", (trunc,) * (2 * m), tolerance, COMPLEX, check, tail_bound=tail)
 
 
 # ---------------------------------------------------------------------------
@@ -831,10 +833,8 @@ def verify_sn_identity(a, b, n: int, tolerance: float = 0.0) -> IdentityReport:
         * s_n(l, a**2, b**2)
         for l in range(n + 1)
     )
-    acc = _Tracker()
-    acc.add(lhs, rhs)
-    acc.add(s_n(n, Fraction(1), Fraction(1)), Fraction(math.comb(2 * n, n)))
-    return acc.report("sn", (n,), tolerance, RATIONAL)
+    values, refs = [lhs, s_n(n, Fraction(1), Fraction(1))], [rhs, Fraction(math.comb(2 * n, n))]
+    return _report("sn", (n,), tolerance, RATIONAL, (_side(RATIONAL, values), _side(RATIONAL, refs)))
 
 
 # ---------------------------------------------------------------------------

@@ -6,8 +6,8 @@ determinants and permanents by the plain permutation sum, repeated-index
 permanents by a sum over contingency tables, and the series
 inverse, inverse square root, exp and log by their order-by-order recursions
 over single coefficients, the torus estimator's integrand from float
-angles and float powers, and the sampler's inverse-CDF map by one binary
-search per draw.
+angles and float powers, the sampler's inverse-CDF map by one binary
+search per draw, and the identity checks' comparison one entry at a time.
 """
 
 from __future__ import annotations
@@ -17,6 +17,8 @@ import math
 from fractions import Fraction
 
 import numpy as np
+
+from permkit.numerics import scaled_error
 
 
 def cofactor_determinant(a: np.ndarray) -> complex:
@@ -197,10 +199,12 @@ def series_recursion(op: str, caps, coeffs):
 
 def inverse_cdf_indices(cdf, raw) -> np.ndarray:
     """The sampler's inverse-CDF map by one binary search per raw uint64 word:
-    min(searchsorted(cdf, raw * (cdf[-1] / 2^64), side="right"), N - 1)."""
+    min(searchsorted(cdf, raw * (cdf[-1] / 2^64), side="right"), L), with L
+    the last outcome whose CDF step is positive."""
     cdf = np.asarray(cdf, dtype=np.float64)
     keys = np.asarray(raw, dtype=np.uint64) * (cdf[-1] / 2.0**64)
-    return np.minimum(np.searchsorted(cdf, keys, side="right"), cdf.size - 1)
+    last = np.flatnonzero(np.diff(cdf, prepend=0.0) > 0)[-1]
+    return np.minimum(np.searchsorted(cdf, keys, side="right"), last)
 
 
 def torus_integrand_samples(
@@ -239,3 +243,19 @@ def torus_integrand_samples(
                 vals = pq / math.factorial(n) * inv / ((1.0 - r * r * w) * r ** (2 * n))
             out.append(vals)
     return np.concatenate(out)
+
+
+def one_by_one_errors(checks) -> tuple[float, int]:
+    """(largest error, entries compared) over the (value, reference) pairs of
+    flat (numerators, denominators) arrays that the identity checks compare,
+    one entry at a time: each side made a Fraction, or complex over a float,
+    and equal entries skipped, then `scaled_error`."""
+    largest, count = 0.0, 0
+    for (vn, vd), (rn, rd) in checks:
+        exact = vn.dtype == object
+        for a, b, c, d in zip(vn.tolist(), vd.tolist(), rn.tolist(), rd.tolist()):
+            count += 1
+            value, reference = (Fraction(a, b), Fraction(c, d)) if exact else (a / b, c / d)
+            if value != reference:
+                largest = max(largest, scaled_error(complex(value), complex(reference)))
+    return largest, count

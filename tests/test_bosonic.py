@@ -281,6 +281,8 @@ SEARCH_CDFS = {
     "beyond the guide cap": np.cumsum(rng.generator(4).random((1 << _GUIDE_BITS) + 5000)),
     # total / 2^64 rounds up to 2^-1073, so high words' keys reach the total
     "scale rounded up": np.array([1.5 * 2.0**-1010]),
+    # ... and whole top buckets reach it, past an empty last outcome
+    "scale rounded up, last outcome empty": np.array([1.5 * 2.0**-1010] * 2),
 }
 COUNTS = [0, 1, 2, 3, 7, 9, 255, 257, 4095, 4097, (1 << 17) - 1, (1 << 17) + 1]
 
@@ -326,10 +328,13 @@ class TestGuideTable:
         assert np.array_equal(bosonic._inverse_cdf(cdf, raw), expected)
 
     def test_top_word_takes_the_last_outcome(self):
-        # the key of 2^64 - 1 equals the total, so it is capped at N - 1, as in
-        # earlier versions, even where that outcome has zero probability
-        cdf = SEARCH_CDFS["last outcome empty"]
-        assert bosonic._inverse_cdf(cdf, np.array([0, (1 << 64) - 1], dtype=np.uint64)).tolist() == [0, 2]
+        # the key of 2^64 - 1 equals the total, so it is capped at the last
+        # outcome of positive weight: earlier versions took N - 1 even where
+        # that outcome had zero probability
+        top = np.array([0, (1 << 64) - (1 << 10) - 1, (1 << 64) - (1 << 10), (1 << 64) - 1], dtype=np.uint64)
+        assert bosonic._inverse_cdf(SEARCH_CDFS["last outcome empty"], top).tolist() == [0, 1, 1, 1]
+        assert bosonic._inverse_cdf(SEARCH_CDFS["flat steps"], top).tolist() == [1, 6, 6, 6]
+        assert bosonic._inverse_cdf(np.cumsum([0.5, 0.0, 0.5]), top).tolist() == [0, 2, 2, 2]
 
     def test_guide_size(self):
         assert bosonic._guide_bits(0, 10) == 1

@@ -280,6 +280,24 @@ class TestSample:
         assert summary["expected_fraction"] == pytest.approx((0.16 / math.sinh(0.16)) ** 2)
         assert summary["tv_estimate"] <= 0.2
 
+    @pytest.mark.parametrize("reject", [False, True])
+    def test_one_line_per_draw_in_draw_order(self, capsys, hom_file, reject):
+        # each distinct outcome is formatted once; the lines stay those of one
+        # json.dumps per draw, overflow draws included
+        argv = ["sample", "--unitary", hom_file, "--input", "cat", "--alpha", "0.9,0", "--n", "2",
+                "--cutoff", "3", "--count", "3000", "--seed", "8"] + (["--reject-to", "2"] if reject else [])
+        code, out, _ = run_cli(capsys, *argv)
+        u = np.array([[1, 1], [1, -1]]) / math.sqrt(2.0)
+        dist = bosonic.cat_distribution(u, bosonic.CatInputSpec(0.9, 2, 2), 3)
+        if reject:
+            outcomes, kept, _ = bosonic.kept_draws(dist, 2, 3000, 8, bosonic.bs_distribution(u, 2).probs)
+            draws = [outcomes[i] for i in kept.tolist()]
+        else:
+            draws = bosonic.sample(dist, 3000, 8)
+        want = [json.dumps({"overflow": True} if d is bosonic.OVERFLOW else {"counts": list(d)}) for d in draws]
+        assert code == 0 and out.splitlines()[:-1] == want
+        assert reject or bosonic.OVERFLOW in draws
+
     def test_cat_alpha_40_draws_overflow(self, capsys, hom_file):
         code, out, err = run_cli(capsys, "sample", "--unitary", hom_file, "--input", "cat",
                                  "--alpha", "40,0", "--n", "1", "--cutoff", "3", "--count", "5")

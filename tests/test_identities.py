@@ -1,3 +1,5 @@
+import hashlib
+import json
 import math
 from fractions import Fraction
 
@@ -10,6 +12,7 @@ from permkit.combinatorics import RepetitionPattern, repeat_matrix
 from permkit.errors import DimensionMismatch, OddDimension, TooLarge, WeightMismatch
 from permkit.identities import (
     DIXON_MATRIX,
+    GENERATING_CHOICES,
     IDENTITY_REGISTRY,
     IdentityReport,
     run_battery,
@@ -29,9 +32,10 @@ from permkit.identities import (
     verify_tmss_overlap,
 )
 from permkit.permanents import permanent_naive
+from permkit.numerics import scaled_error
 from permkit.series import COMPLEX, RATIONAL, TruncatedSeries
 
-from oracles import leibniz_determinant
+from oracles import leibniz_determinant, one_by_one_errors
 
 
 class TestMacMahon:
@@ -689,3 +693,110 @@ class TestDeterminantSideBeyondEightRows:
         r = verify_even_matrix(rng.unit_disk_matrix(10, 1), "full", 1)
         assert r.passed and r.max_abs_error <= 1e-8
         assert r.num_coefficients_checked == 4**5
+
+
+# SHA-256 of the JSON of run_battery(seed=s), recorded from the version that
+# compared one coefficient at a time (numpy 2.4.6 with OpenBLAS 0.3.31 on
+# x86-64): every field, max_abs_error to the last bit.
+BATTERY_DIGESTS = {
+    5: "e36ff7cfdfaa4538f58d6d0e71980d3abb94ca18bf29cba338ad99f0a4c06310",
+    7: "dfed5d683bd7646b2ccefec4822e5e582e29a46be7254ac79167987cd733efc4",
+    123: "bbed78d00f78f3d2214879aea75a3e37ccc2bbfb2f8b57146b0dedb5d530f6ba",
+    901: "085a0ac29f287be7c447c3dbbbeb1cecf0085cc8677b0d6e1cf095cd8f1a32f3",
+    902: "a744b03961867a8d4c281b0083b1deba22a6f06be701a768a2a55c48e4fcaacd",
+}
+
+
+def _spy(monkeypatch) -> list:
+    """Record each report with the checks it was made from."""
+    seen, real = [], ident._report
+
+    def spy(*args, **kwargs):
+        report = real(*args, **kwargs)
+        seen.append((report, args[4:]))
+        return report
+
+    monkeypatch.setattr(ident, "_report", spy)
+    return seen
+
+
+def _alter_rhs(monkeypatch, index, change):
+    """Make `_n_matrix_rhs` apply ``change`` to one entry of its coefficient
+    array: a numerator in the rational ring."""
+    real = ident._n_matrix_rhs
+
+    def altered(*args):
+        s = real(*args)
+        s._array.flat[index] = change(s._array.flat[index])
+        return s
+
+    monkeypatch.setattr(ident, "_n_matrix_rhs", altered)
+
+
+A2, B2, A3, A4 = (rng.unit_disk_matrix(m, 60 + k) for k, m in enumerate((2, 2, 3, 4)))
+ONES = RepetitionPattern((1, 1, 1), (1, 1, 1))
+COUNTS = {
+    # the exact ring checks every coefficient twice, against 1/Det and against (Az)^p
+    "macmahon-dixon-cap4": (lambda: verify_macmahon(DIXON_MATRIX, 4, 0.0), 2 * 5**3),
+    "macmahon-complex": (lambda: verify_macmahon(A3, 2), 3**3),
+    "dixon": (lambda: verify_dixon(4), 3 * 4),
+    "mmmt-two": (lambda: verify_mmmt_two(A2, B2, 2), 3 * 3**4),
+    "mmmt-n-3": (lambda: verify_mmmt_n([A2, B2, A2], 1), 2**6),
+    "mmmt-n-2": (lambda: verify_mmmt_n([A2, B2], 2), 3**4),
+    "generating-log-cap4": (lambda: verify_generating_function(A2, "log", 4), 5**4),
+    "monomial": (lambda: verify_monomial_glynn(A3, (1, 2, 0), 3), 4**3),
+    "even-full": (lambda: verify_even_matrix(A4, "full", (2, 1, 1, 2)), 3 * 2 * 2 * 3),
+    "even-single": (lambda: verify_even_matrix(A4, "single"), 1),
+    "corollary": (lambda: verify_corollary_rank_one(A3, (2, 1, 0), (1, 1, 1)), 1),
+    "sum-formula": (lambda: verify_sum_formula(A3, A3.T, ONES), 1),
+    "laplace": (lambda: verify_laplace(A3, ONES, 1), 1),
+    "sum-of-permanents": (lambda: verify_sum_of_permanents(A3, A3.T, ONES), 1),
+    "tmss": (lambda: verify_tmss_overlap(rng.haar_unitary(2, 3), [0.2], [0.1j]), 1),
+    "sn": (lambda: verify_sn_identity(3, -1, 5), 2),
+}
+
+
+class TestTableWiseComparison:
+    @pytest.mark.parametrize("seed", sorted(BATTERY_DIGESTS))
+    def test_battery_reports_are_pinned(self, seed):
+        payload = json.dumps([r.to_json_dict() for r in run_battery(seed=seed)])
+        assert hashlib.sha256(payload.encode()).hexdigest() == BATTERY_DIGESTS[seed]
+
+    @pytest.mark.parametrize("seed", [901, 7])
+    def test_battery_equals_the_one_by_one_rule(self, seed, monkeypatch):
+        seen = _spy(monkeypatch)
+        run_battery(seed=seed)
+        for f in GENERATING_CHOICES:
+            run_battery([f"generating-{f}"], seed=seed, cap=4)
+        assert len(seen) == 28
+        for report, checks in seen:
+            assert (report.max_abs_error, report.num_coefficients_checked) == one_by_one_errors(checks)
+
+    @pytest.mark.parametrize("name", sorted(COUNTS))
+    def test_coefficients_checked(self, name):
+        run, count = COUNTS[name]
+        report = run()
+        assert report.passed and report.num_coefficients_checked == count
+
+    @pytest.mark.parametrize(
+        "matrix, index, delta",
+        [(rng.unit_disk_matrix(2, 3), 4, 1e-6), (DIXON_MATRIX, 13, 1)],
+        ids=["complex", "rational"],
+    )
+    def test_a_moved_coefficient_fails_with_its_scalar_error(self, matrix, index, delta, monkeypatch):
+        seen = _spy(monkeypatch)
+        assert verify_macmahon(matrix, 2).passed
+        (vn, vd), (rn, rd) = seen[0][1][0]
+        _alter_rhs(monkeypatch, index, lambda v: v + delta)
+        report = verify_macmahon(matrix, 2)
+        if isinstance(delta, int):
+            want = scaled_error(Fraction(vn[index] + 1, vd[index]), Fraction(rn[index], rd[index]))
+        else:
+            want = scaled_error(complex(vn[index]) + delta, complex(rn[index]) / float(rd[index]))
+        assert not report.passed and report.max_abs_error == want > 1e-8
+        assert report.num_coefficients_checked == seen[0][0].num_coefficients_checked
+
+    def test_nan_fails(self, monkeypatch):
+        _alter_rhs(monkeypatch, 1, lambda v: complex("nan"))
+        report = verify_macmahon(rng.unit_disk_matrix(2, 3), 2)
+        assert math.isnan(report.max_abs_error) and not report.passed

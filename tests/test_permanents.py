@@ -850,6 +850,25 @@ def test_direct_contraction_only_for_weights_below_2_17():
         assert permanents._residue_grid(qs, primes)[-1] is direct, qs
 
 
+@pytest.mark.parametrize("a", [1, 2, 4, 5, 7])
+def test_block_sums_of_weights_past_2_17_are_reduced_first(a):
+    # q = (3, 30, 30): the low block is the last two columns, 961 points whose
+    # weights C(30, u) C(30, v) enter as residues near 2^24, past the 2^17 of
+    # the direct contraction.  Those columns are zero, so Per = 0 exactly,
+    # while each block sums one factor times ~480 weight residues: summed
+    # without reducing each product first, such sums pass 2^53 and round.
+    rows = [[a, 0, 0], [a + 1, 0, 0], [2 * a - 1, 0, 0]]
+    assert permanent_glynn_multiplicity(rows, RepetitionPattern((21, 21, 21), (3, 30, 30))).value == 0
+
+
+@pytest.mark.parametrize("rows", [[[-3, -3], [1, -2]], [[0, -1], [2, 2]], [[3, 3], [-2, -3]], [[-2, 2], [-3, 1]]])
+def test_weight_products_past_2_52_are_reduced_first(rows):
+    # both columns of q = (30, 30) share the low block; C(30, 15)^2 > 2^52, so
+    # the first column's weights become residues before the second multiplies them
+    pattern = RepetitionPattern((30, 30), (30, 30))
+    assert permanent_glynn_multiplicity(rows, pattern).value == table_permanent(rows, (30, 30), (30, 30))
+
+
 def test_aligned_buffers_of_128_kib_start_on_64_bytes():
     for shape, dtype in (((18, 1024), np.complex128), ((16385,), np.float64), ((2, 9, 1024), np.float64), ((3, 5), np.float64)):
         buf = permanents._aligned(shape, dtype)
