@@ -63,9 +63,6 @@ class RepetitionPattern:
     def length(self) -> int:
         return len(self.rows)
 
-    def square_compatible(self) -> bool:
-        return weight(self.rows) == weight(self.cols)
-
     @classmethod
     def uniform(cls, m: int) -> "RepetitionPattern":
         ones = (1,) * m
@@ -145,34 +142,44 @@ def enumerate_splits(
     parts: int,
     part_weights: Optional[Sequence[int]] = None,
 ) -> Iterator[tuple[MultiIndex, ...]]:
-    """Ordered tuples of multi-indices summing componentwise to p.
+    """Ordered tuples of multi-indices summing componentwise to p, the first
+    part lexicographic, then the second.
 
     ``parts`` must be 2 or 3.  When ``part_weights`` is given, only splits
-    whose k-th part has weight part_weights[k] are yielded.
+    whose k-th part has weight part_weights[k] are made: each part but the
+    last runs over the s <= (what is left of p) with |s| = its weight
+    (`_bounded_weight`), in the same order.
     """
     if parts not in (2, 3):
         raise ValueError("parts must be 2 or 3")
     p = as_multi_index(p)
     if part_weights is not None and len(part_weights) != parts:
         raise ValueError("part_weights must have one entry per part")
+    if part_weights is not None and sum(part_weights) != weight(p):
+        return
 
-    def emit(split: tuple[MultiIndex, ...]) -> bool:
-        if part_weights is None:
-            return True
-        return all(weight(s) == w for s, w in zip(split, part_weights))
+    def firsts(bound, k):
+        return _sub_indices(bound) if part_weights is None else _bounded_weight(bound, part_weights[k])
 
-    if parts == 2:
-        for s in _sub_indices(p):
-            split = (s, tuple(pi - si for pi, si in zip(p, s)))
-            if emit(split):
-                yield split
-    else:
-        for s in _sub_indices(p):
-            remainder = tuple(pi - si for pi, si in zip(p, s))
-            for t in _sub_indices(remainder):
-                split = (s, t, tuple(ri - ti for ri, ti in zip(remainder, t)))
-                if emit(split):
-                    yield split
+    for s in firsts(p, 0):
+        remainder = tuple(pi - si for pi, si in zip(p, s))
+        if parts == 2:
+            yield s, remainder
+            continue
+        for t in firsts(remainder, 1):
+            yield s, t, tuple(ri - ti for ri, ti in zip(remainder, t))
+
+
+def _bounded_weight(bound: Sequence[int], w: int) -> Iterator[MultiIndex]:
+    """All s with 0 <= s <= bound componentwise and |s| = w, lexicographic."""
+    if not bound:
+        if w == 0:
+            yield ()
+        return
+    head, rest = bound[0], sum(bound[1:])
+    for s0 in range(max(0, w - rest), min(head, w) + 1):
+        for tail in _bounded_weight(bound[1:], w - s0):
+            yield (s0,) + tail
 
 
 def _sub_indices(p: Sequence[int]) -> Iterator[MultiIndex]:

@@ -17,6 +17,13 @@ the half-swap form.  Caps must be non-negative integers.  Before any
 series work a verifier raises `TooLarge` when its permanent side needs more
 than the term budget, prod_j (q_j + 1) terms per pair.
 
+Exact MacMahon and Dixon check each coefficient against a third route that
+shares nothing with the other two: [z^p](Az)^p, the product of linear forms
+prod_i (a_i . z)^{p_i} expanded directly on integer-scaled rows and
+computed only on the exponent box that each check reads (`_monomial_table`,
+`_monomial_coefficient`); `_monomial_power` gives the whole truncated
+series, for the monomial-form verifier.
+
 The sides are compared table-wise (`_report`): a coefficient table's
 permanent side is one flat array over the series' row-major layout, each
 pair placed once at its flat index and divided by the exponent factorials
@@ -57,7 +64,6 @@ from .permanents import (
     _check_terms,
     _coerce,
     _integer_rows,
-    _multiplicity_terms,
     _repeated_permanents,
     permanent_naive,
 )
@@ -182,7 +188,16 @@ def _permanent_side(*jobs) -> list[dict]:
     Raises before any series work if the sign sums of all the jobs, prod_j (q_j + 1)
     terms per pair with |p| = |q|, exceed the term budget.
     """
-    terms = sum(_multiplicity_terms(q) for _, pairs in jobs for p, q in pairs if weight(p) == weight(q))
+    terms = 0
+    for _, pairs in jobs:
+        for p, q in pairs:
+            # |p| - |q| and prod_j (q_j + 1) in one walk over the pair
+            diff, count = 0, 1
+            for pj, qj in zip(p, q):
+                diff += pj - qj
+                count *= qj + 1
+            if not diff:
+                terms += count
     _check_terms("permanent side", terms)
     return [_repeated_permanents(mat, pairs) for mat, pairs in jobs]
 
@@ -426,18 +441,57 @@ def _monomial_power(mat, ring, caps, p) -> TruncatedSeries:
     return out
 
 
-def _monomial_power_table(mat, ring, caps):
-    """(Az)^p for every p <= caps, built incrementally over the exponent grid."""
-    forms = [_row_form(row, ring, caps) for row in mat.tolist()]
-    table = [None] * math.prod(c + 1 for c in caps)
-    table[0] = TruncatedSeries.one(caps, ring)
-    strides = [math.prod(c + 1 for c in caps[i + 1 :]) for i in range(len(caps))]
-    for idx, e in enumerate(_sub_indices(caps)):
-        if idx == 0:
-            continue
-        i = next(k for k, ek in enumerate(e) if ek > 0)
-        table[idx] = table[idx - strides[i]] * forms[i]
-    return table
+def _times_form(arr: np.ndarray, row) -> np.ndarray:
+    """arr * sum_l row_l z_l on arr's own box (an object array of ints indexed by
+    exponent), one shifted slice per nonzero row_l."""
+    out = np.zeros_like(arr)
+    for l, a in enumerate(row):
+        if a and arr.shape[l] > 1:
+            lead = (slice(None),) * l
+            out[lead + (slice(1, None),)] += a * arr[lead + (slice(-1),)]
+    return out
+
+
+def _monomial_table(mat, caps) -> tuple[np.ndarray, np.ndarray]:
+    """[z^p](Az)^p for every p <= caps of an int/Fraction matrix, flat in
+    row-major order, as `_side` gives them.
+
+    The rows are scaled to integers, C = Diag(d) A (`_integer_rows`), and
+    [z^p](Az)^p = [z^p](Cz)^p / prod_i d_i^{p_i}.  Entry p holds (Cz)^p and is
+    its parent p - e_i, i the first nonzero coordinate of p, times (Cz)_i.
+    Every descendant of p agrees with p beyond i, so entry p is kept only on
+    the box c_j <= caps_j for j <= i, c_j <= p_j for j > i (all of the caps for
+    p = 0): each child's box lies in its parent's.
+    """
+    dens, ints = _integer_rows(mat.tolist())
+    full = tuple(c + 1 for c in caps)
+    strides = [math.prod(full[i + 1 :]) for i in range(len(caps))]
+    root = np.zeros(full, dtype=object)
+    root[(0,) * len(caps)] = 1
+    entries = [root]
+    num, den = np.empty(root.size, dtype=object), np.empty(root.size, dtype=object)
+    num[0] = den[0] = 1
+    for idx, p in enumerate(itertools.islice(_sub_indices(caps), 1, None), 1):
+        i = next(k for k, e in enumerate(p) if e)
+        parent = idx - strides[i]
+        box = full[: i + 1] + tuple(e + 1 for e in p[i + 1 :])
+        entry = _times_form(entries[parent][tuple(map(slice, box))], ints[i])
+        entries.append(entry)
+        num[idx], den[idx] = entry[p], den[parent] * dens[i]
+    return num, den
+
+
+def _monomial_coefficient(mat, p) -> Fraction:
+    """[z^p](Az)^p of an int/Fraction matrix: (Cz)^p with the integer rows
+    C = Diag(d) A, one linear form at a time on the box c <= p, over
+    prod_i d_i^{p_i}."""
+    dens, ints = _integer_rows(mat.tolist())
+    arr = np.zeros(tuple(e + 1 for e in p), dtype=object)
+    arr[(0,) * len(p)] = 1
+    for row, e in zip(ints, p):
+        for _ in range(e):
+            arr = _times_form(arr, row)
+    return Fraction(arr[tuple(p)], math.prod(d**e for d, e in zip(dens, p)))
 
 
 def verify_macmahon(a, cap: Union[int, Sequence[int]] = 2, tolerance: float = 1e-8) -> IdentityReport:
@@ -453,9 +507,7 @@ def verify_macmahon(a, cap: Union[int, Sequence[int]] = 2, tolerance: float = 1e
     ref = _table(ring, caps, {idx: per[p, p] for idx, p in enumerate(exponents)})
     checks = [(_series_side(_n_matrix_rhs([mat], ring, caps)), ref)]
     if ring == RATIONAL:
-        mono = _monomial_power_table(mat, ring, caps)
-        nums = np.array([t._array.flat[idx] for idx, t in enumerate(mono)], dtype=object)
-        checks.append(((nums, np.array([t._den for t in mono], dtype=object)), ref))
+        checks.append((_monomial_table(mat, caps), ref))
     return _report("macmahon", caps, tolerance, ring, *checks)
 
 
@@ -473,8 +525,7 @@ def verify_dixon(n_max: int = 4, tolerance: float = 0.0) -> IdentityReport:
     for n in range(1, n_max + 1):
         p = (2 * n,) * 3
         pf = factorial_product(p)
-        # [z^p] of a product of linear forms only reads exponents <= p
-        q_mono = pf * _monomial_power(mat, ring, p, p).coefficient(p)
+        q_mono = pf * _monomial_coefficient(mat, p)
         binom_sum = sum((-1) ** k * math.comb(2 * n, k) ** 3 for k in range(2 * n + 1))
         closed = (-1) ** n * math.factorial(3 * n) // math.factorial(n) ** 3
         values += [pf * inv.coefficient(p)] * 3

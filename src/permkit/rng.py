@@ -38,12 +38,3 @@ def haar_unitary(m: int, seed: int) -> UnitaryMatrix:
     d = np.diagonal(r)
     q = q * (d / np.abs(d))
     return UnitaryMatrix(ComplexMatrix(q))
-
-
-def contraction_matrix(m: int, seed: int, norm_cap: float = 1.0) -> np.ndarray:
-    """Random matrix rescaled so its spectral norm is <= norm_cap."""
-    a = unit_disk_matrix(m, seed)
-    s = np.linalg.svd(a, compute_uv=False)[0]
-    if s > norm_cap:
-        a = a * (norm_cap / s)
-    return a

@@ -233,11 +233,6 @@ class TruncatedSeries:
     def constant_term(self) -> Coeff:
         return self._value(self._array.flat[0])
 
-    def max_total_degree(self) -> int:
-        _, degree, _ = _layout(self.caps)
-        nz = np.flatnonzero(self._array)
-        return int(degree[nz].max()) if nz.size else 0
-
     # -- ring operations ----------------------------------------------
     def _combine(self, other: "TruncatedSeries", sign: int) -> "TruncatedSeries":
         self._compat(other)

@@ -1,3 +1,4 @@
+import itertools
 import math
 from fractions import Fraction
 
@@ -108,12 +109,23 @@ class TestEnumerateSplits:
         with pytest.raises(ValueError):
             list(enumerate_splits((1,), 4))
 
+    @pytest.mark.parametrize("nvars", [2, 3])
+    @pytest.mark.parametrize("parts", [2, 3])
+    def test_weighted_splits_equal_the_filtered_splits(self, nvars, parts):
+        # every p with |p| <= 6 and every weight vector from -1 to |p| + 1 per part,
+        # impossible ones included: the splits of those weights, in the same order
+        for p in itertools.product(range(7), repeat=nvars):
+            n = sum(p)
+            if n > 6:
+                continue
+            by_weights: dict = {}
+            for split in enumerate_splits(p, parts):
+                by_weights.setdefault(tuple(map(weight, split)), []).append(split)
+            for w in itertools.product(range(-1, n + 2), repeat=parts):
+                assert list(enumerate_splits(p, parts, w)) == by_weights.get(w, []), (p, w)
+
 
 class TestRepetitionPattern:
-    def test_square_compatible(self):
-        assert RepetitionPattern((2, 0), (1, 1)).square_compatible()
-        assert not RepetitionPattern((2, 1), (1, 1)).square_compatible()
-
     def test_negative_rejected(self):
         with pytest.raises(ValueError):
             RepetitionPattern((-1, 1), (0, 0))

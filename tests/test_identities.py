@@ -1,4 +1,5 @@
 import hashlib
+import itertools
 import json
 import math
 from fractions import Fraction
@@ -472,7 +473,7 @@ class TestOracleLimitBeforeSeriesWork:
         def fail(*args, **kwargs):
             raise AssertionError("series work started")
 
-        for name in ("_det_side", "_xtay_series", "_monomial_power"):
+        for name in ("_det_side", "_xtay_series", "_monomial_power", "_monomial_table", "_monomial_coefficient"):
             monkeypatch.setattr(ident, name, fail)
 
     @pytest.mark.parametrize(
@@ -536,6 +537,12 @@ class TestPermanentSideAboveTheOldDimensionLimit:
             verify_macmahon(rng.unit_disk_matrix(4, 1), 10)
 
 
+def max_total_degree(s):
+    """The largest total degree of a nonzero coefficient of s, 0 for the zero series."""
+    exponents = itertools.product(*(range(c + 1) for c in s.caps))
+    return max((sum(e) for e, c in zip(exponents, s.coeffs) if c), default=0)
+
+
 def explicit_det(mats, var_of, ring, caps):
     """Det(I - D_1 A_1 ... D_N A_N) by the permutation sum over the explicit
     matrix of series; a variable with cap 0 enters as 0."""
@@ -597,12 +604,12 @@ class TestDetSide:
         mat = ident._normalize([[1, 2, 3], [2, 4, 6], [Fraction(1, 2), 1, Fraction(3, 2)]])[0]
         d = ident._det_side([mat], [range(3)], RATIONAL, (1, 1, 1))
         assert d.coeffs == explicit_det([mat], [range(3)], RATIONAL, (1, 1, 1)).coeffs
-        assert d.max_total_degree() == 1
+        assert max_total_degree(d) == 1
 
     def test_polynomiality_degree_bound(self):
         # Det(I - Diag(z) A) has total degree <= m in the formal variables.
         mat = ident._normalize([[i + j + 1 for j in range(3)] for i in range(3)])[0]
-        assert ident._det_side([mat], [range(3)], RATIONAL, (3, 3, 3)).max_total_degree() <= 3
+        assert max_total_degree(ident._det_side([mat], [range(3)], RATIONAL, (3, 3, 3))) <= 3
 
     def test_too_large(self, monkeypatch):
         def fail(*args):
@@ -678,6 +685,34 @@ class TestCaps:
         monkeypatch.setattr(ident, "_permanent_side", fail)
         with pytest.raises(ValueError, match="^caps must be non-negative$"):
             run()
+
+
+class TestPermanentSidePricing:
+    """The term budget counts prod_j (q_j + 1) for each pair with |p| = |q|, over
+    all the jobs, and refuses before any kernel work."""
+
+    JOBS = [
+        # 2001^2, 2000 * 2002 and 1001 * 2001 terms; the pairs of unequal weight cost nothing
+        [((4000, 0), (2000, 2000)), ((1, 0), (10**6, 10**6))],
+        [((0, 4000), (1999, 2001)), ((2, 2), (0, 0))],
+        [((3000, 0), (1000, 2000))],
+    ]
+
+    @pytest.fixture(autouse=True)
+    def no_kernel(self, monkeypatch):
+        def fail(*args):
+            raise AssertionError("kernel work started")
+
+        monkeypatch.setattr(ident, "_repeated_permanents", fail)
+
+    def test_over_budget_raises_before_kernel_work(self):
+        with pytest.raises(TooLarge, match=r"^permanent side needs 10011002 terms; the budget is 10000000$"):
+            ident._permanent_side(*((np.eye(2), pairs) for pairs in self.JOBS))
+
+    def test_within_budget_reaches_the_kernel(self):
+        # 2001^2 + 2000 * 2002 = 8008001 terms
+        with pytest.raises(AssertionError, match="kernel work started"):
+            ident._permanent_side(*((np.eye(2), pairs) for pairs in self.JOBS[:2]))
 
 
 class TestDeterminantSideBeyondEightRows:

@@ -15,7 +15,15 @@ from permkit.errors import (
     NonInvertibleConstantTerm,
     RingMismatch,
 )
-from permkit.identities import DIXON_MATRIX, _det_side, _monomial_power, _monomial_power_table, _normalize, verify_dixon
+from permkit.identities import (
+    DIXON_MATRIX,
+    _det_side,
+    _monomial_coefficient,
+    _monomial_power,
+    _monomial_table,
+    _normalize,
+    verify_dixon,
+)
 from permkit.series import COMPLEX, RATIONAL, TruncatedSeries
 
 from oracles import series_recursion
@@ -284,13 +292,54 @@ class TestProductKernel:
         assert rep.passed
         assert rep.num_coefficients_checked == 12
 
+    # mixed caps, 0 among them, for m <= 5
+    TABLE_CAPS = [(4, 4, 4), (2, 0, 3), (0,), (3,), (1, 2), (0, 2), (2, 1, 0, 2), (1, 0, 2, 1, 1)]
+
     def test_monomial_power_matches_table(self):
+        # the box table against [z^p](Az)^p of the full-caps series, every p <= caps
         g = np.random.default_rng(17)
-        mat, _ = _normalize([[int(v) for v in row] for row in g.integers(-3, 4, size=(3, 3))])
-        caps = (4, 4, 4)
-        table = _monomial_power_table(mat, RATIONAL, caps)
-        for idx, p in enumerate(itertools.product(range(5), repeat=3)):
-            assert _monomial_power(mat, RATIONAL, caps, p).coeffs == table[idx].coeffs
+        for caps in self.TABLE_CAPS:
+            m = len(caps)
+            for exact in (int, Fraction):
+                rows = g.integers(-3, 4, size=(m, m)).tolist()
+                if exact is Fraction:
+                    rows = [[Fraction(v, int(g.integers(1, 5))) for v in row] for row in rows]
+                mat, _ = _normalize(rows)
+                num, den = _monomial_table(mat, caps)
+                assert num.size == den.size == math.prod(c + 1 for c in caps)
+                for idx, p in enumerate(itertools.product(*(range(c + 1) for c in caps))):
+                    assert Fraction(num[idx], den[idx]) == _monomial_power(mat, RATIONAL, caps, p).coefficient(p)
+
+    def test_box_table_on_all_ones_rows(self):
+        # row i of A is all 1/(i + 1), so (Az)^p = (z_1 + ... + z_m)^{|p|} / prod_i (i + 1)^{p_i}
+        # and [z^p](Az)^p = |p|!/p! / prod_i (i + 1)^{p_i}: every entry of a dense matrix
+        # reaches every coordinate, so a box one too narrow anywhere loses terms
+        for caps in self.TABLE_CAPS:
+            m = len(caps)
+            mat, _ = _normalize([[Fraction(1, i + 1)] * m for i in range(m)])
+            num, den = _monomial_table(mat, caps)
+            for idx, p in enumerate(itertools.product(*(range(c + 1) for c in caps))):
+                scale = math.prod((i + 1) ** e for i, e in enumerate(p))
+                want = Fraction(math.factorial(sum(p)), math.prod(map(math.factorial, p)) * scale)
+                assert Fraction(num[idx], den[idx]) == want
+                assert _monomial_coefficient(mat, p) == want
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_dixon_chain_matches_monomial_power(self, n):
+        mat, _ = _normalize(DIXON_MATRIX)
+        p = (2 * n,) * 3
+        got = _monomial_coefficient(mat, p)
+        assert got == _monomial_power(mat, RATIONAL, p, p).coefficient(p)
+        assert got == (-1) ** n * math.factorial(3 * n) // math.factorial(n) ** 3
+
+    def test_chain_matches_monomial_power_beyond_p(self):
+        # the chain's box c <= p against a series truncated one past p in every variable
+        g = np.random.default_rng(29)
+        for p in [(0, 0, 0), (2, 0, 1), (0, 3, 2), (1, 1, 1)]:
+            rows = g.integers(-3, 4, size=(3, 3)).tolist()
+            mat, _ = _normalize([[Fraction(v, int(g.integers(1, 5))) for v in row] for row in rows])
+            caps = tuple(e + 1 for e in p)
+            assert _monomial_coefficient(mat, p) == _monomial_power(mat, RATIONAL, caps, p).coefficient(p)
 
 
 class TestLayeredRecursions:
