@@ -9,11 +9,20 @@ single-photon distribution, with proportionality |alpha|^{2n}/sinh^n(|alpha|^2).
 Both are one repeated-row Glynn sign sum at different output weights, and
 the enumerated distributions take it once per weight, batched over all its
 outcomes; :func:`fock_amplitude` keeps the Ryser route as the reference.
+
+The outcomes of weight k in m modes depend on nothing else, so they are
+enumerated once into an outcome plan (`_OutcomePlan`): the outcome tuples,
+which become the keys of every ``probs`` dict built from the plan, and the
+read-only exponent array and sqrt(p!).  Plans are kept least recently used
+first, up to _PLAN_OUTCOMES outcomes in total, tens of MB at m <= 20; a
+plan beyond that bound serves its call and is not kept.
 """
 
 from __future__ import annotations
 
 import math
+import threading
+from collections import OrderedDict
 from dataclasses import asdict, dataclass
 from functools import lru_cache
 from itertools import chain
@@ -23,6 +32,8 @@ import numpy as np
 
 from .combinatorics import (
     RepetitionPattern,
+    _as_int,
+    as_multi_index,
     count_weight,
     factorial_product,
     repeat_matrix,
@@ -78,6 +89,8 @@ class CatInputSpec:
         alpha = complex(self.alpha)
         if not (math.isfinite(alpha.real) and math.isfinite(alpha.imag)):
             raise ValueError(f"cat amplitude must be finite, got {alpha}")
+        object.__setattr__(self, "n", _as_int("n", self.n))
+        object.__setattr__(self, "m", _as_int("m", self.m))
         if not 0 < self.n <= self.m:
             raise ValueError(f"need 0 < n <= m, got n={self.n}, m={self.m}")
         object.__setattr__(self, "alpha", alpha)
@@ -109,7 +122,7 @@ def fock_amplitude(u, p: Sequence[int], q: Sequence[int]) -> complex:
     """<p|U|q> = Per(U_{p,q})/sqrt(p! q!); 0 when |p| != |q| (photon conservation)."""
     arr = as_array(u)
     m = arr.shape[0]
-    p, q = tuple(int(k) for k in p), tuple(int(k) for k in q)
+    p, q = as_multi_index(p), as_multi_index(q)
     if len(p) != m or len(q) != m:
         raise DimensionMismatch("outcome length must equal the mode count")
     if weight(p) != weight(q):
@@ -118,25 +131,77 @@ def fock_amplitude(u, p: Sequence[int], q: Sequence[int]) -> complex:
     return complex(per) / math.sqrt(factorial_product(p) * factorial_product(q))
 
 
-def _weight_outcomes(m: int, k: int) -> tuple[list[FockOutcome], np.ndarray, np.ndarray]:
-    """The outcomes of weight k in enumeration order, as tuples and as an N x m
-    array, and sqrt(p!) of each."""
+# The outcome plans kept between calls hold at most this many outcomes in
+# total.  A plan takes about 56 + 16m bytes per outcome (its tuple, exponent
+# row and sqrt(p!); tracemalloc measured 187-203 B at m = 8 and 376 B at
+# m = 20), so the bound is about 25 MB at m = 8 and 49 MB at m = 20.
+_PLAN_OUTCOMES = 1 << 17
+
+
+@dataclass(frozen=True)
+class _OutcomePlan:
+    """The outcomes of one weight in enumeration order: as tuples, which every
+    distribution built from the plan shares as its keys, as a read-only N x m
+    exponent array, and sqrt(p!) of each, read-only too."""
+
+    outcomes: tuple[FockOutcome, ...]
+    powers: np.ndarray
+    root_fact: np.ndarray
+
+
+def _build_plan(m: int, k: int) -> _OutcomePlan:
     powers = weight_array(m, k)
-    outcomes = list(map(tuple, powers.tolist()))
     factorials = np.array([math.factorial(e) for e in range(k + 1)], dtype=np.float64)
-    return outcomes, powers, np.sqrt(factorials[powers].prod(axis=1))
+    root_fact = np.sqrt(factorials[powers].prod(axis=1))
+    powers.setflags(write=False)
+    root_fact.setflags(write=False)
+    return _OutcomePlan(tuple(map(tuple, powers.tolist())), powers, root_fact)
+
+
+class _PlanCache:
+    """Outcome plans by (m, k), least recently used first.  Together they hold
+    at most _PLAN_OUTCOMES outcomes: older plans are dropped to make room, and
+    a larger plan is built and returned but not kept."""
+
+    def __init__(self) -> None:
+        self._plans: OrderedDict[tuple[int, int], _OutcomePlan] = OrderedDict()
+        self._lock = threading.Lock()
+        self.held = 0
+
+    def get(self, m: int, k: int) -> _OutcomePlan:
+        key = (m, k)
+        with self._lock:
+            plan = self._plans.get(key)
+            if plan is not None:
+                self._plans.move_to_end(key)
+                return plan
+        plan = _build_plan(m, k)
+        size = len(plan.outcomes)
+        if size > _PLAN_OUTCOMES:
+            return plan
+        with self._lock:
+            if key not in self._plans:
+                self._plans[key] = plan
+                self.held += size
+            while self.held > _PLAN_OUTCOMES:
+                self.held -= len(self._plans.popitem(last=False)[1].outcomes)
+        return plan
+
+
+_plans = _PlanCache()
 
 
 def bs_distribution(u, n: int) -> OutcomeDistribution:
     """Single-photon sampling distribution: P(p) = |Per(U_{p,1+0})|^2 / p! over |p| = n."""
+    n = _as_int("n", n)
     arr = as_array(u)
     m = arr.shape[0]
     if not 0 <= n <= m:
         raise ValueError(f"need 0 <= n <= m, got n={n}, m={m}")
     check_budget(f"outcome support of {n} photons in {m} modes", count_weight(m, n), SUPPORT_BUDGET, "outcomes")
-    outcomes, powers, root_fact = _weight_outcomes(m, n)
-    amps = _sign_sums(arr[:, :n], powers) / (2**n * root_fact)
-    return OutcomeDistribution(dict(zip(outcomes, (np.abs(amps) ** 2).tolist())), cutoff=n, truncated_mass=0.0)
+    plan = _plans.get(m, n)
+    amps = _sign_sums(arr[:, :n], plan.powers) / (2**n * plan.root_fact)
+    return OutcomeDistribution(dict(zip(plan.outcomes, (np.abs(amps) ** 2).tolist())), cutoff=n, truncated_mass=0.0)
 
 
 def _log_sinh(x: float) -> float:
@@ -165,7 +230,7 @@ def cat_amplitude(u, spec: CatInputSpec, p: Sequence[int]) -> complex:
     """
     arr = as_array(u)
     m = arr.shape[0]
-    p = tuple(int(k) for k in p)
+    p = as_multi_index(p)
     if len(p) != m:
         raise DimensionMismatch("outcome length must equal the mode count")
     if spec.m != m:
@@ -181,6 +246,7 @@ def cat_amplitude(u, spec: CatInputSpec, p: Sequence[int]) -> complex:
 def photon_fraction(alpha: complex, n: int) -> float:
     """Probability that n cat inputs carry exactly n photons in total:
     |alpha|^{2n} / sinh^n(|alpha|^2)."""
+    n = _as_int("n", n, 0)
     if n == 0:
         return 1.0
     if alpha == 0:
@@ -196,6 +262,7 @@ def cat_total_photon_pmf(alpha: complex, n: int, cutoff: int) -> list[float]:
     for odd k; the total is the n-fold convolution.  Since the interferometer
     preserves photon number, this is also the output total-photon marginal.
     """
+    n, cutoff = _as_int("n", n, 0), _as_int("cutoff", cutoff, 0)
     a2 = abs(alpha) ** 2
     log_a2, log_s = math.log(a2), _log_sinh(a2)
     per_mode = [0.0] * (cutoff + 1)
@@ -227,16 +294,16 @@ def cat_distribution(u, spec: CatInputSpec, cutoff: Optional[int] = None) -> Out
     if spec.m != m:
         raise DimensionMismatch("spec mode count must match the unitary dimension")
     n = spec.n
-    cutoff = n + 6 if cutoff is None else int(cutoff)
+    cutoff = n + 6 if cutoff is None else _as_int("cutoff", cutoff)
     if cutoff < n:
         raise ValueError(f"cutoff {cutoff} below the minimum photon number {n}")
     support = sum(count_weight(m, k) for k in range(n, cutoff + 1, 2))
     check_budget(f"outcome support of {n}..{cutoff} photons in {m} modes", support, SUPPORT_BUDGET, "outcomes")
     probs: dict[FockOutcome, float] = {}
     for k in range(n, cutoff + 1, 2):
-        outcomes, powers, root_fact = _weight_outcomes(m, k)
-        amps = _cat_scale(spec.alpha, n, k) * _sign_sums(arr[:, :n], powers) / root_fact
-        probs.update(zip(outcomes, (np.abs(amps) ** 2).tolist()))
+        plan = _plans.get(m, k)
+        amps = _cat_scale(spec.alpha, n, k) * _sign_sums(arr[:, :n], plan.powers) / plan.root_fact
+        probs.update(zip(plan.outcomes, (np.abs(amps) ** 2).tolist()))
     enumerated = sum(probs.values())
     tail = max(0.0, 1.0 - sum(cat_total_photon_pmf(spec.alpha, n, cutoff)))
     return OutcomeDistribution(probs, cutoff=cutoff, truncated_mass=max(0.0, 1.0 - enumerated), tail_bound=tail)
@@ -244,6 +311,7 @@ def cat_distribution(u, spec: CatInputSpec, cutoff: Optional[int] = None) -> Out
 
 def reject_to_fixed_n(dist: OutcomeDistribution, n: int) -> OutcomeDistribution:
     """Condition on |p| = n: P(p) -> P(p) / sum_{|q|=n} P(q)."""
+    n = _as_int("n", n)
     kept = {p: v for p, v in dist.probs.items() if weight(p) == n}
     mass = sum(kept.values())
     if mass <= 0.0:
@@ -316,11 +384,12 @@ def _sample_indices(dist: OutcomeDistribution, count: int, seed: int) -> tuple[n
     mass.  Every draw equals that of earlier versions, which searched the CDF
     once per draw (`_inverse_cdf` says why).
 
-    Raises ValueError for a negative count, for a NaN, infinite or negative
-    weight and for a zero total, and TooLarge above DRAW_BUDGET draws.
+    Raises ValueError for a count or seed that is not an integer, for a
+    negative count, for a NaN, infinite or negative weight and for a zero
+    total, and TooLarge above DRAW_BUDGET draws.
     """
-    if count < 0:
-        raise ValueError(f"count must be non-negative, got {count}")
+    count = _as_int("count", count, 0)
+    seed = _as_int("seed", seed)
     check_budget("sampling", count, DRAW_BUDGET, "draws")
     # a truncated mass that is not a valid weight is kept, so the check below sees it
     tail = () if dist.truncated_mass == 0.0 else (dist.truncated_mass,)
@@ -352,6 +421,7 @@ def kept_draws(
     """Draw as `sample` does and keep |p| = n: the outcome list, the kept draws'
     indices into it in draw order, and the TV distance of their empirical law
     from ``reference``, counted per outcome index."""
+    n = _as_int("n", n)
     table, idx = _sample_indices(dist, count, seed)
     outcomes = table.tolist()
     at_n = np.array([o is not OVERFLOW and weight(o) == n for o in outcomes])
@@ -385,8 +455,8 @@ def rejection_sampling_pipeline(
     seed: int,
 ) -> PipelineReport:
     """Sample the cat distribution, keep |p| = n, compare with single-photon sampling."""
-    if count < 1:
-        raise ValueError(f"count must be at least 1, got {count}")
+    count = _as_int("count", count, 1)
+    seed = _as_int("seed", seed)
     dist = cat_distribution(u, spec, cutoff)
     n = spec.n
     bs = bs_distribution(u, n)
@@ -428,6 +498,7 @@ def amplitude_regime_check(n: int, m: int, c: float) -> RegimeReport:
     photon-number filter.  alpha = 0 (c = 0 or m = 1) is flagged: sampling
     is undefined there.
     """
+    n, m = _as_int("n", n), _as_int("m", m)
     if n < 1 or m < 1:
         raise ValueError("need n >= 1 and m >= 1")
     alpha = float(c) * n ** (-0.25) * math.log(m) ** 0.25 if m > 1 else 0.0

@@ -23,13 +23,30 @@ from .numerics import ComplexMatrix, UnitaryMatrix, as_array
 MultiIndex = tuple[int, ...]
 
 
+def _is_int(v) -> bool:
+    """True for an int or a numpy integer; a bool, a float or a string is not one.
+
+    A plain int skips the `numbers.Integral` check, which goes through the
+    ABC machinery on every call."""
+    return type(v) is int or (isinstance(v, numbers.Integral) and not isinstance(v, bool))
+
+
+def _as_int(name: str, value, least: Optional[int] = None) -> int:
+    """`value` as a plain int (>= `least` if given); floats, bools and strings raise ValueError."""
+    if not _is_int(value):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    if least is not None and value < least:
+        raise ValueError(f"need {name} >= {least}, got {value}")
+    return int(value)
+
+
 def as_multi_index(p: Sequence[int]) -> MultiIndex:
     """``p`` as a tuple of ints.  A component that is not an integer (a float
     or a bool included) or is negative raises ValueError."""
-    if not all(isinstance(k, numbers.Integral) and not isinstance(k, bool) for k in p):
+    if not all(map(_is_int, p)):
         raise ValueError(f"multi-index components must be integers: {tuple(p)}")
-    out = tuple(int(k) for k in p)
-    if any(k < 0 for k in out):
+    out = tuple(map(int, p))
+    if min(out, default=0) < 0:
         raise ValueError(f"multi-index components must be non-negative: {out}")
     return out
 

@@ -29,14 +29,13 @@ from __future__ import annotations
 
 import functools
 import math
-import numbers
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Sequence
+from typing import Sequence
 
 import numpy as np
 
-from .combinatorics import RepetitionPattern, factorial_product, weight
+from .combinatorics import RepetitionPattern, _as_int, factorial_product, weight
 from .errors import DimensionMismatch, WeightMismatch, ZeroDerivative
 from .permanents import _check_terms, _finite_array, _grid_double_sum, _root_grid
 from .rng import bit_generator
@@ -140,15 +139,6 @@ def _fill_turns(words: np.ndarray, exponents: np.ndarray, turns: np.ndarray) -> 
     np.dot(exponents, turns[:-1], out=turns[-1])
     np.negative(turns[-1], out=turns[-1])
     np.bitwise_and(turns[-1], _TURN_MASK, out=turns[-1])
-
-
-def _as_int(name: str, value, least: Optional[int] = None) -> int:
-    """`value` as a plain int (>= `least` if given); floats, bools and strings raise ValueError."""
-    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-        raise ValueError(f"{name} must be an integer, got {value!r}")
-    if least is not None and value < least:
-        raise ValueError(f"need {name} >= {least}, got {value}")
-    return int(value)
 
 
 def estimate_permanent(

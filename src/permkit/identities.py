@@ -38,7 +38,6 @@ from __future__ import annotations
 import inspect
 import itertools
 import math
-import numbers
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
@@ -50,6 +49,7 @@ import numpy as np
 from . import rng
 from .combinatorics import (
     RepetitionPattern,
+    _is_int,
     _sub_indices,
     count_weight,
     enumerate_splits,
@@ -216,7 +216,7 @@ def _caps(cap: Union[int, Sequence[int]], nvars: int) -> tuple[int, ...]:
     caps = (cap,) * nvars if np.ndim(cap) == 0 else tuple(cap)
     if len(caps) != nvars:
         raise ValueError(f"expected {nvars} caps, got {len(caps)}")
-    if not all(isinstance(c, numbers.Integral) and not isinstance(c, bool) for c in caps):
+    if not all(map(_is_int, caps)):
         raise ValueError(f"caps must be integers, got {caps}")
     if min(caps, default=0) < 0:
         raise ValueError("caps must be non-negative")

@@ -1,5 +1,7 @@
 import hashlib
 import math
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -15,6 +17,7 @@ from permkit.bosonic import (
     OutcomeDistribution,
     amplitude_regime_check,
     bs_distribution,
+    cat_total_photon_pmf,
     cat_amplitude,
     cat_distribution,
     fock_amplitude,
@@ -26,9 +29,9 @@ from permkit.bosonic import (
     sample,
     tv_distance,
 )
-from permkit.combinatorics import count_weight, enumerate_weight
+from permkit.combinatorics import count_weight, enumerate_weight, weight_array
 from permkit.errors import EmptyConditioning, TooLarge, ZeroAmplitude
-from permkit.permanents import _LOW_BITS, _SUMS_ENTRIES
+from permkit.permanents import _LOW_BITS, _SUMS_ENTRIES, _sign_sums
 
 from oracles import gray_code_cat_sign_sum, inverse_cdf_indices
 
@@ -553,6 +556,233 @@ class TestBatchedSignSums:
             empirical[o] = empirical.get(o, 0) + 1 / len(kept)
         assert rep.kept_samples == len(kept)
         assert rep.tv_kept_vs_single_photon == pytest.approx(tv_distance(empirical, bs_distribution(u, 2).probs), abs=1e-12)
+
+
+def _direct_cat_probs(u, spec, cutoff):
+    """cat_distribution's probabilities with every weight enumerated afresh."""
+    cols = np.asarray(u.matrix.data)[:, : spec.n]
+    probs = {}
+    for k in range(spec.n, cutoff + 1, 2):
+        powers = weight_array(spec.m, k)
+        root_fact = np.sqrt([math.prod(map(math.factorial, p)) for p in powers.tolist()])
+        amps = bosonic._cat_scale(spec.alpha, spec.n, k) * _sign_sums(cols, powers) / root_fact
+        probs.update(zip(map(tuple, powers.tolist()), (np.abs(amps) ** 2).tolist()))
+    return probs
+
+
+def _direct_bs_probs(u, n):
+    """bs_distribution's probabilities with the outcomes enumerated afresh."""
+    arr = np.asarray(u.matrix.data)
+    powers = weight_array(arr.shape[0], n)
+    root_fact = np.sqrt([math.prod(map(math.factorial, p)) for p in powers.tolist()])
+    amps = _sign_sums(arr[:, :n], powers) / (2**n * root_fact)
+    return dict(zip(map(tuple, powers.tolist()), (np.abs(amps) ** 2).tolist()))
+
+
+@pytest.fixture
+def fresh_plans(monkeypatch):
+    """An empty plan cache for one test."""
+    cache = bosonic._PlanCache()
+    monkeypatch.setattr(bosonic, "_plans", cache)
+    return cache
+
+
+class TestOutcomePlans:
+    """Each (m, k) outcome space is enumerated once and kept in a cache bounded
+    by the outcomes it holds; the distributions read it."""
+
+    @staticmethod
+    def assert_identical(got, expected):
+        assert list(got.items()) == list(expected.items())
+
+    def test_warm_cache_matches_direct_enumeration(self, fresh_plans):
+        u6, u7 = rng.haar_unitary(6, 110), rng.haar_unitary(7, 111)
+        s6, s7 = CatInputSpec(0.8, 2, 6), CatInputSpec(0.6j, 3, 7)
+        calls = [
+            (lambda: cat_distribution(u6, s6, 8).probs, lambda: _direct_cat_probs(u6, s6, 8)),
+            (lambda: bs_distribution(u7, 3).probs, lambda: _direct_bs_probs(u7, 3)),
+            (lambda: cat_distribution(u7, s7, 7).probs, lambda: _direct_cat_probs(u7, s7, 7)),
+            (lambda: bs_distribution(u6, 4).probs, lambda: _direct_bs_probs(u6, 4)),
+        ]
+        for _ in range(2):
+            for run, direct in calls:
+                self.assert_identical(run(), direct())
+        assert fresh_plans.held == sum(count_weight(6, k) for k in (2, 4, 6, 8)) + sum(count_weight(7, k) for k in (3, 5, 7))
+
+    def test_bs_distribution_reuses_the_cat_plan(self, fresh_plans):
+        u = rng.haar_unitary(6, 112)
+        cat = cat_distribution(u, CatInputSpec(0.9, 3, 6), 7)
+        held = fresh_plans.held
+        bs = bs_distribution(u, 3)
+        assert fresh_plans.held == held
+        at_n = [p for p in cat.probs if sum(p) == 3]
+        assert all(a is b for a, b in zip(at_n, bs.probs, strict=True))
+        self.assert_identical(bs.probs, _direct_bs_probs(u, 3))
+
+    def test_plan_arrays_are_read_only(self, fresh_plans):
+        plan = fresh_plans.get(5, 3)
+        assert isinstance(plan.outcomes, tuple)
+        for arr in (plan.powers, plan.root_fact):
+            assert not arr.flags.writeable
+            with pytest.raises(ValueError, match="read-only"):
+                arr[0] = 0
+
+    def test_held_outcomes_stay_within_the_bound(self, fresh_plans, monkeypatch):
+        monkeypatch.setattr(bosonic, "_PLAN_OUTCOMES", 100)
+        shapes = [(4, 2), (6, 2), (4, 3), (5, 3), (6, 3), (4, 2), (7, 3), (3, 5), (6, 2), (5, 3)]
+        for m, k in shapes:
+            plan = fresh_plans.get(m, k)
+            assert len(plan.outcomes) == count_weight(m, k)
+            assert fresh_plans.held <= 100
+            assert fresh_plans.get(m, k) is plan
+
+    def test_least_recently_used_plan_goes_first(self, fresh_plans, monkeypatch):
+        monkeypatch.setattr(bosonic, "_PLAN_OUTCOMES", 60)
+        a, b = fresh_plans.get(4, 2), fresh_plans.get(6, 2)  # 10 and 21 outcomes
+        assert fresh_plans.get(4, 2) is a
+        fresh_plans.get(4, 3)  # 20 more, 51 held
+        fresh_plans.get(3, 3)  # 10 more: b, the least recently used, is dropped
+        assert fresh_plans.held == 40
+        assert fresh_plans.get(4, 2) is a
+        assert fresh_plans.get(6, 2) is not b
+
+    def test_oversize_plan_is_returned_but_not_kept(self, fresh_plans, monkeypatch):
+        monkeypatch.setattr(bosonic, "_PLAN_OUTCOMES", 100)
+        kept = fresh_plans.get(4, 2)
+        big = fresh_plans.get(6, 4)  # 126 outcomes
+        assert big.outcomes == tuple(enumerate_weight(6, 4))
+        assert fresh_plans.held == 10
+        assert fresh_plans.get(6, 4) is not big
+        assert fresh_plans.get(4, 2) is kept
+        u = rng.haar_unitary(6, 113)
+        self.assert_identical(bs_distribution(u, 4).probs, _direct_bs_probs(u, 4))
+        assert fresh_plans.held == 10
+
+    def test_threads_keep_the_held_count(self, fresh_plans, monkeypatch):
+        monkeypatch.setattr(bosonic, "_PLAN_OUTCOMES", 150)
+        shapes = [(m, k) for m in range(2, 7) for k in range(1, 5)]
+        errors = []
+
+        def worker(offset):
+            try:
+                for i in range(200):
+                    m, k = shapes[(offset + 7 * i) % len(shapes)]
+                    assert len(fresh_plans.get(m, k).outcomes) == count_weight(m, k)
+            except Exception as exc:  # re-raised in the main thread
+                errors.append(exc)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=worker, args=(t,)) for t in range(6)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads) and not errors, errors
+        assert fresh_plans.held == sum(len(p.outcomes) for p in fresh_plans._plans.values()) <= 150
+
+    def test_mutating_probs_leaves_the_next_call_alone(self, fresh_plans):
+        u = rng.haar_unitary(5, 114)
+        spec = CatInputSpec(0.7, 2, 5)
+        first = cat_distribution(u, spec, 6)
+        expected = dict(first.probs)
+        first.probs[(2, 0, 0, 0, 0)] = 5.0
+        first.probs[(9, 9, 9, 9, 9)] = 1.0
+        del first.probs[(0, 0, 0, 0, 2)]
+        bs_distribution(u, 2).probs.clear()
+        self.assert_identical(cat_distribution(u, spec, 6).probs, expected)
+        self.assert_identical(bs_distribution(u, 2).probs, _direct_bs_probs(u, 2))
+
+
+def _small_dist():
+    return bs_distribution(rng.haar_unitary(4, 120), 2)
+
+
+class TestArgumentChecks:
+    """Counts, cutoffs, photon numbers and seeds must be integers: numpy's are
+    accepted and give the same draws, bools, floats and strings raise
+    ValueError naming the argument."""
+
+    @pytest.mark.parametrize(
+        "run,name",
+        [
+            (lambda u: cat_distribution(u, CatInputSpec(0.8, 2, 4), 7.5), "cutoff"),
+            (lambda u: cat_distribution(u, CatInputSpec(0.8, 2, 4), "6"), "cutoff"),
+            (lambda u: cat_distribution(u, CatInputSpec(0.8, 2, 4), True), "cutoff"),
+            (lambda u: bs_distribution(u, 2.0), "n"),
+            (lambda u: bs_distribution(u, True), "n"),
+            (lambda u: sample(_small_dist(), 10.0, 0), "count"),
+            (lambda u: sample(_small_dist(), True, 0), "count"),
+            (lambda u: sample(_small_dist(), 3, 1.5), "seed"),
+            (lambda u: sample(_small_dist(), 3, "1"), "seed"),
+            (lambda u: kept_draws(_small_dist(), 2, 10.0, 0, {}), "count"),
+            (lambda u: kept_draws(_small_dist(), 2, 10, 0.5, {}), "seed"),
+            (lambda u: kept_draws(_small_dist(), 2.0, 10, 0, {}), "n"),
+            (lambda u: rejection_sampling_pipeline(u, CatInputSpec(0.8, 2, 4), 6, 10.0, 0), "count"),
+            (lambda u: rejection_sampling_pipeline(u, CatInputSpec(0.8, 2, 4), 6, True, 0), "count"),
+            (lambda u: rejection_sampling_pipeline(u, CatInputSpec(0.8, 2, 4), 6.5, 10, 0), "cutoff"),
+            (lambda u: rejection_sampling_pipeline(u, CatInputSpec(0.8, 2, 4), 6, 10, 1.5), "seed"),
+            (lambda u: CatInputSpec(0.8, 2.0, 4), "n"),
+            (lambda u: CatInputSpec(0.8, 2, 4.0), "m"),
+            (lambda u: photon_fraction(0.5, 2.5), "n"),
+            (lambda u: cat_total_photon_pmf(0.5, 2.0, 7), "n"),
+            (lambda u: cat_total_photon_pmf(0.5, 2, 7.5), "cutoff"),
+            (lambda u: amplitude_regime_check(2.5, 10, 1.0), "n"),
+            (lambda u: amplitude_regime_check(2, 10.0, 1.0), "m"),
+            (lambda u: reject_to_fixed_n(_small_dist(), 2.0), "n"),
+        ],
+    )
+    def test_non_integer_refused(self, run, name):
+        with pytest.raises(ValueError, match=f"^{name} must be an integer, got "):
+            run(rng.haar_unitary(4, 121))
+
+    @pytest.mark.parametrize(
+        "run",
+        [
+            lambda u: fock_amplitude(u, (1.5, 0.5, 0, 0), (1, 1, 0, 0)),
+            lambda u: fock_amplitude(u, (1, 1, 0, 0), (True, 1, 0, 0)),
+            lambda u: cat_amplitude(u, CatInputSpec(0.8, 2, 4), (2.0, 0, 0, 0)),
+            lambda u: cat_amplitude(u, CatInputSpec(0.8, 2, 4), (3, -1, 0, 0)),
+        ],
+    )
+    def test_outcome_components_must_be_counts(self, run):
+        with pytest.raises(ValueError, match="^multi-index components must be "):
+            run(rng.haar_unitary(4, 124))
+
+    def test_numpy_integers_give_the_same_results(self):
+        u = rng.haar_unitary(5, 122)
+        spec, np_spec = CatInputSpec(0.8, 2, 5), CatInputSpec(0.8, np.int64(2), np.uint8(5))
+        assert np_spec == spec and type(np_spec.n) is int
+        cat = cat_distribution(u, spec, 6)
+        assert cat_distribution(u, np_spec, np.int32(6)) == cat
+        bs = bs_distribution(u, 2)
+        assert bs_distribution(u, np.int64(2)) == bs
+        assert sample(cat, np.int64(5000), np.uint64(7)) == sample(cat, 5000, 7)
+        outcomes, kept, tv = kept_draws(cat, np.int16(2), np.int64(5000), np.int32(7), bs.probs)
+        expected = kept_draws(cat, 2, 5000, 7, bs.probs)
+        assert (outcomes, kept.tolist(), tv) == (expected[0], expected[1].tolist(), expected[2])
+        rep = rejection_sampling_pipeline(u, spec, np.int64(6), np.int64(5000), np.uint32(7))
+        assert rep == rejection_sampling_pipeline(u, spec, 6, 5000, 7)
+        assert type(rep.seed) is int and type(rep.total_samples) is int
+        p = np.array([1, 0, 1, 0, 0])
+        assert fock_amplitude(u, p, p) == fock_amplitude(u, (1, 0, 1, 0, 0), (1, 0, 1, 0, 0))
+        assert cat_amplitude(u, spec, p) == cat_amplitude(u, spec, (1, 0, 1, 0, 0))
+
+    def test_seeds_are_masked_to_64_bits(self):
+        dist = _small_dist()
+        assert sample(dist, 200, -1) == sample(dist, 200, (1 << 64) - 1)
+        assert sample(dist, 200, (1 << 70) | 5) == sample(dist, 200, 5)
+
+    def test_negative_counts_refused(self):
+        with pytest.raises(ValueError, match="^need count >= 0, got -1$"):
+            sample(_small_dist(), np.int64(-1), 0)
+        with pytest.raises(ValueError, match="^need count >= 1, got 0$"):
+            rejection_sampling_pipeline(rng.haar_unitary(4, 123), CatInputSpec(0.8, 2, 4), 6, np.int8(0), 0)
+        with pytest.raises(ValueError, match="^need n >= 0, got -1$"):
+            photon_fraction(0.5, -1)
 
 
 class TestNonFiniteUnitary:

@@ -1,5 +1,6 @@
 import itertools
 import math
+import re
 from fractions import Fraction
 
 import numpy as np
@@ -9,6 +10,8 @@ from hypothesis import strategies as st
 
 from permkit.combinatorics import (
     RepetitionPattern,
+    _as_int,
+    as_multi_index,
     count_weight,
     enumerate_splits,
     enumerate_weight,
@@ -143,3 +146,34 @@ class TestRepetitionPattern:
         pat = RepetitionPattern(np.array([1, 2]), (np.int64(2), np.uint8(1)))
         assert pat.rows == (1, 2) and pat.cols == (2, 1)
         assert all(type(k) is int for k in pat.rows + pat.cols)
+
+
+class TestIntegerArguments:
+    @pytest.mark.parametrize("p", [(True,), (1.0,), (1, np.float64(2.0)), (1, "2"), (Fraction(1),)])
+    def test_as_multi_index_refuses_non_integers(self, p):
+        with pytest.raises(ValueError, match="^multi-index components must be integers: "):
+            as_multi_index(p)
+
+    def test_as_multi_index_refuses_negatives(self):
+        with pytest.raises(ValueError, match=r"^multi-index components must be non-negative: \(1, -1\)$"):
+            as_multi_index((1, np.int8(-1)))
+
+    def test_as_multi_index_plain_ints(self):
+        out = as_multi_index([np.int64(2), np.uint8(0), 3])
+        assert out == (2, 0, 3) and all(type(k) is int for k in out)
+        assert as_multi_index(()) == ()
+
+    @pytest.mark.parametrize("value", [True, False, 1.0, "1", None, Fraction(2), 1 + 0j])
+    def test_as_int_refuses(self, value):
+        with pytest.raises(ValueError, match=f"^count must be an integer, got {re.escape(repr(value))}$"):
+            _as_int("count", value)
+
+    @pytest.mark.parametrize("value", [3, np.int64(3), np.uint16(3), -(1 << 70)])
+    def test_as_int_accepts(self, value):
+        out = _as_int("seed", value)
+        assert out == value and type(out) is int
+
+    def test_as_int_lower_bound(self):
+        assert _as_int("count", np.int32(1), 1) == 1
+        with pytest.raises(ValueError, match="^need count >= 1, got 0$"):
+            _as_int("count", 0, 1)
