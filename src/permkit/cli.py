@@ -12,27 +12,35 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import sys
 import time
 
-from . import __version__
-from .bosonic import (
-    OVERFLOW,
-    CatInputSpec,
-    bs_distribution,
-    cat_distribution,
-    kept_draws,
-    photon_fraction,
-    reject_to_fixed_n,
-    amplitude_regime_check,
-    sample as sample_outcomes,
-)
+from . import __version__, _deferred
 from .combinatorics import RepetitionPattern, repeat_matrix
 from .errors import PermkitError
-from .estimators import estimate_permanent, estimator_variance_scan
-from .identities import IDENTITY_REGISTRY, run_battery
 from .numerics import ComplexMatrix, UnitaryMatrix
 from .permanents import ALGORITHMS, permanent_cauchy_binet, permanent_glynn_repeated_rows
+
+# The identities, series, bosonic and estimators modules are imported by the
+# subcommands that run them; their names stay readable as module attributes.
+__getattr__, __dir__ = _deferred(
+    __name__,
+    {
+        "identities": ("IDENTITY_REGISTRY", "run_battery"),
+        "estimators": ("estimate_permanent", "estimator_variance_scan"),
+        "bosonic": (
+            "OVERFLOW",
+            "CatInputSpec",
+            "amplitude_regime_check",
+            "bs_distribution",
+            "cat_distribution",
+            "kept_draws",
+            "photon_fraction",
+            "reject_to_fixed_n",
+        ),
+    },
+)
 
 PLAIN_ALGOS = {name: ALGORITHMS[name] for name in ("naive", "ryser", "glynn", "glynn-kan")}
 PATTERN_ALGOS = {name: fn for name, fn in ALGORITHMS.items() if name not in PLAIN_ALGOS}
@@ -40,10 +48,13 @@ PATTERN_ALGOS = {name: fn for name, fn in ALGORITHMS.items() if name not in PLAI
 
 def _load_json(arg: str):
     text = arg.strip()
-    if text.startswith("[") or text.startswith("{"):
-        return json.loads(text)
-    with open(arg, "r", encoding="utf-8") as fh:
-        return json.load(fh)
+    try:
+        if text.startswith("[") or text.startswith("{"):
+            return json.loads(text)
+        with open(arg, "r", encoding="utf-8") as fh:
+            return json.load(fh)
+    except RecursionError:
+        raise ValueError("JSON input is nested too deeply") from None
 
 
 def _load_matrix(arg: str) -> ComplexMatrix:
@@ -81,6 +92,22 @@ def _non_negative_int(text: str) -> int:
     return value
 
 
+class _IdentityNames:
+    """The identity registry's names, sorted, as argparse choices.
+
+    argparse reads choices only to check a given value or to print usage, so
+    the identities module is imported then, not when the parser is built.
+    """
+
+    def __iter__(self):
+        from .identities import IDENTITY_REGISTRY
+
+        return iter(sorted(IDENTITY_REGISTRY))
+
+    def __contains__(self, name) -> bool:
+        return name in iter(self)
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="permkit")
     parser.add_argument("--tolerance", type=float, default=1e-8, help="comparison tolerance")
@@ -95,7 +122,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     verify = sub.add_parser("verify", help="verify permanent identities")
     group = verify.add_mutually_exclusive_group(required=True)
-    group.add_argument("--identity", choices=sorted(IDENTITY_REGISTRY))
+    # set after add_argument, which may format (and so read) the choices
+    group.add_argument("--identity").choices = _IdentityNames()
     group.add_argument("--all", action="store_true")
     verify.add_argument("--seed", type=int, default=7)
     verify.add_argument("--matrix")
@@ -183,6 +211,8 @@ def _cmd_per(args) -> tuple[object, int, list]:
 
 
 def _cmd_verify(args, tolerance: float) -> tuple[object, int, list]:
+    from .identities import run_battery
+
     overrides = {}
     if args.matrix:
         overrides["matrix"] = _load_matrix(args.matrix).data
@@ -204,6 +234,8 @@ def _cmd_verify(args, tolerance: float) -> tuple[object, int, list]:
 
 
 def _cmd_estimate(args) -> tuple[object, int, list]:
+    from .estimators import estimate_permanent
+
     mat = _load_matrix(args.matrix)
     pattern = RepetitionPattern(_load_multi_index(args.rows), _load_multi_index(args.cols))
     rep = estimate_permanent(mat, pattern, args.f, args.samples, args.seed, streams=args.streams)
@@ -212,11 +244,23 @@ def _cmd_estimate(args) -> tuple[object, int, list]:
 
 def _outcome_lines(draws) -> list[str]:
     """One JSON line per draw, each distinct outcome formatted once."""
+    from .bosonic import OVERFLOW
+
     text = {o: json.dumps({"overflow": True} if o is OVERFLOW else {"counts": list(o)}) for o in set(draws)}
     return [text[o] for o in draws]
 
 
 def _cmd_sample(args) -> tuple[object, int, list]:
+    from .bosonic import (
+        CatInputSpec,
+        bs_distribution,
+        cat_distribution,
+        kept_draws,
+        photon_fraction,
+        reject_to_fixed_n,
+        sample as sample_outcomes,
+    )
+
     u = UnitaryMatrix(_load_matrix(args.unitary))
     if args.input == "fock":
         dist = bs_distribution(u, args.n)
@@ -261,6 +305,8 @@ def _cmd_sample(args) -> tuple[object, int, list]:
 
 def _cmd_report(args) -> tuple[object, int, list]:
     if args.kind == "variance":
+        from .estimators import estimator_variance_scan
+
         if not (args.matrix and args.rows and args.cols):
             raise ValueError("variance report needs --matrix, --rows, --cols")
         mat = _load_matrix(args.matrix)
@@ -270,6 +316,8 @@ def _cmd_report(args) -> tuple[object, int, list]:
         return {"kind": "variance", "table": table}, 0, []
     if args.n is None or args.m is None:
         raise ValueError("regime report needs --n and --m")
+    from .bosonic import amplitude_regime_check
+
     rows = []
     for c in (float(x) for x in args.c.split(",")):
         rows.append(amplitude_regime_check(args.n, args.m, c).to_json_dict())
@@ -303,13 +351,23 @@ def main(argv=None) -> int:
         return 1
     wall_ms = int((time.monotonic() - start) * 1000)
     manifest = _manifest(args, wall_ms)
-    sys.stdout.write("".join(line + "\n" for line in lines))
     if isinstance(payload, list):
-        print(json.dumps({"reports": payload, "manifest": manifest}))
+        record = {"reports": payload, "manifest": manifest}
     else:
-        payload = dict(payload)
-        payload["manifest"] = manifest
-        print(json.dumps(payload))
+        record = dict(payload)
+        record["manifest"] = manifest
+    try:
+        sys.stdout.write("".join(line + "\n" for line in lines))
+        print(json.dumps(record))
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # The reader closed the pipe (`permkit ... | head`).  As Python's
+        # signal docs advise, stdout goes to devnull so that the flush at
+        # exit does not raise again.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return 1
     return code
 
 

@@ -69,8 +69,9 @@ class ComplexMatrix:
             if len(entries) != dim * dim:
                 raise ValueError(f"expected {dim * dim} entries for dim={dim}, got {len(entries)}")
             flat = [complex(re, im) for re, im in entries]
-        except TypeError as exc:
-            raise ValueError(f'expected {{"dim": n, "entries": [[re, im], ...]}}: {exc}') from None
+        except (TypeError, KeyError) as exc:
+            detail = f"missing key {exc}" if isinstance(exc, KeyError) else exc
+            raise ValueError(f'expected {{"dim": n, "entries": [[re, im], ...]}}: {detail}') from None
         return cls(np.array(flat, dtype=np.complex128).reshape(dim, dim))
 
     @classmethod

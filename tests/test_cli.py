@@ -101,6 +101,26 @@ class TestPer:
         assert out == ""
         assert err.startswith("error:") and len(err.strip().splitlines()) == 1
 
+    @pytest.mark.parametrize(
+        "text, message",
+        [("[" * 100_000, "nested too deeply"), ('{"dim": 1}', "missing key 'entries'"), ('{"entries": []}', "missing key 'dim'")],
+        ids=["deep", "no-entries", "no-dim"],
+    )
+    @pytest.mark.parametrize("flag", ["--matrix", "--rows", "--unitary"])
+    def test_json_input_error_is_one_error_line(self, capsys, j3_file, flag, text, message):
+        argv = {
+            "--matrix": ["per", "--algo", "naive", "--matrix", text],
+            "--rows": ["per", "--algo", "naive", "--matrix", j3_file, "--rows", text],
+            "--unitary": ["sample", "--unitary", text, "--n", "1", "--count", "1"],
+        }[flag]
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 1
+        assert out == ""
+        lines = err.strip().splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error:")
+        # a multi-index is a JSON array, so an object fails before its keys are read
+        assert message in lines[0] or (flag == "--rows" and "multi-index" in lines[0])
+
     @pytest.mark.parametrize("index", ["[1.5,1,1]", "[true,1,1]", "[1,null,1]", "[[1],1,1]", '{"a": 1}', "[1.0,1,1]"])
     @pytest.mark.parametrize("flag", ["--rows", "--cols"])
     def test_non_integer_multi_index_exits_one(self, capsys, j3_file, flag, index):
@@ -332,7 +352,7 @@ class TestSample:
     @pytest.mark.parametrize("weight", [math.nan, -0.25, 0.0])
     def test_bad_weights_exit_one(self, capsys, hom_file, monkeypatch, weight):
         bad = OutcomeDistribution({(2, 0): weight, (0, 2): 0.0 if weight == 0.0 else 0.5}, 2, 0.0)
-        monkeypatch.setattr(cli, "bs_distribution", lambda u, n: bad)
+        monkeypatch.setattr(bosonic, "bs_distribution", lambda u, n: bad)
         code, out, err = run_cli(capsys, "sample", "--unitary", hom_file, "--n", "2", "--count", "3")
         assert code == 1
         assert out == ""
