@@ -67,10 +67,6 @@ class ZeroAmplitude(PermkitError):
     """Cat amplitude alpha = 0 leaves the state (and its normalization) undefined."""
 
 
-class ZeroDerivative(PermkitError):
-    """Chosen generating function has a vanishing series coefficient at the required order."""
-
-
 class EmptyConditioning(PermkitError):
     """Rejection step conditions on an event of zero enumerated probability."""
 

@@ -502,6 +502,8 @@ def verify_macmahon(a, cap: Union[int, Sequence[int]] = 2, tolerance: float = 1e
     """
     mat, ring = _normalize(a)
     caps = _caps(cap, len(mat))
+    # sum over p <= caps of prod_j (p_j + 1), priced before the exponents are listed
+    _check_terms("permanent side", math.prod((c + 1) * (c + 2) // 2 for c in caps))
     exponents = list(_sub_indices(caps))
     (per,) = _permanent_side((mat, [(p, p) for p in exponents]))
     ref = _table(ring, caps, {idx: per[p, p] for idx, p in enumerate(exponents)})

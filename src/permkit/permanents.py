@@ -706,6 +706,7 @@ def permanent_glynn_repeated_rows(a, q) -> PermanentResult:
     if len(q) != n:
         raise DimensionMismatch("repetition vector length must equal the matrix dimension")
     if weight(q) != n:
+        warnings.warn("|p| != |q|: permanent of a rectangular repetition is 0", WeightMismatchWarning)
         return PermanentResult(0, "glynn_repeated_rows", 0)
     if n == 0:
         return PermanentResult(1, "glynn_repeated_rows", 1)
@@ -922,6 +923,7 @@ def permanent_cauchy_binet(a, b, pattern: RepetitionPattern) -> PermanentResult:
     p, q = pattern.rows, pattern.cols
     npq = weight(p)
     if weight(q) != npq:
+        warnings.warn("|p| != |q|: permanent of a rectangular repetition is 0", WeightMismatchWarning)
         return PermanentResult(0, "cauchy_binet", 0)
     terms = math.comb(npq + m - 1, m - 1)
     _check_terms("Cauchy-Binet inner multiplicity sums", terms * (_multiplicity_terms(p) + _multiplicity_terms(q)))

@@ -495,6 +495,15 @@ class TestOracleLimitBeforeSeriesWork:
         with pytest.raises(TooLarge):
             run()
 
+    def test_macmahon_prices_before_listing_exponents(self, monkeypatch):
+        def fail(*args, **kwargs):
+            raise AssertionError("exponents listed")
+
+        monkeypatch.setattr(ident, "_sub_indices", fail)
+        # 6^12 terms, priced before the 3^12 exponents would be listed
+        with pytest.raises(TooLarge, match=f"needs {6**12} terms"):
+            verify_macmahon(rng.unit_disk_matrix(12, 1), 2)
+
     def test_exact_macmahon_above_the_limit_uses_the_monomial_route(self):
         caps = (4, 4, 4)
         assert sum(caps) > ident.NAIVE_MAX_DIM
