@@ -15,6 +15,7 @@ import math
 import os
 import sys
 import time
+import warnings
 
 from . import __version__, _deferred
 from .combinatorics import RepetitionPattern, repeat_matrix
@@ -309,6 +310,11 @@ def _cmd_report(args) -> tuple[object, int, list]:
     return {"kind": "regime", "table": rows}, 0, []
 
 
+def _show_warning(message, category, filename, lineno, file=None, line=None) -> None:
+    """A warning as one `warning: ...` line on stderr, as errors are given."""
+    print(f"warning: {message}", file=sys.stderr)
+
+
 def main(argv=None) -> int:
     parser = build_parser()
     try:
@@ -319,20 +325,25 @@ def main(argv=None) -> int:
         return 0 if exc.code == 0 else 1
     start = time.monotonic()
     try:
-        if not (math.isfinite(args.tolerance) and args.tolerance >= 0):
-            raise ValueError(f"--tolerance must be a finite, non-negative number, got {args.tolerance}")
-        if args.command == "per":
-            payload, code, lines = _cmd_per(args)
-        elif args.command == "verify":
-            payload, code, lines = _cmd_verify(args, args.tolerance)
-        elif args.command == "estimate":
-            payload, code, lines = _cmd_estimate(args)
-        elif args.command == "sample":
-            payload, code, lines = _cmd_sample(args)
-        else:
-            payload, code, lines = _cmd_report(args)
+        with warnings.catch_warnings():
+            warnings.showwarning = _show_warning
+            if not (math.isfinite(args.tolerance) and args.tolerance >= 0):
+                raise ValueError(f"--tolerance must be a finite, non-negative number, got {args.tolerance}")
+            if args.command == "per":
+                payload, code, lines = _cmd_per(args)
+            elif args.command == "verify":
+                payload, code, lines = _cmd_verify(args, args.tolerance)
+            elif args.command == "estimate":
+                payload, code, lines = _cmd_estimate(args)
+            elif args.command == "sample":
+                payload, code, lines = _cmd_sample(args)
+            else:
+                payload, code, lines = _cmd_report(args)
     except (PermkitError, ValueError, KeyError, OSError, OverflowError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 1
+    except MemoryError as exc:
+        print(f"error: {str(exc) or 'out of memory'}", file=sys.stderr)
         return 1
     wall_ms = int((time.monotonic() - start) * 1000)
     manifest = _manifest(args, wall_ms)

@@ -1,6 +1,9 @@
-"""Exception and warning types shared across the package, and the budget check."""
+"""Exception and warning types shared across the package, and the term budget and its check."""
 
 import math
+
+#: Terms a formula may sum before it raises `TooLarge`.
+TERM_BUDGET = 10**7
 
 
 class PermkitError(Exception):
@@ -71,7 +74,7 @@ class EmptyConditioning(PermkitError):
     """Rejection step conditions on an event of zero enumerated probability."""
 
 
-def check_budget(what: str, count: int, budget: int, unit: str = "terms") -> None:
+def check_budget(what: str, count: int, budget: int = TERM_BUDGET, unit: str = "terms") -> None:
     """Raise TooLarge, stating the count and the budget, when count > budget."""
     if count > budget:
         shown = str(count) if count < 10**18 else f"about 10^{int(count.bit_length() * math.log10(2))}"

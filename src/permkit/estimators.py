@@ -35,8 +35,8 @@ from typing import Sequence
 import numpy as np
 
 from .combinatorics import RepetitionPattern, _as_int, factorial_product, weight
-from .errors import DimensionMismatch, WeightMismatch
-from .permanents import _check_terms, _finite_array, _grid_double_sum, _root_grid
+from .errors import DimensionMismatch, WeightMismatch, check_budget
+from .permanents import _finite_array, _grid_double_sum, _root_grid
 from .rng import bit_generator
 
 F_CHOICES = ("pown", "exp", "geom")
@@ -252,7 +252,7 @@ def pown_grid_expectation(a, pattern: RepetitionPattern) -> complex:
         raise WeightMismatch(f"|p| = {n} but |q| = {weight(q)}")
     order = n + 1
     grid = order**m
-    _check_terms(f"discrete grid {order}^(2m)", grid * grid)
+    check_budget(f"discrete grid {order}^(2m)", grid * grid)
     pq = float(factorial_product(p) * factorial_product(q))
     points, (wx, wy) = _root_grid(order, m, np.arange(grid, dtype=np.int64), p, q)
     return complex(_grid_double_sum(arr, points, wx, wy, n)) * pq / math.factorial(n) / (grid * grid)

@@ -5,11 +5,11 @@ the maximum coefficient discrepancy.  A matrix is held in one form: an
 object array of int/Fraction entries, checked in the rational ring, or a
 complex128 array, checked in the complex ring (`_normalize`).  The permanent
 side comes from the multiplicity-aware Glynn sum: each verifier collects its
-(p, q) pairs and gets every Per(A_{p,q}) of one matrix from one batched call
-(`_permanent_side`); only even-single takes the brute-force permanent of
-its matrix.  The closed-form side comes from determinants and truncated
-series.  Every determinant has the form Det(I - D_1 A_1 ... D_N A_N) with
-diagonal variable matrices D_t, and one builder (`_det_side`) gives its
+(p, q) pairs and gets every Per(A_{p,q}) of each matrix from one call to
+`permanents._repeated_permanents`; only even-single takes the brute-force
+permanent of its matrix.  The closed-form side comes from determinants and
+truncated series.  Every determinant has the form Det(I - D_1 A_1 ... D_N A_N)
+with diagonal variable matrices D_t, and one builder (`_det_side`) gives its
 polynomial from minors by Cauchy-Binet, keeping only the monomials within
 the caps.  MacMahon, the two-matrix and the N-matrix theorems share
 1/Det(I - Z_1 A_1 ... Z_N A_N) (`_n_matrix_rhs`); the even-matrix modes use
@@ -61,7 +61,6 @@ from .errors import DimensionMismatch, OddDimension, AmplitudeOutOfRange, Weight
 from .numerics import as_array, scaled_error
 from .permanents import (
     NAIVE_MAX_DIM,
-    _check_terms,
     _coerce,
     _integer_rows,
     _repeated_permanents,
@@ -182,32 +181,47 @@ def _ratio(ring: str, num, den: int):
     return Fraction(num, den) if ring == RATIONAL else num / den
 
 
-def _permanent_side(*jobs) -> list[dict]:
-    """{(p, q): Per(A_{p,q})} for each (matrix A, pairs) job, one batched call per matrix.
-
-    Raises before any series work if the sign sums of all the jobs, prod_j (q_j + 1)
-    terms per pair with |p| = |q|, exceed the term budget.
-    """
-    terms = 0
-    for _, pairs in jobs:
-        for p, q in pairs:
-            # |p| - |q| and prod_j (q_j + 1) in one walk over the pair
-            diff, count = 0, 1
-            for pj, qj in zip(p, q):
-                diff += pj - qj
-                count *= qj + 1
-            if not diff:
-                terms += count
-    _check_terms("permanent side", terms)
-    return [_repeated_permanents(mat, pairs) for mat, pairs in jobs]
-
-
 def _equal_weight_pairs(ps, qs) -> list:
     """The pairs (p, q) with p in ps, q in qs and |p| = |q|, p-major."""
     by_weight: dict = {}
     for q in qs:
         by_weight.setdefault(weight(q), []).append(q)
     return [(p, q) for p in ps for q in by_weight.get(weight(p), ())]
+
+
+@lru_cache(maxsize=64)
+def _box_weights(caps: tuple, power: int, top: int) -> tuple[int, ...]:
+    """Entry w <= top: the sum over the exponents e <= caps with |e| = w of
+    prod_j (e_j + 1)^power, their number for power 0.  These are the low
+    coefficients of prod_j T_j(x), T_j = sum_{k <= caps_j} (k + 1)^power x^k.
+
+    (k + 1)^power has no differences of order power + 1, so T_j (1 - x)^(power + 1)
+    has at most 2 (power + 1) nonzero coefficients: each factor is that many
+    shifted sums, then power + 1 running sums.
+    """
+    poly = [int(w == 0) for w in range(top + 1)]
+    for c in caps:
+        diff = [(k + 1) ** power for k in range(c + 1)] + [0] * (power + 1)
+        for _ in range(power + 1):
+            diff = diff[:1] + [b - a for a, b in zip(diff, diff[1:])]
+        out = [0] * (top + 1)
+        for k, d in enumerate(diff[: top + 1]):
+            if d:
+                out[k:] = [o + d * v for o, v in zip(out[k:], poly)]
+        for _ in range(power + 1):
+            out = list(itertools.accumulate(out))
+        poly = out
+    return tuple(poly)
+
+
+def _pair_price(p_caps, q_caps, power: int = 1, keep=None) -> int:
+    """The sum of prod_j (q_j + 1)^power over the pairs p <= p_caps, q <= q_caps
+    with |p| = |q| (and keep(|p|) true, when given): with power 1, the terms
+    that `_repeated_permanents` counts for their `_equal_weight_pairs`,
+    without listing them."""
+    top = min(sum(p_caps), sum(q_caps))
+    counts, prices = _box_weights(p_caps, 0, top), _box_weights(q_caps, power, top)
+    return sum(n * s for w, (n, s) in enumerate(zip(counts, prices)) if keep is None or keep(w))
 
 
 def _caps(cap: Union[int, Sequence[int]], nvars: int) -> tuple[int, ...]:
@@ -286,7 +300,7 @@ def _chain_plan(var_of: tuple, caps: tuple) -> list:
         raise ValueError("a variable may appear in one matrix's map only")
     n_mats, m = len(var_of), len(var_of[0])
     counts = [_subset_counts(v, caps) for v in var_of]
-    _check_terms("determinant side", sum(math.prod(c[k] for c in counts) for k in range(m + 1)))
+    check_budget("determinant side", sum(math.prod(c[k] for c in counts) for k in range(m + 1)))
     strides = [math.prod(c + 1 for c in caps[i + 1 :]) for i in range(len(caps))]
     subsets = [_row_subsets(v, caps, strides) for v in var_of]
     plan = []
@@ -503,9 +517,9 @@ def verify_macmahon(a, cap: Union[int, Sequence[int]] = 2, tolerance: float = 1e
     mat, ring = _normalize(a)
     caps = _caps(cap, len(mat))
     # sum over p <= caps of prod_j (p_j + 1), priced before the exponents are listed
-    _check_terms("permanent side", math.prod((c + 1) * (c + 2) // 2 for c in caps))
+    check_budget("permanent side", math.prod((c + 1) * (c + 2) // 2 for c in caps))
     exponents = list(_sub_indices(caps))
-    (per,) = _permanent_side((mat, [(p, p) for p in exponents]))
+    (per,) = _repeated_permanents((mat, [(p, p) for p in exponents]))
     ref = _table(ring, caps, {idx: per[p, p] for idx, p in enumerate(exponents)})
     checks = [(_series_side(_n_matrix_rhs([mat], ring, caps)), ref)]
     if ring == RATIONAL:
@@ -561,9 +575,11 @@ def verify_mmmt_two(a, b, cap: Union[int, Sequence[int]] = 2, tolerance: float =
     (mat_a, mat_b), ring = _common_ring((a, b))
     m = len(mat_a)
     caps = _caps(cap, 2 * m)
+    # the three jobs below, priced before the pairs are listed
+    check_budget("permanent side", 2 * _pair_price(caps[:m], caps[m:]) + _pair_price(caps[m:], caps[:m]))
     pairs = _equal_weight_pairs(_sub_indices(caps[:m]), _sub_indices(caps[m:]))
     swapped = [(q, p) for p, q in pairs]
-    per_a, per_b, per_bt = _permanent_side((mat_a, pairs), (mat_b, swapped), (mat_b.T, pairs))
+    per_a, per_b, per_bt = _repeated_permanents((mat_a, pairs), (mat_b, swapped), (mat_b.T, pairs))
     index = [_flat_index(p + q, caps, "pair") for p, q in pairs]
     lhs1 = _table(ring, caps, {i: per_a[p, q] * per_b[q, p] for i, (p, q) in zip(index, pairs)})
     lhs2 = _table(ring, caps, {i: per_a[p, q] * per_bt[p, q] for i, (p, q) in zip(index, pairs)})
@@ -590,7 +606,7 @@ def verify_mmmt_n(matrices, cap: Union[int, Sequence[int]] = 1, tolerance: float
     caps = _caps(cap, n_mats * m)
     check_budget("mmmt-n coefficient table", math.prod(c + 1 for c in caps), 200_000, "coefficients")
     per_block = [list(_sub_indices(caps[k * m : (k + 1) * m])) for k in range(n_mats)]
-    pers = _permanent_side(
+    pers = _repeated_permanents(
         *((mats[k], _equal_weight_pairs(per_block[k], per_block[(k + 1) % n_mats])) for k in range(n_mats))
     )
     # only chains of one weight have a nonzero product
@@ -613,7 +629,7 @@ def verify_corollary_rank_one(a, p, q, tolerance: float = 1e-8) -> IdentityRepor
     if weight(q) != n:
         raise WeightMismatch(f"|p| = {n} but |q| = {weight(q)}")
     caps = p + q
-    (per,) = _permanent_side((mat, [(p, q)]))
+    (per,) = _repeated_permanents((mat, [(p, q)]))
     coef = _xtay_series(mat, ring, caps).power(n).coefficient(caps)
     factor = _ratio(ring, factorial_product(p) * factorial_product(q), math.factorial(n))
     check = (_side(ring, [per[p, q]]), _side(ring, [factor * coef]))
@@ -657,8 +673,9 @@ def verify_generating_function(
             return math.factorial(n) if n == power else 0
         return 0 if n == 0 else math.factorial(n - 1)
 
+    check_budget("permanent side", _pair_price(caps[:m], caps[m:], keep=fn_times_nfac))
     ps = (p for p in _sub_indices(caps[:m]) if fn_times_nfac(weight(p)))
-    (per,) = _permanent_side((mat, _equal_weight_pairs(ps, _sub_indices(caps[m:]))))
+    (per,) = _repeated_permanents((mat, _equal_weight_pairs(ps, _sub_indices(caps[m:]))))
     w = _xtay_series(mat, ring, caps)
     one = TruncatedSeries.one(caps, ring)
     if f == "exp":
@@ -678,7 +695,9 @@ def verify_monomial_glynn(a, p, cap: Union[int, Sequence[int]] = 2, tolerance: f
     mat, ring = _normalize(a)
     p = tuple(p)
     caps = _caps(cap, len(mat))
-    (per,) = _permanent_side((mat, _equal_weight_pairs([p], _sub_indices(caps))))
+    # the box of (|p|,) holds one exponent of each weight, and |p| is kept
+    check_budget("permanent side", _pair_price((weight(p),), caps, keep=weight(p).__eq__))
+    (per,) = _repeated_permanents((mat, _equal_weight_pairs([p], _sub_indices(caps))))
     lhs = _table(ring, caps, {_flat_index(q, caps, "pair"): v for (_, q), v in per.items()})
     return _report("monomial", caps, tolerance, ring, (lhs, _series_side(_monomial_power(mat, ring, caps, p))))
 
@@ -702,7 +721,7 @@ def verify_sum_formula(a, b, pattern: RepetitionPattern, tolerance: float = 1e-8
     ]
     pairs_a = [(s, u) for s, _, u, _ in splits]
     pairs_b = [(t, v) for _, t, _, v in splits]
-    per_sum, per_a, per_b = _permanent_side((mat_a + mat_b, [(p, q)]), (mat_a, pairs_a), (mat_b, pairs_b))
+    per_sum, per_a, per_b = _repeated_permanents((mat_a + mat_b, [(p, q)]), (mat_a, pairs_a), (mat_b, pairs_b))
     pq_fact = factorial_product(p) * factorial_product(q)
     total = 0
     for s, t, u, v in splits:
@@ -722,7 +741,7 @@ def verify_laplace(a, pattern: RepetitionPattern, k: int, tolerance: float = 1e-
     l = n - k
     splits = [(s, t, u, v) for s, t in enumerate_splits(p, 2, (k, l)) for u, v in enumerate_splits(q, 2, (k, l))]
     pairs = [(p, q)] + [(s, u) for s, _, u, _ in splits] + [(t, v) for _, t, _, v in splits]
-    (per,) = _permanent_side((mat, pairs))
+    (per,) = _repeated_permanents((mat, pairs))
     # the prefactor k!l!/n! joins each split coefficient, so each is made once in the ring
     num = math.factorial(k) * math.factorial(l) * factorial_product(p) * factorial_product(q)
     total = 0
@@ -752,7 +771,7 @@ def verify_sum_of_permanents(a, b, pattern: RepetitionPattern, tolerance: float 
     pairs_a = [(p, q)] + [(x[0], y[0]) for x, y in flat]
     pairs_b = [(p, q)] + [(x[1], y[1]) for x, y in flat]
     pairs_sum = [(x[2], y[2]) for x, y in flat]
-    per_a, per_b, per_sum = _permanent_side((mat_a, pairs_a), (mat_b, pairs_b), (mat_a + mat_b, pairs_sum))
+    per_a, per_b, per_sum = _repeated_permanents((mat_a, pairs_a), (mat_b, pairs_b), (mat_a + mat_b, pairs_sum))
     pq_fact = factorial_product(p) * factorial_product(q)
     total = 0
     for k, ksplits in enumerate(splits):
@@ -793,7 +812,7 @@ def verify_even_matrix(a, mode: str = "single", cap: Union[int, Sequence[int]] =
     left, right = mat[:, swap], mat.T[:, swap]
     if mode == "single":
         if dim > NAIVE_MAX_DIM:
-            _check_terms("brute-force permanent side", math.factorial(dim), math.factorial(NAIVE_MAX_DIM))
+            check_budget("brute-force permanent side", math.factorial(dim), math.factorial(NAIVE_MAX_DIM))
         caps = (m,)
         signs = np.array(list(itertools.product((1, -1), repeat=m)), dtype=np.float64)
         halves = np.hstack([signs, signs])[:, :, None]
@@ -813,8 +832,10 @@ def verify_even_matrix(a, mode: str = "single", cap: Union[int, Sequence[int]] =
     if mode != "full":
         raise ValueError(f"unknown mode {mode!r}")
     caps = _caps(cap, 2 * m)
+    # (q_j + 1)^2 terms for the repeated halves q + q
+    check_budget("permanent side", _pair_price(caps[:m], caps[m:], 2))
     pairs = [(p + p, q + q) for p, q in _equal_weight_pairs(_sub_indices(caps[:m]), _sub_indices(caps[m:]))]
-    (per,) = _permanent_side((mat, pairs))
+    (per,) = _repeated_permanents((mat, pairs))
     var_of = [[i % m for i in range(dim)], [m + i % m for i in range(dim)]]
     g = _det_side([left, right], var_of, COMPLEX, caps).sqrt_inverse()
     ref = _table(COMPLEX, caps, {_flat_index(p[:m] + q[:m], caps, "pair"): v for (p, q), v in per.items()})
@@ -837,7 +858,7 @@ def verify_tmss_overlap(u, lam, mu, trunc: int = 6, tolerance: float = 1e-6) -> 
     if np.any(np.abs(lam) >= 1) or np.any(np.abs(mu) >= 1):
         raise AmplitudeOutOfRange("need |lam_k| < 1 and |mu_k| < 1")
     half = [(p, q) for k in range(trunc + 1) for p in enumerate_weight(m, k) for q in enumerate_weight(m, k)]
-    (per,) = _permanent_side((arr, [(p + p, q + q) for p, q in half]))
+    (per,) = _repeated_permanents((arr, [(p + p, q + q) for p, q in half]))
     lhs = 0j
     for p, q in half:
         coef = np.prod(lam**np.array(p)) * np.prod(mu**np.array(q))

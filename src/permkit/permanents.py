@@ -26,11 +26,12 @@ subtree.
 
 Float inputs run chunked numpy kernels: :func:`_sign_sum` for Ryser, Glynn
 and repeated-row Glynn (exact Ryser shares its low/high split), and
-:func:`_sign_sums`, batched over many (p, q), for the multiplicity sum, the
-verifiers' permanents and Cauchy-Binet's inner permanents (both through
-:func:`_repeated_permanents`) and the sampler's distributions.  The exact
-multiplicity sum is the residue twin of `_sign_sums`, on the same grid and
-split.
+:func:`_sign_sums`, batched over many (p, q), for the sampler's
+distributions and the multiplicity sums, whose exact twin runs on residues
+on the same grid and split.  Every batch of multiplicity sums has one entry,
+:func:`_repeated_permanents`, which prices it and picks the kernel: the
+multiplicity sum, exact Glynn and repeated-row Glynn, Cauchy-Binet's inner
+permanents and the identity verifiers' permanent sides all go through it.
 
 Glynn-Kan's double sum over x, y of w(x) w(y) (x^T A y)^n is one kernel,
 :func:`_grid_double_sum`.  Glynn-Kan runs it on the sign vectors of
@@ -60,10 +61,8 @@ from .combinatorics import (
     factorial_product,
     weight,
 )
-from .errors import DimensionMismatch, WeightMismatchWarning, check_budget
+from .errors import TERM_BUDGET, DimensionMismatch, WeightMismatchWarning, check_budget
 from .numerics import ComplexMatrix, UnitaryMatrix, as_array
-
-TERM_BUDGET = 10**7
 
 NAIVE_MAX_DIM = 10
 
@@ -103,11 +102,6 @@ def _finite_array(a) -> np.ndarray:
     if not np.isfinite(arr).all():
         raise ValueError("matrix entries must be finite")
     return arr
-
-
-def _check_terms(what: str, terms: int, budget: int = TERM_BUDGET) -> None:
-    """`check_budget` on a term count, against the term budget by default."""
-    check_budget(what, terms, budget)
 
 
 def _degenerate(nrows: int, ncols: int, algorithm: str) -> Optional[PermanentResult]:
@@ -261,7 +255,7 @@ def _sign_sums(cols: np.ndarray, powers: np.ndarray, mults: Optional[list] = Non
     if len(qs) == 1:
         which = None
     low, block, size = _grid_split(qs)
-    _check_terms("sign sum", size * max(k, 1))
+    check_budget("sign sum", size * max(k, 1))
     x_low, w_low = _multiplicity_grid(tuple(q[:low] for q in qs))
     x_high, w_high = _multiplicity_grid(tuple(q[low:] for q in qs))
     part = cols[:, :low] @ x_low.T
@@ -341,7 +335,7 @@ def permanent_naive(a) -> PermanentResult:
         return deg
     m = nrows
     if m > NAIVE_MAX_DIM:
-        _check_terms(f"naive permanent of dimension {m}", math.factorial(m), math.factorial(NAIVE_MAX_DIM))
+        check_budget(f"naive permanent of dimension {m}", math.factorial(m), math.factorial(NAIVE_MAX_DIM))
     arr = np.array(data, dtype=object) if exact else data
     return PermanentResult(_naive_sum(arr), "naive", math.factorial(m))
 
@@ -660,7 +654,7 @@ def permanent_ryser(a) -> PermanentResult:
     if deg is not None:
         return deg
     m = nrows
-    _check_terms("Ryser sum", 1 << m)
+    check_budget("Ryser sum", 1 << m)
     if not exact:
         # x_j = 1 puts column j in the subset; the sign (-1)^(m - |S|) is Ryser's
         return PermanentResult(_sign_sum(data, 0), "ryser", (1 << m) - 1)
@@ -683,11 +677,11 @@ def permanent_glynn(a) -> PermanentResult:
     if deg is not None:
         return deg
     m = nrows
-    _check_terms("Glynn sum over all sign vectors", 1 << m)
+    check_budget("Glynn sum over all sign vectors", 1 << m)
     if not exact:
         return PermanentResult(_glynn_float(data), "glynn", 1 << (m - 1))
     ones = (1,) * m
-    (value,) = _exact_multiplicity_sums(data, [(ones, ones)])
+    (value,) = _repeated_permanents((data, [(ones, ones)]))[0].values()
     return PermanentResult(value, "glynn", 1 << (m - 1))
 
 
@@ -710,10 +704,10 @@ def permanent_glynn_repeated_rows(a, q) -> PermanentResult:
         return PermanentResult(0, "glynn_repeated_rows", 0)
     if n == 0:
         return PermanentResult(1, "glynn_repeated_rows", 1)
-    _check_terms("repeated-row Glynn sum over all sign vectors", 1 << n)
+    check_budget("repeated-row Glynn sum over all sign vectors", 1 << n)
     if not exact:
         return PermanentResult(_glynn_float(np.repeat(data, q, axis=0)), "glynn_repeated_rows", 1 << (n - 1))
-    (value,) = _exact_multiplicity_sums(data, [(q, (1,) * n)])
+    (value,) = _repeated_permanents((data, [(q, (1,) * n)]))[0].values()
     return PermanentResult(value, "glynn_repeated_rows", 1 << (n - 1))
 
 
@@ -722,13 +716,14 @@ def permanent_glynn_multiplicity(a, pattern: RepetitionPattern) -> PermanentResu
 
     Glynn's formula on A_{p,q} (Glynn, EJC 2010) with the sign vectors of each
     repeated column grouped by their sum, as Kan (2008) groups moments:
-    prod_j (q_j + 1) terms where Glynn on A_{p,q} takes 2^{|q| - 1}.  Float
-    input runs `_sign_sums` on the multiplicity grid.  Int/Fraction input
-    runs its multi-modular twin (`_exact_multiplicity_sums`), which pairs the
-    equal terms at v and q - v and sums prod_j (q_j + 1) // 2 of them.  Exact
-    results have the type `permanent_naive` gives on A_{p,q}.  TooLarge
-    applies to prod_j (q_j + 1), and on float input also to the kernel's
-    cost, that count times the number of columns.
+    prod_j (q_j + 1) terms where Glynn on A_{p,q} takes 2^{|q| - 1}.  It runs
+    through `_repeated_permanents`: float input on `_sign_sums` on the
+    multiplicity grid, int/Fraction input on its multi-modular twin
+    (`_exact_multiplicity_sums`), which pairs the equal terms at v and q - v
+    and sums prod_j (q_j + 1) // 2 of them.  Exact results have the type
+    `permanent_naive` gives on A_{p,q}.  TooLarge applies to prod_j (q_j + 1),
+    and on float input also to the kernel's cost, that count times the number
+    of columns.
     """
     data, nrows, ncols, exact = _coerce(a)
     if nrows != ncols or pattern.length != nrows:
@@ -741,12 +736,9 @@ def permanent_glynn_multiplicity(a, pattern: RepetitionPattern) -> PermanentResu
     if n == 0:
         return PermanentResult(1 if exact else 1 + 0j, "glynn_multiplicity", 1)
     terms = _multiplicity_terms(q)
-    _check_terms("multiplicity sign sum", terms)
-    if exact:
-        (value,) = _exact_multiplicity_sums(data, [(p, q)])
-        return PermanentResult(value, "glynn_multiplicity", terms // 2)
-    value = complex(_sign_sums(data, np.array([p]), [q])[0]) / (1 << n)
-    return PermanentResult(value, "glynn_multiplicity", terms)
+    check_budget("multiplicity sign sum", terms)
+    (value,) = _repeated_permanents((data, [(p, q)]))[0].values()
+    return PermanentResult(value, "glynn_multiplicity", terms // 2 if exact else terms)
 
 
 def _multiplicity_terms(q) -> int:
@@ -768,37 +760,47 @@ def _batches(pairs: list, *keys) -> list[list]:
     return [batch for group in groups.values() for batch in _batches(group, *keys[1:])]
 
 
-def _repeated_permanents(a, pairs) -> dict:
-    """{(p, q): Per(A_{p,q})} over the multi-index pairs, 0 where |p| != |q|.
+def _repeated_permanents(*jobs) -> list[dict]:
+    """Per (matrix A, pairs) job, {(p, q): Per(A_{p,q})} over its multi-index
+    pairs, 0 where |p| != |q|: the one entry for batches of multiplicity sums.
 
-    One kernel call takes every pair, unless their shared grid would cost
-    more than the term budget.  Then the pairs whose q agree in parity,
-    whose grid is prod_j (max q_j + 1) points, share a call, and a parity
-    class over the budget takes one call per q.  The kernel is `_sign_sums`
-    on float input and its multi-modular twin, `_exact_multiplicity_sums`,
-    on int/Fraction input.
+    One walk per job prices its pairs, prod_j (q_j + 1) terms per listed pair
+    with |p| = |q| (repeats and p = q = 0 included), and sorts out the distinct
+    pairs that need a kernel; the jobs together must fit the term budget.  Per
+    job, one kernel call takes every pair, unless their shared grid would cost
+    more than the term budget.  Then the pairs whose q agree in parity, whose
+    grid is prod_j (max q_j + 1) points, share a call, and a parity class over
+    the budget takes one call per q.  The kernel is `_sign_sums` on float
+    input and its multi-modular twin, `_exact_multiplicity_sums`, on
+    int/Fraction input.
     """
-    data, _, _, exact = _coerce(a)
-    out: dict = {}
-    todo = []
-    for p, q in dict.fromkeys(pairs):
-        n = weight(p)
-        if weight(q) != n:
-            out[p, q] = 0
-        elif n == 0:
-            out[p, q] = 1
-        else:
-            todo.append((p, q))
-    if not todo:
-        return out
-    for batch in _batches(todo, lambda q: tuple(c % 2 for c in q), lambda q: q):
-        if exact:
-            out.update(zip(batch, _exact_multiplicity_sums(data, batch)))
-            continue
-        sums = _sign_sums(data, np.array([p for p, _ in batch]), [q for _, q in batch])
-        for (p, q), s in zip(batch, sums.tolist()):
-            out[p, q] = s / (1 << weight(q))
-    return out
+    terms, plans = 0, []
+    for a, pairs in jobs:
+        out, todo = {}, {}
+        for p, q in pairs:
+            wp, wq, count = 0, 0, 1
+            for pj, qj in zip(p, q):
+                wp, wq, count = wp + pj, wq + qj, count * (qj + 1)
+            if wp != wq:
+                out[p, q] = 0
+                continue
+            terms += count
+            if wp:
+                todo[p, q] = wp
+            else:
+                out[p, q] = 1
+        plans.append((a, out, todo))
+    check_budget("permanent side", terms)
+    for a, out, todo in plans:
+        data, _, _, exact = _coerce(a)
+        for batch in _batches(list(todo), lambda q: tuple(c % 2 for c in q), lambda q: q) if todo else ():
+            if exact:
+                out.update(zip(batch, _exact_multiplicity_sums(data, batch)))
+                continue
+            sums = _sign_sums(data, np.array([p for p, _ in batch]), [q for _, q in batch])
+            for pair, s in zip(batch, sums.tolist()):
+                out[pair] = s / (1 << todo[pair])
+    return [out for _, out, _ in plans]
 
 
 def _root_grid(order: int, m: int, ids: np.ndarray, *exponents) -> tuple[np.ndarray, list]:
@@ -847,7 +849,7 @@ def permanent_roots_of_unity(a, pattern: RepetitionPattern) -> PermanentResult:
     if n == 0:
         return PermanentResult(1 + 0j, "roots_of_unity", 1)
     grid = n**m
-    _check_terms("roots-of-unity grid n^m", grid)
+    check_budget("roots-of-unity grid n^m", grid)
     p_idx = [(i, p[i]) for i in range(m) if p[i]]
     total = 0j
     for lo in range(0, grid, _SUMS_ENTRIES):
@@ -870,7 +872,7 @@ def permanent_glynn_kan(a) -> PermanentResult:
     if deg is not None:
         return deg
     m = nrows
-    _check_terms("Glynn-Kan sum", 4**m)
+    check_budget("Glynn-Kan sum", 4**m)
     denom = 4**m * math.factorial(m)
     points, signs = _vertices(m, -1)
     if not exact:
@@ -895,7 +897,7 @@ def permanent_glynn_kan_repeated(a, pattern: RepetitionPattern) -> PermanentResu
         return PermanentResult(0j, "glynn_kan_repeated", 0)
     if n == 0:
         return PermanentResult(1 + 0j, "glynn_kan_repeated", 1)
-    _check_terms("roots-of-unity double grid n^(2m)", n ** (2 * m))
+    check_budget("roots-of-unity double grid n^(2m)", n ** (2 * m))
     grid = n**m
     scalefac = float(Fraction(factorial_product(p) * factorial_product(q), grid * grid * math.factorial(n)))
     points, (wx, wy) = _root_grid(n, m, np.arange(grid, dtype=np.int64), p, q)
@@ -906,9 +908,9 @@ def permanent_glynn_kan_repeated(a, pattern: RepetitionPattern) -> PermanentResu
 def permanent_cauchy_binet(a, b, pattern: RepetitionPattern) -> PermanentResult:
     """Per((AB)_{p,q}) = sum over |k| = |p| of Per(A_{p,k}) Per(B_{k,q}) / k!.
 
-    The inner permanents come from `_repeated_permanents`, one call per
-    matrix, as Per((A^T)_{k,p}) and Per(B_{k,q}): each call's pairs share one
-    column multiplicity (p, then q), so each is one multiplicity sum of
+    The inner permanents come from one `_repeated_permanents` call, one job
+    per matrix, as Per((A^T)_{k,p}) and Per(B_{k,q}): each job's pairs share
+    one column multiplicity (p, then q), so each is one multiplicity sum of
     prod_j (p_j + 1), resp. prod_j (q_j + 1), terms per k.  TooLarge applies
     to |K| (prod_j (p_j + 1) + prod_j (q_j + 1)) for the |K| multi-indices k;
     the reported term count is |K|.
@@ -926,12 +928,13 @@ def permanent_cauchy_binet(a, b, pattern: RepetitionPattern) -> PermanentResult:
         warnings.warn("|p| != |q|: permanent of a rectangular repetition is 0", WeightMismatchWarning)
         return PermanentResult(0, "cauchy_binet", 0)
     terms = math.comb(npq + m - 1, m - 1)
-    _check_terms("Cauchy-Binet inner multiplicity sums", terms * (_multiplicity_terms(p) + _multiplicity_terms(q)))
+    check_budget("Cauchy-Binet inner multiplicity sums", terms * (_multiplicity_terms(p) + _multiplicity_terms(q)))
     exact = exact_a and exact_b
     kind = object if exact else np.complex128
     ks = list(enumerate_weight(m, npq))
-    per_at = _repeated_permanents(np.array(rows_a, dtype=kind).T, [(k, p) for k in ks])
-    per_b = _repeated_permanents(np.array(rows_b, dtype=kind), [(k, q) for k in ks])
+    per_at, per_b = _repeated_permanents(
+        (np.array(rows_a, dtype=kind).T, [(k, p) for k in ks]), (np.array(rows_b, dtype=kind), [(k, q) for k in ks])
+    )
     total: Scalar = 0
     for k in ks:
         pa, pb, kfac = per_at[k, p], per_b[k, q], factorial_product(k)

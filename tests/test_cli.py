@@ -153,6 +153,24 @@ class TestPer:
         assert len(lines) == 1 and lines[0].startswith("error:")
         assert f"{301**3} terms" in lines[0] and "10000000" in lines[0]
 
+    def test_unaddressable_repetition_is_one_error_line(self, capsys, tmp_path):
+        # a 1 x 10^17 complex matrix needs 1.39 EiB, past any address space, so nothing is allocated
+        path = tmp_path / "a1.json"
+        path.write_text(json.dumps(ComplexMatrix(np.ones((1, 1))).to_json_dict()))
+        argv = ["per", "--algo", "naive", "--matrix", str(path), "--rows", "[1]", "--cols", f"[{10**17}]"]
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 1 and out == ""
+        lines = err.strip().splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: ") and "allocate" in lines[0]
+
+    def test_warning_is_one_line_on_each_call(self, capsys, j3_file):
+        argv = ["per", "--algo", "cauchy-binet", "--matrix", j3_file, "--matrix-b", j3_file]
+        argv += ["--rows", "[2,1,0]", "--cols", "[1,1,0]"]
+        for _ in range(2):
+            code, out, err = run_cli(capsys, *argv)
+            assert code == 0 and last_json(out)["re"] == 0.0
+            assert err.splitlines() == ["warning: |p| != |q|: permanent of a rectangular repetition is 0"]
+
 
 class TestVerify:
     def test_single_identity(self, capsys):

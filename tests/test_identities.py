@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 import permkit.identities as ident
+import permkit.permanents as permanents
 from permkit import rng
 from permkit.combinatorics import RepetitionPattern, repeat_matrix
 from permkit.errors import DimensionMismatch, OddDimension, TooLarge, WeightMismatch
@@ -504,6 +505,26 @@ class TestOracleLimitBeforeSeriesWork:
         with pytest.raises(TooLarge, match=f"needs {6**12} terms"):
             verify_macmahon(rng.unit_disk_matrix(12, 1), 2)
 
+    @pytest.mark.parametrize(
+        "run, terms",
+        [
+            (lambda: verify_mmmt_two(rng.unit_disk_matrix(7, 1), rng.unit_disk_matrix(7, 2), 2), 178468056),
+            (lambda: verify_generating_function(rng.unit_disk_matrix(6, 1), "exp", 3), 312229425),
+            (lambda: verify_generating_function(rng.unit_disk_matrix(6, 1), "pow", 3, power=9), 42676400),
+            (lambda: verify_even_matrix(rng.unit_disk_matrix(12, 1), "full", 2), 341364446),
+            (lambda: verify_monomial_glynn(rng.unit_disk_matrix(3, 1), (150, 0, 0), 150), 698526906),
+        ],
+        ids=["mmmt-two", "generating-exp", "generating-pow", "even-full", "monomial"],
+    )
+    def test_table_verifiers_price_before_listing_exponents(self, monkeypatch, run, terms):
+        # the counts are those that pricing the listed pairs gives
+        def fail(*args, **kwargs):
+            raise AssertionError("exponents listed")
+
+        monkeypatch.setattr(ident, "_sub_indices", fail)
+        with pytest.raises(TooLarge, match=f"^permanent side needs {terms} terms; the budget is 10000000$"):
+            run()
+
     def test_exact_macmahon_above_the_limit_uses_the_monomial_route(self):
         caps = (4, 4, 4)
         assert sum(caps) > ident.NAIVE_MAX_DIM
@@ -691,14 +712,14 @@ class TestCaps:
         def fail(*args):
             raise AssertionError("permanent work started")
 
-        monkeypatch.setattr(ident, "_permanent_side", fail)
+        monkeypatch.setattr(ident, "_repeated_permanents", fail)
         with pytest.raises(ValueError, match="^caps must be non-negative$"):
             run()
 
 
 class TestPermanentSidePricing:
-    """The term budget counts prod_j (q_j + 1) for each pair with |p| = |q|, over
-    all the jobs, and refuses before any kernel work."""
+    """`_repeated_permanents` counts prod_j (q_j + 1) for each pair with
+    |p| = |q|, over all the jobs, and refuses before any kernel work."""
 
     JOBS = [
         # 2001^2, 2000 * 2002 and 1001 * 2001 terms; the pairs of unequal weight cost nothing
@@ -712,16 +733,43 @@ class TestPermanentSidePricing:
         def fail(*args):
             raise AssertionError("kernel work started")
 
-        monkeypatch.setattr(ident, "_repeated_permanents", fail)
+        for name in ("_sign_sums", "_exact_multiplicity_sums"):
+            monkeypatch.setattr(permanents, name, fail)
 
     def test_over_budget_raises_before_kernel_work(self):
         with pytest.raises(TooLarge, match=r"^permanent side needs 10011002 terms; the budget is 10000000$"):
-            ident._permanent_side(*((np.eye(2), pairs) for pairs in self.JOBS))
+            ident._repeated_permanents(*((np.eye(2), pairs) for pairs in self.JOBS))
 
     def test_within_budget_reaches_the_kernel(self):
         # 2001^2 + 2000 * 2002 = 8008001 terms
         with pytest.raises(AssertionError, match="kernel work started"):
-            ident._permanent_side(*((np.eye(2), pairs) for pairs in self.JOBS[:2]))
+            ident._repeated_permanents(*((np.eye(2), pairs) for pairs in self.JOBS[:2]))
+
+    @pytest.mark.parametrize("exact", [False, True])
+    def test_repeated_and_weight_zero_pairs_are_priced(self, exact):
+        # 2000 * 2500 terms twice, and 1 for (0, 0): one over the budget
+        pair, zero = ((4498, 0), (1999, 2499)), ((0, 0), (0, 0))
+        a = [[1, 0], [0, 1]] if exact else np.eye(2)
+        with pytest.raises(TooLarge, match=r"^permanent side needs 10000001 terms; the budget is 10000000$"):
+            ident._repeated_permanents((a, [pair, zero, pair]))
+        with pytest.raises(AssertionError, match="kernel work started"):
+            ident._repeated_permanents((a, [pair, pair]))
+
+
+@pytest.mark.parametrize("power", [1, 2])
+@pytest.mark.parametrize(
+    "p_caps, q_caps",
+    [((), ()), ((0,), (3,)), ((2, 0, 1), (1, 3, 0)), ((4, 1), (2, 2)), ((3, 3, 3), (5,) * 3), ((1,) * 5, (2,) * 5)],
+)
+def test_pair_price_counts_the_listed_pairs(p_caps, q_caps, power):
+    # the closed form against the pair-by-pair count over the listed pairs
+    def price(pairs):
+        return sum(math.prod((c + 1) ** power for c in q) for _, q in pairs)
+
+    pairs = ident._equal_weight_pairs(ident._sub_indices(p_caps), list(ident._sub_indices(q_caps)))
+    assert ident._pair_price(p_caps, q_caps, power) == price(pairs)
+    odd = [(p, q) for p, q in pairs if sum(p) % 2]
+    assert ident._pair_price(p_caps, q_caps, power, keep=lambda w: w % 2) == price(odd)
 
 
 class TestDeterminantSideBeyondEightRows:

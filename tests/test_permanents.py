@@ -609,7 +609,7 @@ def test_batched_permanents_match_naive(monkeypatch, budget):
     exact = _exact_rows("mixed", 3)
     pairs = [(p, q) for p, q in _multiplicity_patterns(3) if sum(p) <= 6]
     pairs += [((1, 0, 0), (0, 2, 0)), ((0, 0, 0), (0, 0, 0))]
-    got, got_exact = _repeated_permanents(a, pairs), _repeated_permanents(exact, pairs)
+    got, got_exact = _repeated_permanents((a, pairs), (exact, pairs))
     assert set(got) == set(pairs)
     for p, q in pairs:
         pat = RepetitionPattern(p, q)
@@ -812,7 +812,7 @@ def test_exact_batches_match_single_pairs():
     pairs += [((1, 2, 0), (0, 1, 2)), ((3, 0, 0), (1, 1, 1)), ((0, 0, 2), (2, 0, 0)), ((1, 1, 1), (1, 1, 1))]
     pairs += [((12, 0, 14), (26, 0, 0)), ((0, 1, 0), (1, 0, 0))]
     want = {pair: permanent_glynn_multiplicity(rows, RepetitionPattern(*pair)).value for pair in pairs}
-    got = _repeated_permanents(rows, pairs)
+    (got,) = _repeated_permanents((rows, pairs))
     assert got == want and all(type(got[k]) is type(want[k]) for k in pairs)
     for pair in pairs[:3]:
         assert want[pair] == table_permanent(rows, *pair)
