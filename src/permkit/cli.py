@@ -18,8 +18,8 @@ import time
 import warnings
 
 from . import __version__, _deferred
-from .combinatorics import RepetitionPattern, repeat_matrix
-from .errors import PermkitError
+from .combinatorics import RepetitionPattern, repeat_matrix, weight
+from .errors import DimensionMismatch, PermkitError
 from .numerics import ComplexMatrix, UnitaryMatrix
 from .permanents import ALGORITHMS, permanent_cauchy_binet, permanent_glynn_repeated_rows
 
@@ -177,7 +177,10 @@ def _cmd_per(args) -> tuple[object, int, list]:
         if rows is not None or cols is not None:
             m = mat.dim
             pattern = RepetitionPattern(rows or (1,) * m, cols or (1,) * m)
-            target = repeat_matrix(mat, pattern)
+            if pattern.length != m:
+                raise DimensionMismatch("pattern length must equal the matrix dimension")
+            # |p| != |q|: a 1 x 0 stand-in for the rectangular A_{p,q}, whose permanent is 0
+            target = repeat_matrix(mat, pattern) if weight(pattern.rows) == weight(pattern.cols) else [[]]
         result = PLAIN_ALGOS[algo](target)
     elif algo == "glynn-repeated-rows":
         q = rows if rows is not None else (1,) * mat.dim

@@ -21,8 +21,8 @@ relative from versions that drew x = exp(i theta) from the full 64-bit word.
 An integrand sum that overflows raises OverflowError.
 
 The frozen reference `pown_grid_expectation` is the exact 'pown' average
-over the root-of-unity grids of order n + 1, summed by the double-sum
-kernel that Glynn-Kan uses, `permanents._grid_double_sum`.
+over the root-of-unity grids prod_i mu_{p_i + 1} and prod_j mu_{q_j + 1}:
+the repeated Glynn-Kan double sum, `permanents.permanent_glynn_kan_repeated`.
 """
 
 from __future__ import annotations
@@ -35,8 +35,8 @@ from typing import Sequence
 import numpy as np
 
 from .combinatorics import RepetitionPattern, _as_int, factorial_product, weight
-from .errors import DimensionMismatch, WeightMismatch, check_budget
-from .permanents import _finite_array, _grid_double_sum, _root_grid
+from .errors import DimensionMismatch, WeightMismatch
+from .permanents import _finite_array, permanent_glynn_kan_repeated
 from .rng import bit_generator
 
 F_CHOICES = ("pown", "exp", "geom")
@@ -235,24 +235,10 @@ def estimator_variance_scan(
 
 
 def pown_grid_expectation(a, pattern: RepetitionPattern) -> complex:
-    """Exact expectation of the 'pown' integrand over the root-of-unity grids of order n + 1.
-
-    On per-variable grids of order n + 1 the discrete expectation equals
-    Per(A_{p,q}) exactly (no aliasing survives), which makes this a frozen
-    reference for the continuous-torus estimator.  The double sum is
-    `permanents._grid_double_sum` on `permanents._root_grid`.
-    """
-    arr = _finite_array(a)
-    m = arr.shape[0]
-    if arr.shape[1] != m or pattern.length != m:
-        raise DimensionMismatch("pattern length must equal the square matrix dimension")
+    """Exact expectation of the 'pown' integrand over the root-of-unity grids of
+    `permanents.permanent_glynn_kan_repeated`, where no aliasing survives, so it
+    equals Per(A_{p,q}): a frozen reference for the continuous-torus estimator."""
     p, q = pattern.rows, pattern.cols
-    n = weight(p)
-    if weight(q) != n:
-        raise WeightMismatch(f"|p| = {n} but |q| = {weight(q)}")
-    order = n + 1
-    grid = order**m
-    check_budget(f"discrete grid {order}^(2m)", grid * grid)
-    pq = float(factorial_product(p) * factorial_product(q))
-    points, (wx, wy) = _root_grid(order, m, np.arange(grid, dtype=np.int64), p, q)
-    return complex(_grid_double_sum(arr, points, wx, wy, n)) * pq / math.factorial(n) / (grid * grid)
+    if weight(q) != weight(p):
+        raise WeightMismatch(f"|p| = {weight(p)} but |q| = {weight(q)}")
+    return complex(permanent_glynn_kan_repeated(a, pattern).value)

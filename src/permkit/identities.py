@@ -695,6 +695,8 @@ def verify_monomial_glynn(a, p, cap: Union[int, Sequence[int]] = 2, tolerance: f
     mat, ring = _normalize(a)
     p = tuple(p)
     caps = _caps(cap, len(mat))
+    if len(p) != len(mat):  # checked here, as no pair reaches `_repeated_permanents` where no |q| = |p|
+        raise DimensionMismatch(f"p of length {len(p)} does not fit a {len(mat)} x {len(mat)} matrix")
     # the box of (|p|,) holds one exponent of each weight, and |p| is kept
     check_budget("permanent side", _pair_price((weight(p),), caps, keep=weight(p).__eq__))
     (per,) = _repeated_permanents((mat, _equal_weight_pairs([p], _sub_indices(caps))))

@@ -36,9 +36,10 @@ permanents and the identity verifiers' permanent sides all go through it.
 Glynn-Kan's double sum over x, y of w(x) w(y) (x^T A y)^n is one kernel,
 :func:`_grid_double_sum`.  Glynn-Kan runs it on the sign vectors of
 `_vertices` (the order-2 grid), in float or, on int/Fraction input, on an
-object array of Python ints, exactly.  Repeated-index Glynn-Kan and the
-estimators' `pown_grid_expectation` run it on the roots-of-unity grids of
-:func:`_root_grid`, which are numeric-only, as is the roots-of-unity sum.
+object array of Python ints, exactly.  Repeated-index Glynn-Kan (which the
+estimators' `pown_grid_expectation` returns) and the roots-of-unity sum run
+on :func:`_root_grid`, numeric-only: for exponents e, the grid prod_j
+mu_{e_j + 1}, whose root orders follow from e so that nothing aliases x^e.
 """
 
 from __future__ import annotations
@@ -762,7 +763,8 @@ def _batches(pairs: list, *keys) -> list[list]:
 
 def _repeated_permanents(*jobs) -> list[dict]:
     """Per (matrix A, pairs) job, {(p, q): Per(A_{p,q})} over its multi-index
-    pairs, 0 where |p| != |q|: the one entry for batches of multiplicity sums.
+    pairs, 0 where |p| != |q|, `DimensionMismatch` where p or q does not fit
+    A's shape: the one entry for batches of multiplicity sums.
 
     One walk per job prices its pairs, prod_j (q_j + 1) terms per listed pair
     with |p| = |q| (repeats and p = q = 0 included), and sorts out the distinct
@@ -776,8 +778,11 @@ def _repeated_permanents(*jobs) -> list[dict]:
     """
     terms, plans = 0, []
     for a, pairs in jobs:
+        data, nrows, ncols, exact = _coerce(a)
         out, todo = {}, {}
         for p, q in pairs:
+            if len(p) != nrows or len(q) != ncols:
+                raise DimensionMismatch(f"patterns of length {len(p)}, {len(q)} do not fit a {nrows} x {ncols} matrix")
             wp, wq, count = 0, 0, 1
             for pj, qj in zip(p, q):
                 wp, wq, count = wp + pj, wq + qj, count * (qj + 1)
@@ -789,10 +794,9 @@ def _repeated_permanents(*jobs) -> list[dict]:
                 todo[p, q] = wp
             else:
                 out[p, q] = 1
-        plans.append((a, out, todo))
+        plans.append((data, exact, out, todo))
     check_budget("permanent side", terms)
-    for a, out, todo in plans:
-        data, _, _, exact = _coerce(a)
+    for data, exact, out, todo in plans:
         for batch in _batches(list(todo), lambda q: tuple(c % 2 for c in q), lambda q: q) if todo else ():
             if exact:
                 out.update(zip(batch, _exact_multiplicity_sums(data, batch)))
@@ -800,43 +804,41 @@ def _repeated_permanents(*jobs) -> list[dict]:
             sums = _sign_sums(data, np.array([p for p, _ in batch]), [q for _, q in batch])
             for pair, s in zip(batch, sums.tolist()):
                 out[pair] = s / (1 << todo[pair])
-    return [out for _, out, _ in plans]
+    return [out for _, _, out, _ in plans]
 
 
-def _root_grid(order: int, m: int, ids: np.ndarray, *exponents) -> tuple[np.ndarray, list]:
-    """The points x of mu_order^m numbered by ``ids`` (base-order digits of the id,
-    the last digit fastest) and, per exponent vector e, the weights x^{-e}."""
-    digits = np.empty((ids.size, m), dtype=np.int64)
-    rest = ids
-    for j in range(m - 1, -1, -1):
-        digits[:, j] = rest % order
-        rest = rest // order
-    roots = np.exp(2j * np.pi * np.arange(order) / order)
-    return roots[digits], [roots[-(digits @ np.asarray(e, dtype=np.int64)) % order] for e in exponents]
+def _root_grid(e, ids: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The points x of prod_j mu_{e_j + 1} numbered by ``ids`` (mixed-radix digits, the
+    last fastest) and their weights x^{-e} = prod_j x_j.  Over the grid x^{c - e} sums to 0
+    for every c >= 0 with |c| = |e| but c = e, as c_j = e_j mod e_j + 1 forces c_j >= e_j."""
+    radix = [c + 1 for c in e]
+    digits = np.unravel_index(ids, radix)
+    x = np.stack([np.exp(2j * np.pi * np.arange(r) / r)[d] for r, d in zip(radix, digits)], axis=1)
+    return x, x.prod(axis=1)
 
 
 # Values of x^T A y in one block of `_grid_double_sum`, so that a block stays in cache.
 _DOUBLE_SUM_ENTRIES = 1 << 14
 
 
-def _grid_double_sum(arr: np.ndarray, points: np.ndarray, wx: np.ndarray, wy: np.ndarray, power: int):
-    """sum over the rows x, y of ``points`` of wx(x) wy(y) (x^T A y)^power.
+def _grid_double_sum(arr: np.ndarray, xs: np.ndarray, wx: np.ndarray, ys: np.ndarray, wy: np.ndarray, power: int):
+    """sum over the rows x of ``xs`` and y of ``ys`` of wx(x) wy(y) (x^T A y)^power.
 
     Blocks of x hold at most _DOUBLE_SUM_ENTRIES values of x^T A y.  On an
     object (int / Fraction) array, with int64 points and weights, every
     value stays a Python int or Fraction, so the sum is exact.
     """
-    ayt = arr @ points.T  # column g = A y_g
-    step = max(1, _DOUBLE_SUM_ENTRIES // points.shape[0])
+    ayt = arr @ ys.T  # column g = A y_g
+    step = max(1, _DOUBLE_SUM_ENTRIES // ys.shape[0])
     total = 0
-    for lo in range(0, points.shape[0], step):
-        s = points[lo : lo + step] @ ayt
+    for lo in range(0, xs.shape[0], step):
+        s = xs[lo : lo + step] @ ayt
         total += wx[lo : lo + step] @ (s**power) @ wy
     return total
 
 
 def permanent_roots_of_unity(a, pattern: RepetitionPattern) -> PermanentResult:
-    """Per(A_{p,q}) = (q!/n^m) * sum over x in mu_n^m of x^{-q} (Ax)^p, n = |p| = |q|."""
+    """Per(A_{p,q}) = (q!/G) * sum over the G = prod_j (q_j + 1) points x of `_root_grid(q)` of x^{-q} (Ax)^p."""
     arr = _finite_array(a)
     m = arr.shape[0]
     if arr.shape[1] != m or pattern.length != m:
@@ -848,12 +850,12 @@ def permanent_roots_of_unity(a, pattern: RepetitionPattern) -> PermanentResult:
         return PermanentResult(0j, "roots_of_unity", 0)
     if n == 0:
         return PermanentResult(1 + 0j, "roots_of_unity", 1)
-    grid = n**m
-    check_budget("roots-of-unity grid n^m", grid)
+    grid = _multiplicity_terms(q)
+    check_budget("roots-of-unity grid prod(q_j + 1)", grid)
     p_idx = [(i, p[i]) for i in range(m) if p[i]]
     total = 0j
     for lo in range(0, grid, _SUMS_ENTRIES):
-        x, (term,) = _root_grid(n, m, np.arange(lo, min(lo + _SUMS_ENTRIES, grid), dtype=np.int64), q)
+        x, term = _root_grid(q, np.arange(lo, min(lo + _SUMS_ENTRIES, grid), dtype=np.int64))
         w = x @ arr.T
         for i, pi in p_idx:
             term *= w[:, i] ** pi
@@ -876,16 +878,18 @@ def permanent_glynn_kan(a) -> PermanentResult:
     denom = 4**m * math.factorial(m)
     points, signs = _vertices(m, -1)
     if not exact:
-        return PermanentResult(complex(_grid_double_sum(data, points, signs, signs, m)) / denom, "glynn_kan", 4**m)
+        total = _grid_double_sum(data, points, signs, points, signs, m)
+        return PermanentResult(complex(total) / denom, "glynn_kan", 4**m)
     # Per(A) = Per(DA) / prod(d) for the row scaling D that makes the entries integers
     dens, ints = _integer_rows(data)
     points, signs = points.real.astype(np.int64), signs.astype(np.int64)
-    total = _grid_double_sum(np.array(ints, dtype=object), points, signs, signs, m)
+    total = _grid_double_sum(np.array(ints, dtype=object), points, signs, points, signs, m)
     return PermanentResult(_exact_type(Fraction(total, denom * math.prod(dens)), data), "glynn_kan", 4**m)
 
 
 def permanent_glynn_kan_repeated(a, pattern: RepetitionPattern) -> PermanentResult:
-    """Per(A_{p,q}) = p!q!/(n^{2m} n!) * sum over x,y in mu_n^m of x^{-p} y^{-q} (x^T A y)^n."""
+    """Per(A_{p,q}) = p!q!/(n! G_x G_y) * sum over the G_x points x of `_root_grid(p)` and the
+    G_y points y of `_root_grid(q)` of x^{-p} y^{-q} (x^T A y)^n, n = |p| = |q|."""
     arr = _finite_array(a)
     m = arr.shape[0]
     if arr.shape[1] != m or pattern.length != m:
@@ -897,12 +901,13 @@ def permanent_glynn_kan_repeated(a, pattern: RepetitionPattern) -> PermanentResu
         return PermanentResult(0j, "glynn_kan_repeated", 0)
     if n == 0:
         return PermanentResult(1 + 0j, "glynn_kan_repeated", 1)
-    check_budget("roots-of-unity double grid n^(2m)", n ** (2 * m))
-    grid = n**m
-    scalefac = float(Fraction(factorial_product(p) * factorial_product(q), grid * grid * math.factorial(n)))
-    points, (wx, wy) = _root_grid(n, m, np.arange(grid, dtype=np.int64), p, q)
-    value = complex(_grid_double_sum(arr, points, wx, wy, n)) * scalefac
-    return PermanentResult(value, "glynn_kan_repeated", grid * grid)
+    gx, gy = _multiplicity_terms(p), _multiplicity_terms(q)
+    check_budget("roots-of-unity double grid prod(p_i + 1) prod(q_j + 1)", gx * gy)
+    scalefac = float(Fraction(factorial_product(p) * factorial_product(q), gx * gy * math.factorial(n)))
+    xs, wx = _root_grid(p, np.arange(gx))
+    ys, wy = _root_grid(q, np.arange(gy))
+    value = complex(_grid_double_sum(arr, xs, wx, ys, wy, n)) * scalefac
+    return PermanentResult(value, "glynn_kan_repeated", gx * gy)
 
 
 def permanent_cauchy_binet(a, b, pattern: RepetitionPattern) -> PermanentResult:

@@ -88,9 +88,9 @@ def test_criterion_1_oracle_equivalence():
 
 
 def test_criterion_1b_double_roots_variant_within_budget():
-    # The double roots-of-unity sum costs n^(2m) terms; at m = 6 with unit
-    # patterns that is 6^12 > 1e7, which the term budget rejects, so the
-    # oracle check runs at m <= 5.
+    # The double roots-of-unity sum costs prod_i (p_i + 1) prod_j (q_j + 1)
+    # terms; at m = 6 with every index three times that is 4^12 > 1e7, which
+    # the term budget rejects.
     tol = 1e-8
     worst = 0.0
     for m in range(1, 5):
@@ -111,7 +111,7 @@ def test_criterion_1b_double_roots_variant_within_budget():
             ),
         )
     try:
-        permanent_glynn_kan_repeated(np.eye(6), RepetitionPattern.uniform(6))
+        permanent_glynn_kan_repeated(np.eye(6), RepetitionPattern((3,) * 6, (3,) * 6))
         budget_enforced = False
     except TooLarge:
         budget_enforced = True

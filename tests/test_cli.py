@@ -154,14 +154,46 @@ class TestPer:
         assert f"{301**3} terms" in lines[0] and "10000000" in lines[0]
 
     def test_unaddressable_repetition_is_one_error_line(self, capsys, tmp_path):
-        # a 1 x 10^17 complex matrix needs 1.39 EiB, past any address space, so nothing is allocated
+        # its first step, a 10^17 x 1 complex matrix, needs 1.39 EiB, past any address space, so nothing is allocated
         path = tmp_path / "a1.json"
         path.write_text(json.dumps(ComplexMatrix(np.ones((1, 1))).to_json_dict()))
-        argv = ["per", "--algo", "naive", "--matrix", str(path), "--rows", "[1]", "--cols", f"[{10**17}]"]
+        argv = ["per", "--algo", "naive", "--matrix", str(path), "--rows", f"[{10**17}]", "--cols", f"[{10**17}]"]
         code, out, err = run_cli(capsys, *argv)
         assert code == 1 and out == ""
         lines = err.strip().splitlines()
         assert len(lines) == 1 and lines[0].startswith("error: ") and "allocate" in lines[0]
+
+    @pytest.mark.parametrize("algo", ["naive", "ryser", "glynn", "glynn-kan"])
+    def test_weight_mismatch_prints_zero_without_the_repetition(self, capsys, tmp_path, monkeypatch, algo):
+        def refuse(*args):
+            raise AssertionError("repeat_matrix called")
+
+        monkeypatch.setattr(cli, "repeat_matrix", refuse)
+        path = tmp_path / "a1.json"
+        path.write_text(json.dumps(ComplexMatrix(np.ones((1, 1))).to_json_dict()))
+        argv = ["per", "--algo", algo, "--matrix", str(path), "--rows", "[1]", "--cols", "[10000000]"]
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 0 and err == ""
+        payload = last_json(out)
+        assert (payload["re"], payload["im"], payload["terms"]) == (0.0, 0.0, 0)
+        assert payload["algo"] == algo.replace("-", "_")
+        # a pattern that does not fit the matrix is still an error
+        code, out, err = run_cli(capsys, *argv[:-4], "--rows", "[1,0]", "--cols", "[0,2]")
+        assert code == 1 and out == ""
+        assert err.splitlines() == ["error: pattern length must equal the matrix dimension"]
+
+    def test_root_grid_algorithms_match_ryser_when_a_column_takes_every_index(self, capsys, tmp_path):
+        path = tmp_path / "a3.json"
+        path.write_text(json.dumps(ComplexMatrix(rng.unit_disk_matrix(3, 1)).to_json_dict()))
+        values = {}
+        for algo in ("ryser", "roots-of-unity", "glynn-kan-repeated"):
+            argv = ["per", "--algo", algo, "--matrix", str(path), "--rows", "[1,1,1]", "--cols", "[0,3,0]"]
+            code, out, err = run_cli(capsys, *argv)
+            assert code == 0 and err == ""
+            values[algo] = complex(last_json(out)["re"], last_json(out)["im"])
+        ref = values.pop("ryser")
+        for value in values.values():
+            assert abs(value - ref) <= 1e-12 * max(1.0, abs(ref))
 
     def test_warning_is_one_line_on_each_call(self, capsys, j3_file):
         argv = ["per", "--algo", "cauchy-binet", "--matrix", j3_file, "--matrix-b", j3_file]
@@ -240,6 +272,12 @@ class TestVerify:
         assert code == 1
         assert out == ""
         assert err == "error: caps must be non-negative\n"
+
+    def test_monomial_pattern_longer_than_the_matrix_exits_one(self, capsys):
+        code, out, err = run_cli(capsys, "verify", "--identity", "monomial", "--rows", "[1,2,3,4]")
+        assert code == 1 and out == ""
+        lines = err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: ") and "3 x 3 matrix" in lines[0]
 
     def test_unachievable_tolerance_exits_two(self, capsys):
         code, out, _ = run_cli(capsys, "--tolerance", "0", "verify", "--identity", "macmahon")

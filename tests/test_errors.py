@@ -7,7 +7,7 @@ from permkit import bosonic, estimators, identities, permanents, series
 from permkit.combinatorics import RepetitionPattern
 from permkit.errors import TooLarge, check_budget
 
-SIX = RepetitionPattern((6, 0, 0, 0, 0, 0), (6, 0, 0, 0, 0, 0))
+SIX = RepetitionPattern((3,) * 6, (3,) * 6)
 
 
 @pytest.mark.parametrize(
@@ -23,7 +23,8 @@ SIX = RepetitionPattern((6, 0, 0, 0, 0, 0), (6, 0, 0, 0, 0, 0))
         ),
         (
             lambda: estimators.pown_grid_expectation(np.eye(6), SIX),
-            r"discrete grid 7\^\(2m\) needs 13841287201 terms; the budget is 10000000",
+            # 4^6 points for x times 4^6 for y
+            r"roots-of-unity double grid prod\(p_i \+ 1\) prod\(q_j \+ 1\) needs 16777216 terms; the budget is 10000000",
         ),
         (
             lambda: identities.verify_mmmt_n([np.eye(3)] * 3, 3),

@@ -464,6 +464,27 @@ class TestSquareMatrices:
             run(mat)
 
 
+class TestPatternLengths:
+    """A pattern whose length does not fit the matrix raises DimensionMismatch:
+    from `_repeated_permanents`, or from the monomial verifier itself."""
+
+    @pytest.mark.parametrize(
+        "run",
+        [
+            lambda a, p: verify_monomial_glynn(a, p, 2),
+            lambda a, p: verify_corollary_rank_one(a, p, p),
+            lambda a, p: verify_sum_formula(a, a, RepetitionPattern(p, p)),
+            lambda a, p: verify_laplace(a, RepetitionPattern(p, p), 1),
+            lambda a, p: verify_sum_of_permanents(a, a, RepetitionPattern(p, p)),
+        ],
+        ids=["monomial", "corollary", "sum-formula", "laplace", "sum-of-permanents"],
+    )
+    @pytest.mark.parametrize("p", [(1,), (1, 2, 3), (1, 1, 1, 1)])
+    def test_wrong_length_raises_dimension_mismatch(self, run, p):
+        with pytest.raises(DimensionMismatch, match="fit a 2 x 2 matrix"):
+            run(rng.unit_disk_matrix(2, 5), p)
+
+
 class TestOracleLimitBeforeSeriesWork:
     """Verifiers whose permanent side needs more than TERM_BUDGET sign-sum
     terms, prod_j (q_j + 1) per pair (p, q), raise TooLarge before building

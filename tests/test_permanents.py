@@ -10,8 +10,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from permkit import permanents, rng
-from permkit.combinatorics import RepetitionPattern, factorial_product, repeat_matrix
+from permkit.combinatorics import RepetitionPattern, enumerate_weight, factorial_product, repeat_matrix
 from permkit.errors import DimensionMismatch, TooLarge, WeightMismatchWarning
+from permkit.estimators import pown_grid_expectation
 from permkit.numerics import ComplexMatrix, scaled_error
 from permkit.permanents import (
     TERM_BUDGET,
@@ -230,6 +231,25 @@ class TestRootsOfUnity:
         assert res.term_count == 4
 
 
+@pytest.mark.parametrize("m, top", [(1, 4), (2, 4), (3, 4), (4, 3)])
+def test_root_grid_routes_match_naive_on_every_pattern(m, top):
+    # every pattern, also those with a q_j (or p_j) equal to n: roots of unity of order n alias x^n with x^0
+    a = rng.unit_disk_matrix(m, 600 + m)
+    for n in range(top + 1):
+        for p in enumerate_weight(m, n):
+            for q in enumerate_weight(m, n):
+                pat = RepetitionPattern(p, q)
+                ref = permanent_naive(repeat_matrix(a, pat)).value
+                roots = permanent_roots_of_unity(a, pat)
+                kan = permanent_glynn_kan_repeated(a, pat)
+                assert scaled_error(roots.value, ref) <= 1e-10, (p, q)
+                assert scaled_error(kan.value, ref) <= 1e-10, (p, q)
+                assert scaled_error(pown_grid_expectation(a, pat), ref) <= 1e-10, (p, q)
+                if n:
+                    assert roots.term_count == math.prod(c + 1 for c in q)
+                    assert kan.term_count == math.prod(c + 1 for c in p + q)
+
+
 class TestGlynnKan:
     def test_scalar(self):
         assert permanent_glynn_kan(np.array([[1.5 - 2j]])).value == pytest.approx(1.5 - 2j)
@@ -262,9 +282,9 @@ class TestGlynnKanRepeated:
         assert res.value == 0
 
     def test_budget_guard_at_m6(self):
-        # Uniform pattern on a 6x6 needs 6^12 grid points, beyond the 1e7 budget.
+        # Every index three times on a 6x6 needs 4^6 * 4^6 grid points, beyond the 1e7 budget.
         with pytest.raises(TooLarge):
-            permanent_glynn_kan_repeated(np.eye(6), RepetitionPattern.uniform(6))
+            permanent_glynn_kan_repeated(np.eye(6), RepetitionPattern((3,) * 6, (3,) * 6))
 
 
 class TestCauchyBinet:
@@ -624,8 +644,8 @@ def test_batched_permanents_match_naive(monkeypatch, budget):
         (lambda: permanent_glynn([[1] * 24] * 24), 2**24, TERM_BUDGET),
         (lambda: permanent_naive(np.ones((11, 11))), math.factorial(11), math.factorial(10)),
         (lambda: permanent_glynn_kan(np.eye(12)), 4**12, TERM_BUDGET),
-        (lambda: permanent_glynn_kan_repeated(np.eye(6), RepetitionPattern.uniform(6)), 6**12, TERM_BUDGET),
-        (lambda: permanent_roots_of_unity(np.eye(8), RepetitionPattern.uniform(8)), 8**8, TERM_BUDGET),
+        (lambda: permanent_glynn_kan_repeated(np.eye(12), RepetitionPattern.uniform(12)), 4**12, TERM_BUDGET),
+        (lambda: permanent_roots_of_unity(np.eye(24), RepetitionPattern.uniform(24)), 2**24, TERM_BUDGET),
         (lambda: permanent_glynn_multiplicity(np.eye(3), RepetitionPattern((300,) * 3, (300,) * 3)), 301**3, TERM_BUDGET),
     ],
     ids=["ryser", "glynn", "naive", "glynn-kan", "glynn-kan-repeated", "roots-of-unity", "glynn-multiplicity"],
