@@ -12,10 +12,11 @@ outcomes; :func:`fock_amplitude` keeps the Ryser route as the reference.
 
 The outcomes of weight k in m modes depend on nothing else, so they are
 enumerated once into an outcome plan (`_OutcomePlan`): the outcome tuples,
-which become the keys of every ``probs`` dict built from the plan, and the
-read-only exponent array and sqrt(p!).  Plans are kept least recently used
-first, up to _PLAN_OUTCOMES outcomes in total, tens of MB at m <= 20; a
-plan beyond that bound serves its call and is not kept.
+their read-only object array (the outcome table), and the read-only exponent
+array and sqrt(p!).  Distributions hold outcome tables, float64 weights and
+photon numbers in plan order; ``probs`` is a read-only view (`_Probs`).  Plans
+are kept least recently used first, up to _PLAN_OUTCOMES outcomes in total,
+tens of MB at m <= 20; a plan beyond that bound serves its call and is not kept.
 """
 
 from __future__ import annotations
@@ -25,7 +26,6 @@ import threading
 from collections import OrderedDict
 from dataclasses import asdict, dataclass
 from functools import lru_cache
-from itertools import chain
 from typing import Mapping, Optional, Sequence, Union
 
 import numpy as np
@@ -96,6 +96,34 @@ class CatInputSpec:
         object.__setattr__(self, "alpha", alpha)
 
 
+class _Probs(Mapping):
+    """A read-only view of three read-only arrays in plan order: outcomes (tuples),
+    float64 weights and photon numbers.  Only a key lookup builds (and keeps) a dict."""
+
+    def __init__(self, outcomes: np.ndarray, weights: np.ndarray, photons: np.ndarray) -> None:
+        self.outcomes, self.weights, self.photons, self._dict = outcomes, weights, photons, None
+        for arr in (outcomes, weights, photons):
+            arr.setflags(write=False)
+
+    def __getitem__(self, outcome):
+        if self._dict is None:
+            self._dict = dict(zip(self.outcomes.tolist(), self.weights.tolist()))
+        return self._dict[outcome]
+
+    def __iter__(self):
+        return iter(self.outcomes.tolist())
+
+    def __len__(self) -> int:
+        return self.outcomes.size
+
+    def clear(self):
+        raise TypeError("outcome probabilities are read-only")
+
+    def total(self, at=...) -> float:
+        """0.0 plus the weights ``at`` selects one by one, as sum() and the sampler's np.cumsum add them."""
+        return float(np.cumsum(np.append(0.0, self.weights[at]))[-1])
+
+
 @dataclass(frozen=True)
 class OutcomeDistribution:
     """Enumerated photon-count distribution plus the mass beyond the cutoff."""
@@ -105,11 +133,18 @@ class OutcomeDistribution:
     truncated_mass: float
     tail_bound: Optional[float] = None
 
+    def __post_init__(self) -> None:
+        if not isinstance(self.probs, _Probs):  # a Mapping, converted here, once
+            outcomes = np.fromiter(self.probs, dtype=object, count=len(self.probs))
+            weights = np.fromiter(self.probs.values(), dtype=np.float64, count=outcomes.size)
+            photons = np.fromiter(map(weight, outcomes), dtype=np.intp, count=outcomes.size)
+            object.__setattr__(self, "probs", _Probs(outcomes, weights, photons))
+
     def total_enumerated(self) -> float:
-        return float(sum(self.probs.values()))
+        return self.probs.total()
 
     def mass_at_weight(self, n: int) -> float:
-        return float(sum(v for k, v in self.probs.items() if weight(k) == n))
+        return self.probs.total(self.probs.photons == n)
 
 
 def tv_distance(p: Mapping[FockOutcome, float], q: Mapping[FockOutcome, float]) -> float:
@@ -132,19 +167,20 @@ def fock_amplitude(u, p: Sequence[int], q: Sequence[int]) -> complex:
 
 
 # The outcome plans kept between calls hold at most this many outcomes in
-# total.  A plan takes about 56 + 16m bytes per outcome (its tuple, exponent
-# row and sqrt(p!); tracemalloc measured 187-203 B at m = 8 and 376 B at
-# m = 20), so the bound is about 25 MB at m = 8 and 49 MB at m = 20.
+# total.  A plan takes about 64 + 16m bytes per outcome (its tuple, table
+# entry, exponent row and sqrt(p!); tracemalloc measured 175-196 B at m = 8
+# and 387-409 B at m = 20), so the bound is about 25 MB at m = 8 and 51 MB at m = 20.
 _PLAN_OUTCOMES = 1 << 17
 
 
 @dataclass(frozen=True)
 class _OutcomePlan:
-    """The outcomes of one weight in enumeration order: as tuples, which every
-    distribution built from the plan shares as its keys, as a read-only N x m
-    exponent array, and sqrt(p!) of each, read-only too."""
+    """The outcomes of one weight in enumeration order: as tuples, as the outcome
+    table (their object array) that every distribution built from the plan
+    shares, as an N x m exponent array, and sqrt(p!) of each; arrays read-only."""
 
     outcomes: tuple[FockOutcome, ...]
+    table: np.ndarray
     powers: np.ndarray
     root_fact: np.ndarray
 
@@ -153,9 +189,10 @@ def _build_plan(m: int, k: int) -> _OutcomePlan:
     powers = weight_array(m, k)
     factorials = np.array([math.factorial(e) for e in range(k + 1)], dtype=np.float64)
     root_fact = np.sqrt(factorials[powers].prod(axis=1))
-    powers.setflags(write=False)
-    root_fact.setflags(write=False)
-    return _OutcomePlan(tuple(map(tuple, powers.tolist())), powers, root_fact)
+    table = np.fromiter(map(tuple, powers.tolist()), dtype=object, count=len(powers))
+    for arr in (table, powers, root_fact):
+        arr.setflags(write=False)
+    return _OutcomePlan(tuple(table), table, powers, root_fact)
 
 
 class _PlanCache:
@@ -201,7 +238,7 @@ def bs_distribution(u, n: int) -> OutcomeDistribution:
     check_budget(f"outcome support of {n} photons in {m} modes", count_weight(m, n), SUPPORT_BUDGET, "outcomes")
     plan = _plans.get(m, n)
     amps = _sign_sums(arr[:, :n], plan.powers) / (2**n * plan.root_fact)
-    return OutcomeDistribution(dict(zip(plan.outcomes, (np.abs(amps) ** 2).tolist())), cutoff=n, truncated_mass=0.0)
+    return OutcomeDistribution(_Probs(plan.table, np.abs(amps) ** 2, np.full(plan.table.size, n)), n, 0.0)
 
 
 def _log_sinh(x: float) -> float:
@@ -299,24 +336,24 @@ def cat_distribution(u, spec: CatInputSpec, cutoff: Optional[int] = None) -> Out
         raise ValueError(f"cutoff {cutoff} below the minimum photon number {n}")
     support = sum(count_weight(m, k) for k in range(n, cutoff + 1, 2))
     check_budget(f"outcome support of {n}..{cutoff} photons in {m} modes", support, SUPPORT_BUDGET, "outcomes")
-    probs: dict[FockOutcome, float] = {}
+    segments = []
     for k in range(n, cutoff + 1, 2):
         plan = _plans.get(m, k)
         amps = _cat_scale(spec.alpha, n, k) * _sign_sums(arr[:, :n], plan.powers) / plan.root_fact
-        probs.update(zip(plan.outcomes, (np.abs(amps) ** 2).tolist()))
-    enumerated = sum(probs.values())
+        segments.append((plan.table, np.abs(amps) ** 2, np.full(plan.table.size, k)))
+    probs = _Probs(*map(np.concatenate, zip(*segments)))
     tail = max(0.0, 1.0 - sum(cat_total_photon_pmf(spec.alpha, n, cutoff)))
-    return OutcomeDistribution(probs, cutoff=cutoff, truncated_mass=max(0.0, 1.0 - enumerated), tail_bound=tail)
+    return OutcomeDistribution(probs, cutoff=cutoff, truncated_mass=max(0.0, 1.0 - probs.total()), tail_bound=tail)
 
 
 def reject_to_fixed_n(dist: OutcomeDistribution, n: int) -> OutcomeDistribution:
     """Condition on |p| = n: P(p) -> P(p) / sum_{|q|=n} P(q)."""
     n = _as_int("n", n)
-    kept = {p: v for p, v in dist.probs.items() if weight(p) == n}
-    mass = sum(kept.values())
+    mass = dist.mass_at_weight(n)
     if mass <= 0.0:
         raise EmptyConditioning(f"no enumerated mass at photon number {n}")
-    return OutcomeDistribution({p: v / mass for p, v in kept.items()}, cutoff=n, truncated_mass=0.0)
+    probs, at_n = dist.probs, dist.probs.photons == n
+    return OutcomeDistribution(_Probs(probs.outcomes[at_n], probs.weights[at_n] / mass, probs.photons[at_n]), n, 0.0)
 
 
 # The guide has at most 2^_GUIDE_BITS buckets, indexed by the top bits of a raw word.
@@ -391,10 +428,10 @@ def _sample_indices(dist: OutcomeDistribution, count: int, seed: int) -> tuple[n
     count = _as_int("count", count, 0)
     seed = _as_int("seed", seed)
     check_budget("sampling", count, DRAW_BUDGET, "draws")
+    table, weights = dist.probs.outcomes, dist.probs.weights
     # a truncated mass that is not a valid weight is kept, so the check below sees it
-    tail = () if dist.truncated_mass == 0.0 else (dist.truncated_mass,)
-    table = np.fromiter(chain(dist.probs, (OVERFLOW,) * len(tail)), dtype=object, count=len(dist.probs) + len(tail))
-    weights = np.fromiter(chain(dist.probs.values(), tail), dtype=np.float64, count=table.size)
+    if dist.truncated_mass != 0.0:
+        table, weights = np.append(table, OVERFLOW), np.append(weights, dist.truncated_mass)
     with np.errstate(over="ignore"):  # an overflowing total is refused below
         cdf = np.cumsum(weights)
     if not (weights.size and weights.min() >= 0.0 and 0.0 < cdf[-1] < math.inf):
@@ -406,10 +443,10 @@ def sample(dist: OutcomeDistribution, count: int, seed: int) -> list[Outcome]:
     """Inverse-CDF sampling; the truncated mass maps to the OVERFLOW sentinel.
 
     Draw i is outcome min(searchsorted(cdf, w_i * total / 2^64, side="right"),
-    L) for the i-th raw Philox word w_i of `seed`, over the outcomes in dict
-    order followed by OVERFLOW, with L the last of positive weight: the same
-    draws as earlier versions, which capped at N - 1, except that a top word
-    never takes a trailing outcome of zero weight.
+    L) for the i-th raw Philox word w_i of `seed`, over the outcomes in
+    enumeration order followed by OVERFLOW, with L the last of positive
+    weight: the same draws as earlier versions, which capped at N - 1, except
+    that a top word never takes a trailing outcome of zero weight.
     """
     table, idx = _sample_indices(dist, count, seed)
     return table[idx].tolist()
@@ -423,12 +460,11 @@ def kept_draws(
     from ``reference``, counted per outcome index."""
     n = _as_int("n", n)
     table, idx = _sample_indices(dist, count, seed)
-    outcomes = table.tolist()
-    at_n = np.array([o is not OVERFLOW and weight(o) == n for o in outcomes])
-    counts = np.bincount(idx, minlength=len(outcomes)) * at_n
-    kept = int(counts.sum())
-    empirical = {outcomes[i]: c / kept for i, c in enumerate(counts.tolist()) if c}
-    return outcomes, idx[at_n[idx]], tv_distance(empirical, reference)
+    at_n = np.append(dist.probs.photons == n, False)[: table.size]  # OVERFLOW, if in the table, is not at n
+    counts = np.bincount(idx, minlength=table.size) * at_n
+    drawn = np.flatnonzero(counts)
+    empirical = dict(zip(table[drawn].tolist(), (counts[drawn] / counts.sum()).tolist()))
+    return table.tolist(), idx[at_n[idx]], tv_distance(empirical, reference)
 
 
 @dataclass(frozen=True)

@@ -183,6 +183,8 @@ def _cmd_per(args) -> tuple[object, int, list]:
             target = repeat_matrix(mat, pattern) if weight(pattern.rows) == weight(pattern.cols) else [[]]
         result = PLAIN_ALGOS[algo](target)
     elif algo == "glynn-repeated-rows":
+        if cols is not None:
+            raise ValueError("glynn-repeated-rows repeats rows only; it takes --rows, not --cols")
         q = rows if rows is not None else (1,) * mat.dim
         result = permanent_glynn_repeated_rows(mat, q)
     elif algo == "cauchy-binet":

@@ -145,10 +145,12 @@ def _series_side(s: TruncatedSeries) -> tuple[np.ndarray, np.ndarray]:
 
 def _table(ring, caps, entries: dict) -> tuple[np.ndarray, np.ndarray]:
     """{flat index: value} entries over the layout of caps, zero elsewhere, each
-    over the factorial product e! of its exponent e, as `_side` gives them."""
+    over the factorial product e! of its exponent e, as `_side` gives them; a
+    complex e! is a float64 product: exact below 2^53, rounded above, inf past float64 (entry 0)."""
     exponents, _, _ = _layout(caps)
-    fact = np.array([math.factorial(k) for k in range(max(caps, default=0) + 1)], dtype=object)
-    den = fact[exponents].prod(axis=1)
+    fact = [math.factorial(k) if ring == RATIONAL or k <= 170 else math.inf for k in range(max(caps, default=0) + 1)]
+    with np.errstate(over="ignore"):
+        den = np.array(fact, dtype=object if ring == RATIONAL else np.float64)[exponents].prod(axis=1)
     index = np.fromiter(entries, dtype=np.intp, count=len(entries))
     if ring == RATIONAL:
         num, scale = np.zeros(len(den), dtype=object), np.ones(len(den), dtype=object)
@@ -156,7 +158,7 @@ def _table(ring, caps, entries: dict) -> tuple[np.ndarray, np.ndarray]:
         return num, den * scale
     num = np.zeros(len(den), dtype=np.complex128)
     num[index] = list(entries.values())
-    return num, den.astype(np.float64)
+    return num, den
 
 
 def _normalize(a):

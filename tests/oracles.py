@@ -7,7 +7,8 @@ permanents by a sum over contingency tables, and the series
 inverse, inverse square root, exp and log by their order-by-order recursions
 over single coefficients, the torus estimator's integrand from float
 angles and float powers, the sampler's inverse-CDF map by one binary
-search per draw, and the identity checks' comparison one entry at a time.
+search per draw, sampling, keeping |p| = n and conditioning on it over a
+plain dict, and the identity checks' comparison one entry at a time.
 """
 
 from __future__ import annotations
@@ -18,6 +19,7 @@ from fractions import Fraction
 
 import numpy as np
 
+from permkit.bosonic import OVERFLOW
 from permkit.numerics import scaled_error
 
 
@@ -205,6 +207,43 @@ def inverse_cdf_indices(cdf, raw) -> np.ndarray:
     keys = np.asarray(raw, dtype=np.uint64) * (cdf[-1] / 2.0**64)
     last = np.flatnonzero(np.diff(cdf, prepend=0.0) > 0)[-1]
     return np.minimum(np.searchsorted(cdf, keys, side="right"), last)
+
+
+def dict_draws(probs: dict, truncated_mass: float, count: int, seed: int) -> tuple[list, np.ndarray]:
+    """The outcomes of ``probs`` in dict order, then OVERFLOW when the
+    truncated mass is not 0, and the index of each of `count` draws into them
+    by `inverse_cdf_indices` on the seed's raw Philox words."""
+    outcomes, weights = list(probs), [float(v) for v in probs.values()]
+    if truncated_mass != 0.0:
+        outcomes.append(OVERFLOW)
+        weights.append(truncated_mass)
+    raw = np.random.Philox(key=seed & ((1 << 64) - 1)).random_raw(count)
+    return outcomes, inverse_cdf_indices(np.cumsum(weights), raw)
+
+
+def dict_sample(probs: dict, truncated_mass: float, count: int, seed: int) -> list:
+    outcomes, idx = dict_draws(probs, truncated_mass, count, seed)
+    return [outcomes[i] for i in idx.tolist()]
+
+
+def dict_kept_draws(probs: dict, truncated_mass: float, n: int, count: int, seed: int, reference: dict):
+    """(outcomes, indices of the draws with |p| = n, TV distance of their
+    empirical law from ``reference``), one outcome at a time."""
+    outcomes, idx = dict_draws(probs, truncated_mass, count, seed)
+    at_n = np.array([o is not OVERFLOW and sum(o) == n for o in outcomes])
+    counts = np.bincount(idx, minlength=len(outcomes)) * at_n
+    kept = int(counts.sum())
+    empirical = {outcomes[i]: c / kept for i, c in enumerate(counts.tolist()) if c}
+    keys = set(empirical) | set(reference)
+    tv = 0.5 * sum(abs(empirical.get(k, 0.0) - reference.get(k, 0.0)) for k in keys)
+    return outcomes, idx[at_n[idx]], tv
+
+
+def dict_reject_to_fixed_n(probs: dict, n: int):
+    """P(p) / sum_{|q| = n} P(q) over |p| = n, or None without mass there."""
+    kept = {p: v for p, v in probs.items() if sum(p) == n}
+    mass = sum(kept.values())
+    return {p: v / mass for p, v in kept.items()} if mass > 0.0 else None
 
 
 def torus_integrand_samples(

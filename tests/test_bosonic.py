@@ -33,7 +33,7 @@ from permkit.combinatorics import count_weight, enumerate_weight, weight_array
 from permkit.errors import EmptyConditioning, TooLarge, ZeroAmplitude
 from permkit.permanents import _LOW_BITS, _SUMS_ENTRIES, _sign_sums
 
-from oracles import gray_code_cat_sign_sum, inverse_cdf_indices
+from oracles import dict_kept_draws, dict_reject_to_fixed_n, dict_sample, gray_code_cat_sign_sum, inverse_cdf_indices
 
 
 class TestFockAmplitude:
@@ -259,17 +259,6 @@ def _edge_words(bits: int) -> np.ndarray:
     return np.array(sorted(words), dtype=np.uint64)
 
 
-def _oracle_sample(dist, count, seed):
-    """Draws by one binary search per raw word, over a plainly built table."""
-    outcomes = list(dist.probs)
-    weights = [float(v) for v in dist.probs.values()]
-    if dist.truncated_mass > 0.0:
-        outcomes.append(OVERFLOW)
-        weights.append(dist.truncated_mass)
-    idx = inverse_cdf_indices(np.cumsum(weights), rng.bit_generator(seed).random_raw(count))
-    return [outcomes[i] for i in idx.tolist()]
-
-
 def _dyadic_grid(bits: int) -> np.ndarray:
     """2^bits weights summing to 1, every other one zero: the CDF steps sit on
     the keys of bucket edges of every guide with at least 2^(bits - 1) buckets."""
@@ -439,7 +428,7 @@ class TestSameDraws:
     )
     @pytest.mark.parametrize("count", [0, 1, 2, 255, 257, (1 << 17) + 1])
     def test_sample_matches_binary_search(self, dist, count):
-        assert sample(dist, count, count + 3) == _oracle_sample(dist, count, count + 3)
+        assert sample(dist, count, count + 3) == dict_sample(dict(dist.probs), dist.truncated_mass, count, count + 3)
 
 
 class TestBadDraws:
@@ -689,12 +678,86 @@ class TestOutcomePlans:
         spec = CatInputSpec(0.7, 2, 5)
         first = cat_distribution(u, spec, 6)
         expected = dict(first.probs)
-        first.probs[(2, 0, 0, 0, 0)] = 5.0
-        first.probs[(9, 9, 9, 9, 9)] = 1.0
-        del first.probs[(0, 0, 0, 0, 2)]
-        bs_distribution(u, 2).probs.clear()
+        with pytest.raises(TypeError):
+            first.probs[(2, 0, 0, 0, 0)] = 5.0
+        with pytest.raises(TypeError):
+            first.probs[(9, 9, 9, 9, 9)] = 1.0
+        with pytest.raises(TypeError):
+            del first.probs[(0, 0, 0, 0, 2)]
+        with pytest.raises(TypeError):
+            bs_distribution(u, 2).probs.clear()
         self.assert_identical(cat_distribution(u, spec, 6).probs, expected)
         self.assert_identical(bs_distribution(u, 2).probs, _direct_bs_probs(u, 2))
+
+
+def _random_probs(seed):
+    """A dict of outcomes of mixed photon numbers in random order, about a third
+    of them of weight zero, and a truncated mass that is zero at even seeds."""
+    g = rng.generator(seed)
+    m = int(g.integers(1, 5))
+    outcomes = sorted({tuple(g.integers(0, 4, m).tolist()) for _ in range(int(g.integers(1, 60)))})
+    g.shuffle(outcomes)
+    weights = g.random(len(outcomes)) ** 3
+    weights[g.random(len(outcomes)) < 0.35] = 0.0
+    weights[int(g.integers(len(outcomes)))] += 0.25
+    return dict(zip(outcomes, weights.tolist())), float(g.random()) if seed % 2 else 0.0
+
+
+class TestDistributionArrays:
+    """A distribution is held as arrays in enumeration order; every reader
+    gives what the dict-based readers of `oracles` give."""
+
+    @pytest.mark.parametrize("seed", range(24))
+    def test_readers_match_the_dict_oracle(self, seed):
+        probs, mass = _random_probs(seed)
+        dist = OutcomeDistribution(probs, 9, mass)
+        assert list(dist.probs.items()) == list(probs.items())
+        assert sample(dist, 3001, seed) == dict_sample(probs, mass, 3001, seed)
+        for n in range(max(map(sum, probs)) + 2):
+            expected = dict_reject_to_fixed_n(probs, n)
+            if expected is None:
+                with pytest.raises(EmptyConditioning):
+                    reject_to_fixed_n(dist, n)
+                continue
+            got = reject_to_fixed_n(dist, n)
+            assert list(got.probs.items()) == list(expected.items())
+            assert (got.cutoff, got.truncated_mass, got.tail_bound) == (n, 0.0, None)
+            outcomes, kept, tv = kept_draws(dist, n, 2001, seed + n, expected)
+            want = dict_kept_draws(probs, mass, n, 2001, seed + n, expected)
+            assert (outcomes, kept.tolist(), tv) == (want[0], want[1].tolist(), want[2])
+
+    def test_probs_is_a_read_only_view(self):
+        u, spec = rng.haar_unitary(5, 130), CatInputSpec(0.7, 2, 5)
+        probs, expected = cat_distribution(u, spec, 6).probs, _direct_cat_probs(u, spec, 6)
+        with pytest.raises(TypeError):
+            probs[(1, 1, 0, 0, 0)] = 0.5
+        with pytest.raises(TypeError):
+            del probs[(2, 0, 0, 0, 0)]
+        with pytest.raises(TypeError):
+            probs.clear()
+        assert list(probs) == list(expected) and probs == expected and expected == probs
+        given = {(1, 0): 0.25, (0, 1): 0.75}
+        dist = OutcomeDistribution(given, 1, 0.0)
+        given[(1, 0)] = 0.5
+        assert dist.probs == {(1, 0): 0.25, (0, 1): 0.75}
+        for view in (probs, dist.probs, reject_to_fixed_n(dist, 1).probs):
+            for arr in (view.outcomes, view.weights, view.photons):
+                with pytest.raises(ValueError, match="read-only"):
+                    arr[0] = arr[1]
+
+    def test_readers_never_build_the_dict(self, monkeypatch):
+        def refuse(self, outcome):
+            raise AssertionError("the probs dict was built")
+
+        monkeypatch.setattr(bosonic._Probs, "__getitem__", refuse)
+        u, spec = rng.haar_unitary(6, 131), CatInputSpec(0.8, 2, 6)
+        cat = cat_distribution(u, spec, 6)
+        assert len(sample(cat, 1000, 1)) == 1000
+        assert len(bs_distribution(u, 2).probs) == count_weight(6, 2)
+        assert len(reject_to_fixed_n(cat, 2).probs) == count_weight(6, 2)
+        assert 0.0 < cat.mass_at_weight(2) < cat.total_enumerated() < 1.0
+        assert len(cat.probs) == sum(count_weight(6, k) for k in (2, 4, 6))
+        assert kept_draws(cat, 2, 1000, 1, {})[1].size > 0
 
 
 def _small_dist():

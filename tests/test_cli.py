@@ -195,6 +195,16 @@ class TestPer:
         for value in values.values():
             assert abs(value - ref) <= 1e-12 * max(1.0, abs(ref))
 
+    @pytest.mark.parametrize("rows", [[], ["--rows", "[1,1,1]"]])
+    def test_glynn_repeated_rows_refuses_cols(self, capsys, tmp_path, rows):
+        path = tmp_path / "a3.json"
+        path.write_text(json.dumps(ComplexMatrix(rng.unit_disk_matrix(3, 1)).to_json_dict()))
+        argv = ["per", "--algo", "glynn-repeated-rows", "--matrix", str(path), *rows, "--cols", "[0,3,0]"]
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 1 and out == ""
+        lines = err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: ") and "--cols" in lines[0]
+
     def test_warning_is_one_line_on_each_call(self, capsys, j3_file):
         argv = ["per", "--algo", "cauchy-binet", "--matrix", j3_file, "--matrix-b", j3_file]
         argv += ["--rows", "[2,1,0]", "--cols", "[1,1,0]"]

@@ -187,6 +187,11 @@ class TestMonomial:
         r = verify_monomial_glynn(rng.unit_disk_matrix(3, 51), (1, 2, 0), 3)
         assert r.passed and r.max_abs_error <= 1e-8
 
+    def test_complex_cap_past_float64_factorials(self):
+        # 171! overflows float64: that coefficient's divisor is inf and it reads 0
+        r = verify_monomial_glynn(rng.unit_disk_matrix(1, 1), (1,), 171)
+        assert r.passed and r.max_abs_error == 0.0 and r.num_coefficients_checked == 172
+
 
 class TestSumFormula:
     def test_zero_b(self):
