@@ -532,17 +532,20 @@ def amplitude_regime_check(n: int, m: int, c: float) -> RegimeReport:
     At this scaling the fraction behaves like exp(-n|alpha|^4/6) to leading
     order, i.e. an inverse-polynomial fraction of samples survives the
     photon-number filter.  alpha = 0 (c = 0 or m = 1) is flagged: sampling
-    is undefined there.
+    is undefined there.  A NaN or infinite c raises ValueError: its row
+    would hold NaN, which is not JSON.
     """
-    n, m = _as_int("n", n), _as_int("m", m)
+    n, m, c = _as_int("n", n), _as_int("m", m), float(c)
     if n < 1 or m < 1:
         raise ValueError("need n >= 1 and m >= 1")
-    alpha = float(c) * n ** (-0.25) * math.log(m) ** 0.25 if m > 1 else 0.0
+    if not math.isfinite(c):
+        raise ValueError(f"need a finite c, got {c}")
+    alpha = c * n ** (-0.25) * math.log(m) ** 0.25 if m > 1 else 0.0
     if alpha <= 0.0:
-        return RegimeReport(n, m, float(c), alpha, False, None, None)
+        return RegimeReport(n, m, c, alpha, False, None, None)
     fraction = photon_fraction(alpha, n)
     leading = math.exp(-n * alpha**4 / 6.0)
-    return RegimeReport(n, m, float(c), alpha, True, fraction, leading)
+    return RegimeReport(n, m, c, alpha, True, fraction, leading)
 
 
 def hong_ou_mandel_unitary() -> UnitaryMatrix:

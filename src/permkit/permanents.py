@@ -1,12 +1,13 @@
 """Permanent evaluation: brute force, Ryser, Glynn and its repeated-index
 variants, the Glynn-Kan double sum, and the Cauchy-Binet composition rule.
 
-Conventions: the permanent of a non-square matrix is 0, the permanent of the
-empty (0 x 0) matrix is 1.  Formulas that require |p| = |q| = n return 0 with
-a :class:`WeightMismatchWarning` when the weights differ, matching the fact
-that the corresponding repeated matrix is rectangular.  Every formula states
-its term count, and raises `TooLarge`, naming that count and the budget,
-when it exceeds the budget.
+Conventions, taken by every formula from :func:`_entry`: the empty (0 x 0)
+matrix has permanent 1, MacMahon's constant term, and a non-square matrix 0.
+Per(A_{p,q}) is 0, with a :class:`WeightMismatchWarning`, when |p| != |q|, as
+A_{p,q} is rectangular, and 1 when |p| = 0.  On the 0 x 0 matrix that is the
+int 1; else an int on exact input and a complex on float input.  Every
+formula states its term count, and raises `TooLarge`, naming that count and
+the budget, when it exceeds the budget.
 
 Exact input, int / Fraction entries as nested sequences or as an object
 array (`combinatorics._is_exact_rows`), has three independent routes, and
@@ -57,7 +58,6 @@ import numpy as np
 from .combinatorics import (
     RepetitionPattern,
     _is_exact_rows,
-    as_multi_index,
     enumerate_weight,
     factorial_product,
     weight,
@@ -105,12 +105,33 @@ def _finite_array(a) -> np.ndarray:
     return arr
 
 
-def _degenerate(nrows: int, ncols: int, algorithm: str) -> Optional[PermanentResult]:
-    if nrows == 0 and ncols == 0:
-        return PermanentResult(1, algorithm, 1)
-    if nrows != ncols:
-        return PermanentResult(0, algorithm, 0)
-    return None
+def _entry(a, algorithm: str, pattern: Optional[RepetitionPattern] = None, numeric: bool = False) -> tuple:
+    """(data, exact, p, q, result): what every formula starts from.
+
+    ``data`` and ``exact`` are `_coerce`'s, p and q the pattern's (None
+    without one; a pattern needs a square matrix as large as it is long).
+    ``result`` is the permanent wherever no sum is needed, by the module's
+    conventions, with 0 terms for 0 and 1 term for 1; else None.  A
+    ``numeric`` formula sums in floats whatever the input, so its values are
+    complex and exact data comes to it as a complex array.
+    """
+    data, nrows, ncols, exact = _coerce(a)
+    # the shape of the matrix whose permanent is asked: A, or A_{p,q}, |p| x |q|
+    p, q, rows, cols = None, None, nrows, ncols
+    if pattern is not None:
+        if nrows != ncols or pattern.length != nrows:
+            raise DimensionMismatch("pattern length must equal the square matrix dimension")
+        p, q = pattern.rows, pattern.cols
+        rows, cols = weight(p), weight(q)
+        if rows != cols:
+            warnings.warn("|p| != |q|: permanent of a rectangular repetition is 0", WeightMismatchWarning)
+    if rows == cols != 0:
+        if numeric and exact:
+            data, exact = as_array(data), False
+        return data, exact, p, q, None
+    per = int(rows == cols)  # the empty matrix's 1, or a rectangular one's 0
+    as_int = (exact and not numeric) or nrows == ncols == 0
+    return data, exact, p, q, PermanentResult(per if as_int else complex(per), algorithm, per)
 
 
 # Bits of the sign vector (or up to 2^_LOW_BITS points of the multiplicity
@@ -321,20 +342,16 @@ def _naive_sum(arr: np.ndarray) -> Scalar:
         prods = np.repeat(prods, k) * arr[i][free].reshape(-1)
         if k > 1:
             free = free[:, _others(k)].reshape(-1, k - 1)
-    if not exact:
-        return complex(prods.sum())
     # the sum is a Fraction whenever an entry is one, pruned terms or not
-    zero = Fraction(0) if any(isinstance(v, Fraction) for v in arr.flat) else 0
-    return sum(prods.tolist(), zero)
+    return _exact_type(sum(prods.tolist()), arr) if exact else complex(prods.sum())
 
 
 def permanent_naive(a) -> PermanentResult:
     """Sum over all m! permutations of products of entries."""
-    data, nrows, ncols, exact = _coerce(a)
-    deg = _degenerate(nrows, ncols, "naive")
-    if deg is not None:
-        return deg
-    m = nrows
+    data, exact, _, _, result = _entry(a, "naive")
+    if result is not None:
+        return result
+    m = len(data)
     if m > NAIVE_MAX_DIM:
         check_budget(f"naive permanent of dimension {m}", math.factorial(m), math.factorial(NAIVE_MAX_DIM))
     arr = np.array(data, dtype=object) if exact else data
@@ -650,11 +667,10 @@ def permanent_ryser(a) -> PermanentResult:
     k ~ log2(2B) / 25 primes.  The result is a Fraction when an entry is
     one, else an int.
     """
-    data, nrows, ncols, exact = _coerce(a)
-    deg = _degenerate(nrows, ncols, "ryser")
-    if deg is not None:
-        return deg
-    m = nrows
+    data, exact, _, _, result = _entry(a, "ryser")
+    if result is not None:
+        return result
+    m = len(data)
     check_budget("Ryser sum", 1 << m)
     if not exact:
         # x_j = 1 puts column j in the subset; the sign (-1)^(m - |S|) is Ryser's
@@ -666,50 +682,35 @@ def permanent_ryser(a) -> PermanentResult:
     return PermanentResult(_exact_type(Fraction(value, math.prod(dens)), data), "ryser", (1 << m) - 1)
 
 
-def _glynn_float(arr: np.ndarray) -> complex:
-    """Glynn's sum on a float square matrix, x_1 fixed to +1."""
-    return _sign_sum(arr[:, 1:], -1, base=arr[:, 0]) / (1 << (arr.shape[0] - 1))
+def _glynn_rows(data, exact: bool, q, algorithm: str) -> PermanentResult:
+    """Glynn's sum on A_{q,1}, row i repeated q_i times, x_1 fixed to +1:
+    2^(n-1) terms for |q| = n = m >= 1.  Float input runs `_sign_sum` on the
+    repeated rows, exact input the multiplicity sum with every q_j = 1."""
+    n = len(q)
+    check_budget("Glynn sum over all sign vectors", 1 << n)
+    if exact:
+        (value,) = _repeated_permanents((data, [(q, (1,) * n)]))[0].values()
+    else:
+        rows = np.repeat(data, q, axis=0)
+        value = _sign_sum(rows[:, 1:], -1, base=rows[:, 0]) / (1 << (n - 1))
+    return PermanentResult(value, algorithm, 1 << (n - 1))
 
 
 def permanent_glynn(a) -> PermanentResult:
     """Glynn's sign-vector formula with x_1 fixed to +1 (2^(m-1) terms)."""
-    data, nrows, ncols, exact = _coerce(a)
-    deg = _degenerate(nrows, ncols, "glynn")
-    if deg is not None:
-        return deg
-    m = nrows
-    check_budget("Glynn sum over all sign vectors", 1 << m)
-    if not exact:
-        return PermanentResult(_glynn_float(data), "glynn", 1 << (m - 1))
-    ones = (1,) * m
-    (value,) = _repeated_permanents((data, [(ones, ones)]))[0].values()
-    return PermanentResult(value, "glynn", 1 << (m - 1))
+    data, exact, _, _, result = _entry(a, "glynn")
+    return result or _glynn_rows(data, exact, (1,) * len(data), "glynn")
 
 
 def permanent_glynn_repeated_rows(a, q) -> PermanentResult:
     """Glynn-type sum for Per(A_{q,1}): row i enters with exponent q_i.
 
-    The Kronecker delta in the formula makes the result 0 unless |q| equals
-    the dimension of A.  It is Glynn's sum on the row-repeated matrix, x_1
-    fixed to +1 (2^(n-1) terms).
+    The Kronecker delta in the formula makes the result 0, with `_entry`'s
+    warning for the pattern (q, 1), unless |q| equals the dimension of A.  It
+    is Glynn's sum on the row-repeated matrix, x_1 fixed to +1 (2^(n-1) terms).
     """
-    data, nrows, ncols, exact = _coerce(a)
-    if nrows != ncols:
-        raise DimensionMismatch("matrix must be square")
-    n = nrows
-    q = as_multi_index(q)
-    if len(q) != n:
-        raise DimensionMismatch("repetition vector length must equal the matrix dimension")
-    if weight(q) != n:
-        warnings.warn("|p| != |q|: permanent of a rectangular repetition is 0", WeightMismatchWarning)
-        return PermanentResult(0, "glynn_repeated_rows", 0)
-    if n == 0:
-        return PermanentResult(1, "glynn_repeated_rows", 1)
-    check_budget("repeated-row Glynn sum over all sign vectors", 1 << n)
-    if not exact:
-        return PermanentResult(_glynn_float(np.repeat(data, q, axis=0)), "glynn_repeated_rows", 1 << (n - 1))
-    (value,) = _repeated_permanents((data, [(q, (1,) * n)]))[0].values()
-    return PermanentResult(value, "glynn_repeated_rows", 1 << (n - 1))
+    data, exact, q, _, result = _entry(a, "glynn_repeated_rows", RepetitionPattern(q, (1,) * len(q)))
+    return result or _glynn_rows(data, exact, q, "glynn_repeated_rows")
 
 
 def permanent_glynn_multiplicity(a, pattern: RepetitionPattern) -> PermanentResult:
@@ -726,16 +727,9 @@ def permanent_glynn_multiplicity(a, pattern: RepetitionPattern) -> PermanentResu
     and on float input also to the kernel's cost, that count times the number
     of columns.
     """
-    data, nrows, ncols, exact = _coerce(a)
-    if nrows != ncols or pattern.length != nrows:
-        raise DimensionMismatch("pattern length must equal the square matrix dimension")
-    p, q = pattern.rows, pattern.cols
-    n = weight(p)
-    if weight(q) != n:
-        warnings.warn("|p| != |q|: permanent of a rectangular repetition is 0", WeightMismatchWarning)
-        return PermanentResult(0 if exact else 0j, "glynn_multiplicity", 0)
-    if n == 0:
-        return PermanentResult(1 if exact else 1 + 0j, "glynn_multiplicity", 1)
+    data, exact, p, q, result = _entry(a, "glynn_multiplicity", pattern)
+    if result is not None:
+        return result
     terms = _multiplicity_terms(q)
     check_budget("multiplicity sign sum", terms)
     (value,) = _repeated_permanents((data, [(p, q)]))[0].values()
@@ -839,20 +833,12 @@ def _grid_double_sum(arr: np.ndarray, xs: np.ndarray, wx: np.ndarray, ys: np.nda
 
 def permanent_roots_of_unity(a, pattern: RepetitionPattern) -> PermanentResult:
     """Per(A_{p,q}) = (q!/G) * sum over the G = prod_j (q_j + 1) points x of `_root_grid(q)` of x^{-q} (Ax)^p."""
-    arr = _finite_array(a)
-    m = arr.shape[0]
-    if arr.shape[1] != m or pattern.length != m:
-        raise DimensionMismatch("pattern length must equal the square matrix dimension")
-    p, q = pattern.rows, pattern.cols
-    n = weight(p)
-    if weight(q) != n:
-        warnings.warn("|p| != |q|: permanent of a rectangular repetition is 0", WeightMismatchWarning)
-        return PermanentResult(0j, "roots_of_unity", 0)
-    if n == 0:
-        return PermanentResult(1 + 0j, "roots_of_unity", 1)
+    arr, _, p, q, result = _entry(a, "roots_of_unity", pattern, numeric=True)
+    if result is not None:
+        return result
     grid = _multiplicity_terms(q)
     check_budget("roots-of-unity grid prod(q_j + 1)", grid)
-    p_idx = [(i, p[i]) for i in range(m) if p[i]]
+    p_idx = [(i, pi) for i, pi in enumerate(p) if pi]
     total = 0j
     for lo in range(0, grid, _SUMS_ENTRIES):
         x, term = _root_grid(q, np.arange(lo, min(lo + _SUMS_ENTRIES, grid), dtype=np.int64))
@@ -869,11 +855,10 @@ def permanent_glynn_kan(a) -> PermanentResult:
 
     `_grid_double_sum` on the sign vectors {-1, 1}^m, exact on int/Fraction input.
     """
-    data, nrows, ncols, exact = _coerce(a)
-    deg = _degenerate(nrows, ncols, "glynn_kan")
-    if deg is not None:
-        return deg
-    m = nrows
+    data, exact, _, _, result = _entry(a, "glynn_kan")
+    if result is not None:
+        return result
+    m = len(data)
     check_budget("Glynn-Kan sum", 4**m)
     denom = 4**m * math.factorial(m)
     points, signs = _vertices(m, -1)
@@ -890,17 +875,10 @@ def permanent_glynn_kan(a) -> PermanentResult:
 def permanent_glynn_kan_repeated(a, pattern: RepetitionPattern) -> PermanentResult:
     """Per(A_{p,q}) = p!q!/(n! G_x G_y) * sum over the G_x points x of `_root_grid(p)` and the
     G_y points y of `_root_grid(q)` of x^{-p} y^{-q} (x^T A y)^n, n = |p| = |q|."""
-    arr = _finite_array(a)
-    m = arr.shape[0]
-    if arr.shape[1] != m or pattern.length != m:
-        raise DimensionMismatch("pattern length must equal the square matrix dimension")
-    p, q = pattern.rows, pattern.cols
+    arr, _, p, q, result = _entry(a, "glynn_kan_repeated", pattern, numeric=True)
+    if result is not None:
+        return result
     n = weight(p)
-    if weight(q) != n:
-        warnings.warn("|p| != |q|: permanent of a rectangular repetition is 0", WeightMismatchWarning)
-        return PermanentResult(0j, "glynn_kan_repeated", 0)
-    if n == 0:
-        return PermanentResult(1 + 0j, "glynn_kan_repeated", 1)
     gx, gy = _multiplicity_terms(p), _multiplicity_terms(q)
     check_budget("roots-of-unity double grid prod(p_i + 1) prod(q_j + 1)", gx * gy)
     scalefac = float(Fraction(factorial_product(p) * factorial_product(q), gx * gy * math.factorial(n)))
@@ -920,21 +898,14 @@ def permanent_cauchy_binet(a, b, pattern: RepetitionPattern) -> PermanentResult:
     to |K| (prod_j (p_j + 1) + prod_j (q_j + 1)) for the |K| multi-indices k;
     the reported term count is |K|.
     """
-    rows_a, ra, ca, exact_a = _coerce(a)
-    rows_b, rb, cb, exact_b = _coerce(b)
-    if ra != ca or rb != cb or ra != rb:
-        raise DimensionMismatch("Cauchy-Binet needs two square matrices of equal dimension")
-    m = ra
-    if pattern.length != m:
-        raise DimensionMismatch("pattern length must equal the matrix dimension")
-    p, q = pattern.rows, pattern.cols
-    npq = weight(p)
-    if weight(q) != npq:
-        warnings.warn("|p| != |q|: permanent of a rectangular repetition is 0", WeightMismatchWarning)
-        return PermanentResult(0, "cauchy_binet", 0)
+    # B's shape by the same rule; its pattern (q, q) has equal weights, so no second warning
+    rows_b, exact_b, *_ = _entry(b, "cauchy_binet", RepetitionPattern(pattern.cols, pattern.cols))
+    rows_a, exact, p, q, result = _entry(a, "cauchy_binet", pattern, numeric=not exact_b)
+    if result is not None:
+        return result
+    m, npq = len(rows_a), weight(p)
     terms = math.comb(npq + m - 1, m - 1)
     check_budget("Cauchy-Binet inner multiplicity sums", terms * (_multiplicity_terms(p) + _multiplicity_terms(q)))
-    exact = exact_a and exact_b
     kind = object if exact else np.complex128
     ks = list(enumerate_weight(m, npq))
     per_at, per_b = _repeated_permanents(

@@ -56,7 +56,9 @@ Coeff = Union[Fraction, complex]
 _NONES = itertools.repeat(None)
 
 
-@lru_cache(maxsize=None)
+# an entry holds arrays the size of the exponent box (39 MB at caps (100, 100, 100));
+# one verify round, the battery and the generating family at cap 4, uses 8 cap tuples
+@lru_cache(maxsize=32)
 def _layout(caps: tuple[int, ...]):
     """(exponent table, total degree, flat indices of each degree layer) for a cap tuple."""
     exponents = np.array(list(itertools.product(*(range(c + 1) for c in caps))), dtype=np.intp)
@@ -303,9 +305,8 @@ class TruncatedSeries:
                 acc[sel] += t[pos[sel] - j] * factor
             q = divisor(d)
             if exact:
+                # den < 0 where divisor(d) is; the common denominator below, lcm(*dens), is positive
                 den = lcm * q
-                if den < 0:
-                    den, acc = -den, -acc
                 g = math.gcd(den, *acc.tolist())
                 t[pos], dens[d] = acc // g, den // g
             else:

@@ -885,6 +885,12 @@ class TestRegimeCheck:
         rep = amplitude_regime_check(4, 10, 0.0)
         assert not rep.defined and rep.fraction is None
 
+    @pytest.mark.parametrize("c", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("m", [1, 10])
+    def test_non_finite_scaling_raises(self, c, m):
+        with pytest.raises(ValueError, match="^need a finite c, got"):
+            amplitude_regime_check(4, m, c)
+
 
 class TestLargeAmplitudeNormalisation:
     """sinh(|alpha|^2) and its powers overflow a double long before the ratios

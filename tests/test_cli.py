@@ -473,6 +473,14 @@ class TestReport:
         assert err == ""
         assert 0.0 < row["fraction"] < 1e-150
 
+    @pytest.mark.parametrize("c", ["nan", "inf", "1.0,-inf"])
+    def test_regime_refuses_a_non_finite_c(self, capsys, c):
+        # NaN and Infinity are not JSON: one error line, no output
+        code, out, err = run_cli(capsys, "report", "--kind", "regime", "--n", "4", "--m", "10", "--c", c)
+        lines = err.strip().splitlines()
+        assert code == 1 and out == ""
+        assert len(lines) == 1 and lines[0].startswith("error: ") and "finite c" in lines[0]
+
 
 MATRICES = [
     '{"dim": 2, "entries": [[0.7071067811865476, 0], [0.7071067811865476, 0], [0.7071067811865476, 0], [-0.7071067811865476, 0]]}',

@@ -2,6 +2,7 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -1019,3 +1020,104 @@ def test_float_error_within_the_a_priori_bound(n):
         got = kernel(a).value
         assert got.imag == 0
         assert abs(Fraction(got.real) - want) <= bound, kernel.__name__
+
+
+# The rule table of `permanents._entry`, which every formula starts from: the
+# permanent wherever no sum is needed, its ring, its term count and warnings.
+PLAIN_ALGOS = ("naive", "ryser", "glynn", "glynn-kan")
+NUMERIC_ONLY = ("roots-of-unity", "glynn-kan-repeated")
+INPUT_FORMS = ("list", "object", "float")
+SHAPE_MESSAGE = "^pattern length must equal the square matrix dimension$"
+
+
+def _form(form, rows, ncols):
+    if form == "list":
+        return [list(r) for r in rows]
+    return np.array(rows, dtype=object if form == "object" else float).reshape(len(rows), ncols)
+
+
+def _call(algo, a, pattern, b=None):
+    """ALGORITHMS[algo] on a (and on b for Cauchy-Binet, a by default), with the
+    WeightMismatchWarnings it gave; repeated-row Glynn takes the pattern's rows."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        f = permanents.ALGORITHMS[algo]
+        if algo in PLAIN_ALGOS:
+            res = f(a)
+        elif algo == "glynn-repeated-rows":
+            res = f(a, pattern.rows)
+        elif algo == "cauchy-binet":
+            res = f(a, a if b is None else b, pattern)
+        else:
+            res = f(a, pattern)
+    return res, sum(issubclass(w.category, WeightMismatchWarning) for w in caught)
+
+
+def _assert_result(res, value, kind, terms):
+    assert res.value == value and type(res.value) is kind and res.term_count == terms
+
+
+@pytest.mark.parametrize("form", INPUT_FORMS + ("ndarray-zeros",))
+@pytest.mark.parametrize("algo", permanents.ALGORITHMS)
+def test_empty_matrix_is_the_exact_one_for_every_formula(algo, form):
+    a = np.zeros((0, 0)) if form == "ndarray-zeros" else _form(form, [], 0)
+    res, warned = _call(algo, a, RepetitionPattern((), ()))
+    _assert_result(res, 1, int, 1)
+    assert warned == 0
+
+
+@pytest.mark.parametrize("form", INPUT_FORMS)
+@pytest.mark.parametrize("algo", PLAIN_ALGOS)
+def test_plain_formulas_on_a_rectangular_matrix_give_zero(algo, form):
+    for rows, ncols in (([[1, 2, 3], [4, 5, 6]], 3), ([[1], [2]], 1)):
+        res, warned = _call(algo, _form(form, rows, ncols), None)
+        _assert_result(res, 0, complex if form == "float" else int, 0)
+        assert warned == 0
+
+
+PATTERN_ALGOS = [algo for algo in permanents.ALGORITHMS if algo not in PLAIN_ALGOS]
+
+
+@pytest.mark.parametrize("form", INPUT_FORMS)
+@pytest.mark.parametrize("algo", PATTERN_ALGOS)
+def test_pattern_formulas_follow_the_rule_table(algo, form):
+    kind = complex if form == "float" or algo in NUMERIC_ONLY else int
+    square = _form(form, [[1, 2], [3, 4]], 2)
+    # |p| != |q|: a rectangular repetition, 0 with 0 terms and one warning
+    res, warned = _call(algo, square, RepetitionPattern((2, 1), (1, 1)))
+    _assert_result(res, 0, kind, 0)
+    assert warned == 1
+    # |p| = 0: the empty repetition, 1 with 1 term (repeated-row Glynn has |q| = m)
+    if algo != "glynn-repeated-rows":
+        res, warned = _call(algo, square, RepetitionPattern((0, 0), (0, 0)))
+        _assert_result(res, 1, kind, 1)
+        assert warned == 0
+    # a non-square matrix, or a pattern whose length is not m
+    for a, pattern in (
+        (_form(form, [[1, 2], [3, 4], [5, 6]], 2), RepetitionPattern((1, 1), (1, 1))),
+        (_form(form, [[1, 2], [3, 4]], 2), RepetitionPattern((1, 1, 0), (1, 1, 0))),
+    ):
+        with pytest.raises(DimensionMismatch, match=SHAPE_MESSAGE):
+            _call(algo, a, pattern)
+
+
+@pytest.mark.parametrize("forms", [("list", "float"), ("float", "object"), ("object", "list")])
+def test_cauchy_binet_is_exact_only_when_both_matrices_are(forms):
+    a, b = (_form(form, [[1, 2], [3, 4]], 2) for form in forms)
+    kind = complex if "float" in forms else int
+    res, warned = _call("cauchy-binet", a, RepetitionPattern((2, 1), (1, 1)), b)
+    _assert_result(res, 0, kind, 0)
+    assert warned == 1
+    res, warned = _call("cauchy-binet", a, RepetitionPattern((0, 0), (0, 0)), b)
+    _assert_result(res, 1, kind, 1)
+    assert warned == 0
+    res, _ = _call("cauchy-binet", a, RepetitionPattern((1, 1), (1, 1)), b)
+    # Per(AB) for AB = [[7, 10], [15, 22]]
+    assert type(res.value) is kind and abs(res.value - 304) <= 1e-9
+    empty_a, empty_b = (_form(form, [], 0) for form in forms)
+    res, _ = _call("cauchy-binet", empty_a, RepetitionPattern((), ()), empty_b)
+    _assert_result(res, 1, int, 1)
+    # B's shape goes through the same rule, with no second warning
+    for bad in (_form(forms[1], [[1, 2, 3], [4, 5, 6]], 3), _form(forms[1], [[1]], 1)):
+        with pytest.raises(DimensionMismatch, match=SHAPE_MESSAGE):
+            _call("cauchy-binet", a, RepetitionPattern((2, 1), (1, 1)), bad)

@@ -24,7 +24,8 @@ from permkit.identities import (
     _normalize,
     verify_dixon,
 )
-from permkit.series import COMPLEX, RATIONAL, TruncatedSeries
+from permkit.numerics import scaled_error
+from permkit.series import COMPLEX, RATIONAL, TruncatedSeries, _layout
 
 from oracles import series_recursion
 
@@ -147,6 +148,27 @@ class TestInverse:
     @given(rational_series((2, 2)))
     def test_mul_inverse_is_one(self, s):
         assert (s * s.inverse()).coeffs == TruncatedSeries.one((2, 2), RATIONAL).coeffs
+
+    @pytest.mark.parametrize("caps, c0", [((6,), -2), ((3, 3), -3)])
+    def test_negative_constant_term(self, caps, c0):
+        # each layer divides by c0 < 0, so its own denominator is negative
+        # until the common one, lcm(...) > 0, takes over
+        g = np.random.default_rng(len(caps))
+        size = math.prod(c + 1 for c in caps)
+        nums, dens = g.integers(-5, 6, size - 1).tolist(), g.integers(1, 5, size - 1).tolist()
+        coeffs = [Fraction(c0)] + [Fraction(n, d) for n, d in zip(nums, dens)]
+        s = TruncatedSeries(caps, RATIONAL, coeffs)
+        t = s.inverse()
+        assert (s * t).coeffs == TruncatedSeries.one(caps, RATIONAL).coeffs
+        z = TruncatedSeries(caps, COMPLEX, [complex(c) for c in coeffs]).inverse()
+        assert max(scaled_error(b, complex(a)) for a, b in zip(t.coeffs, z.coeffs)) <= 1e-12
+
+
+def test_layout_cache_is_bounded():
+    # an entry holds arrays the size of the exponent box
+    for k in range(40):
+        _layout((k % 5, k // 5))
+    assert _layout.cache_info().currsize <= 32
 
 
 class TestSqrtInverse:
