@@ -19,7 +19,7 @@ import warnings
 
 from . import __version__, _deferred
 from .combinatorics import RepetitionPattern, repeat_matrix, weight
-from .errors import DimensionMismatch, PermkitError
+from .errors import DimensionMismatch, PermkitError, WeightMismatchWarning
 from .numerics import ComplexMatrix, UnitaryMatrix
 from .permanents import ALGORITHMS, permanent_cauchy_binet, permanent_glynn_repeated_rows
 
@@ -179,8 +179,12 @@ def _cmd_per(args) -> tuple[object, int, list]:
             pattern = RepetitionPattern(rows or (1,) * m, cols or (1,) * m)
             if pattern.length != m:
                 raise DimensionMismatch("pattern length must equal the matrix dimension")
-            # |p| != |q|: a 1 x 0 stand-in for the rectangular A_{p,q}, whose permanent is 0
-            target = repeat_matrix(mat, pattern) if weight(pattern.rows) == weight(pattern.cols) else [[]]
+            if weight(pattern.rows) == weight(pattern.cols):
+                target = repeat_matrix(mat, pattern)
+            else:
+                # the pattern algorithms' warning, and a 1 x 0 stand-in for the rectangular A_{p,q}
+                warnings.warn(WeightMismatchWarning())
+                target = [[]]
         result = PLAIN_ALGOS[algo](target)
     elif algo == "glynn-repeated-rows":
         if cols is not None:

@@ -33,6 +33,9 @@ class WeightMismatch(PermkitError):
 class WeightMismatchWarning(UserWarning):
     """Permanent formula evaluated with |p| != |q|; the result is 0 by convention."""
 
+    def __init__(self, message: str = "|p| != |q|: permanent of a rectangular repetition is 0") -> None:
+        super().__init__(message)
+
 
 class CapMismatch(PermkitError):
     """Truncated series operands carry different degree caps."""

@@ -36,7 +36,7 @@ import numpy as np
 
 from .combinatorics import RepetitionPattern, _as_int, factorial_product, weight
 from .errors import DimensionMismatch, WeightMismatch
-from .permanents import _finite_array, permanent_glynn_kan_repeated
+from .permanents import _finite_array, _power, permanent_glynn_kan_repeated
 from .rng import bit_generator
 
 F_CHOICES = ("pown", "exp", "geom")
@@ -191,7 +191,7 @@ def estimate_permanent(
                     x, y, inv = ph[:m], ph[m:-1], ph[-1]
                     w = ((arr.T @ x) * y).sum(axis=0)
                     if f == "pown":
-                        vals = (pq / nfac) * (w**n) * inv
+                        vals = (pq / nfac) * _power(w, n) * inv
                     elif f == "exp":
                         vals = pq * np.exp(w) * inv
                     else:

@@ -36,11 +36,14 @@ permanents and the identity verifiers' permanent sides all go through it.
 
 Glynn-Kan's double sum over x, y of w(x) w(y) (x^T A y)^n is one kernel,
 :func:`_grid_double_sum`.  Glynn-Kan runs it on the sign vectors of
-`_vertices` (the order-2 grid), in float or, on int/Fraction input, on an
-object array of Python ints, exactly.  Repeated-index Glynn-Kan (which the
-estimators' `pown_grid_expectation` returns) and the roots-of-unity sum run
-on :func:`_root_grid`, numeric-only: for exponents e, the grid prod_j
+`_vertices` (the order-2 grid) with x_1 = y_1 = +1, 4^(m-1) pairs priced at
+the full 4^m, in float or, on int/Fraction input, on an object array of
+Python ints, exactly.  Repeated-index Glynn-Kan (which the estimators'
+`pown_grid_expectation` returns) and the roots-of-unity sum run on
+:func:`_root_grid`, numeric-only: for exponents e, the grid prod_j
 mu_{e_j + 1}, whose root orders follow from e so that nothing aliases x^e.
+Every integer power in these grid kernels, and in the 'pown' estimator,
+comes from one in-place squaring helper, :func:`_power`.
 """
 
 from __future__ import annotations
@@ -124,7 +127,7 @@ def _entry(a, algorithm: str, pattern: Optional[RepetitionPattern] = None, numer
         p, q = pattern.rows, pattern.cols
         rows, cols = weight(p), weight(q)
         if rows != cols:
-            warnings.warn("|p| != |q|: permanent of a rectangular repetition is 0", WeightMismatchWarning)
+            warnings.warn(WeightMismatchWarning())
     if rows == cols != 0:
         if numeric and exact:
             data, exact = as_array(data), False
@@ -815,19 +818,49 @@ def _root_grid(e, ids: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 _DOUBLE_SUM_ENTRIES = 1 << 14
 
 
+def _power(z: np.ndarray, n: int, out: Optional[np.ndarray] = None) -> np.ndarray:
+    """z^n for an int n >= 0 by binary powering into ``out`` (a new array when
+    omitted), squaring z in place, so z ends as a power of itself.
+
+    numpy's complex `**` takes about as long at n = 1 as at n = 9, ten
+    multiplies' time; this takes floor(log2 n) squarings and one multiply
+    per further set bit of n, and is as accurate.  An object (int /
+    Fraction) array stays exact.  The grid kernels take every integer power
+    from here.
+    """
+    out = np.empty_like(z) if out is None else out
+    if n == 0:
+        out[...] = 1
+        return out
+    while not n & 1:
+        np.multiply(z, z, out=z)
+        n >>= 1
+    np.copyto(out, z)
+    while n := n >> 1:
+        np.multiply(z, z, out=z)
+        if n & 1:
+            np.multiply(out, z, out=out)
+    return out
+
+
 def _grid_double_sum(arr: np.ndarray, xs: np.ndarray, wx: np.ndarray, ys: np.ndarray, wy: np.ndarray, power: int):
     """sum over the rows x of ``xs`` and y of ``ys`` of wx(x) wy(y) (x^T A y)^power.
 
-    Blocks of x hold at most _DOUBLE_SUM_ENTRIES values of x^T A y.  On an
-    object (int / Fraction) array, with int64 points and weights, every
-    value stays a Python int or Fraction, so the sum is exact.
+    Blocks of x hold at most _DOUBLE_SUM_ENTRIES values of x^T A y.  Each
+    block's values go into one buffer and its powers into a second, both
+    reused by every block, as a fresh 256 KiB array would be mmapped anew.
+    On an object (int / Fraction) array, with int64 points and weights,
+    every value stays a Python int or Fraction, so the sum is exact.
     """
     ayt = arr @ ys.T  # column g = A y_g
     step = max(1, _DOUBLE_SUM_ENTRIES // ys.shape[0])
+    values = np.empty((min(step, xs.shape[0]), ys.shape[0]), dtype=np.result_type(xs, ayt))
+    powers = np.empty_like(values)
     total = 0
     for lo in range(0, xs.shape[0], step):
-        s = xs[lo : lo + step] @ ayt
-        total += wx[lo : lo + step] @ (s**power) @ wy
+        x = xs[lo : lo + step]
+        block = np.matmul(x, ayt, out=values[: len(x)])
+        total += wx[lo : lo + step] @ _power(block, power, powers[: len(x)]) @ wy
     return total
 
 
@@ -843,8 +876,9 @@ def permanent_roots_of_unity(a, pattern: RepetitionPattern) -> PermanentResult:
     for lo in range(0, grid, _SUMS_ENTRIES):
         x, term = _root_grid(q, np.arange(lo, min(lo + _SUMS_ENTRIES, grid), dtype=np.int64))
         w = x @ arr.T
+        factor = np.empty_like(term)
         for i, pi in p_idx:
-            term *= w[:, i] ** pi
+            term *= _power(w[:, i], pi, factor)
         total += term.sum()
     value = complex(factorial_product(q) * total / grid)
     return PermanentResult(value, "roots_of_unity", grid)
@@ -853,23 +887,29 @@ def permanent_roots_of_unity(a, pattern: RepetitionPattern) -> PermanentResult:
 def permanent_glynn_kan(a) -> PermanentResult:
     """Symmetrized double sign sum: (1/(4^m m!)) sum_{x,y} (prod x)(prod y)(x^T A y)^m.
 
-    `_grid_double_sum` on the sign vectors {-1, 1}^m, exact on int/Fraction input.
+    x -> -x multiplies both prod x and (x^T A y)^m by (-1)^m, and so does
+    y -> -y, so the pairs (+-x, +-y) give four equal terms: the sum runs over
+    the 4^(m-1) pairs with x_1 = y_1 = +1, over 4^(m-1) m!, as Glynn's fixes
+    x_1 (Glynn, EJC 2010).  It is priced at the full 4^m, as Glynn at 2^m.
+    `_grid_double_sum` on the sign vectors, exact on int/Fraction input.
     """
     data, exact, _, _, result = _entry(a, "glynn_kan")
     if result is not None:
         return result
     m = len(data)
     check_budget("Glynn-Kan sum", 4**m)
-    denom = 4**m * math.factorial(m)
-    points, signs = _vertices(m, -1)
+    terms = 4 ** (m - 1)
+    denom = terms * math.factorial(m)
+    # bit 0 of a row index of `_vertices` is x_1: the odd rows have x_1 = +1
+    points, signs = (v[1::2] for v in _vertices(m, -1))
     if not exact:
         total = _grid_double_sum(data, points, signs, points, signs, m)
-        return PermanentResult(complex(total) / denom, "glynn_kan", 4**m)
+        return PermanentResult(complex(total) / denom, "glynn_kan", terms)
     # Per(A) = Per(DA) / prod(d) for the row scaling D that makes the entries integers
     dens, ints = _integer_rows(data)
     points, signs = points.real.astype(np.int64), signs.astype(np.int64)
     total = _grid_double_sum(np.array(ints, dtype=object), points, signs, points, signs, m)
-    return PermanentResult(_exact_type(Fraction(total, denom * math.prod(dens)), data), "glynn_kan", 4**m)
+    return PermanentResult(_exact_type(Fraction(total, denom * math.prod(dens)), data), "glynn_kan", terms)
 
 
 def permanent_glynn_kan_repeated(a, pattern: RepetitionPattern) -> PermanentResult:

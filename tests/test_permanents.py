@@ -477,14 +477,14 @@ def test_float_glynn_kan_matches_exact_int_path(n):
     # exact Glynn-Kan takes seconds at n = 11; exact Ryser gives the same int
     ref = permanent_glynn_kan(exact) if n <= 10 else permanent_ryser(exact)
     assert scaled_error(got.value, ref.value) <= 1e-10
-    assert got.term_count == 4**n
+    assert got.term_count == 4**(n - 1)
 
 
-@pytest.mark.parametrize("m", (8, 9))
+@pytest.mark.parametrize("m", (9, 10))
 @pytest.mark.parametrize("kind", ("int", "fraction"))
 def test_exact_glynn_kan_matches_exact_ryser_across_blocks(kind, m):
-    # 4^m values of x^T A y: 4 blocks of the double sum at m = 8, 16 at m = 9
-    assert 4**m >= 4 * permanents._DOUBLE_SUM_ENTRIES
+    # 4^(m-1) values of x^T A y: 4 blocks of the double sum at m = 9, 16 at m = 10
+    assert 4**(m - 1) >= 4 * permanents._DOUBLE_SUM_ENTRIES
     g = rng.generator(1300 + m)
     rows = g.integers(-9, 10, size=(m, m)).tolist()
     if kind == "fraction":
@@ -492,6 +492,53 @@ def test_exact_glynn_kan_matches_exact_ryser_across_blocks(kind, m):
     got, ref = permanent_glynn_kan(rows).value, permanent_ryser(rows).value
     assert got == ref and type(got) is type(ref)
     assert isinstance(got, Fraction) == (kind == "fraction")
+
+
+def test_power_of_zero_is_ones():
+    for z in (np.array([0.5 - 2j, 0j, 3.0]), np.array([Fraction(1, 3), 0, -4], dtype=object)):
+        got = permanents._power(z.copy(), 0)
+        assert got.dtype == z.dtype and got.tolist() == [1, 1, 1]
+
+
+@pytest.mark.parametrize("n", range(1, 41))
+def test_power_matches_repeated_multiplication(n):
+    # the rounding of either route grows about linearly in n, and so does the bound
+    z = rng.generator(1400).normal(size=(500, 2)) @ np.array([1, 1j])
+    ref = z.copy()
+    for _ in range(n - 1):
+        ref = ref * z
+    got = permanents._power(z.copy(), n, np.empty_like(z))
+    assert np.all(np.abs(got - ref) <= n * 2.0**-52 * np.abs(ref))
+
+
+def test_power_is_exact_on_object_arrays():
+    z = np.array([Fraction(-2, 3), 7, 0, Fraction(5, 1), -1], dtype=object)
+    for n in range(13):
+        got = permanents._power(z.copy(), n)
+        assert got.tolist() == [v**n for v in z.tolist()]
+        # n = 0 fills in the int 1
+        assert [type(v) for v in got.tolist()] == [type(v**n) if n else int for v in z.tolist()]
+
+
+@pytest.mark.parametrize("kind", ("int", "fraction", "float"))
+def test_grid_double_sum_with_a_partial_last_block(kind, monkeypatch):
+    # the whole sign cube {-1, 1}^5 as x and y, in blocks of 3 of its 32 rows: the last holds 2
+    m = 5
+    monkeypatch.setattr(permanents, "_DOUBLE_SUM_ENTRIES", 3 << m)
+    rows = _int_matrix(m)
+    if kind == "fraction":
+        rows = [[Fraction(v, 1 + (i + j) % 4) for j, v in enumerate(row)] for i, row in enumerate(rows)]
+    points, signs = _vertices(m, -1)
+    denom = 4**m * math.factorial(m)
+    ref = permanent_ryser(rows).value
+    if kind == "float":
+        total = permanents._grid_double_sum(np.array(rows, dtype=float), points, signs, points, signs, m)
+        assert scaled_error(complex(total) / denom, ref) <= 1e-12
+        return
+    dens, ints = permanents._integer_rows(rows)
+    points, signs = points.real.astype(np.int64), signs.astype(np.int64)
+    total = permanents._grid_double_sum(np.array(ints, dtype=object), points, signs, points, signs, m)
+    assert Fraction(total, denom * math.prod(dens)) == ref
 
 
 @pytest.mark.parametrize("n", (2, 11))
