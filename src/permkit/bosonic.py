@@ -11,8 +11,8 @@ the enumerated distributions take it once per weight, batched over all its
 outcomes; :func:`fock_amplitude` keeps the Ryser route as the reference.
 
 The outcomes of weight k in m modes depend on nothing else, so they are
-enumerated once into an outcome plan (`_OutcomePlan`): the outcome tuples,
-their read-only object array (the outcome table), and the read-only exponent
+enumerated once into an outcome plan (`_OutcomePlan`): the read-only object
+array of the outcome tuples (the outcome table), and the read-only exponent
 array and sqrt(p!).  Distributions hold outcome tables, float64 weights and
 photon numbers in plan order; ``probs`` is a read-only view (`_Probs`).  Plans
 are kept least recently used first, up to _PLAN_OUTCOMES outcomes in total,
@@ -153,9 +153,17 @@ def tv_distance(p: Mapping[FockOutcome, float], q: Mapping[FockOutcome, float]) 
     return 0.5 * sum(abs(p.get(k, 0.0) - q.get(k, 0.0)) for k in keys)
 
 
+def _interferometer(u) -> np.ndarray:
+    """``u`` as a square complex128 array; any other shape raises `DimensionMismatch`."""
+    arr = as_array(u)
+    if arr.shape[0] != arr.shape[1]:
+        raise DimensionMismatch(f"the interferometer must be a square matrix, got shape {arr.shape}")
+    return arr
+
+
 def fock_amplitude(u, p: Sequence[int], q: Sequence[int]) -> complex:
     """<p|U|q> = Per(U_{p,q})/sqrt(p! q!); 0 when |p| != |q| (photon conservation)."""
-    arr = as_array(u)
+    arr = _interferometer(u)
     m = arr.shape[0]
     p, q = as_multi_index(p), as_multi_index(q)
     if len(p) != m or len(q) != m:
@@ -167,19 +175,18 @@ def fock_amplitude(u, p: Sequence[int], q: Sequence[int]) -> complex:
 
 
 # The outcome plans kept between calls hold at most this many outcomes in
-# total.  A plan takes about 64 + 16m bytes per outcome (its tuple, table
-# entry, exponent row and sqrt(p!); tracemalloc measured 175-196 B at m = 8
-# and 387-409 B at m = 20), so the bound is about 25 MB at m = 8 and 51 MB at m = 20.
+# total.  A plan takes about 56 + 16m bytes per outcome (its tuple, table
+# entry, exponent row and sqrt(p!); tracemalloc measured 167-193 B at m = 8
+# and 377-379 B at m = 20), so the bound is about 24 MB at m = 8 and 49 MB at m = 20.
 _PLAN_OUTCOMES = 1 << 17
 
 
 @dataclass(frozen=True)
 class _OutcomePlan:
-    """The outcomes of one weight in enumeration order: as tuples, as the outcome
-    table (their object array) that every distribution built from the plan
-    shares, as an N x m exponent array, and sqrt(p!) of each; arrays read-only."""
+    """The outcomes of one weight in enumeration order: as the outcome table
+    (the object array of their tuples) that every distribution built from the
+    plan shares, as an N x m exponent array, and sqrt(p!) of each; read-only."""
 
-    outcomes: tuple[FockOutcome, ...]
     table: np.ndarray
     powers: np.ndarray
     root_fact: np.ndarray
@@ -192,7 +199,7 @@ def _build_plan(m: int, k: int) -> _OutcomePlan:
     table = np.fromiter(map(tuple, powers.tolist()), dtype=object, count=len(powers))
     for arr in (table, powers, root_fact):
         arr.setflags(write=False)
-    return _OutcomePlan(tuple(table), table, powers, root_fact)
+    return _OutcomePlan(table, powers, root_fact)
 
 
 class _PlanCache:
@@ -213,7 +220,7 @@ class _PlanCache:
                 self._plans.move_to_end(key)
                 return plan
         plan = _build_plan(m, k)
-        size = len(plan.outcomes)
+        size = plan.table.size
         if size > _PLAN_OUTCOMES:
             return plan
         with self._lock:
@@ -221,7 +228,7 @@ class _PlanCache:
                 self._plans[key] = plan
                 self.held += size
             while self.held > _PLAN_OUTCOMES:
-                self.held -= len(self._plans.popitem(last=False)[1].outcomes)
+                self.held -= self._plans.popitem(last=False)[1].table.size
         return plan
 
 
@@ -231,7 +238,7 @@ _plans = _PlanCache()
 def bs_distribution(u, n: int) -> OutcomeDistribution:
     """Single-photon sampling distribution: P(p) = |Per(U_{p,1+0})|^2 / p! over |p| = n."""
     n = _as_int("n", n)
-    arr = as_array(u)
+    arr = _interferometer(u)
     m = arr.shape[0]
     if not 0 <= n <= m:
         raise ValueError(f"need 0 <= n <= m, got n={n}, m={m}")
@@ -265,7 +272,7 @@ def cat_amplitude(u, spec: CatInputSpec, p: Sequence[int]) -> complex:
     parity); at |p| = n the value is alpha^n/sinh^{n/2}(|alpha|^2) times the
     single-photon amplitude.
     """
-    arr = as_array(u)
+    arr = _interferometer(u)
     m = arr.shape[0]
     p = as_multi_index(p)
     if len(p) != m:
@@ -317,6 +324,23 @@ def cat_total_photon_pmf(alpha: complex, n: int, cutoff: int) -> list[float]:
     return conv
 
 
+def _same_parity_outcomes(m: int, top: int) -> int:
+    """The outcomes of the weights k <= top with k = top (mod 2) in m modes,
+    sum_k C(k + m - 1, m - 1), in O(m) integer steps; 0 for top < 0.
+
+    The weights of either parity up to top give C(top + m, m) outcomes, and
+    the alternating sum over them is 2^-m + (-1)^top sum_{s < m} 2^(s-m) C(top + s, s),
+    so the count is (2^m C(top + m, m) + (-1)^top + sum_{s < m} 2^s C(top + s, s)) / 2^(m + 1).
+    """
+    if top < 0:
+        return 0
+    total, binom = (-1) ** top, 1
+    for s in range(m):
+        total += binom << s
+        binom = binom * (top + s + 1) // (s + 1)  # C(top + s + 1, s + 1)
+    return (total + (binom << m)) >> (m + 1)
+
+
 def cat_distribution(u, spec: CatInputSpec, cutoff: Optional[int] = None) -> OutcomeDistribution:
     """Enumerate cat-input outcome probabilities for |p| <= cutoff.
 
@@ -326,7 +350,7 @@ def cat_distribution(u, spec: CatInputSpec, cutoff: Optional[int] = None) -> Out
     reported both empirically (1 - enumerated) and analytically (tail of
     the exact total-photon-number distribution).
     """
-    arr = as_array(u)
+    arr = _interferometer(u)
     m = arr.shape[0]
     if spec.m != m:
         raise DimensionMismatch("spec mode count must match the unitary dimension")
@@ -334,7 +358,7 @@ def cat_distribution(u, spec: CatInputSpec, cutoff: Optional[int] = None) -> Out
     cutoff = n + 6 if cutoff is None else _as_int("cutoff", cutoff)
     if cutoff < n:
         raise ValueError(f"cutoff {cutoff} below the minimum photon number {n}")
-    support = sum(count_weight(m, k) for k in range(n, cutoff + 1, 2))
+    support = _same_parity_outcomes(m, cutoff - (cutoff - n) % 2) - _same_parity_outcomes(m, n - 2)
     check_budget(f"outcome support of {n}..{cutoff} photons in {m} modes", support, SUPPORT_BUDGET, "outcomes")
     segments = []
     for k in range(n, cutoff + 1, 2):

@@ -28,8 +28,11 @@ subtree.
 Float inputs run chunked numpy kernels: :func:`_sign_sum` for Ryser, Glynn
 and repeated-row Glynn (exact Ryser shares its low/high split), and
 :func:`_sign_sums`, batched over many (p, q), for the sampler's
-distributions and the multiplicity sums, whose exact twin runs on residues
-on the same grid and split.  Every batch of multiplicity sums has one entry,
+distributions and the multiplicity sums.  One grid serves the multiplicity
+sum in both rings: :func:`_grid` builds its split, float64 points and exact
+integer weights once per set of column multiplicities; the float kernel
+reads the weights' float64, the exact twin their residues mod each prime
+(:func:`_residue_grid`).  Every batch of multiplicity sums has one entry,
 :func:`_repeated_permanents`, which prices it and picks the kernel: the
 multiplicity sum, exact Glynn and repeated-row Glynn, Cauchy-Binet's inner
 permanents and the identity verifiers' permanent sides all go through it.
@@ -85,10 +88,11 @@ def _coerce(a):
 
     Exact input (int / Fraction entries, as nested sequences or an object
     array) gives ``data`` as a tuple of row tuples; anything else a finite
-    complex128 array.
+    complex128 array.  An object array's shape is its own: a 0 x k one has
+    no rows to carry its width.
     """
     if isinstance(a, np.ndarray) and _is_exact_rows(a):
-        a = a.tolist()
+        return tuple(map(tuple, a.tolist())), *a.shape, True
     if not isinstance(a, (np.ndarray, ComplexMatrix, UnitaryMatrix)):
         rows = tuple(tuple(row) for row in a)
         ncols = len(rows[0]) if rows else 0
@@ -211,49 +215,52 @@ def _multiplicity_weight(q: int, y: int) -> int:
     return 0 if odd or not 0 <= v <= q else (-1) ** v * math.comb(q, v)
 
 
-def _grid_columns(qs) -> list[tuple[np.ndarray, np.ndarray]]:
-    """Per column j of the grid for the multiplicity rows qs: its `_column_values`
-    and, per grid point, the digit that picks its value; column 0 is the fastest."""
-    columns = [_column_values([q[j] for q in qs]) for j in range(len(qs[0]))]
-    index = np.arange(math.prod(c.size for c in columns))
-    out, stride = [], 1
-    for values in columns:
-        out.append((values, index // stride % values.size))
-        stride *= values.size
-    return out
+def _grid_size(qs) -> int:
+    """The number of points of the grid for the multiplicity rows qs."""
+    return math.prod(_column_values(col).size for col in zip(*qs))
 
 
 @lru_cache(maxsize=64)
-def _multiplicity_grid(qs: tuple[tuple[int, ...], ...]) -> tuple[np.ndarray, np.ndarray]:
-    """The points y of the grid that the multiplicity rows qs need, and each row's weights.
+def _grid(qs: tuple[tuple[int, ...], ...]) -> tuple:
+    """(low, block, size, points, weights): the grid that the multiplicity rows qs need.
 
-    Column j takes `_column_values` of the q_j in qs, and column 0 is the fastest
-    digit of the point index.  Weight row r at y is prod_j (-1)^{v_j} C(q_j, v_j)
-    for q = qs[r] and y = q - 2v, and 0 where y is not of that form.  For
-    q = (1, ..., 1) these are the points and signs of `_vertices(k, -1)`.  Read-only.
+    Column j takes `_column_values` of the q_j in qs; the first ``low``
+    columns, as many as fit, make ``block`` <= 2^_LOW_BITS points, of ``size``
+    in all.  ``points`` holds the float64 points y of the low columns (block x
+    low) and of the others (one row per outer point), each part's first column
+    the fastest digit; ``weights`` holds each part's rows, row r at y being
+    prod_j (-1)^{v_j} C(q_j, v_j) for q = qs[r] and y = q - 2v, else 0: int64
+    while the product of the part's column maxima stays below 2^63, else
+    Python ints.  For q = (1, ..., 1), low and high assembled, these are the
+    points and signs of `_vertices(k, -1)`.  Read-only.
     """
-    columns = _grid_columns(qs)
-    points = np.empty((math.prod(v.size for v, _ in columns), len(columns)), dtype=np.complex128)
-    weights = np.ones((len(qs), points.shape[0]))
-    for j, (values, digit) in enumerate(columns):
-        points[:, j] = values[digit]
-        table = np.array([[_multiplicity_weight(q[j], int(y)) for y in values] for q in qs], dtype=np.float64)
-        weights *= table[:, digit]
-    points.setflags(write=False)
-    weights.setflags(write=False)
-    return points, weights
-
-
-def _grid_split(qs) -> tuple[int, int, int]:
-    """(low, block, size) for the grid of the multiplicity rows qs: its first
-    ``low`` columns, as many as fit, make ``block`` <= 2^_LOW_BITS points, of
-    ``size`` in all."""
-    sizes = [_column_values([q[j] for q in qs]).size for j in range(len(qs[0]))]
+    columns = [_column_values(col) for col in zip(*qs)]
     low, block = 0, 1
-    while low < len(sizes) and block * sizes[low] <= 1 << _LOW_BITS:
-        block *= sizes[low]
+    while low < len(columns) and block * columns[low].size <= 1 << _LOW_BITS:
+        block *= columns[low].size
         low += 1
-    return low, block, math.prod(sizes)
+    points, weights = [], []
+    for part in (range(low), range(low, len(columns))):
+        # column j's largest weight is C(Q, Q // 2), Q its largest value
+        top = math.prod(math.comb(int(columns[j][-1]), int(columns[j][-1]) // 2) for j in part)
+        dtype = np.int64 if top < 1 << 63 else object
+        index = np.arange(math.prod(columns[j].size for j in part))
+        x = np.empty((index.size, len(part)))
+        w = np.ones((len(qs), index.size), dtype=dtype)
+        stride = 1
+        for t, j in enumerate(part):
+            digit = index // stride % columns[j].size
+            x[:, t] = columns[j][digit]
+            # one weight row per distinct q_j, taken by each q in qs
+            mults = sorted({q[j] for q in qs})
+            table = np.array([[_multiplicity_weight(c, int(y)) for y in columns[j]] for c in mults], dtype=dtype)
+            w *= table[np.searchsorted(mults, [q[j] for q in qs])][:, digit]
+            stride *= columns[j].size
+        points.append(x)
+        weights.append(w)
+    for a in (*points, *weights):
+        a.setflags(write=False)
+    return low, block, math.prod(c.size for c in columns), tuple(points), tuple(weights)
 
 
 def _sign_sums(cols: np.ndarray, powers: np.ndarray, mults: Optional[list] = None) -> np.ndarray:
@@ -265,11 +272,11 @@ def _sign_sums(cols: np.ndarray, powers: np.ndarray, mults: Optional[list] = Non
     That is Glynn's sign sum (Glynn, EJC 2010) on cols with column j repeated
     q_j times, its sign vectors grouped by how many -1 each column's copies
     hold, so 2^n Per(A_{p,q}) when cols = A and |p| = |q| = n.  All rows share
-    one grid (`_multiplicity_grid`): its first columns, at most 2^_LOW_BITS
-    points, come in one matmul, and the rest is an outer loop.  Per outer
-    point the powers (cols y)^e, e <= max(p), are built by repeated
+    one grid (`_grid`), priced before it is built: its first columns, at most
+    2^_LOW_BITS points, come in one matmul, and the rest is an outer loop.
+    Per outer point the powers (cols y)^e, e <= max(p), are built by repeated
     multiplication; each chunk of rows multiplies its gathered entries and
-    contracts them with its weights.
+    contracts them with the float64 of its weights.
     """
     if not np.isfinite(cols).all():
         raise ValueError("matrix entries must be finite")
@@ -279,10 +286,10 @@ def _sign_sums(cols: np.ndarray, powers: np.ndarray, mults: Optional[list] = Non
     qs = tuple(index)
     if len(qs) == 1:
         which = None
-    low, block, size = _grid_split(qs)
-    check_budget("sign sum", size * max(k, 1))
-    x_low, w_low = _multiplicity_grid(tuple(q[:low] for q in qs))
-    x_high, w_high = _multiplicity_grid(tuple(q[low:] for q in qs))
+    check_budget("sign sum", _grid_size(qs) * max(k, 1))
+    low, block, _, (x_low, x_high), weights = _grid(qs)
+    # exact below 2^53; a Python int past float range raises OverflowError
+    w_low, w_high = (w.astype(np.float64) for w in weights)
     part = cols[:, :low] @ x_low.T
     step = _SUMS_ENTRIES // block
     table = np.empty((int(powers.max(initial=0)) + 1, m, block), dtype=np.complex128)
@@ -376,10 +383,6 @@ def permanent_naive(a) -> PermanentResult:
 # - a per-prime factor adds two balanced residues (below 2^25), so a product
 #   of two factors, or of a factor and a weight residue, is below 2^50 before
 #   it is reduced;
-# - a grid weight multiplies the exact integers (-1)^v C(q_j, v) while the
-#   product of their bounds stays below 2^52, then is reduced; a factor of
-#   2^28 or more enters as its residues, so that a residue times a factor
-#   stays below 2^52 (`_weight_residues`);
 # - a block's weighted sum of at most 2^_LOW_BITS factors below 2^25 is
 #   below 2^35 for Ryser's signs and below 2^52 for weights below 2^17;
 #   larger weights are multiplied in and reduced first;
@@ -488,65 +491,34 @@ def _ryser_residues(ints: list, bounds: list, primes: list) -> list[int]:
     return [int(t) % p for t, p in zip(total, primes)]
 
 
-def _weight_residues(qs: tuple, columns: list, primes: tuple) -> np.ndarray:
-    """The weights of the grid ``columns`` (`_grid_columns(qs)`) mod each prime:
-    shape (len(qs), len(primes), grid), balanced, or (len(qs), 1, grid) when
-    every weight is at most half of each prime and so its own residue.
-
-    A weight is the product over the columns j of the exact integers
-    (-1)^v C(q_j, v), or of their residues where a residue times them could
-    reach 2^52.  The factors multiply exactly in float64 while the product
-    of their bounds stays below 2^52; then the product is reduced mod each
-    prime.
-    """
-    ps = np.array(primes, dtype=np.float64)[:, None]
-    half = max(primes) // 2
-    out, bound = np.ones((len(qs), 1, 1)), 1
-    # the slowest column first: each one's values become the new fastest axis
-    for j in reversed(range(len(columns))):
-        mults = sorted({q[j] for q in qs})
-        table = [[_multiplicity_weight(c, int(y)) for y in columns[j][0]] for c in mults]
-        top = max(abs(w) for row in table for w in row)
-        if half * top < _EXACT:
-            factor = np.array(table, dtype=np.float64)[:, None, :]
-        else:
-            factor, top = _balanced(np.array([[[w % p for w in row] for p in primes] for row in table], dtype=np.float64), ps), half
-        if bound * top >= _EXACT:
-            out, bound = _balanced(out, ps), half
-        factor = factor[np.searchsorted(mults, [q[j] for q in qs])]
-        out = (out[..., None] * factor[:, :, None, :]).reshape(len(qs), -1, out.shape[2] * factor.shape[2])
-        bound *= top
-    return out if bound <= min(primes) // 2 else _balanced(out, ps)
-
-
 @lru_cache(maxsize=64)
 def _residue_grid(qs: tuple, primes: tuple) -> tuple:
-    """What `_multiplicity_residues` needs of the grid for the multiplicity rows
-    qs: `_grid_split`'s (low, block, size), the float64 points of the low
-    columns (low x block) and of the high ones (one row per outer point), the
-    `_weight_residues` of both, and whether every low weight is below 2^17,
-    so that a block's weighted sum of factors below 2^25 stays below 2^52."""
-    low, block, size = _grid_split(qs)
-    points, weights = [], []
-    for part in (tuple(q[:low] for q in qs), tuple(q[low:] for q in qs)):
-        columns = _grid_columns(part)
-        grid = math.prod(values.size for values, _ in columns)
-        points.append(np.array([values[digit] for values, digit in columns], dtype=np.float64).reshape(-1, grid))
-        weights.append(_weight_residues(part, columns, primes))
-    direct = bool(np.abs(weights[0]).max() < 1 << (52 - _PRIME_BITS - _LOW_BITS))
-    out = (low, block, size, points[0], np.ascontiguousarray(points[1].T), *weights, direct)
-    for a in out[3:7]:
-        a.setflags(write=False)
-    return out
+    """What `_multiplicity_residues` needs of `_grid(qs)`: its (low, block,
+    size), the low points as low x block and the high ones, each part's
+    weights mod each prime, balanced, as (len(qs), len(primes), points), or
+    (len(qs), 1, points) when every weight of the part is at most half of
+    each prime and so its own residue, and whether every low residue is
+    below 2^17, so that a block's weighted sum of factors below 2^25 stays below 2^52."""
+    low, block, size, (x_low, x_high), weights = _grid(qs)
+    residues = []
+    for w in weights:
+        w = w[:, None, :]
+        if np.abs(w).max() > min(primes) // 2:
+            ps = np.array(primes, dtype=w.dtype)[:, None]
+            w = (w % ps + ps // 2) % ps - ps // 2
+        residues.append(w.astype(np.float64))
+        residues[-1].setflags(write=False)
+    direct = bool(np.abs(residues[0]).max() < 1 << (52 - _PRIME_BITS - _LOW_BITS))
+    return (low, block, size, x_low.T, x_high, *residues, direct)
 
 
 def _multiplicity_residues(ints: list, powers: np.ndarray, mults: list, primes: list) -> np.ndarray:
     """Half of `_sign_sums` on the integer rows ``ints``, mod each prime, as an
     N x k int64 array in [0, p): row r for p = powers[r] and q = mults[r].
 
-    The grid is `_multiplicity_grid`'s with the column order reversed, so the
-    grid indices i and G - 1 - i hold the points y and -y, and the sum runs
-    over i >= (G + 1) // 2: the points whose first nonzero y_j is positive.
+    The grid is `_grid`'s with the column order reversed, so the grid
+    indices i and G - 1 - i hold the points y and -y, and the sum runs over
+    i >= (G + 1) // 2: the points whose first nonzero y_j is positive.
     Where |p| = |q| the terms at y and -y are equal and y = 0 adds 0, so
     twice this is the full sum; for q = (1, ..., 1) it is Glynn's sum with
     x_1 = +1.  Rows with no power and columns with no multiplicity are left out.
@@ -748,9 +720,7 @@ def _batches(pairs: list, *keys) -> list[list]:
     """[pairs] when one shared grid for them all costs at most the term budget
     (pairs times grid points), else the pairs grouped by keys[0](q), each
     group split again by the other keys; the last groups stay whole."""
-    if keys:
-        grid = math.prod(_column_values(col).size for col in zip(*(q for _, q in pairs)))
-    if not keys or len(pairs) * grid <= TERM_BUDGET:
+    if not keys or len(pairs) * _grid_size([q for _, q in pairs]) <= TERM_BUDGET:
         return [pairs]
     groups: dict = {}
     for p, q in pairs:

@@ -1,7 +1,9 @@
 import hashlib
 import math
+import re
 import sys
 import threading
+import time
 
 import numpy as np
 import pytest
@@ -30,7 +32,7 @@ from permkit.bosonic import (
     tv_distance,
 )
 from permkit.combinatorics import count_weight, enumerate_weight, weight_array
-from permkit.errors import EmptyConditioning, TooLarge, ZeroAmplitude
+from permkit.errors import DimensionMismatch, EmptyConditioning, TooLarge, ZeroAmplitude
 from permkit.permanents import _LOW_BITS, _SUMS_ENTRIES, _sign_sums
 
 from oracles import dict_kept_draws, dict_reject_to_fixed_n, dict_sample, gray_code_cat_sign_sum, inverse_cdf_indices
@@ -155,6 +157,23 @@ class TestCatDistribution:
     def test_cutoff_below_n_rejected(self):
         with pytest.raises(ValueError):
             cat_distribution(np.eye(2), CatInputSpec(0.5, 2, 2), 1)
+
+    def test_support_count_matches_the_sum_over_weights(self):
+        for m in range(1, 9):
+            for n in range(1, 6):
+                for cutoff in [*range(n, n + 12), n + 31, 64]:
+                    want = sum(count_weight(m, k) for k in range(n, cutoff + 1, 2))
+                    top = cutoff - (cutoff - n) % 2
+                    got = bosonic._same_parity_outcomes(m, top) - bosonic._same_parity_outcomes(m, n - 2)
+                    assert got == want, (m, n, cutoff)
+
+    def test_huge_cutoff_is_refused_at_once(self):
+        # the support is counted in closed form, not summed weight by weight up to the cutoff
+        u, cutoff = rng.haar_unitary(3, 35), 10**20
+        start = time.perf_counter()
+        with pytest.raises(TooLarge, match=rf"^outcome support of 2\.\.{cutoff} photons in 3 modes needs about 10\^\d+ outcomes"):
+            cat_distribution(u, CatInputSpec(0.5, 2, 3), cutoff)
+        assert time.perf_counter() - start < 1.0
 
 
 class TestPhotonFraction:
@@ -610,8 +629,7 @@ class TestOutcomePlans:
 
     def test_plan_arrays_are_read_only(self, fresh_plans):
         plan = fresh_plans.get(5, 3)
-        assert isinstance(plan.outcomes, tuple)
-        for arr in (plan.powers, plan.root_fact):
+        for arr in (plan.table, plan.powers, plan.root_fact):
             assert not arr.flags.writeable
             with pytest.raises(ValueError, match="read-only"):
                 arr[0] = 0
@@ -621,7 +639,7 @@ class TestOutcomePlans:
         shapes = [(4, 2), (6, 2), (4, 3), (5, 3), (6, 3), (4, 2), (7, 3), (3, 5), (6, 2), (5, 3)]
         for m, k in shapes:
             plan = fresh_plans.get(m, k)
-            assert len(plan.outcomes) == count_weight(m, k)
+            assert plan.table.size == count_weight(m, k)
             assert fresh_plans.held <= 100
             assert fresh_plans.get(m, k) is plan
 
@@ -639,7 +657,7 @@ class TestOutcomePlans:
         monkeypatch.setattr(bosonic, "_PLAN_OUTCOMES", 100)
         kept = fresh_plans.get(4, 2)
         big = fresh_plans.get(6, 4)  # 126 outcomes
-        assert big.outcomes == tuple(enumerate_weight(6, 4))
+        assert big.table.tolist() == list(enumerate_weight(6, 4))
         assert fresh_plans.held == 10
         assert fresh_plans.get(6, 4) is not big
         assert fresh_plans.get(4, 2) is kept
@@ -656,7 +674,7 @@ class TestOutcomePlans:
             try:
                 for i in range(200):
                     m, k = shapes[(offset + 7 * i) % len(shapes)]
-                    assert len(fresh_plans.get(m, k).outcomes) == count_weight(m, k)
+                    assert fresh_plans.get(m, k).table.size == count_weight(m, k)
             except Exception as exc:  # re-raised in the main thread
                 errors.append(exc)
 
@@ -671,7 +689,7 @@ class TestOutcomePlans:
         finally:
             sys.setswitchinterval(interval)
         assert not any(t.is_alive() for t in threads) and not errors, errors
-        assert fresh_plans.held == sum(len(p.outcomes) for p in fresh_plans._plans.values()) <= 150
+        assert fresh_plans.held == sum(p.table.size for p in fresh_plans._plans.values()) <= 150
 
     def test_mutating_probs_leaves_the_next_call_alone(self, fresh_plans):
         u = rng.haar_unitary(5, 114)
@@ -846,6 +864,26 @@ class TestArgumentChecks:
             rejection_sampling_pipeline(rng.haar_unitary(4, 123), CatInputSpec(0.8, 2, 4), 6, np.int8(0), 0)
         with pytest.raises(ValueError, match="^need n >= 0, got -1$"):
             photon_fraction(0.5, -1)
+
+
+class TestNonSquareUnitary:
+    @pytest.mark.parametrize("shape", [(2, 3), (3, 2)])
+    @pytest.mark.parametrize(
+        "run",
+        [
+            lambda u, spec, p: fock_amplitude(u, p, p),
+            lambda u, spec, p: bs_distribution(u, 1),
+            lambda u, spec, p: cat_amplitude(u, spec, p),
+            lambda u, spec, p: cat_distribution(u, spec, 3),
+            lambda u, spec, p: rejection_sampling_pipeline(u, spec, 3, 10, 1),
+        ],
+        ids=["fock_amplitude", "bs_distribution", "cat_amplitude", "cat_distribution", "pipeline"],
+    )
+    def test_refused_naming_the_shape(self, run, shape):
+        u, spec, p = np.ones(shape) / 2, CatInputSpec(0.5, 1, shape[0]), (1,) + (0,) * (shape[0] - 1)
+        message = f"^the interferometer must be a square matrix, got shape {re.escape(str(shape))}$"
+        with pytest.raises(DimensionMismatch, match=message):
+            run(u, spec, p)
 
 
 class TestNonFiniteUnitary:

@@ -468,6 +468,12 @@ class TestSquareMatrices:
         with pytest.raises(DimensionMismatch, match="square"):
             run(mat)
 
+    @pytest.mark.parametrize("shape", [(0, 3), (3, 0)])
+    def test_empty_object_array_is_not_square(self, shape):
+        # an object array with no rows (or no columns) keeps its shape
+        with pytest.raises(DimensionMismatch, match="square"):
+            ident._normalize(np.empty(shape, dtype=object))
+
 
 class TestPatternLengths:
     """A pattern whose length does not fit the matrix raises DimensionMismatch:

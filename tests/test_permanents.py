@@ -17,7 +17,8 @@ from permkit.estimators import pown_grid_expectation
 from permkit.numerics import ComplexMatrix, scaled_error
 from permkit.permanents import (
     TERM_BUDGET,
-    _multiplicity_grid,
+    _grid,
+    _multiplicity_weight,
     _repeated_permanents,
     _vertices,
     permanent_cauchy_binet,
@@ -660,13 +661,56 @@ def test_multiplicity_q_ones_is_glynn():
     assert got.term_count == permanent_glynn(exact).term_count == 1 << 10
 
 
+def _assembled_grid(qs):
+    """`_grid(qs)`'s size, points and weights with the low and high parts
+    assembled: point i + block * h is (low point i, high point h)."""
+    _, block, size, (x_low, x_high), (w_low, w_high) = _grid(qs)
+    points = np.hstack([np.tile(x_low, (len(x_high), 1)), np.repeat(x_high, block, axis=0)])
+    return size, points, (w_low[:, None, :] * w_high[:, :, None]).reshape(len(qs), -1)
+
+
 @pytest.mark.parametrize("k", range(12))
 def test_multiplicity_grid_of_ones_is_the_vertex_table(k):
     # the distributions' sign sums stay bit-identical on this table
-    points, weights = _multiplicity_grid(((1,) * k,))
+    size, points, weights = _assembled_grid(((1,) * k,))
     vertices, signs = _vertices(k, -1)
-    assert np.array_equal(points, vertices) and points.dtype == vertices.dtype
-    assert np.array_equal(weights[0], signs) and weights.dtype == signs.dtype
+    assert size == len(vertices) and np.array_equal(points, vertices)
+    assert np.array_equal(weights[0], signs)
+
+
+@pytest.mark.parametrize(
+    "qs, dtypes",
+    [
+        (((2, 3, 1), (4, 1, 0), (1, 1, 2)), (np.int64, np.int64)),
+        (((30, 30), (28, 2)), (np.int64, np.int64)),
+        # C(60, 30) C(15, 7) > 2^63: the low block's weights are Python ints
+        (((60, 15),), (object, np.int64)),
+        (((15, 60), (3, 2)), (object, np.int64)),
+        # C(40, 20)^2 > 2^63: the high part's weights are Python ints
+        (((40, 40, 40),), (np.int64, object)),
+    ],
+)
+def test_grid_weights_are_the_exact_column_products(qs, dtypes):
+    parts = _grid(qs)[4]
+    assert tuple(w.dtype for w in parts) == tuple(map(np.dtype, dtypes))
+    assert not any(w.flags.writeable for w in parts)
+    size, points, weights = _assembled_grid(qs)
+    assert points.shape == (size, len(qs[0])) and weights.shape == (len(qs), size)
+    for q, row in zip(qs, weights.tolist()):
+        assert row == [math.prod(_multiplicity_weight(c, int(y)) for c, y in zip(q, pt)) for pt in points]
+
+
+def test_exact_multiplicity_sum_with_weights_past_int64():
+    # the low block's weights reach C(60, 30) C(15, 7) > 2^63; in int64 they would wrap silently
+    rows = [[2, -1], [1, 3]]
+    got = permanent_glynn_multiplicity(rows, RepetitionPattern((40, 35), (60, 15))).value
+    assert got == table_permanent(rows, (40, 35), (60, 15)) and type(got) is int
+
+
+def test_exact_weights_past_float_range():
+    # C(1100, 550) is past float64: the weights stay Python ints on the exact route
+    got = permanent_glynn_multiplicity([[1]], RepetitionPattern((1100,), (1100,))).value
+    assert got == math.factorial(1100) and type(got) is int
 
 
 @pytest.mark.parametrize("budget", [TERM_BUDGET, 1])
@@ -1120,6 +1164,20 @@ def test_plain_formulas_on_a_rectangular_matrix_give_zero(algo, form):
         res, warned = _call(algo, _form(form, rows, ncols), None)
         _assert_result(res, 0, complex if form == "float" else int, 0)
         assert warned == 0
+
+
+@pytest.mark.parametrize("shape", [(0, 3), (3, 0)])
+@pytest.mark.parametrize("algo", permanents.ALGORITHMS)
+def test_empty_object_arrays_keep_their_width(algo, shape):
+    # an object array with no rows is 0 x 3, not the 0 x 0 matrix
+    a = np.empty(shape, dtype=object)
+    if algo in PLAIN_ALGOS:
+        res, warned = _call(algo, a, None)
+        _assert_result(res, 0, int, 0)
+        assert warned == 0
+    else:
+        with pytest.raises(DimensionMismatch, match=SHAPE_MESSAGE):
+            _call(algo, a, RepetitionPattern((0, 0, 0), (0, 0, 0)))
 
 
 PATTERN_ALGOS = [algo for algo in permanents.ALGORITHMS if algo not in PLAIN_ALGOS]
