@@ -244,7 +244,8 @@ def bs_distribution(u, n: int) -> OutcomeDistribution:
         raise ValueError(f"need 0 <= n <= m, got n={n}, m={m}")
     check_budget(f"outcome support of {n} photons in {m} modes", count_weight(m, n), SUPPORT_BUDGET, "outcomes")
     plan = _plans.get(m, n)
-    amps = _sign_sums(arr[:, :n], plan.powers) / (2**n * plan.root_fact)
+    # the half sign sum has no term at n = 0, where the vacuum's amplitude is 1
+    amps = _sign_sums(arr[:, :n], plan.powers) / (2 ** (n - 1) * plan.root_fact) if n else np.ones(1)
     return OutcomeDistribution(_Probs(plan.table, np.abs(amps) ** 2, np.full(plan.table.size, n)), n, 0.0)
 
 
@@ -255,14 +256,14 @@ def _log_sinh(x: float) -> float:
 
 @lru_cache(maxsize=256)
 def _cat_scale(alpha: complex, n: int, total: int) -> complex:
-    """alpha^total / (2^n sinh^{n/2}(|alpha|^2)), shared by all outcomes of one weight.
+    """alpha^total / (2^(n-1) sinh^{n/2}(|alpha|^2)), shared by all outcomes of one weight.
 
     Formed in log space, so a large |alpha| underflows to 0 instead of
     overflowing sinh.
     """
     r = abs(alpha)
     log_scale = total * math.log(r) - 0.5 * n * _log_sinh(r * r)
-    return (alpha / r) ** total * math.exp(log_scale) / 2**n
+    return (alpha / r) ** total * math.exp(log_scale) / 2 ** (n - 1)
 
 
 def cat_amplitude(u, spec: CatInputSpec, p: Sequence[int]) -> complex:
@@ -283,6 +284,7 @@ def cat_amplitude(u, spec: CatInputSpec, p: Sequence[int]) -> complex:
     total = weight(p)
     if total < n or (total - n) % 2 != 0:
         return 0j
+    check_budget("sign sum", (1 << n) * n)
     sign_sum = complex(_sign_sums(arr[:, :n], np.array([p], dtype=np.intp))[0])
     return _cat_scale(spec.alpha, n, total) * sign_sum / math.sqrt(factorial_product(p))
 

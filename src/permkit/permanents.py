@@ -25,17 +25,17 @@ and repeated-row Glynn are its q = 1 case.  The brute-force sum,
 here and on float input alike; exact zero partial products drop their
 subtree.
 
-Float inputs run chunked numpy kernels: :func:`_sign_sum` for Ryser, Glynn
-and repeated-row Glynn (exact Ryser shares its low/high split), and
-:func:`_sign_sums`, batched over many (p, q), for the sampler's
-distributions and the multiplicity sums.  One grid serves the multiplicity
-sum in both rings: :func:`_grid` builds its split, float64 points and exact
-integer weights once per set of column multiplicities; the float kernel
-reads the weights' float64, the exact twin their residues mod each prime
-(:func:`_residue_grid`).  Every batch of multiplicity sums has one entry,
-:func:`_repeated_permanents`, which prices it and picks the kernel: the
-multiplicity sum, exact Glynn and repeated-row Glynn, Cauchy-Binet's inner
-permanents and the identity verifiers' permanent sides all go through it.
+Float input has one sign-sum kernel, :func:`_sign_sums`, batched over many
+(p, q), for Ryser (on [A 1 | A]), Glynn, repeated-row Glynn, the multiplicity
+sums and the sampler; like its exact twin it sums half the grid.  One grid
+serves the multiplicity sum in both rings: :func:`_grid` builds its split,
+float64 points and exact integer weights once per set of column
+multiplicities; the float kernel reads the weights' float64, the exact twin
+their residues mod each prime (:func:`_residue_grid`).  Every batch of
+multiplicity sums has one entry, :func:`_repeated_permanents`, which prices
+it and picks the kernel: the multiplicity sum, exact Glynn and repeated-row
+Glynn, Cauchy-Binet's inner permanents and the identity verifiers'
+permanent sides all go through it.
 
 Glynn-Kan's double sum over x, y of w(x) w(y) (x^T A y)^n is one kernel,
 :func:`_grid_double_sum`.  Glynn-Kan runs it on the sign vectors of
@@ -163,7 +163,7 @@ def _aligned(shape: tuple, dtype) -> np.ndarray:
     """An uninitialised array for a buffer that a kernel's outer loop reuses,
     on a 64-byte boundary when it takes 128 KiB or more.  glibc malloc serves
     such blocks by mmap, 16 bytes past a boundary (until it frees a larger
-    mmapped block), and `_sign_sum`'s loop at m = 18 took 1.4x as long on
+    mmapped block), and float Glynn's loop at m = 18 took 1.4x as long on
     such a buffer; smaller ones are not moved, as the move costs a few us."""
     size, itemsize = math.prod(shape), np.dtype(dtype).itemsize
     if size * itemsize < 1 << 17:
@@ -171,31 +171,6 @@ def _aligned(shape: tuple, dtype) -> np.ndarray:
     raw = np.empty(size + 64 // itemsize - 1, dtype=dtype)
     start = -raw.ctypes.data % 64 // itemsize
     return raw[start : start + size].reshape(shape)
-
-
-def _sign_sum(cols: np.ndarray, lo: int, base: Optional[np.ndarray] = None) -> complex:
-    """sum over x in {lo, 1}^k of (prod_j s(x_j)) prod_i (base + cols x)_i.
-
-    ``cols`` is m x k and ``base`` defaults to 0.  Ryser is lo = 0, Glynn
-    lo = -1.  The low bits of x come from the cached vertex table in one
-    matmul; the high bits are an outer loop.
-    """
-    k = cols.shape[1]
-    low = min(k, _LOW_BITS)
-    x_low, s_low = _vertices(low, lo)
-    part = cols[:, :low] @ x_low.T
-    if base is not None:
-        part += base[:, None]
-    if k == low:
-        return complex(part.prod(axis=0) @ s_low)
-    x_high, s_high = _vertices(k - low, lo)
-    high_cols = cols[:, low:]
-    shifted = _aligned(part.shape, np.complex128)
-    total = 0
-    for xh, sh in zip(x_high, s_high):
-        np.add(part, (high_cols @ xh)[:, None], out=shifted)
-        total += sh * complex(shifted.prod(axis=0) @ s_low)
-    return total
 
 
 # Entries (rows x low grid points) of one chunk's product block in _sign_sums.
@@ -266,50 +241,67 @@ def _grid(qs: tuple[tuple[int, ...], ...]) -> tuple:
 def _sign_sums(cols: np.ndarray, powers: np.ndarray, mults: Optional[list] = None) -> np.ndarray:
     """For each row p of the N x m int array ``powers``, with q the matching
     tuple of column multiplicities in the list ``mults`` (all ones when
-    omitted), the sum over 0 <= v <= q of
-    prod_j (-1)^{v_j} C(q_j, v_j) prod_i ((cols (q - 2v))_i)^{p_i}, with ``cols`` m x k.
+    omitted), half of Glynn's sign sum (Glynn, EJC 2010) on ``cols`` (m x k)
+    with column j repeated q_j times, its sign vectors grouped by how many -1
+    each column's copies hold: the sum of prod_j (-1)^{v_j} C(q_j, v_j)
+    prod_i ((cols y)_i)^{p_i} over the points y = q - 2v whose first nonzero
+    y_j is positive, in `_multiplicity_residues`' grid order.  The term at -y
+    is (-1)^{|p| + |q|} times that at y, so where |p| = |q| = n >= 1 this is
+    2^(n-1) Per(A_{p,q}) for cols = A.
 
-    That is Glynn's sign sum (Glynn, EJC 2010) on cols with column j repeated
-    q_j times, its sign vectors grouped by how many -1 each column's copies
-    hold, so 2^n Per(A_{p,q}) when cols = A and |p| = |q| = n.  All rows share
-    one grid (`_grid`), priced before it is built: its first columns, at most
-    2^_LOW_BITS points, come in one matmul, and the rest is an outer loop.
-    Per outer point the powers (cols y)^e, e <= max(p), are built by repeated
-    multiplication; each chunk of rows multiplies its gathered entries and
-    contracts them with the float64 of its weights.
+    The grid's first columns, at most 2^_LOW_BITS points, come in one matmul,
+    the rest in an outer loop priced by the callers.  One row p runs on cols
+    with row i repeated p_i times, multiplied down the rows; more rows gather
+    from a table of the powers (cols y)^e, e <= max(p), per outer point.
     """
     if not np.isfinite(cols).all():
         raise ValueError("matrix entries must be finite")
-    m, k = cols.shape
-    index = {(1,) * k: 0} if mults is None else {}
-    which = np.array([index.setdefault(q, len(index)) for q in mults or ()], dtype=np.intp)
+    index = {(1,) * cols.shape[1]: 0} if mults is None else {}
+    which = np.array([index.setdefault(q[::-1], len(index)) for q in mults or ()], dtype=np.intp)
     qs = tuple(index)
-    if len(qs) == 1:
-        which = None
-    check_budget("sign sum", _grid_size(qs) * max(k, 1))
-    low, block, _, (x_low, x_high), weights = _grid(qs)
+    low, block, size, (x_low, x_high), weights = _grid(qs)
     # exact below 2^53; a Python int past float range raises OverflowError
     w_low, w_high = (w.astype(np.float64) for w in weights)
+    one = powers.shape[0] == 1
+    if one:
+        cols = np.repeat(cols, powers[0], axis=0)
+    m = cols.shape[0]
+    first, skip = divmod((size + 1) // 2, block)
+    if first == x_high.shape[0] - 1:
+        # one outer point: only the block's upper part is summed
+        x_low, w_low, block, skip = x_low[skip:], w_low[:, skip:], block - skip, 0
+    cols = cols[:, ::-1]
     part = cols[:, :low] @ x_low.T
+    # each outer point's share of cols y; none when every column is low
+    shifts = x_high[first:] @ cols[:, low:].T if x_high.shape[1] else None
     step = _SUMS_ENTRIES // block
-    table = np.empty((int(powers.max(initial=0)) + 1, m, block), dtype=np.complex128)
-    table[0] = 1.0
+    # cols y per outer point; a single outer point's values overwrite `part`
+    v = part if first == x_high.shape[0] - 1 else _aligned(part.shape, np.complex128)
+    if not one:
+        # row e holds (cols y)^e
+        table = np.empty((int(powers.max(initial=0)) + 1, m, block), dtype=np.complex128)
+        table[0] = 1.0
     out = np.zeros(powers.shape[0], dtype=np.complex128)
-    v = _aligned(part.shape, np.complex128)
-    for h, xh in enumerate(x_high):
-        np.add(part, (cols[:, low:] @ xh)[:, None], out=v)
-        for e in range(1, table.shape[0]):
-            np.multiply(table[e - 1], v, out=table[e])
+    for t, h in enumerate(range(first, x_high.shape[0])):
+        lo = skip if t == 0 else 0
+        if shifts is not None:
+            np.add(part[:, lo:], shifts[t, :, None], out=v[:, lo:])
+        if one:
+            out += w_high[0, h] * (v[:, lo:].prod(axis=0) @ w_low[0, lo:])
+            continue
+        tab = table[:, :, lo:]
+        for e in range(1, tab.shape[0]):
+            np.multiply(tab[e - 1], v[:, lo:], out=tab[e])
         for start in range(0, powers.shape[0], step):
             chunk = powers[start : start + step]
-            acc = table[chunk[:, 0], 0]
+            acc = tab[chunk[:, 0], 0]
             for i in range(1, m):
-                acc *= table[chunk[:, i], i]
-            if which is None:
-                out[start : start + step] += w_high[0, h] * (acc @ w_low[0])
+                acc *= tab[chunk[:, i], i]
+            if len(qs) == 1:
+                out[start : start + step] += w_high[0, h] * (acc @ w_low[0, lo:])
             else:
                 rows = which[start : start + step]
-                out[start : start + step] += w_high[rows, h] * np.einsum("ij,ij->i", acc, w_low[rows])
+                out[start : start + step] += w_high[rows, h] * np.einsum("ij,ij->i", acc, w_low[rows, lo:])
     return out
 
 
@@ -457,13 +449,12 @@ def _residue_rows(ints: list, rows: list, primes: list) -> np.ndarray:
 def _ryser_residues(ints: list, bounds: list, primes: list) -> list[int]:
     """Ryser's sum for the integer rows ``ints`` mod each prime, in [0, p).
 
-    The sum runs as `_sign_sum` does with lo = 0: the low bits of the column
-    subset come from the cached `_vertices` table in one matmul, the high bits
-    are an outer loop.  A row's bound is its absolute row sum, and
-    `_row_groups` splits the rows into shared groups and per-prime rows.  The
-    factors, shared (1, block) and per-prime (k, block), multiply into one
-    (k, block) product by broadcasting, reduced against a (k, block) array of
-    the primes: a (k, 1) column would be a slower broadcast.
+    The low bits of the column subset come from the cached `_vertices(low, 0)`
+    table in one matmul, the high bits are an outer loop.  A row's bound is its
+    absolute row sum, and `_row_groups` splits the rows into shared groups and
+    per-prime rows.  The factors, shared (1, block) and per-prime (k, block),
+    multiply into one (k, block) product by broadcasting, reduced against a
+    (k, block) array of the primes: a (k, 1) column would be a slower broadcast.
     """
     m, k = len(ints), len(primes)
     shared, groups, big = _row_groups(bounds)
@@ -513,8 +504,8 @@ def _residue_grid(qs: tuple, primes: tuple) -> tuple:
 
 
 def _multiplicity_residues(ints: list, powers: np.ndarray, mults: list, primes: list) -> np.ndarray:
-    """Half of `_sign_sums` on the integer rows ``ints``, mod each prime, as an
-    N x k int64 array in [0, p): row r for p = powers[r] and q = mults[r].
+    """`_sign_sums` on the integer rows ``ints``, mod each prime, as an N x k
+    int64 array in [0, p): row r for p = powers[r] and q = mults[r].
 
     The grid is `_grid`'s with the column order reversed, so the grid
     indices i and G - 1 - i hold the points y and -y, and the sum runs over
@@ -632,7 +623,8 @@ def _exact_multiplicity_sums(rows, pairs) -> list[Scalar]:
 def permanent_ryser(a) -> PermanentResult:
     """Ryser's inclusion-exclusion over column subsets: (2^m - 1) terms.
 
-    Float input runs `_sign_sum`.  Int/Fraction input is exact and
+    Float input runs `_sign_sums` on [A 1 | A], whose half with y_0 = +1 is
+    2^m Per(A), as A 1 + A y = 2 A x for x = (1 + y) / 2.  Int/Fraction input is exact and
     multi-modular: row i is scaled to integers by the lcm d_i of its
     denominators, and |Per| <= B = prod_i max(sum_j |c_ij|, 1) for the scaled
     entries c.  The largest primes below 2^25 are taken until their product
@@ -648,8 +640,9 @@ def permanent_ryser(a) -> PermanentResult:
     m = len(data)
     check_budget("Ryser sum", 1 << m)
     if not exact:
-        # x_j = 1 puts column j in the subset; the sign (-1)^(m - |S|) is Ryser's
-        return PermanentResult(_sign_sum(data, 0), "ryser", (1 << m) - 1)
+        # with y_0 = +1, r + A y = 2 A x for x = (1 + y) / 2, the subset's indicator
+        rows = np.concatenate((data.sum(axis=1, keepdims=True), data), axis=1)
+        return PermanentResult(_sign_sums(rows, np.ones((1, m), dtype=np.intp))[0] / (1 << m), "ryser", (1 << m) - 1)
     dens, ints = _integer_rows(data)
     bounds = [max(sum(map(abs, row)), 1) for row in ints]
     primes = _crt_primes(2 * math.prod(bounds))
@@ -659,15 +652,14 @@ def permanent_ryser(a) -> PermanentResult:
 
 def _glynn_rows(data, exact: bool, q, algorithm: str) -> PermanentResult:
     """Glynn's sum on A_{q,1}, row i repeated q_i times, x_1 fixed to +1:
-    2^(n-1) terms for |q| = n = m >= 1.  Float input runs `_sign_sum` on the
-    repeated rows, exact input the multiplicity sum with every q_j = 1."""
+    2^(n-1) terms for |q| = n = m >= 1.  Float input runs `_sign_sums` with
+    the powers q, exact input the multiplicity sum with every q_j = 1."""
     n = len(q)
     check_budget("Glynn sum over all sign vectors", 1 << n)
     if exact:
         (value,) = _repeated_permanents((data, [(q, (1,) * n)]))[0].values()
     else:
-        rows = np.repeat(data, q, axis=0)
-        value = _sign_sum(rows[:, 1:], -1, base=rows[:, 0]) / (1 << (n - 1))
+        value = _sign_sums(data, np.array([q]))[0] / (1 << (n - 1))
     return PermanentResult(value, algorithm, 1 << (n - 1))
 
 
@@ -696,8 +688,8 @@ def permanent_glynn_multiplicity(a, pattern: RepetitionPattern) -> PermanentResu
     prod_j (q_j + 1) terms where Glynn on A_{p,q} takes 2^{|q| - 1}.  It runs
     through `_repeated_permanents`: float input on `_sign_sums` on the
     multiplicity grid, int/Fraction input on its multi-modular twin
-    (`_exact_multiplicity_sums`), which pairs the equal terms at v and q - v
-    and sums prod_j (q_j + 1) // 2 of them.  Exact results have the type
+    (`_exact_multiplicity_sums`); both sum one of the equal terms at v and
+    q - v, and the float route reports the whole grid.  Exact results have the type
     `permanent_naive` gives on A_{p,q}.  TooLarge applies to prod_j (q_j + 1),
     and on float input also to the kernel's cost, that count times the number
     of columns.
@@ -740,8 +732,8 @@ def _repeated_permanents(*jobs) -> list[dict]:
     more than the term budget.  Then the pairs whose q agree in parity, whose
     grid is prod_j (max q_j + 1) points, share a call, and a parity class over
     the budget takes one call per q.  The kernel is `_sign_sums` on float
-    input and its multi-modular twin, `_exact_multiplicity_sums`, on
-    int/Fraction input.
+    input, priced per call at its grid times the columns, and its
+    multi-modular twin, `_exact_multiplicity_sums`, on int/Fraction input.
     """
     terms, plans = 0, []
     for a, pairs in jobs:
@@ -768,9 +760,11 @@ def _repeated_permanents(*jobs) -> list[dict]:
             if exact:
                 out.update(zip(batch, _exact_multiplicity_sums(data, batch)))
                 continue
-            sums = _sign_sums(data, np.array([p for p, _ in batch]), [q for _, q in batch])
+            qs = [q for _, q in batch]
+            check_budget("sign sum", _grid_size(qs) * max(len(qs[0]), 1))
+            sums = _sign_sums(data, np.array([p for p, _ in batch]), qs)
             for pair, s in zip(batch, sums.tolist()):
-                out[pair] = s / (1 << todo[pair])
+                out[pair] = s / (1 << (todo[pair] - 1))
     return [out for _, _, out, _ in plans]
 
 

@@ -583,7 +583,7 @@ def _direct_bs_probs(u, n):
     arr = np.asarray(u.matrix.data)
     powers = weight_array(arr.shape[0], n)
     root_fact = np.sqrt([math.prod(map(math.factorial, p)) for p in powers.tolist()])
-    amps = _sign_sums(arr[:, :n], powers) / (2**n * root_fact)
+    amps = _sign_sums(arr[:, :n], powers) / (2 ** (n - 1) * root_fact)
     return dict(zip(map(tuple, powers.tolist()), (np.abs(amps) ** 2).tolist()))
 
 

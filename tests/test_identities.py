@@ -820,14 +820,15 @@ class TestDeterminantSideBeyondEightRows:
 
 
 # SHA-256 of the JSON of run_battery(seed=s), recorded from the version that
-# compared one coefficient at a time (numpy 2.4.6 with OpenBLAS 0.3.31 on
-# x86-64): every field, max_abs_error to the last bit.
+# sums half of each float sign-sum grid and a quarter of even-single's sign
+# pairs (numpy 2.4.6 with OpenBLAS 0.3.31 on x86-64): every field,
+# max_abs_error to the last bit.
 BATTERY_DIGESTS = {
-    5: "e36ff7cfdfaa4538f58d6d0e71980d3abb94ca18bf29cba338ad99f0a4c06310",
-    7: "dfed5d683bd7646b2ccefec4822e5e582e29a46be7254ac79167987cd733efc4",
-    123: "bbed78d00f78f3d2214879aea75a3e37ccc2bbfb2f8b57146b0dedb5d530f6ba",
-    901: "085a0ac29f287be7c447c3dbbbeb1cecf0085cc8677b0d6e1cf095cd8f1a32f3",
-    902: "a744b03961867a8d4c281b0083b1deba22a6f06be701a768a2a55c48e4fcaacd",
+    5: "4ccfc8fcfb5662ba722dacb0453806c9beeaea0f5d133b61b61702e7607de9a8",
+    7: "6b585df1a1f4f2f7d07eee4054ca37e7e9effb35bf9228c182184f5bbb9e9546",
+    123: "fd26738caf80c368f4e248a47d5cd264a7395010828640161b9f2c6318edc2ef",
+    901: "74ce44d1fcbf8ffd579eb92391214ed6e865b9bb6484894163e66436a99581a7",
+    902: "043d1d5c6d59c623c608e5ab797062eee4b2ae336920135b74758cc342c6acb3",
 }
 
 

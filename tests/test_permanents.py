@@ -1,3 +1,4 @@
+import itertools
 import math
 import os
 import subprocess
@@ -671,11 +672,87 @@ def _assembled_grid(qs):
 
 @pytest.mark.parametrize("k", range(12))
 def test_multiplicity_grid_of_ones_is_the_vertex_table(k):
-    # the distributions' sign sums stay bit-identical on this table
+    # q = (1, ..., 1) is the sign cube: point for point and sign for sign the
+    # `_vertices` table that Glynn-Kan reads, so one order serves every kernel
     size, points, weights = _assembled_grid(((1,) * k,))
     vertices, signs = _vertices(k, -1)
     assert size == len(vertices) and np.array_equal(points, vertices)
     assert np.array_equal(weights[0], signs)
+
+
+# `_sign_sums` sums the grid points whose first nonzero y_j is positive.
+# Where |p| = |q| (mod 2) and |p| >= 1 the term at -y equals the term at y and
+# y = 0 adds 0, so twice the half sum is the sum over every grid point.
+
+
+def _full_grid_sum(cols, p, q):
+    """sum over every integer point y with |y_j| <= q_j of
+    prod_j _multiplicity_weight(q_j, y_j) prod_i ((cols y)_i)^{p_i}."""
+    total = 0j
+    for y in itertools.product(*(range(-c, c + 1) for c in q)):
+        w = math.prod(_multiplicity_weight(c, v) for c, v in zip(q, y))
+        total += w * np.prod((cols @ np.array(y, dtype=float)) ** np.array(p))
+    return total
+
+
+HALF_GRID_CASES = {
+    # q all even: the grid's middle point is y = 0
+    "even-q": [((2, 1, 1), (2, 0, 2))],
+    # one block of 8 points: the sum starts at its middle
+    "one-block": [((1, 1, 1), (1, 1, 1))],
+    "many-rows": [((2, 1, 1), (1, 2, 1)), ((0, 3, 1), (1, 2, 1)), ((1, 1, 2), (1, 2, 1))],
+    # two parity classes in one batch: each column takes -Q..Q in steps of 1
+    "two-parities": [((1, 1, 0), (1, 1, 0)), ((2, 0, 0), (2, 0, 0)), ((0, 1, 3), (1, 1, 2))],
+    # with 2^2-point blocks, (2, 2, 1) reversed has blocks of 2 and 18 points: the half starts mid-block
+    "mid-block": [((1, 2, 2), (2, 2, 1))],
+    "rectangular": [((1, 2), (1, 1, 1)), ((3, 0), (0, 1, 2))],
+}
+
+
+@pytest.fixture
+def fresh_grids():
+    """`_grid`'s cache emptied before and after a test that changes `_LOW_BITS`."""
+    permanents._grid.cache_clear()
+    yield
+    permanents._grid.cache_clear()
+
+
+@pytest.mark.parametrize("low_bits", [permanents._LOW_BITS, 2])
+@pytest.mark.parametrize("case", sorted(HALF_GRID_CASES))
+def test_sign_sums_are_half_the_full_grid_sum(case, low_bits, monkeypatch, fresh_grids):
+    monkeypatch.setattr(permanents, "_LOW_BITS", low_bits)
+    pairs = HALF_GRID_CASES[case]
+    cols = rng.unit_disk_matrix(max(len(pairs[0][0]), len(pairs[0][1])), 970)[: len(pairs[0][0]), : len(pairs[0][1])]
+    if case == "mid-block" and low_bits == 2:
+        _, block, size, (_, x_high), _ = _grid(((1, 2, 2),))
+        assert len(x_high) > 1 and (size + 1) // 2 % block
+    want = [_full_grid_sum(cols, p, q) for p, q in pairs]
+    # all pairs in one call (one row in the one-pair cases), and each pair alone
+    for batch in (pairs, *([pair] for pair in pairs)):
+        got = permanents._sign_sums(cols, np.array([p for p, _ in batch]), [q for _, q in batch])
+        for g, pair in zip(got.tolist(), batch):
+            w = want[pairs.index(pair)]
+            assert abs(2 * g - w) <= 1e-13 * max(1.0, abs(w)), (case, pair)
+
+
+@pytest.mark.parametrize("m", [20, 23])
+def test_float_glynn_and_ryser_reach_the_kernel_below_the_budget(m, monkeypatch):
+    # the kernel itself does not price: Glynn's 2^m and Ryser's 2^m terms are the only checks
+    calls = []
+
+    def kernel(cols, powers, mults=None):
+        calls.append((cols.shape, powers.tolist(), mults))
+        return np.zeros(len(powers), dtype=np.complex128)
+
+    monkeypatch.setattr(permanents, "_sign_sums", kernel)
+    a = rng.unit_disk_matrix(m, 980)
+    assert permanent_glynn(a).term_count == 1 << (m - 1)
+    assert permanent_ryser(a).term_count == (1 << m) - 1
+    assert calls == [((m, m), [[1] * m], None), ((m, m + 1), [[1] * m], None)]
+    for call in (permanent_glynn, permanent_ryser):
+        with pytest.raises(TooLarge, match=f"needs {1 << 24} terms"):
+            call(rng.unit_disk_matrix(24, 981))
+    assert len(calls) == 2
 
 
 @pytest.mark.parametrize(
