@@ -10,27 +10,27 @@ formula states its term count, and raises `TooLarge`, naming that count and
 the budget, when it exceeds the budget.
 
 Exact input, int / Fraction entries as nested sequences or as an object
-array (`combinatorics._is_exact_rows`), has three independent routes, and
-each returns a Fraction when an entry is one, else an int.  Ryser and Glynn
-are multi-modular: the rows are scaled to integers, each sum runs mod a few
-primes below 2^25 in float64 numpy, and the Chinese remainder theorem
-rebuilds it from a bound on |Per|.  They share that reduction (`_balanced`,
-`_row_groups`, `_crt`) but not their formulas: Ryser sums over column
-subsets (:func:`_ryser_residues`); Glynn gives Per(A_{p,q}) by Glynn's sum
-on A_{p,q} with the sign vectors of each repeated column grouped by their
-sum, prod_j (q_j + 1) terms (:func:`permanent_glynn_multiplicity`), of which
-:func:`_multiplicity_residues` sums one of each pair of equal terms; Glynn
-and repeated-row Glynn are its q = 1 case.  The brute-force sum,
-:func:`_naive_sum`, walks the permutation prefix tree, on an object array
-here and on float input alike; exact zero partial products drop their
-subtree.
+array (`combinatorics._is_exact_rows`), returns a Fraction when an entry is
+one, else an int.  Its sign sums are multi-modular: the rows are scaled to
+integers, one kernel, :func:`_multiplicity_residues`, sums mod a few primes
+below 2^25 in float64 numpy, and the Chinese remainder theorem rebuilds the
+permanent from a bound on |Per|.  Glynn gives Per(A_{p,q}) by Glynn's sum on
+A_{p,q} with the sign vectors of each repeated column grouped by their sum,
+prod_j (q_j + 1) terms (:func:`permanent_glynn_multiplicity`), of which the
+kernel sums one of each pair of equal terms; Glynn and repeated-row Glynn
+are its q = 1 case, and Ryser is the same kernel on [C 1 | C], priced by
+its own bound.  The brute-force sum, :func:`_naive_sum`, is the independent
+route: it walks the permutation prefix tree, on an object array here and on
+float input alike; exact zero partial products drop their subtree.
 
 Float input has one sign-sum kernel, :func:`_sign_sums`, batched over many
 (p, q), for Ryser (on [A 1 | A]), Glynn, repeated-row Glynn, the multiplicity
-sums and the sampler; like its exact twin it sums half the grid.  One grid
+sums and the sampler; like the exact kernel it sums half the grid, and both
+take one pair on its rows repeated p_i times, multiplied straight down the
+rows, and a batch on a table of each row's powers.  One grid
 serves the multiplicity sum in both rings: :func:`_grid` builds its split,
 float64 points and exact integer weights once per set of column
-multiplicities; the float kernel reads the weights' float64, the exact twin
+multiplicities; the float kernel reads the weights' float64, the exact one
 their residues mod each prime (:func:`_residue_grid`).  Every batch of
 multiplicity sums has one entry, :func:`_repeated_permanents`, which prices
 it and picks the kernel: the multiplicity sum, exact Glynn and repeated-row
@@ -148,12 +148,11 @@ _LOW_BITS = 10
 
 
 @lru_cache(maxsize=None)
-def _vertices(k: int, lo: int) -> tuple[np.ndarray, np.ndarray]:
-    """The 2^k points of {lo, 1}^k as rows (bit j of the row index is x_j) and
-    each point's sign prod_j s(x_j), with s(lo) = -1 and s(1) = +1.  Read-only."""
-    bits = (np.arange(1 << k)[:, None] >> np.arange(k)) & 1
-    points = np.where(bits == 1, 1.0, float(lo)).astype(np.complex128)
-    signs = np.prod(2.0 * bits - 1.0, axis=1)
+def _vertices(k: int) -> tuple[np.ndarray, np.ndarray]:
+    """The 2^k points of {-1, 1}^k as rows (bit j of the row index is x_j = +1)
+    and each point's sign prod_j x_j.  Read-only."""
+    x = 2.0 * ((np.arange(1 << k)[:, None] >> np.arange(k)) & 1) - 1.0
+    points, signs = x.astype(np.complex128), x.prod(axis=1)
     points.setflags(write=False)
     signs.setflags(write=False)
     return points, signs
@@ -207,7 +206,7 @@ def _grid(qs: tuple[tuple[int, ...], ...]) -> tuple:
     prod_j (-1)^{v_j} C(q_j, v_j) for q = qs[r] and y = q - 2v, else 0: int64
     while the product of the part's column maxima stays below 2^63, else
     Python ints.  For q = (1, ..., 1), low and high assembled, these are the
-    points and signs of `_vertices(k, -1)`.  Read-only.
+    points and signs of `_vertices(k)`.  Read-only.
     """
     columns = [_column_values(col) for col in zip(*qs)]
     low, block = 0, 1
@@ -360,13 +359,16 @@ def permanent_naive(a) -> PermanentResult:
     return PermanentResult(_naive_sum(arr), "naive", math.factorial(m))
 
 
-# The exact kernels compute with integers held in float64, which is exact
-# for every integer of magnitude below 2^53.  Every float they make is such
+# The exact kernel computes with integers held in float64, which is exact
+# for every integer of magnitude below 2^53.  Every float it makes is such
 # an integer:
-# - a shared row's values (Ryser's subset sums, or the multiplicity sum's
-#   (C y)_i and their powers up to P_i) lie within its bound, below 2^52, and
-#   a group's product of them within the product of the group's bounds (each
-#   at least 1), which stays below 2^52 (`_row_groups`);
+# - a shared row's values (C y)_i lie within its reach r_i, and a group's
+#   product of them within the product of the group's bounds (each at least
+#   1), which stays below 2^52 (`_row_groups`).  One pair repeats row i p_i
+#   times: each copy is bounded by r_i, and a group's product of reaches
+#   stays below 2^52, so a group multiplied straight down its rows is exact.
+#   More pairs bound row i by r_i^{P_i}, P_i its largest power, which bounds
+#   its tabled powers too;
 # - a per-prime row holds balanced residues, and its sums of them times the
 #   grid's values, at most 2^24 sum_j Q_j < 2^52 on grids of fewer than
 #   2^28 points, are reduced before use;
@@ -376,11 +378,10 @@ def permanent_naive(a) -> PermanentResult:
 #   of two factors, or of a factor and a weight residue, is below 2^50 before
 #   it is reduced;
 # - a block's weighted sum of at most 2^_LOW_BITS factors below 2^25 is
-#   below 2^35 for Ryser's signs and below 2^52 for weights below 2^17;
-#   larger weights are multiplied in and reduced first;
-# - the blocks add up in int64: Ryser's sums directly, the multiplicity
-#   sum's reduced, then times the outer weight's residue and reduced again,
-#   so that no total passes 2^62.
+#   below 2^52 for weights below 2^17; larger weights are multiplied in and
+#   reduced first;
+# - the block sums are reduced in int64, times their outer weights' residues
+#   (products below 2^49) and reduced again, so that no total passes 2^62.
 _PRIME_BITS = 25
 _EXACT = 1 << 52
 
@@ -438,66 +439,23 @@ def _row_groups(bounds: list) -> tuple[list[int], list[tuple[int, int]], list[in
     return shared, groups, [i for i, b in enumerate(bounds) if b >= _EXACT]
 
 
-def _residue_rows(ints: list, rows: list, primes: list) -> np.ndarray:
-    """The rows ``rows`` of the integer matrix ``ints`` mod each prime, balanced,
-    as float64 of shape (k, len(rows), ncols)."""
-    picked = np.array([ints[i] for i in rows], dtype=object).reshape(len(rows), len(ints[0]))
-    residues = (picked % np.array(primes, dtype=object)[:, None, None]).astype(np.float64)
-    return _balanced(residues, np.array(primes, dtype=np.float64)[:, None, None])
-
-
-def _ryser_residues(ints: list, bounds: list, primes: list) -> list[int]:
-    """Ryser's sum for the integer rows ``ints`` mod each prime, in [0, p).
-
-    The low bits of the column subset come from the cached `_vertices(low, 0)`
-    table in one matmul, the high bits are an outer loop.  A row's bound is its
-    absolute row sum, and `_row_groups` splits the rows into shared groups and
-    per-prime rows.  The factors, shared (1, block) and per-prime (k, block),
-    multiply into one (k, block) product by broadcasting, reduced against a
-    (k, block) array of the primes: a (k, 1) column would be a slower broadcast.
-    """
-    m, k = len(ints), len(primes)
-    shared, groups, big = _row_groups(bounds)
-    ps = np.array(primes, dtype=np.float64)[:, None]
-    low = min(m, _LOW_BITS)
-    moduli = np.repeat(ps, 1 << low, axis=1)
-    x_low, s_low = _vertices(low, 0)
-    x_high, s_high = _vertices(m - low, 0)
-    x_low, x_high = x_low.real.T, x_high.real
-    rows = np.array([ints[i] for i in shared], dtype=np.float64).reshape(len(shared), m)
-    part = rows[:, :low] @ x_low
-    residues = _residue_rows(ints, big, primes)
-    part_big = _balanced(residues[:, :, :low] @ x_low, ps[:, :, None])
-    total = np.zeros(k, dtype=np.int64)
-    for xh, sh in zip(x_high, s_high):
-        sums = part + (rows[:, low:] @ xh)[:, None]
-        factors = [_balanced(sums[lo:hi].prod(axis=0), moduli) for lo, hi in groups]
-        if big:
-            per_prime = part_big + _balanced(residues[:, :, low:] @ xh, ps)[:, :, None]
-            factors += list(per_prime.transpose(1, 0, 2))
-        acc = factors[0]
-        for f in factors[1:]:
-            acc = _balanced(acc * f, moduli)
-        total += int(sh) * (acc @ s_low).astype(np.int64)
-    return [int(t) % p for t, p in zip(total, primes)]
-
-
 @lru_cache(maxsize=64)
 def _residue_grid(qs: tuple, primes: tuple) -> tuple:
     """What `_multiplicity_residues` needs of `_grid(qs)`: its (low, block,
     size), the low points as low x block and the high ones, each part's
     weights mod each prime, balanced, as (len(qs), len(primes), points), or
     (len(qs), 1, points) when every weight of the part is at most half of
-    each prime and so its own residue, and whether every low residue is
-    below 2^17, so that a block's weighted sum of factors below 2^25 stays below 2^52."""
+    each prime and so its own residue, the low part's in float64 and the
+    high part's in int64, and whether every low residue is below 2^17, so
+    that a block's weighted sum of factors below 2^25 stays below 2^52."""
     low, block, size, (x_low, x_high), weights = _grid(qs)
     residues = []
-    for w in weights:
+    for w, dtype in zip(weights, (np.float64, np.int64)):
         w = w[:, None, :]
         if np.abs(w).max() > min(primes) // 2:
             ps = np.array(primes, dtype=w.dtype)[:, None]
             w = (w % ps + ps // 2) % ps - ps // 2
-        residues.append(w.astype(np.float64))
+        residues.append(w.astype(dtype))
         residues[-1].setflags(write=False)
     direct = bool(np.abs(residues[0]).max() < 1 << (52 - _PRIME_BITS - _LOW_BITS))
     return (low, block, size, x_low.T, x_high, *residues, direct)
@@ -505,79 +463,97 @@ def _residue_grid(qs: tuple, primes: tuple) -> tuple:
 
 def _multiplicity_residues(ints: list, powers: np.ndarray, mults: list, primes: list) -> np.ndarray:
     """`_sign_sums` on the integer rows ``ints``, mod each prime, as an N x k
-    int64 array in [0, p): row r for p = powers[r] and q = mults[r].
+    int64 array in [0, p): row r for p = powers[r] and q = mults[r].  The one
+    exact sign-sum kernel: 2^(|q| - 1) Per(C_{p,q}) where |p| = |q|, for
+    Glynn's forms, and 2^m Per(C) on Ryser's [C 1 | C].
 
     The grid is `_grid`'s with the column order reversed, so the grid
     indices i and G - 1 - i hold the points y and -y, and the sum runs over
-    i >= (G + 1) // 2: the points whose first nonzero y_j is positive.
-    Where |p| = |q| the terms at y and -y are equal and y = 0 adds 0, so
-    twice this is the full sum; for q = (1, ..., 1) it is Glynn's sum with
-    x_1 = +1.  Rows with no power and columns with no multiplicity are left out.
+    i >= (G + 1) // 2: the points whose first nonzero y_j is positive.  Rows
+    with no power and columns with no multiplicity are left out.
 
     The split is `_sign_sums`': the first columns' points, at most
     2^_LOW_BITS, in one matmul, the rest an outer loop.  Row i's values
-    (C y)_i are bounded by r_i = sum_j |c_ij| Q_j, with Q_j the largest q_j,
-    and its factors by r_i^{P_i}, with P_i the largest p_i; `_row_groups`
-    splits the rows by those bounds.  Per outer point, each row's powers are
-    tabled, exact for a shared row and as residues for a per-prime row; each
-    chunk of pairs gathers its powers, multiplies each group's exactly before
-    reducing it, and contracts the reduced product with the weight residues
-    of `_residue_grid`.
+    (C y)_i are bounded by its reach r_i = sum_j |c_ij| Q_j, with Q_j the
+    largest q_j.  One pair runs, as in `_sign_sums`, on C with row i
+    repeated p_i times, each copy bounded by r_i, and multiplies each group
+    of `_row_groups` straight down the rows.  More pairs table, per outer
+    point, each row's powers up to its largest p_i, bounded by r_i^{P_i}, and
+    each chunk of pairs gathers its own.  A shared row's values are exact, a
+    per-prime row's are residues.  Each group's product is reduced, the
+    factors multiplied and reduced in turn, and contracted with the weight
+    residues of `_residue_grid`; the block sums of up to _SUMS_ENTRIES / (N k)
+    outer points are reduced and weighted by those points' residues together.
     """
-    top = powers.max(axis=0)
-    rows = [i for i in range(len(ints)) if top[i]]
+    one = len(mults) == 1
+    top = powers.max(axis=0).tolist()
     widest = [max(col) for col in zip(*mults)]
     cols = [j for j, t in enumerate(widest) if t][::-1]
+    # one pair: row i repeated p_i times, so that every power is 1
+    rows = [i for i, e in enumerate(top) for _ in range(e if one else min(e, 1))]
+    tops = [1 if one else top[i] for i in rows]
+    reach = [sum(map(mul, map(abs, ints[i]), widest)) for i in rows]
+    shared, groups, big = _row_groups([max(r, 1) ** e for r, e in zip(reach, tops)])
+    if not one:
+        pw_shared, pw_big = (powers[:, [rows[i] for i in part]] for part in (shared, big))
     ints = [[ints[i][j] for j in cols] for i in rows]
-    powers, widest = powers[:, rows], [widest[j] for j in cols]
     index: dict = {}
     which = np.array([index.setdefault(tuple(q[j] for j in cols), len(index)) for q in mults], dtype=np.intp)
-    qs, k = tuple(index), len(primes)
-    reach = np.abs(np.array(ints, dtype=object)) @ np.array(widest, dtype=object)
-    shared, groups, big = _row_groups([max(r, 1) ** int(e) for r, e in zip(reach.tolist(), top[rows])])
+    qs, k, n = tuple(index), len(primes), len(mults)
     low, block, size, x_low, x_high, w_low, w_high, direct = _residue_grid(qs, tuple(primes))
     ps = np.array(primes, dtype=np.float64)
-    ps2, ps3 = ps[:, None], ps[:, None, None]
+    ps2 = ps[:, None]
     exact_rows = np.array([ints[i] for i in shared], dtype=np.float64).reshape(len(shared), len(cols))
     part = exact_rows[:, :low] @ x_low
-    residues = _residue_rows(ints, big, primes)
-    part_big = _balanced(residues[:, :, :low] @ x_low, ps3)
-    pw_shared, pw_big = powers[:, shared], powers[:, big]
-    table = _aligned((int(pw_shared.max(initial=1)) + 1, len(shared), block), np.float64)
+    # row e of a table holds the e-th powers, for e up to the largest power of its rows
+    table = _aligned((max((tops[i] for i in shared), default=1) + 1, len(shared), block), np.float64)
     table[0] = 1.0
-    table_big = np.ones((int(pw_big.max(initial=1)) + 1, k, len(big), block))
-    members = [np.arange(lo, hi) for lo, hi in groups]
+    if big:
+        # the per-prime rows mod each prime, balanced, (rows, primes, columns)
+        picked = np.array([ints[i] for i in big], dtype=object)[:, None] % np.array(primes, dtype=object)[:, None]
+        residues = _balanced(picked.astype(np.float64), ps2)
+        part_big = _balanced(residues[..., :low] @ x_low, ps2)
+        table_big = np.ones((max(tops[i] for i in big) + 1, len(big), k, block))
     # the primes along whole rows: a (k, 1) column would be a slower broadcast
     moduli = np.repeat(ps2, block, axis=1)
     step = max(1, _SUMS_ENTRIES // (k * block))
-    total = np.zeros((len(mults), k), dtype=np.int64)
     first, skip = divmod((size + 1) // 2, block)
-    for h in range(first, x_high.shape[0]):
-        lo = skip if h == first else 0
-        tab, tab_big, mod = table[:, :, lo:], table_big[..., lo:], moduli[:, lo:]
+    held = np.empty((min(max(1, _SUMS_ENTRIES // (n * k)), x_high.shape[0] - first), n, k))
+    pick = slice(0, 1) if len(qs) == 1 else which
+    modulus = np.array(primes, dtype=np.int64)
+    total = np.zeros((n, k), dtype=np.int64)
+    for t, h in enumerate(range(first, x_high.shape[0])):
+        lo = skip if t == 0 else 0
+        tab, mod = table[:, :, lo:], moduli[:, lo:]
         np.add(part[:, lo:], (exact_rows[:, low:] @ x_high[h])[:, None], out=tab[1])
         for e in range(2, tab.shape[0]):
             np.multiply(tab[e - 1], tab[1], out=tab[e])
         if big:
-            tab_big[1] = part_big[..., lo:] + _balanced(residues[:, :, low:] @ x_high[h], ps2)[:, :, None]
+            tab_big = table_big[..., lo:]
+            tab_big[1] = part_big[..., lo:] + _balanced(residues[..., low:] @ x_high[h], ps)[..., None]
             for e in range(2, tab_big.shape[0]):
-                tab_big[e] = _balanced(tab_big[e - 1] * tab_big[1], ps3)
-        for start in range(0, len(mults), step):
+                tab_big[e] = _balanced(tab_big[e - 1] * tab_big[1], ps2)
+        for start in range(0, n, step):
             chunk = slice(start, start + step)
-            factors = [
-                _balanced(tab[pw_shared[chunk, lo_:hi_], g].prod(axis=1)[:, None], mod)
-                for (lo_, hi_), g in zip(groups, members)
-            ]
+            # the chunk's powers of each row, (pairs, rows, points); one pair's are tab[1]
+            at = tab[1] if one else tab[pw_shared[chunk], np.arange(len(shared))]
+            factors = [_balanced(at[..., lo_:hi_, :].prod(axis=-2)[..., None, :], mod) for lo_, hi_ in groups]
             if big:
-                factors += list(tab_big[pw_big[chunk], :, np.arange(len(big))].transpose(1, 0, 2, 3))
+                factors += list(tab_big[1] if one else tab_big[pw_big[chunk], np.arange(len(big))].swapaxes(0, 1))
             acc = factors[0]
             for f in factors[1:]:
                 acc = _balanced(acc * f, mod)
-            pick = slice(0, 1) if len(qs) == 1 else which[chunk]
-            w = w_low[pick, :, lo:]
-            sums = np.einsum("nkb,nkb->nk", acc, w) if direct else _balanced(acc * w, mod).sum(axis=-1)
-            total[chunk] += _balanced(_balanced(sums, ps) * w_high[pick, :, h], ps).astype(np.int64)
-    return total % np.array(primes, dtype=np.int64)
+            w = w_low[pick if len(qs) == 1 else which[chunk], :, lo:]
+            if direct:
+                # a batched dot product: einsum's broadcasting path is slower
+                held[t % len(held), chunk] = np.matmul(acc[..., None, :], w[..., None])[..., 0, 0]
+            else:
+                held[t % len(held), chunk] = _balanced(acc * w, mod).sum(axis=-1)
+        if t % len(held) == len(held) - 1 or h == x_high.shape[0] - 1:
+            got = held[: t % len(held) + 1].astype(np.int64) % modulus
+            weights = w_high[pick, :, h + 1 - len(got) : h + 1].transpose(2, 0, 1)
+            total += (got * weights % modulus).sum(axis=0)
+    return total % modulus
 
 
 def _crt(residues: list, primes: list) -> list[int]:
@@ -623,30 +599,31 @@ def _exact_multiplicity_sums(rows, pairs) -> list[Scalar]:
 def permanent_ryser(a) -> PermanentResult:
     """Ryser's inclusion-exclusion over column subsets: (2^m - 1) terms.
 
-    Float input runs `_sign_sums` on [A 1 | A], whose half with y_0 = +1 is
-    2^m Per(A), as A 1 + A y = 2 A x for x = (1 + y) / 2.  Int/Fraction input is exact and
-    multi-modular: row i is scaled to integers by the lcm d_i of its
-    denominators, and |Per| <= B = prod_i max(sum_j |c_ij|, 1) for the scaled
-    entries c.  The largest primes below 2^25 are taken until their product
-    M exceeds 2B; `_ryser_residues` gives Per mod each prime in float64, and
-    the Chinese remainder theorem rebuilds it in (-M/2, M/2), then divides by
-    prod_i d_i.  It costs about 2^m * m * k float operations for
-    k ~ log2(2B) / 25 primes.  The result is a Fraction when an entry is
-    one, else an int.
+    Both rings run Glynn's sign sum on [A 1 | A] with every p_i = 1: its half
+    with y_0 = +1 is 2^m Per(A), as A 1 + A y = 2 A x for x = (1 + y) / 2,
+    the subset's indicator.  Float input runs `_sign_sums`.  Int/Fraction
+    input is exact and multi-modular: row i is scaled to integers by the lcm
+    d_i of its denominators, and |Per| <= B = prod_i max(sum_j |c_ij|, 1)
+    for the scaled entries c.  The largest primes below 2^25 are taken until
+    their product M exceeds 2B; `_multiplicity_residues` gives 2^m Per mod
+    each prime, times the inverse of 2^m that is Per mod p, and the Chinese
+    remainder theorem rebuilds it in (-M/2, M/2), then divides by prod_i d_i.
+    It costs about 2^m * m * k float operations for k ~ log2(2B) / 25
+    primes.  The result is a Fraction when an entry is one, else an int.
     """
     data, exact, _, _, result = _entry(a, "ryser")
     if result is not None:
         return result
     m = len(data)
     check_budget("Ryser sum", 1 << m)
+    ones = np.ones((1, m), dtype=np.intp)
     if not exact:
-        # with y_0 = +1, r + A y = 2 A x for x = (1 + y) / 2, the subset's indicator
         rows = np.concatenate((data.sum(axis=1, keepdims=True), data), axis=1)
-        return PermanentResult(_sign_sums(rows, np.ones((1, m), dtype=np.intp))[0] / (1 << m), "ryser", (1 << m) - 1)
+        return PermanentResult(complex(_sign_sums(rows, ones)[0] / (1 << m)), "ryser", (1 << m) - 1)
     dens, ints = _integer_rows(data)
-    bounds = [max(sum(map(abs, row)), 1) for row in ints]
-    primes = _crt_primes(2 * math.prod(bounds))
-    (value,) = _crt([_ryser_residues(ints, bounds, primes)], primes)
+    primes = _crt_primes(2 * math.prod(max(sum(map(abs, row)), 1) for row in ints))
+    half = _multiplicity_residues([[sum(row), *row] for row in ints], ones, [(1,) * (m + 1)], primes)[0]
+    (value,) = _crt([[h * pow(2, -m, p) % p for h, p in zip(half.tolist(), primes)]], primes)
     return PermanentResult(_exact_type(Fraction(value, math.prod(dens)), data), "ryser", (1 << m) - 1)
 
 
@@ -659,7 +636,7 @@ def _glynn_rows(data, exact: bool, q, algorithm: str) -> PermanentResult:
     if exact:
         (value,) = _repeated_permanents((data, [(q, (1,) * n)]))[0].values()
     else:
-        value = _sign_sums(data, np.array([q]))[0] / (1 << (n - 1))
+        value = complex(_sign_sums(data, np.array([q]))[0] / (1 << (n - 1)))
     return PermanentResult(value, algorithm, 1 << (n - 1))
 
 
@@ -865,7 +842,7 @@ def permanent_glynn_kan(a) -> PermanentResult:
     terms = 4 ** (m - 1)
     denom = terms * math.factorial(m)
     # bit 0 of a row index of `_vertices` is x_1: the odd rows have x_1 = +1
-    points, signs = (v[1::2] for v in _vertices(m, -1))
+    points, signs = (v[1::2] for v in _vertices(m))
     if not exact:
         total = _grid_double_sum(data, points, signs, points, signs, m)
         return PermanentResult(complex(total) / denom, "glynn_kan", terms)

@@ -530,7 +530,7 @@ def test_grid_double_sum_with_a_partial_last_block(kind, monkeypatch):
     rows = _int_matrix(m)
     if kind == "fraction":
         rows = [[Fraction(v, 1 + (i + j) % 4) for j, v in enumerate(row)] for i, row in enumerate(rows)]
-    points, signs = _vertices(m, -1)
+    points, signs = _vertices(m)
     denom = 4**m * math.factorial(m)
     ref = permanent_ryser(rows).value
     if kind == "float":
@@ -675,7 +675,7 @@ def test_multiplicity_grid_of_ones_is_the_vertex_table(k):
     # q = (1, ..., 1) is the sign cube: point for point and sign for sign the
     # `_vertices` table that Glynn-Kan reads, so one order serves every kernel
     size, points, weights = _assembled_grid(((1,) * k,))
-    vertices, signs = _vertices(k, -1)
+    vertices, signs = _vertices(k)
     assert size == len(vertices) and np.array_equal(points, vertices)
     assert np.array_equal(weights[0], signs)
 
@@ -1007,6 +1007,66 @@ def test_exact_batches_match_single_pairs():
         assert want[pair] == table_permanent(rows, *pair)
 
 
+# `_multiplicity_residues` runs one pair on C with row i repeated p_i times,
+# multiplied straight down the rows, and a batch on a table of each row's
+# powers; both give 2^(|q| - 1) Per(C_{p,q}) mod each prime, pair for pair.
+RESIDUE_CASES = {
+    # the reach of rows 0 and 1 passes 2^52: per-prime rows on both paths
+    "per-prime": (
+        [[2**53 + 1, -3, 5], [7, 2**52 - 1, 1], [1, 2, 3]],
+        [((2, 1, 1), (1, 2, 1)), ((1, 1, 2), (2, 1, 1)), ((3, 0, 1), (1, 1, 2))],
+    ),
+    # 48^30 is past 2^52: a per-prime power table in a batch, 30 shared copies alone
+    "p-up-to-30": ([[1, -2], [3, 1]], [((30, 2), (16, 16)), ((2, 30), (30, 2)), ((1, 1), (2, 0))]),
+    # row 0 and column 1 are zero; column 3 has no multiplicity in any pair
+    "zero-rows-and-columns": (
+        [[0, 0, 0, 0], [1, 0, 2, 5], [-3, 0, 1, 7], [2, 0, -1, 4]],
+        [((0, 1, 1, 1), (1, 1, 1, 0)), ((1, 2, 0, 0), (2, 0, 1, 0)), ((0, 2, 1, 0), (1, 0, 2, 0)), ((0, 0, 2, 1), (3, 0, 0, 0))],
+    ),
+    "fraction": (
+        [[Fraction(1, 2), -2, Fraction(3, 7)], [1, Fraction(-5, 3), 0], [2, 2, Fraction(1, 4)]],
+        [((1, 1, 1), (1, 1, 1)), ((2, 0, 2), (1, 3, 0)), ((0, 3, 1), (2, 0, 2))],
+    ),
+    # with 2^2-point blocks, (2, 2, 1) reversed has blocks of 2 and 18 points: the half starts mid-block
+    "mid-block": ([[2, -1, 3], [1, 4, -2], [-3, 1, 1]], [((1, 2, 2), (2, 2, 1)), ((2, 2, 1), (1, 2, 2)), ((1, 1, 1), (1, 1, 1))]),
+}
+
+
+@pytest.fixture
+def fresh_residue_grids(fresh_grids):
+    """`_residue_grid`'s cache emptied too, as it holds `_grid`'s split."""
+    permanents._residue_grid.cache_clear()
+    yield
+    permanents._residue_grid.cache_clear()
+
+
+@pytest.mark.parametrize("low_bits", [permanents._LOW_BITS, 2])
+@pytest.mark.parametrize("case", sorted(RESIDUE_CASES))
+def test_one_pair_and_batched_residues_agree(case, low_bits, monkeypatch, fresh_residue_grids):
+    monkeypatch.setattr(permanents, "_LOW_BITS", low_bits)
+    if low_bits == 2:
+        # small chunks of pairs, and the block sums of a few outer points reduced at a time
+        monkeypatch.setattr(permanents, "_SUMS_ENTRIES", 64)
+    rows, pairs = RESIDUE_CASES[case]
+    ints = permanents._integer_rows(rows)[1]
+    primes = permanents._crt_primes(2**80)
+    want = [[int(2 ** (sum(q) - 1) * table_permanent(ints, p, q)) % prime for prime in primes] for p, q in pairs]
+    if case == "mid-block" and low_bits == 2:
+        _, block, size, (_, x_high), _ = _grid(((1, 2, 2),))
+        assert len(x_high) > 1 and (size + 1) // 2 % block
+    splits = []
+    row_groups = permanents._row_groups
+    monkeypatch.setattr(permanents, "_row_groups", lambda bounds: splits.append(row_groups(bounds)) or splits[-1])
+    # the whole batch (the table path), then each pair alone (the one-pair path)
+    for batch in (pairs, *([pair] for pair in pairs)):
+        got = permanents._multiplicity_residues(ints, np.array([p for p, _ in batch]), [q for _, q in batch], primes)
+        assert got.tolist() == [want[pairs.index(pair)] for pair in batch], (case, batch)
+    if case in ("per-prime", "p-up-to-30"):
+        assert splits[0][2], "the batch has a per-prime row"
+    if case == "per-prime":
+        assert all(big for _, _, big in splits), "every call has a per-prime row"
+
+
 MULTI_INDEX_PAIRS = st.integers(1, 3).flatmap(
     lambda m: st.tuples(
         st.lists(st.lists(ENTRIES, min_size=m, max_size=m), min_size=m, max_size=m),
@@ -1138,6 +1198,59 @@ def test_exact_result_is_a_fraction_iff_an_entry_is(route, rows, kind):
     got = EXACT_ROUTES[route](rows).value
     assert type(got) is kind
     assert got == permanent_naive(rows).value
+
+
+def test_exact_ryser_prices_its_primes_by_the_absolute_row_sums(monkeypatch):
+    # Ryser's own bound prod_i max(sum_j |c_ij|, 1), not the reach of [C 1 | C]
+    asked = []
+    crt_primes = permanents._crt_primes
+    monkeypatch.setattr(permanents, "_crt_primes", lambda bound: asked.append(bound) or crt_primes(bound))
+    for name, rows in RYSER_CASES.items():
+        asked.clear()
+        permanent_ryser(rows)
+        if not rows or len(rows) != len(rows[0]):
+            assert asked == [], name
+            continue
+        ints = permanents._integer_rows(rows)[1]
+        assert asked == [2 * math.prod(max(sum(map(abs, row)), 1) for row in ints)], name
+
+
+@pytest.fixture
+def checked_balanced(monkeypatch):
+    """`_balanced` asserting its stated precondition, integer-valued float64 |x| < 2^52; counts its calls."""
+    calls = []
+    balanced = permanents._balanced
+
+    def checked(x, primes):
+        assert np.all(np.abs(x) < 2.0**52) and np.array_equal(x, np.rint(x))
+        calls.append(x.size)
+        return balanced(x, primes)
+
+    monkeypatch.setattr(permanents, "_balanced", checked)
+    return calls
+
+
+@pytest.mark.parametrize("name", RYSER_CASES)
+def test_exact_routes_keep_balanced_within_its_precondition(name, checked_balanced):
+    rows = RYSER_CASES[name]
+    if not rows or len(rows) != len(rows[0]):
+        return
+    want = permanent_naive(rows).value
+    for route in ("ryser", "glynn", "glynn-repeated-rows", "glynn-multiplicity"):
+        assert EXACT_ROUTES[route](rows).value == want
+    p, q = _pattern_for(len(rows))
+    permanent_glynn_multiplicity(rows, RepetitionPattern(p, q))
+    assert checked_balanced
+
+
+@pytest.mark.parametrize("p, q", BIG_Q_CASES, ids=[f"{p}-{q}" for p, q in BIG_Q_CASES])
+def test_big_q_keeps_balanced_within_its_precondition(p, q, checked_balanced):
+    m = len(p)
+    rows = rng.generator(1500 + sum(q) + m).integers(-3, 4, size=(m, m)).tolist()
+    for a in (rows, [[v * 10**9 + 1 for v in r] for r in rows], [[Fraction(v, 3) for v in r] for r in rows]):
+        got = permanent_glynn_multiplicity(a, RepetitionPattern(p, q)).value
+        assert got == table_permanent(a, p, q)
+    assert checked_balanced
 
 
 ALL_ROUTES = {
@@ -1303,3 +1416,10 @@ def test_cauchy_binet_is_exact_only_when_both_matrices_are(forms):
     for bad in (_form(forms[1], [[1, 2, 3], [4, 5, 6]], 3), _form(forms[1], [[1]], 1)):
         with pytest.raises(DimensionMismatch, match=SHAPE_MESSAGE):
             _call("cauchy-binet", a, RepetitionPattern((2, 1), (1, 1)), bad)
+
+
+@pytest.mark.parametrize("algo", permanents.ALGORITHMS)
+def test_float_input_gives_a_python_complex_for_every_formula(algo):
+    for a in (np.eye(3), rng.unit_disk_matrix(3, 990)):
+        res, _ = _call(algo, a, RepetitionPattern((2, 1, 0), (1, 1, 1)))
+        assert type(res.value) is complex, (algo, type(res.value))
