@@ -8,13 +8,13 @@ sign matrix: for p = (2n, 2n, 2n),
 
 Prints all four exact big integers per n.  The monomial route is the one
 `identities.verify_dixon` checks: (Az)^p one linear form at a time on the
-exponent box c <= p.
+exponent box c <= p (`identities._form_power`).
 """
 
 import math
 
 from permkit.combinatorics import factorial_product
-from permkit.identities import DIXON_MATRIX, _monomial_coefficient, _n_matrix_rhs, _normalize
+from permkit.identities import DIXON_MATRIX, _form_power, _n_matrix_rhs, _normalize
 
 N_MAX = 4
 
@@ -27,7 +27,7 @@ def main() -> None:
         p = (2 * n,) * 3
         pf = factorial_product(p)
         from_det = pf * inv.coefficient(p)
-        from_monomial = pf * _monomial_coefficient(mat, p)
+        from_monomial = pf * _form_power(mat, ring, p, p).coefficient(p)
         binom = pf * sum((-1) ** k * math.comb(2 * n, k) ** 3 for k in range(2 * n + 1))
         closed = pf * (-1) ** n * math.factorial(3 * n) // math.factorial(n) ** 3
         print(f"n={n}  p={p}")

@@ -13,6 +13,7 @@ import math
 import numbers
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from typing import Iterator, Optional, Sequence
 
 import numpy as np
@@ -101,7 +102,8 @@ def repeat_matrix(a, pattern: RepetitionPattern):
 
     Numeric input yields an ``np.ndarray`` of shape (|p|, |q|); exact input
     (int / Fraction entries, see `_is_exact_rows`) yields nested tuples so
-    downstream arithmetic stays exact.
+    downstream arithmetic stays exact, or, when |p| or |q| is 0, an empty
+    object array of that shape, which permanent routines also take as exact.
     """
     p, q = pattern.rows, pattern.cols
     if _is_exact_rows(a):
@@ -109,9 +111,8 @@ def repeat_matrix(a, pattern: RepetitionPattern):
         if len(rows) != len(p) or (rows and len(rows[0]) != len(q)):
             raise DimensionMismatch("pattern length must equal the matrix dimension")
         if weight(p) == 0 or weight(q) == 0:
-            # nested tuples cannot carry a 0 x k shape; an entry-free numpy
-            # array loses no exactness
-            return np.zeros((weight(p), weight(q)))
+            # nested tuples cannot carry a 0 x k shape; an object array can
+            return np.empty((weight(p), weight(q)), dtype=object)
         expanded_rows = []
         for i, reps in enumerate(p):
             expanded_rows.extend([rows[i]] * reps)
@@ -187,16 +188,18 @@ def enumerate_splits(
             yield s, t, tuple(ri - ti for ri, ti in zip(remainder, t))
 
 
-def _bounded_weight(bound: Sequence[int], w: int) -> Iterator[MultiIndex]:
-    """All s with 0 <= s <= bound componentwise and |s| = w, lexicographic."""
+@lru_cache(maxsize=256)
+def _bounded_weight(bound: MultiIndex, w: int) -> tuple[MultiIndex, ...]:
+    """All s with 0 <= s <= bound componentwise and |s| = w, lexicographic.
+
+    Cached: the identity verifiers ask for each layer of a cap block once
+    per exponent of the other block."""
     if not bound:
-        if w == 0:
-            yield ()
-        return
+        return ((),) if w == 0 else ()
     head, rest = bound[0], sum(bound[1:])
-    for s0 in range(max(0, w - rest), min(head, w) + 1):
-        for tail in _bounded_weight(bound[1:], w - s0):
-            yield (s0,) + tail
+    return tuple(
+        (s0,) + tail for s0 in range(max(0, w - rest), min(head, w) + 1) for tail in _bounded_weight(bound[1:], w - s0)
+    )
 
 
 def _sub_indices(p: Sequence[int]) -> Iterator[MultiIndex]:

@@ -20,9 +20,10 @@ than the term budget, prod_j (q_j + 1) terms per pair.
 Exact MacMahon and Dixon check each coefficient against a third route that
 shares nothing with the other two: [z^p](Az)^p, the product of linear forms
 prod_i (a_i . z)^{p_i} expanded directly on integer-scaled rows and
-computed only on the exponent box that each check reads (`_monomial_table`,
-`_monomial_coefficient`); `_monomial_power` gives the whole truncated
-series, for the monomial-form verifier.
+computed only on the exponent box that each check reads.  One linear form
+is multiplied in at a time (`_times_form`): `_form_power` gives (Az)^p on a
+box, in either ring, for Dixon and the monomial-form verifier, and
+`_monomial_table` every [z^p](Az)^p of MacMahon's box from a parent tree.
 
 The sides are compared table-wise (`_report`): a coefficient table's
 permanent side is one flat array over the series' row-major layout, each
@@ -49,6 +50,7 @@ import numpy as np
 from . import rng
 from .combinatorics import (
     RepetitionPattern,
+    _bounded_weight,
     _is_int,
     _sub_indices,
     count_weight,
@@ -183,12 +185,10 @@ def _ratio(ring: str, num, den: int):
     return Fraction(num, den) if ring == RATIONAL else num / den
 
 
-def _equal_weight_pairs(ps, qs) -> list:
-    """The pairs (p, q) with p in ps, q in qs and |p| = |q|, p-major."""
-    by_weight: dict = {}
-    for q in qs:
-        by_weight.setdefault(weight(q), []).append(q)
-    return [(p, q) for p in ps for q in by_weight.get(weight(p), ())]
+def _equal_weight_pairs(ps, q_caps) -> list:
+    """The pairs (p, q) with p in ps, q <= q_caps and |p| = |q|, p-major, each
+    p's partners in lexicographic order (`_bounded_weight`)."""
+    return [(p, q) for p in ps for q in _bounded_weight(q_caps, weight(p))]
 
 
 @lru_cache(maxsize=64)
@@ -432,34 +432,14 @@ def _xtay_series(mat, ring, caps) -> TruncatedSeries:
     return TruncatedSeries.from_terms(caps, ring, terms)
 
 
-def _row_form(row, ring, caps) -> TruncatedSeries:
-    """Linear form sum_j row_j * z_j; terms beyond the caps are dropped."""
-    terms = {}
-    for j, v in enumerate(row):
-        if v != 0 and caps[j] > 0:
-            e = [0] * len(caps)
-            e[j] = 1
-            terms[tuple(e)] = v
-    return TruncatedSeries.from_terms(caps, ring, terms)
-
-
 # ---------------------------------------------------------------------------
 # MacMahon master theorem and Dixon's identity
 # ---------------------------------------------------------------------------
 
 
-def _monomial_power(mat, ring, caps, p) -> TruncatedSeries:
-    """(Az)^p = prod_i (sum_j a_ij z_j)^{p_i}, truncated at caps."""
-    out = TruncatedSeries.one(caps, ring)
-    for row, pi in zip(mat.tolist(), p):
-        if pi:
-            out = out * _row_form(row, ring, caps).power(pi)
-    return out
-
-
 def _times_form(arr: np.ndarray, row) -> np.ndarray:
-    """arr * sum_l row_l z_l on arr's own box (an object array of ints indexed by
-    exponent), one shifted slice per nonzero row_l."""
+    """arr * sum_l row_l z_l on arr's own box (an object array of ints or a
+    complex array, indexed by exponent), one shifted slice per nonzero row_l."""
     out = np.zeros_like(arr)
     for l, a in enumerate(row):
         if a and arr.shape[l] > 1:
@@ -497,17 +477,23 @@ def _monomial_table(mat, caps) -> tuple[np.ndarray, np.ndarray]:
     return num, den
 
 
-def _monomial_coefficient(mat, p) -> Fraction:
-    """[z^p](Az)^p of an int/Fraction matrix: (Cz)^p with the integer rows
-    C = Diag(d) A, one linear form at a time on the box c <= p, over
-    prod_i d_i^{p_i}."""
-    dens, ints = _integer_rows(mat.tolist())
-    arr = np.zeros(tuple(e + 1 for e in p), dtype=object)
-    arr[(0,) * len(p)] = 1
-    for row, e in zip(ints, p):
+def _form_power(mat, ring, p, caps) -> TruncatedSeries:
+    """(Az)^p = prod_i (a_i . z)^{p_i} on the exponent box c <= caps, one
+    linear form at a time.  In the rational ring the rows are scaled to
+    integers, C = Diag(d) A (`_integer_rows`), and (Az)^p is (Cz)^p over
+    prod_i d_i^{p_i}; in the complex ring the rows are taken as they are."""
+    exact = ring == RATIONAL
+    if exact:
+        dens, rows = _integer_rows(mat.tolist())
+        den = math.prod(d**e for d, e in zip(dens, p))
+    else:
+        rows, den = mat.tolist(), 1
+    arr = np.zeros(tuple(c + 1 for c in caps) or (1,), dtype=object if exact else np.complex128)
+    arr.flat[0] = 1
+    for row, e in zip(rows, p):
         for _ in range(e):
             arr = _times_form(arr, row)
-    return Fraction(arr[tuple(p)], math.prod(d**e for d, e in zip(dens, p)))
+    return TruncatedSeries._new(tuple(caps), ring, arr, den)
 
 
 def verify_macmahon(a, cap: Union[int, Sequence[int]] = 2, tolerance: float = 1e-8) -> IdentityReport:
@@ -543,7 +529,7 @@ def verify_dixon(n_max: int = 4, tolerance: float = 0.0) -> IdentityReport:
     for n in range(1, n_max + 1):
         p = (2 * n,) * 3
         pf = factorial_product(p)
-        q_mono = pf * _monomial_coefficient(mat, p)
+        q_mono = pf * _form_power(mat, ring, p, p).coefficient(p)
         binom_sum = sum((-1) ** k * math.comb(2 * n, k) ** 3 for k in range(2 * n + 1))
         closed = (-1) ** n * math.factorial(3 * n) // math.factorial(n) ** 3
         values += [pf * inv.coefficient(p)] * 3
@@ -579,7 +565,7 @@ def verify_mmmt_two(a, b, cap: Union[int, Sequence[int]] = 2, tolerance: float =
     caps = _caps(cap, 2 * m)
     # the three jobs below, priced before the pairs are listed
     check_budget("permanent side", 2 * _pair_price(caps[:m], caps[m:]) + _pair_price(caps[m:], caps[:m]))
-    pairs = _equal_weight_pairs(_sub_indices(caps[:m]), _sub_indices(caps[m:]))
+    pairs = _equal_weight_pairs(_sub_indices(caps[:m]), caps[m:])
     swapped = [(q, p) for p, q in pairs]
     per_a, per_b, per_bt = _repeated_permanents((mat_a, pairs), (mat_b, swapped), (mat_b.T, pairs))
     index = [_flat_index(p + q, caps, "pair") for p, q in pairs]
@@ -607,9 +593,10 @@ def verify_mmmt_n(matrices, cap: Union[int, Sequence[int]] = 1, tolerance: float
     m = len(mats[0])
     caps = _caps(cap, n_mats * m)
     check_budget("mmmt-n coefficient table", math.prod(c + 1 for c in caps), 200_000, "coefficients")
-    per_block = [list(_sub_indices(caps[k * m : (k + 1) * m])) for k in range(n_mats)]
+    blocks = [caps[k * m : (k + 1) * m] for k in range(n_mats)]
+    per_block = [list(_sub_indices(block)) for block in blocks]
     pers = _repeated_permanents(
-        *((mats[k], _equal_weight_pairs(per_block[k], per_block[(k + 1) % n_mats])) for k in range(n_mats))
+        *((mats[k], _equal_weight_pairs(per_block[k], blocks[(k + 1) % n_mats])) for k in range(n_mats))
     )
     # only chains of one weight have a nonzero product
     lhs = {}
@@ -677,7 +664,7 @@ def verify_generating_function(
 
     check_budget("permanent side", _pair_price(caps[:m], caps[m:], keep=fn_times_nfac))
     ps = (p for p in _sub_indices(caps[:m]) if fn_times_nfac(weight(p)))
-    (per,) = _repeated_permanents((mat, _equal_weight_pairs(ps, _sub_indices(caps[m:]))))
+    (per,) = _repeated_permanents((mat, _equal_weight_pairs(ps, caps[m:])))
     w = _xtay_series(mat, ring, caps)
     one = TruncatedSeries.one(caps, ring)
     if f == "exp":
@@ -701,9 +688,9 @@ def verify_monomial_glynn(a, p, cap: Union[int, Sequence[int]] = 2, tolerance: f
         raise DimensionMismatch(f"p of length {len(p)} does not fit a {len(mat)} x {len(mat)} matrix")
     # the box of (|p|,) holds one exponent of each weight, and |p| is kept
     check_budget("permanent side", _pair_price((weight(p),), caps, keep=weight(p).__eq__))
-    (per,) = _repeated_permanents((mat, _equal_weight_pairs([p], _sub_indices(caps))))
+    (per,) = _repeated_permanents((mat, _equal_weight_pairs([p], caps)))
     lhs = _table(ring, caps, {_flat_index(q, caps, "pair"): v for (_, q), v in per.items()})
-    return _report("monomial", caps, tolerance, ring, (lhs, _series_side(_monomial_power(mat, ring, caps, p))))
+    return _report("monomial", caps, tolerance, ring, (lhs, _series_side(_form_power(mat, ring, p, caps))))
 
 
 # ---------------------------------------------------------------------------
@@ -841,7 +828,7 @@ def verify_even_matrix(a, mode: str = "single", cap: Union[int, Sequence[int]] =
     caps = _caps(cap, 2 * m)
     # (q_j + 1)^2 terms for the repeated halves q + q
     check_budget("permanent side", _pair_price(caps[:m], caps[m:], 2))
-    pairs = [(p + p, q + q) for p, q in _equal_weight_pairs(_sub_indices(caps[:m]), _sub_indices(caps[m:]))]
+    pairs = [(p + p, q + q) for p, q in _equal_weight_pairs(_sub_indices(caps[:m]), caps[m:])]
     (per,) = _repeated_permanents((mat, pairs))
     var_of = [[i % m for i in range(dim)], [m + i % m for i in range(dim)]]
     g = _det_side([left, right], var_of, COMPLEX, caps).sqrt_inverse()

@@ -33,9 +33,11 @@ float64 points and exact integer weights once per set of column
 multiplicities; the float kernel reads the weights' float64, the exact one
 their residues mod each prime (:func:`_residue_grid`).  Every batch of
 multiplicity sums has one entry, :func:`_repeated_permanents`, which prices
-it and picks the kernel: the multiplicity sum, exact Glynn and repeated-row
-Glynn, Cauchy-Binet's inner permanents and the identity verifiers'
-permanent sides all go through it.
+it and picks the kernel: the multiplicity sum, Cauchy-Binet's inner
+permanents and the identity verifiers' permanent sides go through it.  Glynn
+and repeated-row Glynn, one pair that `_glynn_rows` has priced, call a
+kernel directly: `_sign_sums` on float input, `_exact_multiplicity_sums` on
+exact input.
 
 Glynn-Kan's double sum over x, y of w(x) w(y) (x^T A y)^n is one kernel,
 :func:`_grid_double_sum`.  Glynn-Kan runs it on the sign vectors of
@@ -634,7 +636,7 @@ def _glynn_rows(data, exact: bool, q, algorithm: str) -> PermanentResult:
     n = len(q)
     check_budget("Glynn sum over all sign vectors", 1 << n)
     if exact:
-        (value,) = _repeated_permanents((data, [(q, (1,) * n)]))[0].values()
+        (value,) = _exact_multiplicity_sums(data, [(q, (1,) * n)])
     else:
         value = complex(_sign_sums(data, np.array([q]))[0] / (1 << (n - 1)))
     return PermanentResult(value, algorithm, 1 << (n - 1))

@@ -61,8 +61,9 @@ _NONES = itertools.repeat(None)
 @lru_cache(maxsize=32)
 def _layout(caps: tuple[int, ...]):
     """(exponent table, total degree, flat indices of each degree layer) for a cap tuple."""
-    exponents = np.array(list(itertools.product(*(range(c + 1) for c in caps))), dtype=np.intp)
-    exponents = exponents.reshape(math.prod(c + 1 for c in caps), len(caps))
+    shape = [c + 1 for c in caps]
+    # one row per exponent, row-major: a transposed view of the index grids, not a copy
+    exponents = np.indices(shape, dtype=np.intp).reshape(len(caps), math.prod(shape)).T
     degree = exponents.sum(axis=1)
     layers = tuple(np.flatnonzero(degree == d) for d in range(sum(caps) + 1))
     return exponents, degree, layers

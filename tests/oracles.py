@@ -3,7 +3,8 @@
 These deliberately avoid the code paths they check: determinants by cofactor
 expansion, Hermitian eigenvalues by cyclic Jacobi rotations, polynomial-matrix
 determinants and permanents by the plain permutation sum, repeated-index
-permanents by a sum over contingency tables, and the series
+permanents by a sum over contingency tables, products of powers of linear
+forms by the multinomial theorem over a plain dict, and the series
 inverse, inverse square root, exp and log by their order-by-order recursions
 over single coefficients, the torus estimator's integrand from float
 angles and float powers, the sampler's inverse-CDF map by one binary
@@ -140,6 +141,28 @@ def _compositions(n, caps):
     for k in range(min(n, caps[0]) + 1):
         for rest in _compositions(n - k, caps[1:]):
             yield (k,) + rest
+
+
+def linear_form_power(rows, p, caps) -> dict:
+    """(Az)^p = prod_i (a_i . z)^{p_i} as {exponent tuple: coefficient}, kept
+    within caps: each factor by the multinomial theorem,
+    (a . z)^k = sum_{|c| = k} k!/c! prod_j a_j^{c_j} z^c, and the factors
+    multiplied term by term.  Fractions on int / Fraction rows, else complex."""
+    exact = all(isinstance(v, (int, Fraction)) for row in rows for v in row)
+    poly = {(0,) * len(caps): Fraction(1) if exact else 1 + 0j}
+    for row, k in zip(rows, p):
+        factor = {}
+        for c in _compositions(k, caps):
+            coef = math.factorial(k) // math.prod(map(math.factorial, c))
+            factor[c] = coef * math.prod(a**e for a, e in zip(row, c))
+        product: dict = {}
+        for e, u in poly.items():
+            for c, v in factor.items():
+                f = tuple(x + y for x, y in zip(e, c))
+                if all(x <= cap for x, cap in zip(f, caps)):
+                    product[f] = product.get(f, 0) + u * v
+        poly = product
+    return poly
 
 
 def _power_product(v, p) -> complex:

@@ -1,6 +1,7 @@
 import itertools
 import math
 import re
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -19,8 +20,8 @@ from permkit.combinatorics import (
     repeat_matrix,
     weight,
 )
-from permkit.errors import DimensionMismatch
-from permkit.permanents import permanent_naive
+from permkit.errors import DimensionMismatch, WeightMismatchWarning
+from permkit.permanents import permanent_glynn_multiplicity, permanent_naive, permanent_ryser
 
 
 class TestFactorialProduct:
@@ -62,6 +63,22 @@ class TestRepeatMatrix:
         a = ((Fraction(1, 2), 2), (3, 4))
         out = repeat_matrix(a, RepetitionPattern((2, 1), (1, 1)))
         assert out == ((Fraction(1, 2), 2), (Fraction(1, 2), 2), (3, 4))
+
+    @pytest.mark.parametrize("rows", [((1, 2), (3, 4)), ((Fraction(1, 2), 2), (3, 4))])
+    @pytest.mark.parametrize("p, q", [((0, 0), (0, 1)), ((0, 1), (0, 0)), ((0, 0), (2, 1)), ((0, 0), (0, 0))])
+    def test_exact_empty_repetition_stays_exact(self, rows, p, q):
+        # an empty A_{p,q} of exact input is an object array: the brute-force and
+        # Ryser permanents of it are the int the multiplicity sum gives, not 0j
+        pattern = RepetitionPattern(p, q)
+        out = repeat_matrix(rows, pattern)
+        assert out.dtype == object and out.shape == (sum(p), sum(q))
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", WeightMismatchWarning)
+            want = permanent_glynn_multiplicity(rows, pattern).value
+        assert type(want) is int and want == int(sum(p) == sum(q))
+        for per in (permanent_naive, permanent_ryser):
+            got = per(out).value
+            assert type(got) is int and got == want
 
     def test_length_mismatch(self):
         with pytest.raises(DimensionMismatch):

@@ -506,7 +506,7 @@ class TestOracleLimitBeforeSeriesWork:
         def fail(*args, **kwargs):
             raise AssertionError("series work started")
 
-        for name in ("_det_side", "_xtay_series", "_monomial_power", "_monomial_table", "_monomial_coefficient"):
+        for name in ("_det_side", "_xtay_series", "_form_power", "_monomial_table"):
             monkeypatch.setattr(ident, name, fail)
 
     @pytest.mark.parametrize(
@@ -788,6 +788,51 @@ class TestPermanentSidePricing:
             ident._repeated_permanents((a, [pair, pair]))
 
 
+def _filtered_pairs(ps, q_caps) -> list:
+    """The pairs (p, q), |p| = |q|, listed by filtering the whole box q <= q_caps for each p."""
+    return [(p, q) for p in ps for q in ident._sub_indices(q_caps) if sum(q) == sum(p)]
+
+
+@pytest.mark.parametrize(
+    "p_caps, q_caps",
+    # mmmt-two and even-full: the two blocks of a cap tuple, equal or not, zero caps among them
+    [((2, 2), (2, 2)), ((3, 1), (0, 2)), ((0, 0, 0), (1, 2, 0)), ((1, 0, 2), (2, 2, 2)), ((), ())],
+)
+def test_equal_weight_pairs_on_two_blocks(p_caps, q_caps):
+    # each p's weight layer against the test-side filter of the whole q-box: same pairs, same order
+    ps = list(ident._sub_indices(p_caps))
+    assert ident._equal_weight_pairs(ps, q_caps) == _filtered_pairs(ps, q_caps)
+
+
+@pytest.mark.parametrize(
+    "ps, q_caps",
+    [
+        # generating: the ps whose weight f keeps
+        ([p for p in itertools.product(range(3), range(4)) if sum(p) % 2], (3, 2)),
+        # monomial: one p against the whole cap tuple, |p| within it, beyond it or 0
+        ([(1, 2, 0)], (3, 3, 3)),
+        ([(5, 0)], (1, 1)),
+        ([(0, 0, 0)], (0, 2, 1)),
+        ([(2, 0, 1)], (2, 0, 1)),
+    ],
+)
+def test_equal_weight_pairs_for_chosen_ps(ps, q_caps):
+    assert ident._equal_weight_pairs(ps, q_caps) == _filtered_pairs(ps, q_caps)
+
+
+@pytest.mark.parametrize(
+    "caps, n_mats", [((1,) * 6, 3), ((2, 0, 1, 3, 0, 1), 3), ((2, 2, 1, 0), 2), ((0, 1, 2, 1, 0, 0, 1, 2), 4)]
+)
+def test_equal_weight_pairs_on_the_cyclic_blocks(caps, n_mats):
+    # mmmt-n: block k's exponents against block k + 1's caps, the last block's against the first's
+    m = len(caps) // n_mats
+    blocks = [caps[k * m : (k + 1) * m] for k in range(n_mats)]
+    for k in range(n_mats):
+        ps = list(ident._sub_indices(blocks[k]))
+        nxt = blocks[(k + 1) % n_mats]
+        assert ident._equal_weight_pairs(ps, nxt) == _filtered_pairs(ps, nxt)
+
+
 @pytest.mark.parametrize("power", [1, 2])
 @pytest.mark.parametrize(
     "p_caps, q_caps",
@@ -798,7 +843,8 @@ def test_pair_price_counts_the_listed_pairs(p_caps, q_caps, power):
     def price(pairs):
         return sum(math.prod((c + 1) ** power for c in q) for _, q in pairs)
 
-    pairs = ident._equal_weight_pairs(ident._sub_indices(p_caps), list(ident._sub_indices(q_caps)))
+    pairs = _filtered_pairs(ident._sub_indices(p_caps), q_caps)
+    assert ident._equal_weight_pairs(ident._sub_indices(p_caps), q_caps) == pairs
     assert ident._pair_price(p_caps, q_caps, power) == price(pairs)
     odd = [(p, q) for p, q in pairs if sum(p) % 2]
     assert ident._pair_price(p_caps, q_caps, power, keep=lambda w: w % 2) == price(odd)
@@ -821,14 +867,15 @@ class TestDeterminantSideBeyondEightRows:
 
 # SHA-256 of the JSON of run_battery(seed=s), recorded from the version that
 # sums half of each float sign-sum grid and a quarter of even-single's sign
-# pairs (numpy 2.4.6 with OpenBLAS 0.3.31 on x86-64): every field,
-# max_abs_error to the last bit.
+# pairs, and expands the monomial form's (Az)^p one linear form at a time
+# (numpy 2.4.6 with OpenBLAS 0.3.31 on x86-64): every field, max_abs_error
+# to the last bit.
 BATTERY_DIGESTS = {
     5: "4ccfc8fcfb5662ba722dacb0453806c9beeaea0f5d133b61b61702e7607de9a8",
-    7: "6b585df1a1f4f2f7d07eee4054ca37e7e9effb35bf9228c182184f5bbb9e9546",
-    123: "fd26738caf80c368f4e248a47d5cd264a7395010828640161b9f2c6318edc2ef",
-    901: "74ce44d1fcbf8ffd579eb92391214ed6e865b9bb6484894163e66436a99581a7",
-    902: "043d1d5c6d59c623c608e5ab797062eee4b2ae336920135b74758cc342c6acb3",
+    7: "b1644d590ee2dc6c29fbd96c539bd840b7850664bb3f4613b98df0501cd3f698",
+    123: "144711c08bf21f6e6d21550f7d88de0a5b84ac3da84a2595325160febc2220fe",
+    901: "6ac66cec1acef32e235cbcc175b8498c9e0d77c82fbc2031772744cbf11cfd13",
+    902: "cfb334b106e6319ba6886b7a1c92bec17e6474c74d9a5d5c29fc4c0aa5020c34",
 }
 
 

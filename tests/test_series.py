@@ -18,8 +18,7 @@ from permkit.errors import (
 from permkit.identities import (
     DIXON_MATRIX,
     _det_side,
-    _monomial_coefficient,
-    _monomial_power,
+    _form_power,
     _monomial_table,
     _normalize,
     verify_dixon,
@@ -27,7 +26,7 @@ from permkit.identities import (
 from permkit.numerics import scaled_error
 from permkit.series import COMPLEX, RATIONAL, TruncatedSeries, _layout
 
-from oracles import series_recursion
+from oracles import linear_form_power, series_recursion
 
 
 def rational_series(caps, min_exp=-6, max_exp=6):
@@ -317,20 +316,59 @@ class TestProductKernel:
     # mixed caps, 0 among them, for m <= 5
     TABLE_CAPS = [(4, 4, 4), (2, 0, 3), (0,), (3,), (1, 2), (0, 2), (2, 1, 0, 2), (1, 0, 2, 1, 1)]
 
+    @staticmethod
+    def random_rows(g, m, kind):
+        """An m x m matrix of small ints, of Fractions with small denominators,
+        or of complex entries in the unit disk, as nested lists."""
+        if kind is complex:
+            return (g.uniform(-0.7, 0.7, (m, m)) + 1j * g.uniform(-0.7, 0.7, (m, m))).tolist()
+        rows = g.integers(-3, 4, size=(m, m)).tolist()
+        if kind is Fraction:
+            rows = [[Fraction(v, int(g.integers(1, 5))) for v in row] for row in rows]
+        return rows
+
     def test_monomial_power_matches_table(self):
-        # the box table against [z^p](Az)^p of the full-caps series, every p <= caps
+        # the box table against [z^p](Az)^p of the dict expansion, every p <= caps
         g = np.random.default_rng(17)
         for caps in self.TABLE_CAPS:
-            m = len(caps)
-            for exact in (int, Fraction):
-                rows = g.integers(-3, 4, size=(m, m)).tolist()
-                if exact is Fraction:
-                    rows = [[Fraction(v, int(g.integers(1, 5))) for v in row] for row in rows]
+            for kind in (int, Fraction):
+                rows = self.random_rows(g, len(caps), kind)
                 mat, _ = _normalize(rows)
                 num, den = _monomial_table(mat, caps)
                 assert num.size == den.size == math.prod(c + 1 for c in caps)
                 for idx, p in enumerate(itertools.product(*(range(c + 1) for c in caps))):
-                    assert Fraction(num[idx], den[idx]) == _monomial_power(mat, RATIONAL, caps, p).coefficient(p)
+                    assert Fraction(num[idx], den[idx]) == linear_form_power(rows, p, p).get(p, 0)
+
+    # (p, caps): p with zeros, a zero cap, caps below |p| (and below some p_i), no variables
+    FORM_CASES = [
+        ((), ()),
+        ((0,), (3,)),
+        ((4,), (2,)),
+        ((1, 0, 2), (2, 2, 2)),
+        ((2, 1), (0, 3)),
+        ((0, 0, 0), (1, 2, 0)),
+        ((3, 0, 1), (2, 1, 3)),
+        ((2, 2, 2), (1, 1, 1)),
+        ((1, 2, 0, 1), (1, 0, 2, 1)),
+        ((2, 0, 1, 1, 0), (1, 2, 0, 1, 2)),
+    ]
+
+    @pytest.mark.parametrize("kind", [int, Fraction, complex])
+    @pytest.mark.parametrize("p, caps", FORM_CASES)
+    def test_form_power_matches_the_dict_expansion(self, p, caps, kind):
+        # every coefficient of the box: exactly on int/Fraction rows, within 1e-13 (scaled) on complex ones
+        g = np.random.default_rng(sum(caps) + 7 * len(p))
+        rows = self.random_rows(g, len(p), kind)
+        mat, ring = _normalize(np.array(rows, dtype=complex).reshape(len(p), len(p)) if kind is complex else rows)
+        assert ring == (COMPLEX if kind is complex else RATIONAL)
+        got = _form_power(mat, ring, p, caps)
+        want = linear_form_power(rows, p, caps)
+        assert got.caps == caps and len(got.coeffs) == math.prod(c + 1 for c in caps)
+        for e, v in zip(itertools.product(*(range(c + 1) for c in caps)), got.coeffs):
+            if kind is complex:
+                assert type(v) is complex and scaled_error(v, want.get(e, 0)) <= 1e-13, (e, v, want.get(e))
+            else:
+                assert type(v) is Fraction and v == want.get(e, 0), (e, v, want.get(e))
 
     def test_box_table_on_all_ones_rows(self):
         # row i of A is all 1/(i + 1), so (Az)^p = (z_1 + ... + z_m)^{|p|} / prod_i (i + 1)^{p_i}
@@ -344,24 +382,25 @@ class TestProductKernel:
                 scale = math.prod((i + 1) ** e for i, e in enumerate(p))
                 want = Fraction(math.factorial(sum(p)), math.prod(map(math.factorial, p)) * scale)
                 assert Fraction(num[idx], den[idx]) == want
-                assert _monomial_coefficient(mat, p) == want
+                assert _form_power(mat, RATIONAL, p, p).coefficient(p) == want
 
     @pytest.mark.parametrize("n", [1, 2, 3, 4])
     def test_dixon_chain_matches_monomial_power(self, n):
         mat, _ = _normalize(DIXON_MATRIX)
         p = (2 * n,) * 3
-        got = _monomial_coefficient(mat, p)
-        assert got == _monomial_power(mat, RATIONAL, p, p).coefficient(p)
+        got = _form_power(mat, RATIONAL, p, p).coefficient(p)
+        assert got == linear_form_power(DIXON_MATRIX, p, p)[p]
         assert got == (-1) ** n * math.factorial(3 * n) // math.factorial(n) ** 3
 
     def test_chain_matches_monomial_power_beyond_p(self):
-        # the chain's box c <= p against a series truncated one past p in every variable
+        # the box c <= p against the box one past p in every variable, and both against the dict expansion
         g = np.random.default_rng(29)
         for p in [(0, 0, 0), (2, 0, 1), (0, 3, 2), (1, 1, 1)]:
-            rows = g.integers(-3, 4, size=(3, 3)).tolist()
-            mat, _ = _normalize([[Fraction(v, int(g.integers(1, 5))) for v in row] for row in rows])
+            rows = self.random_rows(g, 3, Fraction)
+            mat, _ = _normalize(rows)
             caps = tuple(e + 1 for e in p)
-            assert _monomial_coefficient(mat, p) == _monomial_power(mat, RATIONAL, caps, p).coefficient(p)
+            got = _form_power(mat, RATIONAL, p, p).coefficient(p)
+            assert got == _form_power(mat, RATIONAL, p, caps).coefficient(p) == linear_form_power(rows, p, caps)[p]
 
 
 class TestLayeredRecursions:
