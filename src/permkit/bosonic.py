@@ -192,10 +192,24 @@ class _OutcomePlan:
     root_fact: np.ndarray
 
 
+def _lgamma_root(powers: np.ndarray) -> np.ndarray:
+    """sqrt(p!) of each row p of the int array powers, as
+    exp(sum_i lgamma(p_i + 1) / 2): for the p whose p! is past float64; inf
+    where sqrt(p!) is past it too."""
+    log_fact = np.array([math.lgamma(e + 1) for e in range(int(powers.max(initial=0)) + 1)])
+    with np.errstate(over="ignore"):
+        return np.exp(0.5 * log_fact[powers].sum(axis=1))
+
+
 def _build_plan(m: int, k: int) -> _OutcomePlan:
     powers = weight_array(m, k)
-    factorials = np.array([math.factorial(e) for e in range(k + 1)], dtype=np.float64)
-    root_fact = np.sqrt(factorials[powers].prod(axis=1))
+    # 170! is the largest factorial in float64's range; every finite sqrt(p!) is
+    # taken from the float64 factorials, as below it, and the rest from lgamma
+    factorials = np.array([math.factorial(e) if e <= 170 else math.inf for e in range(k + 1)], dtype=np.float64)
+    with np.errstate(over="ignore"):
+        root_fact = np.sqrt(factorials[powers].prod(axis=1))
+    past = np.isinf(root_fact)
+    root_fact[past] = _lgamma_root(powers[past])
     table = np.fromiter(map(tuple, powers.tolist()), dtype=object, count=len(powers))
     for arr in (table, powers, root_fact):
         arr.setflags(write=False)
@@ -286,7 +300,11 @@ def cat_amplitude(u, spec: CatInputSpec, p: Sequence[int]) -> complex:
         return 0j
     check_budget("sign sum", (1 << n) * n)
     sign_sum = complex(_sign_sums(arr[:, :n], np.array([p], dtype=np.intp))[0])
-    return _cat_scale(spec.alpha, n, total) * sign_sum / math.sqrt(factorial_product(p))
+    try:
+        root = math.sqrt(factorial_product(p))
+    except OverflowError:  # p! is past float64
+        root = float(_lgamma_root(np.array([p]))[0])
+    return _cat_scale(spec.alpha, n, total) * sign_sum / root
 
 
 def photon_fraction(alpha: complex, n: int) -> float:

@@ -24,6 +24,10 @@ computed only on the exponent box that each check reads.  One linear form
 is multiplied in at a time (`_times_form`): `_form_power` gives (Az)^p on a
 box, in either ring, for Dixon and the monomial-form verifier, and
 `_monomial_table` every [z^p](Az)^p of MacMahon's box from a parent tree.
+Both exact expansions run on int64 when B = prod_i max(sum_j |c_ij|, 1)^{e_i}
+< 2^63 for the integer-scaled rows c, e = p for `_form_power` and the caps
+for `_monomial_table` (`_form_dtype`, on the multiplicity grid's
+`permanents._int_dtype`), else on Python ints; their results are Python ints.
 
 The sides are compared table-wise (`_report`): a coefficient table's
 permanent side is one flat array over the series' row-major layout, each
@@ -64,6 +68,7 @@ from .numerics import as_array, scaled_error
 from .permanents import (
     NAIVE_MAX_DIM,
     _coerce,
+    _int_dtype,
     _integer_rows,
     _repeated_permanents,
     permanent_naive,
@@ -438,14 +443,26 @@ def _xtay_series(mat, ring, caps) -> TruncatedSeries:
 
 
 def _times_form(arr: np.ndarray, row) -> np.ndarray:
-    """arr * sum_l row_l z_l on arr's own box (an object array of ints or a
-    complex array, indexed by exponent), one shifted slice per nonzero row_l."""
+    """arr * sum_l row_l z_l on arr's own box (an int64 or object array of
+    ints, or a complex array, indexed by exponent), one shifted slice per
+    nonzero row_l."""
     out = np.zeros_like(arr)
     for l, a in enumerate(row):
         if a and arr.shape[l] > 1:
             lead = (slice(None),) * l
             out[lead + (slice(1, None),)] += a * arr[lead + (slice(-1),)]
     return out
+
+
+def _form_dtype(ints, exponents) -> type:
+    """The dtype that expands prod_i (c_i . z)^{e_i} exactly (`_int_dtype`).
+
+    Each `_times_form` product and partial sum is within the product of the
+    1-norms of the forms multiplied so far, so within
+    B = prod_i max(sum_j |c_ij|, 1)^{e_i}: a zero form zeroes the product, not
+    the tables before it.
+    """
+    return _int_dtype(math.prod(max(sum(map(abs, row)), 1) ** e for row, e in zip(ints, exponents)))
 
 
 def _monomial_table(mat, caps) -> tuple[np.ndarray, np.ndarray]:
@@ -457,12 +474,13 @@ def _monomial_table(mat, caps) -> tuple[np.ndarray, np.ndarray]:
     its parent p - e_i, i the first nonzero coordinate of p, times (Cz)_i.
     Every descendant of p agrees with p beyond i, so entry p is kept only on
     the box c_j <= caps_j for j <= i, c_j <= p_j for j > i (all of the caps for
-    p = 0): each child's box lies in its parent's.
+    p = 0): each child's box lies in its parent's.  The entries are int64
+    where `_form_dtype` of the caps allows; the results are Python ints.
     """
     dens, ints = _integer_rows(mat.tolist())
     full = tuple(c + 1 for c in caps)
     strides = [math.prod(full[i + 1 :]) for i in range(len(caps))]
-    root = np.zeros(full, dtype=object)
+    root = np.zeros(full, dtype=_form_dtype(ints, caps))
     root[(0,) * len(caps)] = 1
     entries = [root]
     num, den = np.empty(root.size, dtype=object), np.empty(root.size, dtype=object)
@@ -473,7 +491,7 @@ def _monomial_table(mat, caps) -> tuple[np.ndarray, np.ndarray]:
         box = full[: i + 1] + tuple(e + 1 for e in p[i + 1 :])
         entry = _times_form(entries[parent][tuple(map(slice, box))], ints[i])
         entries.append(entry)
-        num[idx], den[idx] = entry[p], den[parent] * dens[i]
+        num[idx], den[idx] = int(entry[p]), den[parent] * dens[i]
     return num, den
 
 
@@ -481,19 +499,20 @@ def _form_power(mat, ring, p, caps) -> TruncatedSeries:
     """(Az)^p = prod_i (a_i . z)^{p_i} on the exponent box c <= caps, one
     linear form at a time.  In the rational ring the rows are scaled to
     integers, C = Diag(d) A (`_integer_rows`), and (Az)^p is (Cz)^p over
-    prod_i d_i^{p_i}; in the complex ring the rows are taken as they are."""
+    prod_i d_i^{p_i}, expanded in int64 where `_form_dtype` allows and
+    returned as Python ints; in the complex ring the rows are taken as they are."""
     exact = ring == RATIONAL
     if exact:
         dens, rows = _integer_rows(mat.tolist())
         den = math.prod(d**e for d, e in zip(dens, p))
     else:
         rows, den = mat.tolist(), 1
-    arr = np.zeros(tuple(c + 1 for c in caps) or (1,), dtype=object if exact else np.complex128)
+    arr = np.zeros(tuple(c + 1 for c in caps) or (1,), dtype=_form_dtype(rows, p) if exact else np.complex128)
     arr.flat[0] = 1
     for row, e in zip(rows, p):
         for _ in range(e):
             arr = _times_form(arr, row)
-    return TruncatedSeries._new(tuple(caps), ring, arr, den)
+    return TruncatedSeries._new(tuple(caps), ring, arr.astype(object) if exact else arr, den)
 
 
 def verify_macmahon(a, cap: Union[int, Sequence[int]] = 2, tolerance: float = 1e-8) -> IdentityReport:

@@ -192,8 +192,16 @@ def _multiplicity_weight(q: int, y: int) -> int:
 
 
 def _grid_size(qs) -> int:
-    """The number of points of the grid for the multiplicity rows qs."""
-    return math.prod(_column_values(col).size for col in zip(*qs))
+    """The number of points of the grid for the multiplicity rows qs: per
+    column Q + 1 values when its multiplicities share a parity, else 2Q + 1,
+    Q their maximum (`_column_values`)."""
+    return math.prod((1 if len({q % 2 for q in col}) == 1 else 2) * int(max(col)) + 1 for col in zip(*qs))
+
+
+def _int_dtype(bound: int) -> type:
+    """The dtype of exact integer work whose values and partial sums all stay
+    within ``bound`` in absolute value: int64 below 2^63, else object (Python ints)."""
+    return np.int64 if bound < 1 << 63 else object
 
 
 @lru_cache(maxsize=64)
@@ -206,9 +214,10 @@ def _grid(qs: tuple[tuple[int, ...], ...]) -> tuple:
     low) and of the others (one row per outer point), each part's first column
     the fastest digit; ``weights`` holds each part's rows, row r at y being
     prod_j (-1)^{v_j} C(q_j, v_j) for q = qs[r] and y = q - 2v, else 0: int64
-    while the product of the part's column maxima stays below 2^63, else
-    Python ints.  For q = (1, ..., 1), low and high assembled, these are the
-    points and signs of `_vertices(k)`.  Read-only.
+    while the product of the part's column maxima, a bound on every weight and
+    partial product, is below 2^63, else Python ints (`_int_dtype`, as in the
+    exact (Az)^p expansions).  For q = (1, ..., 1), low and high assembled,
+    these are the points and signs of `_vertices(k)`.  Read-only.
     """
     columns = [_column_values(col) for col in zip(*qs)]
     low, block = 0, 1
@@ -219,7 +228,7 @@ def _grid(qs: tuple[tuple[int, ...], ...]) -> tuple:
     for part in (range(low), range(low, len(columns))):
         # column j's largest weight is C(Q, Q // 2), Q its largest value
         top = math.prod(math.comb(int(columns[j][-1]), int(columns[j][-1]) // 2) for j in part)
-        dtype = np.int64 if top < 1 << 63 else object
+        dtype = _int_dtype(top)
         index = np.arange(math.prod(columns[j].size for j in part))
         x = np.empty((index.size, len(part)))
         w = np.ones((len(qs), index.size), dtype=dtype)

@@ -65,7 +65,9 @@ def _layout(caps: tuple[int, ...]):
     # one row per exponent, row-major: a transposed view of the index grids, not a copy
     exponents = np.indices(shape, dtype=np.intp).reshape(len(caps), math.prod(shape)).T
     degree = exponents.sum(axis=1)
-    layers = tuple(np.flatnonzero(degree == d) for d in range(sum(caps) + 1))
+    # one stable sort by degree keeps each layer's indices ascending
+    order = np.argsort(degree, kind="stable")
+    layers = tuple(np.split(order, np.cumsum(np.bincount(degree, minlength=sum(caps) + 1))[:-1]))
     return exponents, degree, layers
 
 

@@ -167,6 +167,32 @@ class TestCatDistribution:
                     got = bosonic._same_parity_outcomes(m, top) - bosonic._same_parity_outcomes(m, n - 2)
                     assert got == want, (m, n, cutoff)
 
+    def test_cutoff_past_170_photons(self):
+        # 171! is past float64; at |alpha|^2 ~ 180 the weights past 170 hold a third of the mass
+        u, alpha = rng.haar_unitary(2, 36), 13.4
+        spec = CatInputSpec(alpha, 1, 2)
+        d = cat_distribution(u, spec, 200)
+        pmf = cat_total_photon_pmf(alpha, 1, 200)
+        assert sum(pmf[171:]) > 0.3
+        for k in range(1, 201, 2):
+            assert d.mass_at_weight(k) == pytest.approx(pmf[k], rel=1e-10, abs=1e-300), k
+        assert d.truncated_mass == pytest.approx(d.tail_bound, rel=1e-9)
+        # the weights below 171 are bit for bit those of cutoff 170
+        below = cat_distribution(u, spec, 170).probs
+        assert all(d.probs[p] == v for p, v in below.items())
+        for p in [(171, 0), (100, 81), (0, 199), (200, 1)]:
+            want = d.probs[p] if sum(p) <= 200 else None
+            got = abs(cat_amplitude(u, spec, p)) ** 2
+            assert 0 < got < math.inf and (want is None or got == pytest.approx(want, rel=1e-12, abs=0)), p
+
+    def test_root_factorial_past_float64_gives_zero_amplitudes(self):
+        # sqrt(p!) itself is past float64 from p = 301 on: the amplitude reads 0, never nan
+        u, spec = rng.haar_unitary(2, 37), CatInputSpec(1.0, 1, 2)
+        assert cat_amplitude(u, spec, (301, 0)) == 0j
+        # the plan's rows run from (0, 301) to (301, 0)
+        root = bosonic._build_plan(2, 301).root_fact
+        assert np.isinf(root[[0, -1]]).all() and np.isfinite(root[1:-1]).all()
+
     def test_huge_cutoff_is_refused_at_once(self):
         # the support is counted in closed form, not summed weight by weight up to the cutoff
         u, cutoff = rng.haar_unitary(3, 35), 10**20

@@ -394,6 +394,14 @@ class TestSample:
         assert [json.loads(line) for line in lines[:-1]] == [{"overflow": True}] * 5
         assert json.loads(lines[-1])["truncated_mass"] == 1.0
 
+    def test_cat_cutoff_past_170_photons(self, capsys, hom_file):
+        # 171! is past float64: sqrt(p!) is taken from lgamma there
+        code, out, err = run_cli(capsys, "sample", "--unitary", hom_file, "--input", "cat",
+                                 "--n", "1", "--cutoff", "200", "--count", "5")
+        lines = out.strip().splitlines()
+        assert code == 0 and err == ""
+        assert len(lines) == 6 and json.loads(lines[-1])["cutoff"] == 200
+
     def test_cat_non_finite_alpha_exits_one(self, capsys, hom_file):
         code, out, err = run_cli(capsys, "sample", "--unitary", hom_file, "--input", "cat",
                                  "--alpha", "nan,0", "--n", "1", "--cutoff", "3", "--count", "2")

@@ -765,6 +765,9 @@ def test_float_glynn_and_ryser_reach_the_kernel_below_the_budget(m, monkeypatch)
         (((15, 60), (3, 2)), (object, np.int64)),
         # C(40, 20)^2 > 2^63: the high part's weights are Python ints
         (((40, 40, 40),), (np.int64, object)),
+        # C(66, 33) < 2^63 < C(67, 33): either side of the int64 rule
+        (((66,),), (np.int64, np.int64)),
+        (((67,),), (object, np.int64)),
     ],
 )
 def test_grid_weights_are_the_exact_column_products(qs, dtypes):
@@ -775,6 +778,17 @@ def test_grid_weights_are_the_exact_column_products(qs, dtypes):
     assert points.shape == (size, len(qs[0])) and weights.shape == (len(qs), size)
     for q, row in zip(qs, weights.tolist()):
         assert row == [math.prod(_multiplicity_weight(c, int(y)) for c, y in zip(q, pt)) for pt in points]
+
+
+def test_grid_size_counts_the_column_values():
+    # per column Q + 1 values when its multiplicities share a parity, else 2Q + 1
+    g = rng.generator(961)
+    for _ in range(300):
+        m, rows = int(g.integers(0, 5)), int(g.integers(1, 4))
+        qs = [tuple(int(v) for v in g.integers(0, 9, size=m)) for _ in range(rows)]
+        got = permanents._grid_size(qs)
+        assert type(got) is int
+        assert got == math.prod(permanents._column_values(col).size for col in zip(*qs)), qs
 
 
 def test_exact_multiplicity_sum_with_weights_past_int64():

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from permkit import identities
 from permkit.errors import (
     BadConstantTerm,
     CapMismatch,
@@ -24,6 +25,7 @@ from permkit.identities import (
     verify_dixon,
 )
 from permkit.numerics import scaled_error
+from permkit.permanents import _int_dtype
 from permkit.series import COMPLEX, RATIONAL, TruncatedSeries, _layout
 
 from oracles import linear_form_power, series_recursion
@@ -161,6 +163,16 @@ class TestInverse:
         assert (s * t).coeffs == TruncatedSeries.one(caps, RATIONAL).coeffs
         z = TruncatedSeries(caps, COMPLEX, [complex(c) for c in coeffs]).inverse()
         assert max(scaled_error(b, complex(a)) for a, b in zip(t.coeffs, z.coeffs)) <= 1e-12
+
+
+@pytest.mark.parametrize("caps", [(), (0,), (3,), (2, 5, 1), (30, 30, 30)])
+def test_layout_layers_are_the_degree_sets(caps):
+    # layer d holds the flat indices of total degree d, ascending
+    exponents, degree, layers = _layout.__wrapped__(caps)
+    want = [np.flatnonzero(exponents.sum(axis=1) == d) for d in range(sum(caps) + 1)]
+    assert np.array_equal(degree, exponents.sum(axis=1))
+    assert len(layers) == len(want)
+    assert all(got.dtype == w.dtype and np.array_equal(got, w) for got, w in zip(layers, want))
 
 
 def test_layout_cache_is_bounded():
@@ -401,6 +413,94 @@ class TestProductKernel:
             caps = tuple(e + 1 for e in p)
             got = _form_power(mat, RATIONAL, p, p).coefficient(p)
             assert got == _form_power(mat, RATIONAL, p, caps).coefficient(p) == linear_form_power(rows, p, caps)[p]
+
+
+class TestIntegerExpansion:
+    """`_form_power` and `_monomial_table` expand on int64 while
+    B = prod_i max(sum_j |c_ij|, 1)^{e_i} < 2^63 (e = p, or the caps), else on
+    Python ints, and return Python ints either way."""
+
+    # (2^63 - 1) / 7^2: the rows (7) and (N) with p = (2, 1) give B = 2^63 - 1
+    N = (2**63 - 1) // 49
+
+    @staticmethod
+    def dtypes(monkeypatch):
+        """The dtypes of the tables that `_times_form` is given, in call order."""
+        seen, inner = [], identities._times_form
+
+        def record(arr, row):
+            seen.append(arr.dtype)
+            return inner(arr, row)
+
+        monkeypatch.setattr(identities, "_times_form", record)
+        return seen
+
+    @staticmethod
+    def assert_exact(series, rows, p, caps):
+        # every coefficient against the dict expansion, as a Fraction of Python ints
+        want = linear_form_power(rows, p, caps)
+        for e in itertools.product(*(range(c + 1) for c in caps)):
+            got = series.coefficient(e)
+            assert type(got) is Fraction and type(got.numerator) is int, (e, got)
+            assert got == want.get(e, 0), (e, got, want.get(e))
+
+    @staticmethod
+    def assert_table(mat, rows, caps):
+        num, den = _monomial_table(mat, caps)
+        for idx, p in enumerate(itertools.product(*(range(c + 1) for c in caps))):
+            assert type(num[idx]) is int and type(den[idx]) is int, (p, num[idx])
+            assert Fraction(num[idx], den[idx]) == linear_form_power(rows, p, p).get(p, 0), p
+
+    def test_bound_2_63_minus_1_runs_on_int64(self, monkeypatch):
+        seen = self.dtypes(monkeypatch)
+        rows = [[7], [self.N]]
+        got = _form_power(np.array(rows, dtype=object), RATIONAL, (2, 1), (3,))
+        assert got.coefficient((3,)) == 2**63 - 1
+        self.assert_exact(got, rows, (2, 1), (3,))
+        # a square matrix on the same bound, 7^2 N, through the table with caps (2, 1)
+        rows = [[3, 4], [self.N - 5, 5]]
+        mat, _ = _normalize(rows)
+        self.assert_table(mat, rows, (2, 1))
+        assert seen and set(seen) == {np.dtype(np.int64)}
+
+    def test_bound_2_63_falls_back_to_python_ints(self, monkeypatch):
+        seen = self.dtypes(monkeypatch)
+        mat, _ = _normalize([[2]])
+        got = _form_power(mat, RATIONAL, (63,), (63,))
+        assert got.coefficient((63,)) == 2**63
+        self.assert_exact(got, [[2]], (63,), (63,))
+        self.assert_table(mat, [[2]], (63,))
+        assert seen and set(seen) == {np.dtype(object)}
+
+    def test_zero_rows(self, monkeypatch):
+        # a zero row is counted as 1 in B: 3^40 > 2^63 takes Python ints,
+        # though the zero row makes every entry with p_2 > 0 vanish
+        seen = self.dtypes(monkeypatch)
+        rows = [[3, 0], [0, 0]]
+        mat, _ = _normalize(rows)
+        self.assert_table(mat, rows, (40, 1))
+        self.assert_exact(_form_power(mat, RATIONAL, (40, 1), (40, 1)), rows, (40, 1), (40, 1))
+        self.assert_exact(_form_power(mat, RATIONAL, (40, 0), (40, 1)), rows, (40, 0), (40, 1))
+        assert seen and set(seen) == {np.dtype(object)}
+        seen.clear()
+        self.assert_table(mat, rows, (39, 2))
+        assert seen and set(seen) == {np.dtype(np.int64)}
+
+    def test_fraction_rows_are_bounded_after_scaling(self, monkeypatch):
+        # the denominators scale the rows, so the bound is on C = Diag(d) A, not on A
+        seen = self.dtypes(monkeypatch)
+        rows = [[Fraction(1, 2**31), Fraction(-1, 3)], [Fraction(5, 7), 0]]
+        mat, _ = _normalize(rows)
+        self.assert_exact(_form_power(mat, RATIONAL, (1, 2), (2, 2)), rows, (1, 2), (2, 2))
+        self.assert_exact(_form_power(mat, RATIONAL, (2, 2), (2, 2)), rows, (2, 2), (2, 2))
+        self.assert_table(mat, rows, (2, 2))
+        # C = ((3, -2^31), (5, 0)): B = (2^31 + 3) 5^2 at p = (1, 2), (2^31 + 3)^2 5^2 > 2^63 at (2, 2)
+        assert np.dtype(np.int64) in seen and np.dtype(object) in seen
+
+    def test_rule(self):
+        assert _int_dtype(2**63 - 1) is np.int64 and _int_dtype(2**63) is object
+        assert identities._form_dtype([[3, -4], [0, 0]], (2, 5)) is np.int64
+        assert identities._form_dtype([[2, 0], [0, 0]], (63, 0)) is object
 
 
 class TestLayeredRecursions:
