@@ -192,24 +192,28 @@ class _OutcomePlan:
     root_fact: np.ndarray
 
 
-def _lgamma_root(powers: np.ndarray) -> np.ndarray:
-    """sqrt(p!) of each row p of the int array powers, as
-    exp(sum_i lgamma(p_i + 1) / 2): for the p whose p! is past float64; inf
-    where sqrt(p!) is past it too."""
+def _log_root_factorials(powers: np.ndarray) -> np.ndarray:
+    """log sqrt(p!) of each row p of the int array powers, sum_i lgamma(p_i + 1) / 2."""
     log_fact = np.array([math.lgamma(e + 1) for e in range(int(powers.max(initial=0)) + 1)])
+    return 0.5 * log_fact[powers].sum(axis=1)
+
+
+def _root_factorials(powers: np.ndarray) -> np.ndarray:
+    """sqrt(p!) of each row p of the int array powers: from the float64
+    factorials where p! is within float64 (170! is the largest), else from
+    `_log_root_factorials`; inf where sqrt(p!) is past float64 too."""
+    top = int(powers.max(initial=0))
+    factorials = np.array([math.factorial(e) if e <= 170 else math.inf for e in range(top + 1)], dtype=np.float64)
     with np.errstate(over="ignore"):
-        return np.exp(0.5 * log_fact[powers].sum(axis=1))
+        root = np.sqrt(factorials[powers].prod(axis=1))
+        past = np.isinf(root)
+        root[past] = np.exp(_log_root_factorials(powers[past]))
+    return root
 
 
 def _build_plan(m: int, k: int) -> _OutcomePlan:
     powers = weight_array(m, k)
-    # 170! is the largest factorial in float64's range; every finite sqrt(p!) is
-    # taken from the float64 factorials, as below it, and the rest from lgamma
-    factorials = np.array([math.factorial(e) if e <= 170 else math.inf for e in range(k + 1)], dtype=np.float64)
-    with np.errstate(over="ignore"):
-        root_fact = np.sqrt(factorials[powers].prod(axis=1))
-    past = np.isinf(root_fact)
-    root_fact[past] = _lgamma_root(powers[past])
+    root_fact = _root_factorials(powers)
     table = np.fromiter(map(tuple, powers.tolist()), dtype=object, count=len(powers))
     for arr in (table, powers, root_fact):
         arr.setflags(write=False)
@@ -268,16 +272,46 @@ def _log_sinh(x: float) -> float:
     return x + math.log(-math.expm1(-2.0 * x)) - math.log(2.0)
 
 
+def _cat_log_scale(alpha: complex, n: int, total: int) -> tuple[complex, float]:
+    """The phase (alpha/|alpha|)^total and the log of |alpha|^total / sinh^{n/2}(|alpha|^2),
+    formed in log space, so a large |alpha| does not overflow sinh."""
+    r = abs(alpha)
+    return (alpha / r) ** total, total * math.log(r) - 0.5 * n * _log_sinh(r * r)
+
+
 @lru_cache(maxsize=256)
 def _cat_scale(alpha: complex, n: int, total: int) -> complex:
-    """alpha^total / (2^(n-1) sinh^{n/2}(|alpha|^2)), shared by all outcomes of one weight.
+    """alpha^total / (2^(n-1) sinh^{n/2}(|alpha|^2)), shared by all outcomes of one
+    weight; underflows to 0 for a large |alpha|, and raises OverflowError past float64."""
+    phase, log_scale = _cat_log_scale(alpha, n, total)
+    return phase * math.exp(log_scale) / 2 ** (n - 1)
 
-    Formed in log space, so a large |alpha| underflows to 0 instead of
-    overflowing sinh.
+
+def _cat_amplitudes(alpha: complex, n: int, total: int, sign_sums: np.ndarray, powers: np.ndarray, root_fact: np.ndarray) -> np.ndarray:
+    """The cat amplitudes _cat_scale(alpha, n, total) * sign_sums / root_fact of
+    the outcomes p of weight total, the rows of powers, root_fact their sqrt(p!).
+
+    Where the scale or sqrt(p!) is past float64, the quotient of the two is
+    taken in log space instead, so every amplitude that float64 holds comes
+    out; an amplitude past float64 raises OverflowError.
     """
-    r = abs(alpha)
-    log_scale = total * math.log(r) - 0.5 * n * _log_sinh(r * r)
-    return (alpha / r) ** total * math.exp(log_scale) / 2 ** (n - 1)
+    try:
+        scale = _cat_scale(alpha, n, total)
+    except OverflowError:  # the scale is past float64
+        amps, far = np.empty(sign_sums.shape, dtype=complex), np.ones(root_fact.shape, dtype=bool)
+    else:
+        if root_fact.max(initial=0.0) < math.inf:
+            return scale * sign_sums / root_fact
+        far = np.isinf(root_fact)
+        with np.errstate(over="ignore", invalid="ignore"):  # the far rows are replaced below
+            amps = scale * sign_sums / root_fact
+    phase, log_scale = _cat_log_scale(alpha, n, total)
+    log_ratio = log_scale - (n - 1) * math.log(2) - _log_root_factorials(powers[far])
+    with np.errstate(over="ignore", invalid="ignore"):
+        amps[far] = phase * sign_sums[far] * np.exp(log_ratio)
+    if not np.isfinite(amps[far]).all():
+        raise OverflowError(f"a cat amplitude of {total} photons is past float64")
+    return amps
 
 
 def cat_amplitude(u, spec: CatInputSpec, p: Sequence[int]) -> complex:
@@ -299,12 +333,12 @@ def cat_amplitude(u, spec: CatInputSpec, p: Sequence[int]) -> complex:
     if total < n or (total - n) % 2 != 0:
         return 0j
     check_budget("sign sum", (1 << n) * n)
-    sign_sum = complex(_sign_sums(arr[:, :n], np.array([p], dtype=np.intp))[0])
+    powers = np.array([p], dtype=np.intp)
+    sign_sums = _sign_sums(arr[:, :n], powers)
     try:
-        root = math.sqrt(factorial_product(p))
-    except OverflowError:  # p! is past float64
-        root = float(_lgamma_root(np.array([p]))[0])
-    return _cat_scale(spec.alpha, n, total) * sign_sum / root
+        return _cat_scale(spec.alpha, n, total) * complex(sign_sums[0]) / math.sqrt(factorial_product(p))
+    except OverflowError:  # the scale or p! is past float64
+        return complex(_cat_amplitudes(spec.alpha, n, total, sign_sums, powers, _root_factorials(powers))[0])
 
 
 def photon_fraction(alpha: complex, n: int) -> float:
@@ -383,7 +417,7 @@ def cat_distribution(u, spec: CatInputSpec, cutoff: Optional[int] = None) -> Out
     segments = []
     for k in range(n, cutoff + 1, 2):
         plan = _plans.get(m, k)
-        amps = _cat_scale(spec.alpha, n, k) * _sign_sums(arr[:, :n], plan.powers) / plan.root_fact
+        amps = _cat_amplitudes(spec.alpha, n, k, _sign_sums(arr[:, :n], plan.powers), plan.powers, plan.root_fact)
         segments.append((plan.table, np.abs(amps) ** 2, np.full(plan.table.size, k)))
     probs = _Probs(*map(np.concatenate, zip(*segments)))
     tail = max(0.0, 1.0 - sum(cat_total_photon_pmf(spec.alpha, n, cutoff)))

@@ -178,11 +178,17 @@ def _aligned(shape: tuple, dtype) -> np.ndarray:
 _SUMS_ENTRIES = 1 << 15
 
 
+def _column_span(mults) -> tuple[int, int]:
+    """(Q, step) of the values y = q - 2v, 0 <= v <= q, that any of the
+    multiplicities q of one column needs: -Q..Q for Q = max q, in steps of 2 if
+    every q has one parity, else of 1."""
+    return int(max(mults)), 2 if len({q % 2 for q in mults}) == 1 else 1
+
+
 def _column_values(mults) -> np.ndarray:
-    """The values y = q - 2v, 0 <= v <= q, that any of the multiplicities q of one
-    column needs: -Q..Q for Q = max q, in steps of 2 if every q has one parity."""
-    top = max(mults)
-    return np.arange(-top, top + 1, 2 if len({q % 2 for q in mults}) == 1 else 1)
+    """The values -Q..Q of `_column_span` for the multiplicities of one column."""
+    top, step = _column_span(mults)
+    return np.arange(-top, top + 1, step)
 
 
 def _multiplicity_weight(q: int, y: int) -> int:
@@ -192,10 +198,9 @@ def _multiplicity_weight(q: int, y: int) -> int:
 
 
 def _grid_size(qs) -> int:
-    """The number of points of the grid for the multiplicity rows qs: per
-    column Q + 1 values when its multiplicities share a parity, else 2Q + 1,
-    Q their maximum (`_column_values`)."""
-    return math.prod((1 if len({q % 2 for q in col}) == 1 else 2) * int(max(col)) + 1 for col in zip(*qs))
+    """The number of points of the grid for the multiplicity rows qs, a product
+    of `_column_span` counts per column."""
+    return math.prod(2 * top // step + 1 for top, step in map(_column_span, zip(*qs)))
 
 
 def _int_dtype(bound: int) -> type:

@@ -185,13 +185,48 @@ class TestCatDistribution:
             got = abs(cat_amplitude(u, spec, p)) ** 2
             assert 0 < got < math.inf and (want is None or got == pytest.approx(want, rel=1e-12, abs=0)), p
 
-    def test_root_factorial_past_float64_gives_zero_amplitudes(self):
-        # sqrt(p!) itself is past float64 from p = 301 on: the amplitude reads 0, never nan
-        u, spec = rng.haar_unitary(2, 37), CatInputSpec(1.0, 1, 2)
-        assert cat_amplitude(u, spec, (301, 0)) == 0j
-        # the plan's rows run from (0, 301) to (301, 0)
+    def test_scale_and_root_factorial_past_float64(self):
+        # at |alpha|^2 ~ 301 the scale alpha^k / sinh^(1/2) is past float64 from
+        # k = 303 on, and sqrt(p!) from p = (301, 0) on, though their quotient is not
+        alpha, cutoff = 17.35, 401
+        spec, pmf = CatInputSpec(alpha, 1, 2), cat_total_photon_pmf(alpha, 1, cutoff)
+        assert pmf[301] > 0.02 and sum(pmf[303:]) > 0.4
+        with pytest.raises(OverflowError):
+            bosonic._cat_scale(alpha, 1, 303)
         root = bosonic._build_plan(2, 301).root_fact
         assert np.isinf(root[[0, -1]]).all() and np.isfinite(root[1:-1]).all()
+        # one cat into the first of two uncoupled modes: |amp|^2 is the one-mode pmf
+        eye = np.eye(2)
+        for k in (301, 303, 401):
+            assert abs(cat_amplitude(eye, spec, (k, 0))) ** 2 == pytest.approx(pmf[k], rel=1e-10), k
+            assert cat_amplitude(eye, spec, (k - 1, 1)) == 0j
+        d = cat_distribution(eye, spec, cutoff)
+        assert d.probs[(301, 0)] == pytest.approx(pmf[301], rel=1e-10)
+        assert d.truncated_mass == pytest.approx(d.tail_bound, abs=1e-12)
+        # a coupled pair: every weight keeps its mass, rows (200, 201) included
+        u = rng.haar_unitary(2, 38)
+        d = cat_distribution(u, spec, cutoff)
+        for k in range(1, cutoff + 1, 2):
+            assert d.mass_at_weight(k) == pytest.approx(pmf[k], rel=1e-9, abs=1e-300), k
+        assert d.truncated_mass == pytest.approx(d.tail_bound, abs=1e-12)
+        for p in [(301, 0), (0, 303), (200, 201), (150, 251)]:
+            assert abs(cat_amplitude(u, spec, p)) ** 2 == pytest.approx(d.probs[p], rel=1e-10, abs=0), p
+        # two cats, whose amplitudes carry a factor 2^-1: the scale is past float64 from k = 344 on
+        spec, pmf = CatInputSpec(13.5, 2, 2), cat_total_photon_pmf(13.5, 2, 440)
+        bosonic._cat_scale(13.5, 2, 342)
+        with pytest.raises(OverflowError):
+            bosonic._cat_scale(13.5, 2, 344)
+        d = cat_distribution(u, spec, 440)
+        for k in range(2, 441, 2):
+            assert d.mass_at_weight(k) == pytest.approx(pmf[k], rel=1e-9, abs=1e-300), k
+        assert sum(pmf[344:]) > 0.5
+        # where the true amplitude is itself below float64, it reads 0
+        assert cat_amplitude(u, CatInputSpec(1.0, 1, 2), (301, 0)) == 0j
+
+    def test_cat_amplitude_past_float64_raises(self):
+        # not a unitary: its sign sum 5^401 holds, but the amplitude 5^401 * e^128 does not
+        with pytest.raises(OverflowError, match="cat amplitude of 401 photons is past float64"):
+            cat_amplitude(np.full((2, 2), 5.0), CatInputSpec(17.35, 1, 2), (200, 201))
 
     def test_huge_cutoff_is_refused_at_once(self):
         # the support is counted in closed form, not summed weight by weight up to the cutoff
