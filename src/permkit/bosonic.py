@@ -10,6 +10,11 @@ Both are one repeated-row Glynn sign sum at different output weights, and
 the enumerated distributions take it once per weight, batched over all its
 outcomes; :func:`fock_amplitude` keeps the Ryser route as the reference.
 
+Every other amplitude is one rule, `_amplitudes`: scale * sign sum / sqrt(p!),
+the scale 2^{1-n} for single photons and alpha^k/(2^{n-1} sinh^{n/2}|alpha|^2)
+for cats, taken in log space where a factor or the quotient is past float64.
+An amplitude, or a distribution's total weight, past float64 raises OverflowError.
+
 The outcomes of weight k in m modes depend on nothing else, so they are
 enumerated once into an outcome plan (`_OutcomePlan`): the read-only object
 array of the outcome tuples (the outcome table), and the read-only exponent
@@ -21,11 +26,11 @@ tens of MB at m <= 20; a plan beyond that bound serves its call and is not kept.
 
 from __future__ import annotations
 
+import cmath
 import math
 import threading
 from collections import OrderedDict
 from dataclasses import asdict, dataclass
-from functools import lru_cache
 from typing import Mapping, Optional, Sequence, Union
 
 import numpy as np
@@ -199,16 +204,12 @@ def _log_root_factorials(powers: np.ndarray) -> np.ndarray:
 
 
 def _root_factorials(powers: np.ndarray) -> np.ndarray:
-    """sqrt(p!) of each row p of the int array powers: from the float64
-    factorials where p! is within float64 (170! is the largest), else from
-    `_log_root_factorials`; inf where sqrt(p!) is past float64 too."""
+    """sqrt(p!) of each row p of the int array powers, from the float64
+    factorials (170! is the largest): inf where p! is past float64."""
     top = int(powers.max(initial=0))
     factorials = np.array([math.factorial(e) if e <= 170 else math.inf for e in range(top + 1)], dtype=np.float64)
     with np.errstate(over="ignore"):
-        root = np.sqrt(factorials[powers].prod(axis=1))
-        past = np.isinf(root)
-        root[past] = np.exp(_log_root_factorials(powers[past]))
-    return root
+        return np.sqrt(factorials[powers].prod(axis=1))
 
 
 def _build_plan(m: int, k: int) -> _OutcomePlan:
@@ -253,6 +254,30 @@ class _PlanCache:
 _plans = _PlanCache()
 
 
+def _amplitudes(phase: complex, log_scale: float, total: int, sign_sums: np.ndarray, powers: np.ndarray, root_fact: np.ndarray) -> np.ndarray:
+    """phase * e^log_scale * sign_sums / root_fact: the amplitudes of the outcomes
+    p of weight total, the rows of powers, with root_fact their sqrt(p!).
+
+    Where sqrt(p!) is inf, where e^log_scale is past float64 (then every row),
+    or where the direct quotient is not finite, the row is taken in log space
+    instead, phase * s * exp(log_scale - log sqrt(p!)), so every amplitude
+    that float64 holds comes out; one still past float64 raises OverflowError.
+    """
+    try:
+        scale = phase * math.exp(log_scale)
+    except OverflowError:  # no row's direct quotient is finite at an inf scale
+        scale = math.inf
+    with np.errstate(over="ignore", invalid="ignore"):  # the rows past float64 are redone below
+        amps = scale * sign_sums / root_fact
+        if root_fact.max(initial=0.0) < math.inf and cmath.isfinite(amps.sum()):
+            return amps
+        far = np.isinf(root_fact) | ~np.isfinite(amps)
+        amps[far] = phase * sign_sums[far] * np.exp(log_scale - _log_root_factorials(powers[far]))
+    if not np.isfinite(amps).all():
+        raise OverflowError(f"an amplitude of {total} photons is past float64")
+    return amps
+
+
 def bs_distribution(u, n: int) -> OutcomeDistribution:
     """Single-photon sampling distribution: P(p) = |Per(U_{p,1+0})|^2 / p! over |p| = n."""
     n = _as_int("n", n)
@@ -263,8 +288,11 @@ def bs_distribution(u, n: int) -> OutcomeDistribution:
     check_budget(f"outcome support of {n} photons in {m} modes", count_weight(m, n), SUPPORT_BUDGET, "outcomes")
     plan = _plans.get(m, n)
     # the half sign sum has no term at n = 0, where the vacuum's amplitude is 1
-    amps = _sign_sums(arr[:, :n], plan.powers) / (2 ** (n - 1) * plan.root_fact) if n else np.ones(1)
-    return OutcomeDistribution(_Probs(plan.table, np.abs(amps) ** 2, np.full(plan.table.size, n)), n, 0.0)
+    amps = _amplitudes(2.0 ** (1 - n), 0.0, n, _sign_sums(arr[:, :n], plan.powers), plan.powers, plan.root_fact) if n else np.ones(1)
+    weights = np.abs(amps) ** 2
+    if not math.isfinite(weights.sum()):
+        raise OverflowError(f"the weights of {n} photons total past float64")
+    return OutcomeDistribution(_Probs(plan.table, weights, np.full(plan.table.size, n)), n, 0.0)
 
 
 def _log_sinh(x: float) -> float:
@@ -273,45 +301,10 @@ def _log_sinh(x: float) -> float:
 
 
 def _cat_log_scale(alpha: complex, n: int, total: int) -> tuple[complex, float]:
-    """The phase (alpha/|alpha|)^total and the log of |alpha|^total / sinh^{n/2}(|alpha|^2),
+    """The phase (alpha/|alpha|)^total / 2^(n-1) and the log of |alpha|^total / sinh^{n/2}(|alpha|^2),
     formed in log space, so a large |alpha| does not overflow sinh."""
     r = abs(alpha)
-    return (alpha / r) ** total, total * math.log(r) - 0.5 * n * _log_sinh(r * r)
-
-
-@lru_cache(maxsize=256)
-def _cat_scale(alpha: complex, n: int, total: int) -> complex:
-    """alpha^total / (2^(n-1) sinh^{n/2}(|alpha|^2)), shared by all outcomes of one
-    weight; underflows to 0 for a large |alpha|, and raises OverflowError past float64."""
-    phase, log_scale = _cat_log_scale(alpha, n, total)
-    return phase * math.exp(log_scale) / 2 ** (n - 1)
-
-
-def _cat_amplitudes(alpha: complex, n: int, total: int, sign_sums: np.ndarray, powers: np.ndarray, root_fact: np.ndarray) -> np.ndarray:
-    """The cat amplitudes _cat_scale(alpha, n, total) * sign_sums / root_fact of
-    the outcomes p of weight total, the rows of powers, root_fact their sqrt(p!).
-
-    Where the scale or sqrt(p!) is past float64, the quotient of the two is
-    taken in log space instead, so every amplitude that float64 holds comes
-    out; an amplitude past float64 raises OverflowError.
-    """
-    try:
-        scale = _cat_scale(alpha, n, total)
-    except OverflowError:  # the scale is past float64
-        amps, far = np.empty(sign_sums.shape, dtype=complex), np.ones(root_fact.shape, dtype=bool)
-    else:
-        if root_fact.max(initial=0.0) < math.inf:
-            return scale * sign_sums / root_fact
-        far = np.isinf(root_fact)
-        with np.errstate(over="ignore", invalid="ignore"):  # the far rows are replaced below
-            amps = scale * sign_sums / root_fact
-    phase, log_scale = _cat_log_scale(alpha, n, total)
-    log_ratio = log_scale - (n - 1) * math.log(2) - _log_root_factorials(powers[far])
-    with np.errstate(over="ignore", invalid="ignore"):
-        amps[far] = phase * sign_sums[far] * np.exp(log_ratio)
-    if not np.isfinite(amps[far]).all():
-        raise OverflowError(f"a cat amplitude of {total} photons is past float64")
-    return amps
+    return (alpha / r) ** total / 2 ** (n - 1), total * math.log(r) - 0.5 * n * _log_sinh(r * r)
 
 
 def cat_amplitude(u, spec: CatInputSpec, p: Sequence[int]) -> complex:
@@ -335,10 +328,7 @@ def cat_amplitude(u, spec: CatInputSpec, p: Sequence[int]) -> complex:
     check_budget("sign sum", (1 << n) * n)
     powers = np.array([p], dtype=np.intp)
     sign_sums = _sign_sums(arr[:, :n], powers)
-    try:
-        return _cat_scale(spec.alpha, n, total) * complex(sign_sums[0]) / math.sqrt(factorial_product(p))
-    except OverflowError:  # the scale or p! is past float64
-        return complex(_cat_amplitudes(spec.alpha, n, total, sign_sums, powers, _root_factorials(powers))[0])
+    return complex(_amplitudes(*_cat_log_scale(spec.alpha, n, total), total, sign_sums, powers, _root_factorials(powers))[0])
 
 
 def photon_fraction(alpha: complex, n: int) -> float:
@@ -417,11 +407,14 @@ def cat_distribution(u, spec: CatInputSpec, cutoff: Optional[int] = None) -> Out
     segments = []
     for k in range(n, cutoff + 1, 2):
         plan = _plans.get(m, k)
-        amps = _cat_amplitudes(spec.alpha, n, k, _sign_sums(arr[:, :n], plan.powers), plan.powers, plan.root_fact)
+        amps = _amplitudes(*_cat_log_scale(spec.alpha, n, k), k, _sign_sums(arr[:, :n], plan.powers), plan.powers, plan.root_fact)
         segments.append((plan.table, np.abs(amps) ** 2, np.full(plan.table.size, k)))
     probs = _Probs(*map(np.concatenate, zip(*segments)))
+    total = probs.total()
+    if not math.isfinite(total):
+        raise OverflowError(f"the weights of {n}..{cutoff} photons total past float64")
     tail = max(0.0, 1.0 - sum(cat_total_photon_pmf(spec.alpha, n, cutoff)))
-    return OutcomeDistribution(probs, cutoff=cutoff, truncated_mass=max(0.0, 1.0 - probs.total()), tail_bound=tail)
+    return OutcomeDistribution(probs, cutoff=cutoff, truncated_mass=max(0.0, 1.0 - total), tail_bound=tail)
 
 
 def reject_to_fixed_n(dist: OutcomeDistribution, n: int) -> OutcomeDistribution:

@@ -912,7 +912,10 @@ def permanent_cauchy_binet(a, b, pattern: RepetitionPattern) -> PermanentResult:
     for k in ks:
         pa, pb, kfac = per_at[k, p], per_b[k, q], factorial_product(k)
         total += Fraction(pa * pb, kfac) if exact else pa * pb / kfac
-    total = _exact_type(total, (*rows_a, *rows_b)) if exact else complex(total)
+    # permanent_naive's type on (AB)_{p,q}: a Fraction when one sits in a row i of A
+    # with p_i > 0 or in a column j of B with q_j > 0, else an int
+    used = [*(row for row, e in zip(rows_a, p) if e), *(col for col, e in zip(zip(*rows_b), q) if e)]
+    total = _exact_type(total, used) if exact else complex(total)
     return PermanentResult(total, "cauchy_binet", terms)
 
 

@@ -69,6 +69,14 @@ class TestBsDistribution:
         assert d.truncated_mass == 0.0
         assert all(sum(p) == 2 for p in d.probs)
 
+    def test_weights_past_float64_raise(self):
+        # not a unitary: the sign sums 1e400 are past float64, which would read as NaN weights
+        with pytest.raises(OverflowError, match="amplitude of 2 photons is past float64"):
+            bs_distribution(1e200 * np.eye(2), 2)
+        # amplitudes of about 1e160 hold, but their squares do not
+        with pytest.raises(OverflowError, match="weights of 2 photons total past float64"):
+            bs_distribution(1e80 * np.eye(2), 2)
+
 
 class TestCatAmplitude:
     def test_below_threshold_is_zero(self):
@@ -187,14 +195,16 @@ class TestCatDistribution:
 
     def test_scale_and_root_factorial_past_float64(self):
         # at |alpha|^2 ~ 301 the scale alpha^k / sinh^(1/2) is past float64 from
-        # k = 303 on, and sqrt(p!) from p = (301, 0) on, though their quotient is not
+        # k = 303 on, and sqrt(p!) is inf wherever p! is past float64, though their quotient is not
         alpha, cutoff = 17.35, 401
         spec, pmf = CatInputSpec(alpha, 1, 2), cat_total_photon_pmf(alpha, 1, cutoff)
         assert pmf[301] > 0.02 and sum(pmf[303:]) > 0.4
         with pytest.raises(OverflowError):
-            bosonic._cat_scale(alpha, 1, 303)
-        root = bosonic._build_plan(2, 301).root_fact
-        assert np.isinf(root[[0, -1]]).all() and np.isfinite(root[1:-1]).all()
+            _cat_scale(alpha, 1, 303)
+        for k, inf_rows in [(180, 30), (301, 302)]:
+            plan = bosonic._build_plan(2, k)
+            past = [math.factorial(a) * math.factorial(b) > sys.float_info.max for a, b in plan.table.tolist()]
+            assert np.isinf(plan.root_fact).tolist() == past and sum(past) == inf_rows, k
         # one cat into the first of two uncoupled modes: |amp|^2 is the one-mode pmf
         eye = np.eye(2)
         for k in (301, 303, 401):
@@ -213,9 +223,9 @@ class TestCatDistribution:
             assert abs(cat_amplitude(u, spec, p)) ** 2 == pytest.approx(d.probs[p], rel=1e-10, abs=0), p
         # two cats, whose amplitudes carry a factor 2^-1: the scale is past float64 from k = 344 on
         spec, pmf = CatInputSpec(13.5, 2, 2), cat_total_photon_pmf(13.5, 2, 440)
-        bosonic._cat_scale(13.5, 2, 342)
+        _cat_scale(13.5, 2, 342)
         with pytest.raises(OverflowError):
-            bosonic._cat_scale(13.5, 2, 344)
+            _cat_scale(13.5, 2, 344)
         d = cat_distribution(u, spec, 440)
         for k in range(2, 441, 2):
             assert d.mass_at_weight(k) == pytest.approx(pmf[k], rel=1e-9, abs=1e-300), k
@@ -225,8 +235,25 @@ class TestCatDistribution:
 
     def test_cat_amplitude_past_float64_raises(self):
         # not a unitary: its sign sum 5^401 holds, but the amplitude 5^401 * e^128 does not
-        with pytest.raises(OverflowError, match="cat amplitude of 401 photons is past float64"):
+        with pytest.raises(OverflowError, match="^an amplitude of 401 photons is past float64$"):
             cat_amplitude(np.full((2, 2), 5.0), CatInputSpec(17.35, 1, 2), (200, 201))
+
+    def test_direct_quotient_past_float64_is_taken_in_log_space(self):
+        # not a unitary: 10 * I scales the amplitude of (169, 0) by 10^169 to about 1e160,
+        # though the scale times the sign sum, about 1e144 * 1e169, is past float64
+        spec, pmf = CatInputSpec(17.35, 1, 2), cat_total_photon_pmf(17.35, 1, 169)
+        amp = cat_amplitude(10 * np.eye(2), spec, (169, 0))
+        assert 1e150 < abs(amp) < 1e170
+        assert 2 * math.log(abs(amp)) - 338 * math.log(10) == pytest.approx(math.log(pmf[169]), abs=1e-9)
+
+    def test_cat_distribution_past_float64_raises(self):
+        # not a unitary: the amplitudes of 71 photons hold, but two of their squares do not
+        spec = CatInputSpec(1.0, 1, 2)
+        with pytest.raises(OverflowError, match=r"^the weights of 1\.\.71 photons total past float64$"):
+            cat_distribution(1000 * np.eye(2), spec, 71)
+        # and the sign sums 1000^k are past float64 from 103 photons on
+        with pytest.raises(OverflowError, match="^an amplitude of 103 photons is past float64$"):
+            cat_distribution(1000 * np.eye(2), spec, 121)
 
     def test_huge_cutoff_is_refused_at_once(self):
         # the support is counted in closed form, not summed weight by weight up to the cutoff
@@ -627,6 +654,12 @@ class TestBatchedSignSums:
         assert rep.tv_kept_vs_single_photon == pytest.approx(tv_distance(empirical, bs_distribution(u, 2).probs), abs=1e-12)
 
 
+def _cat_scale(alpha, n, total):
+    """alpha^total / (2^(n-1) sinh^{n/2}(|alpha|^2)) from `_cat_log_scale`; OverflowError past float64."""
+    phase, log_scale = bosonic._cat_log_scale(alpha, n, total)
+    return phase * math.exp(log_scale)
+
+
 def _direct_cat_probs(u, spec, cutoff):
     """cat_distribution's probabilities with every weight enumerated afresh."""
     cols = np.asarray(u.matrix.data)[:, : spec.n]
@@ -634,7 +667,7 @@ def _direct_cat_probs(u, spec, cutoff):
     for k in range(spec.n, cutoff + 1, 2):
         powers = weight_array(spec.m, k)
         root_fact = np.sqrt([math.prod(map(math.factorial, p)) for p in powers.tolist()])
-        amps = bosonic._cat_scale(spec.alpha, spec.n, k) * _sign_sums(cols, powers) / root_fact
+        amps = _cat_scale(spec.alpha, spec.n, k) * _sign_sums(cols, powers) / root_fact
         probs.update(zip(map(tuple, powers.tolist()), (np.abs(amps) ** 2).tolist()))
     return probs
 

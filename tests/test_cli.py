@@ -395,7 +395,7 @@ class TestSample:
         assert json.loads(lines[-1])["truncated_mass"] == 1.0
 
     def test_cat_cutoff_past_170_photons(self, capsys, hom_file):
-        # 171! is past float64: sqrt(p!) is taken from lgamma there
+        # 171! is past float64: those amplitudes are taken in log space
         code, out, err = run_cli(capsys, "sample", "--unitary", hom_file, "--input", "cat",
                                  "--n", "1", "--cutoff", "200", "--count", "5")
         lines = out.strip().splitlines()

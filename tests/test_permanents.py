@@ -318,13 +318,18 @@ class TestCauchyBinet:
     @pytest.mark.parametrize("kind", (int, Fraction))
     def test_exact_equals_naive_on_the_repeated_product(self, m, kind):
         g = rng.generator(40 + m)
+        cases = []
         for _ in range(8):
             a = g.integers(-4, 5, size=(m, m)).tolist()
             b = g.integers(-4, 5, size=(m, m)).tolist()
             if kind is Fraction:
                 b = [[Fraction(v, int(d)) for v, d in zip(row, g.integers(1, 7, size=m))] for row in b]
             n = int(g.integers(1, 6))
-            pat = RepetitionPattern(_split(g, m, n), _split(g, m, n))
+            cases.append((a, b, RepetitionPattern(_split(g, m, n), _split(g, m, n))))
+        # A's one Fraction sits in row 1, which p = (2, 0) leaves out of (AB)_{p,q} and p = (1, 1) takes
+        p = (2, 0) if kind is int else (1, 1)
+        cases.append(([[1, 2], [Fraction(1, 2), 3]], [[1, 0], [0, 1]], RepetitionPattern(p, (1, 1))))
+        for a, b, pat in cases:
             got = permanent_cauchy_binet(a, b, pat).value
             want = permanent_naive(repeat_matrix(np.array(a, dtype=object) @ np.array(b, dtype=object), pat)).value
             assert type(got) is type(want) is kind
