@@ -56,6 +56,12 @@ CHECKS = [
         r"^error: ",
     ),
     (
+        "a multiplicity sum whose 2^(|q|-1) is past float64 is refused before its grid is summed",
+        ["per", "--algo", "glynn-multiplicity", "--matrix", "a3.json", "--rows", "[600,600,0]", "--cols", "[600,600,0]"],
+        1,
+        r"^error: ",
+    ),
+    (
         "a non-finite regime constant is refused: NaN is not JSON",
         ["report", "--kind", "regime", "--n", "4", "--m", "10", "--c", "nan"],
         1,

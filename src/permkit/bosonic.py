@@ -11,8 +11,8 @@ the enumerated distributions take it once per weight, batched over all its
 outcomes; :func:`fock_amplitude` keeps the Ryser route as the reference.
 
 Every other amplitude is one rule, `_amplitudes`: scale * sign sum / sqrt(p!),
-the scale 2^{1-n} for single photons and alpha^k/(2^{n-1} sinh^{n/2}|alpha|^2)
-for cats, taken in log space where a factor or the quotient is past float64.
+the scale 1 for single photons and alpha^k/sinh^{n/2}|alpha|^2 for cats,
+taken in log space where a factor or the quotient is past float64.
 An amplitude, or a distribution's total weight, past float64 raises OverflowError.
 
 The outcomes of weight k in m modes depend on nothing else, so they are
@@ -287,8 +287,8 @@ def bs_distribution(u, n: int) -> OutcomeDistribution:
         raise ValueError(f"need 0 <= n <= m, got n={n}, m={m}")
     check_budget(f"outcome support of {n} photons in {m} modes", count_weight(m, n), SUPPORT_BUDGET, "outcomes")
     plan = _plans.get(m, n)
-    # the half sign sum has no term at n = 0, where the vacuum's amplitude is 1
-    amps = _amplitudes(2.0 ** (1 - n), 0.0, n, _sign_sums(arr[:, :n], plan.powers), plan.powers, plan.root_fact) if n else np.ones(1)
+    # `_sign_sums` needs a column; at n = 0 the vacuum's amplitude is 1
+    amps = _amplitudes(1.0, 0.0, n, _sign_sums(arr[:, :n], plan.powers), plan.powers, plan.root_fact) if n else np.ones(1)
     weights = np.abs(amps) ** 2
     if not math.isfinite(weights.sum()):
         raise OverflowError(f"the weights of {n} photons total past float64")
@@ -301,10 +301,10 @@ def _log_sinh(x: float) -> float:
 
 
 def _cat_log_scale(alpha: complex, n: int, total: int) -> tuple[complex, float]:
-    """The phase (alpha/|alpha|)^total / 2^(n-1) and the log of |alpha|^total / sinh^{n/2}(|alpha|^2),
+    """The phase (alpha/|alpha|)^total and the log of |alpha|^total / sinh^{n/2}(|alpha|^2),
     formed in log space, so a large |alpha| does not overflow sinh."""
     r = abs(alpha)
-    return (alpha / r) ** total / 2 ** (n - 1), total * math.log(r) - 0.5 * n * _log_sinh(r * r)
+    return (alpha / r) ** total, total * math.log(r) - 0.5 * n * _log_sinh(r * r)
 
 
 def cat_amplitude(u, spec: CatInputSpec, p: Sequence[int]) -> complex:

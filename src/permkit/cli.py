@@ -348,22 +348,19 @@ def main(argv=None) -> int:
                 payload, code, lines = _cmd_sample(args)
             else:
                 payload, code, lines = _cmd_report(args)
+        manifest = _manifest(args, int((time.monotonic() - start) * 1000))
+        record = {"reports": payload, "manifest": manifest} if isinstance(payload, list) else {**payload, "manifest": manifest}
+        # strict JSON before any line is written: a NaN or infinite value raises ValueError
+        text = json.dumps(record, allow_nan=False)
     except (PermkitError, ValueError, KeyError, OSError, OverflowError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except MemoryError as exc:
         print(f"error: {str(exc) or 'out of memory'}", file=sys.stderr)
         return 1
-    wall_ms = int((time.monotonic() - start) * 1000)
-    manifest = _manifest(args, wall_ms)
-    if isinstance(payload, list):
-        record = {"reports": payload, "manifest": manifest}
-    else:
-        record = dict(payload)
-        record["manifest"] = manifest
     try:
         sys.stdout.write("".join(line + "\n" for line in lines))
-        print(json.dumps(record))
+        print(text)
         sys.stdout.flush()
     except BrokenPipeError:
         # The reader closed the pipe (`permkit ... | head`).  As Python's

@@ -20,9 +20,10 @@ Results are bit-reproducible per (seed, streams); they differ by ~1e-13
 relative from versions that drew x = exp(i theta) from the full 64-bit word.
 An integrand sum that overflows raises OverflowError.
 
-The frozen reference `pown_grid_expectation` is the exact 'pown' average
-over the root-of-unity grids prod_i mu_{p_i + 1} and prod_j mu_{q_j + 1}:
-the repeated Glynn-Kan double sum, `permanents.permanent_glynn_kan_repeated`.
+The exact 'pown' average over the root-of-unity grids prod_i mu_{p_i + 1}
+and prod_j mu_{q_j + 1}, where no aliasing survives, is the repeated
+Glynn-Kan double sum, `permanents.permanent_glynn_kan_repeated`: the frozen
+reference for the continuous-torus estimator.
 """
 
 from __future__ import annotations
@@ -36,7 +37,7 @@ import numpy as np
 
 from .combinatorics import RepetitionPattern, _as_int, factorial_product, weight
 from .errors import DimensionMismatch, WeightMismatch
-from .permanents import _finite_array, _power, permanent_glynn_kan_repeated
+from .permanents import _finite_array, _power
 from .rng import bit_generator
 
 F_CHOICES = ("pown", "exp", "geom")
@@ -232,13 +233,3 @@ def estimator_variance_scan(
             }
         )
     return rows
-
-
-def pown_grid_expectation(a, pattern: RepetitionPattern) -> complex:
-    """Exact expectation of the 'pown' integrand over the root-of-unity grids of
-    `permanents.permanent_glynn_kan_repeated`, where no aliasing survives, so it
-    equals Per(A_{p,q}): a frozen reference for the continuous-torus estimator."""
-    p, q = pattern.rows, pattern.cols
-    if weight(q) != weight(p):
-        raise WeightMismatch(f"|p| = {weight(p)} but |q| = {weight(q)}")
-    return complex(permanent_glynn_kan_repeated(a, pattern).value)

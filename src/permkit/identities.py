@@ -534,26 +534,28 @@ def verify_macmahon(a, cap: Union[int, Sequence[int]] = 2, tolerance: float = 1e
     return _report("macmahon", caps, tolerance, ring, *checks)
 
 
-def verify_dixon(n_max: int = 4, tolerance: float = 0.0) -> IdentityReport:
-    """Dixon's identity from the doubly-repeated 3x3 cyclic sign matrix.
-
-    For p = (2n, 2n, 2n) the quantities p![z^p](1/Det(I-ZA)),
-    p![z^p](Az)^p, p! * sum_k (-1)^k C(2n,k)^3 and
-    p! * (-1)^n (3n)!/(n!)^3 must agree exactly.
-    """
+def _dixon_routes(n_max: int):
+    """Per n = 1..n_max, p = (2n, 2n, 2n) and Dixon's four routes on the 3x3
+    cyclic sign matrix A, each times p!: (p, p![z^p](1/Det(I-ZA)),
+    p![z^p](Az)^p, p! * sum_k (-1)^k C(2n,k)^3, p! * (-1)^n (3n)!/(n!)^3)."""
     mat, ring = _normalize(DIXON_MATRIX)
-    caps = (2 * n_max,) * 3
-    inv = _n_matrix_rhs([mat], ring, caps)
-    values, refs = [], []
+    inv = _n_matrix_rhs([mat], ring, (2 * n_max,) * 3)
     for n in range(1, n_max + 1):
         p = (2 * n,) * 3
         pf = factorial_product(p)
-        q_mono = pf * _form_power(mat, ring, p, p).coefficient(p)
         binom_sum = sum((-1) ** k * math.comb(2 * n, k) ** 3 for k in range(2 * n + 1))
         closed = (-1) ** n * math.factorial(3 * n) // math.factorial(n) ** 3
-        values += [pf * inv.coefficient(p)] * 3
-        refs += [q_mono, pf * binom_sum, pf * closed]
-    return _report("dixon", caps, tolerance, ring, (_side(ring, values), _side(ring, refs)))
+        yield p, pf * inv.coefficient(p), pf * _form_power(mat, ring, p, p).coefficient(p), pf * binom_sum, pf * closed
+
+
+def verify_dixon(n_max: int = 4, tolerance: float = 0.0) -> IdentityReport:
+    """Dixon's identity from the doubly-repeated 3x3 cyclic sign matrix:
+    the four routes of `_dixon_routes` must agree exactly."""
+    values, refs = [], []
+    for _, det, *others in _dixon_routes(n_max):
+        values += [det] * 3
+        refs += others
+    return _report("dixon", (2 * n_max,) * 3, tolerance, RATIONAL, (_side(RATIONAL, values), _side(RATIONAL, refs)))
 
 
 # ---------------------------------------------------------------------------

@@ -16,19 +16,20 @@ integers, one kernel, :func:`_multiplicity_residues`, sums mod a few primes
 below 2^25 in float64 numpy, and the Chinese remainder theorem rebuilds the
 permanent from a bound on |Per|.  Glynn gives Per(A_{p,q}) by Glynn's sum on
 A_{p,q} with the sign vectors of each repeated column grouped by their sum,
-prod_j (q_j + 1) terms (:func:`permanent_glynn_multiplicity`), of which the
-kernel sums one of each pair of equal terms; Glynn and repeated-row Glynn
-are its q = 1 case, and Ryser is the same kernel on [C 1 | C], priced by
-its own bound.  The brute-force sum, :func:`_naive_sum`, is the independent
-route: it walks the permutation prefix tree, on an object array here and on
-float input alike; exact zero partial products drop their subtree.
+prod_j (q_j + 1) terms (:func:`permanent_glynn_multiplicity`); Glynn and
+repeated-row Glynn are its q = 1 case, and Ryser is the same kernel on
+[C 1 | C], priced by its own bound.  The brute-force sum, :func:`_naive_sum`,
+is the independent route: it walks the permutation prefix tree, on an object
+array here and on float input alike; exact zero partial products drop their
+subtree.
 
 Float input has one sign-sum kernel, :func:`_sign_sums`, batched over many
 (p, q), for Ryser (on [A 1 | A]), Glynn, repeated-row Glynn, the multiplicity
-sums and the sampler; like the exact kernel it sums half the grid, and both
-take one pair on its rows repeated p_i times, multiplied straight down the
-rows, and a batch on a table of each row's powers.  One grid
-serves the multiplicity sum in both rings: :func:`_grid` builds its split,
+sums and the sampler.  Both kernels sum one of each pair of equal terms of
+the grid and return permanents, so no caller scales a sign sum; both take one
+pair on its rows repeated p_i times, multiplied straight down the rows, and a
+batch on a table of each row's powers.  One grid serves the multiplicity sum
+in both rings: :func:`_grid` builds its split,
 float64 points and exact integer weights once per set of column
 multiplicities; the float kernel reads the weights' float64, the exact one
 their residues mod each prime (:func:`_residue_grid`).  Every batch of
@@ -43,8 +44,8 @@ Glynn-Kan's double sum over x, y of w(x) w(y) (x^T A y)^n is one kernel,
 :func:`_grid_double_sum`.  Glynn-Kan runs it on the sign vectors of
 `_vertices` (the order-2 grid) with x_1 = y_1 = +1, 4^(m-1) pairs priced at
 the full 4^m, in float or, on int/Fraction input, on an object array of
-Python ints, exactly.  Repeated-index Glynn-Kan (which the estimators'
-`pown_grid_expectation` returns) and the roots-of-unity sum run on
+Python ints, exactly.  Repeated-index Glynn-Kan (the estimators' exact
+reference: their 'pown' average on these grids) and the roots-of-unity sum run on
 :func:`_root_grid`, numeric-only: for exponents e, the grid prod_j
 mu_{e_j + 1}, whose root orders follow from e so that nothing aliases x^e.
 Every integer power in these grid kernels, and in the 'pown' estimator,
@@ -255,14 +256,16 @@ def _grid(qs: tuple[tuple[int, ...], ...]) -> tuple:
 
 def _sign_sums(cols: np.ndarray, powers: np.ndarray, mults: Optional[list] = None) -> np.ndarray:
     """For each row p of the N x m int array ``powers``, with q the matching
-    tuple of column multiplicities in the list ``mults`` (all ones when
-    omitted), half of Glynn's sign sum (Glynn, EJC 2010) on ``cols`` (m x k)
-    with column j repeated q_j times, its sign vectors grouped by how many -1
-    each column's copies hold: the sum of prod_j (-1)^{v_j} C(q_j, v_j)
-    prod_i ((cols y)_i)^{p_i} over the points y = q - 2v whose first nonzero
-    y_j is positive, in `_multiplicity_residues`' grid order.  The term at -y
-    is (-1)^{|p| + |q|} times that at y, so where |p| = |q| = n >= 1 this is
-    2^(n-1) Per(A_{p,q}) for cols = A.
+    tuple of column multiplicities in the list ``mults`` (all ones of width k
+    when omitted; |q| >= 1), Glynn's sign sum (Glynn, EJC 2010) on ``cols``
+    (m x k) with column j repeated q_j times, its sign vectors grouped by how
+    many -1 each column's copies hold: the sum of prod_j (-1)^{v_j} C(q_j, v_j)
+    prod_i ((cols y)_i)^{p_i} over the points y = q - 2v, divided by 2^|q|.
+    Where |p| = |q| this is Per(A_{p,q}) for cols = A; on Ryser's [A 1 | A]
+    it is Per(A).  The term at -y is (-1)^{|p| + |q|} times that at y, so the
+    kernel sums the points whose first nonzero y_j is positive, in
+    `_multiplicity_residues`' grid order, and divides by 2^(|q| - 1); a
+    divisor past float range raises OverflowError before any grid work.
 
     The grid's first columns, at most 2^_LOW_BITS points, come in one matmul,
     the rest in an outer loop priced by the callers.  One row p runs on cols
@@ -274,6 +277,8 @@ def _sign_sums(cols: np.ndarray, powers: np.ndarray, mults: Optional[list] = Non
     index = {(1,) * cols.shape[1]: 0} if mults is None else {}
     which = np.array([index.setdefault(q[::-1], len(index)) for q in mults or ()], dtype=np.intp)
     qs = tuple(index)
+    # 2^(|q| - 1) per distinct q, exact; past float range float() raises OverflowError
+    scale = [float(1 << (sum(q) - 1)) for q in qs]
     low, block, size, (x_low, x_high), weights = _grid(qs)
     # exact below 2^53; a Python int past float range raises OverflowError
     w_low, w_high = (w.astype(np.float64) for w in weights)
@@ -317,6 +322,7 @@ def _sign_sums(cols: np.ndarray, powers: np.ndarray, mults: Optional[list] = Non
             else:
                 rows = which[start : start + step]
                 out[start : start + step] += w_high[rows, h] * np.einsum("ij,ij->i", acc, w_low[rows, lo:])
+    out /= scale[0] if len(qs) == 1 else np.array(scale)[which]
     return out
 
 
@@ -480,8 +486,9 @@ def _residue_grid(qs: tuple, primes: tuple) -> tuple:
 def _multiplicity_residues(ints: list, powers: np.ndarray, mults: list, primes: list) -> np.ndarray:
     """`_sign_sums` on the integer rows ``ints``, mod each prime, as an N x k
     int64 array in [0, p): row r for p = powers[r] and q = mults[r].  The one
-    exact sign-sum kernel: 2^(|q| - 1) Per(C_{p,q}) where |p| = |q|, for
-    Glynn's forms, and 2^m Per(C) on Ryser's [C 1 | C].
+    exact sign-sum kernel: Per(C_{p,q}) where |p| = |q|, for Glynn's forms,
+    and Per(C) on Ryser's [C 1 | C], as the half grid's sum times the
+    inverse of 2^(|q| - 1) mod each prime.
 
     The grid is `_grid`'s with the column order reversed, so the grid
     indices i and G - 1 - i hold the points y and -y, and the sum runs over
@@ -569,7 +576,8 @@ def _multiplicity_residues(ints: list, powers: np.ndarray, mults: list, primes: 
             got = held[: t % len(held) + 1].astype(np.int64) % modulus
             weights = w_high[pick, :, h + 1 - len(got) : h + 1].transpose(2, 0, 1)
             total += (got * weights % modulus).sum(axis=0)
-    return total % modulus
+    inverses = {w: [pow(2, 1 - w, p) for p in primes] for w in set(map(sum, mults))}
+    return total % modulus * np.array([inverses[sum(q)] for q in mults], dtype=np.int64) % modulus
 
 
 def _crt(residues: list, primes: list) -> list[int]:
@@ -591,18 +599,15 @@ def _exact_multiplicity_sums(rows, pairs) -> list[Scalar]:
     scales Per(A_{p,q}) by prod_i d_i^{p_i}, and for the scaled rows C
     |Per(C_{p,q})| <= B = prod_i max(sum_j |c_ij| q_j, 1)^{p_i}.  The largest
     primes below 2^25 are taken until their product M exceeds 2B for every
-    pair.  `_multiplicity_residues` gives half the sign sum mod each prime;
-    times the inverse of 2^{|q| - 1} that is Per(C_{p,q}) mod p, and the
-    Chinese remainder theorem rebuilds it in (-M/2, M/2).  A result is a
+    pair.  `_multiplicity_residues` gives Per(C_{p,q}) mod each prime, and
+    the Chinese remainder theorem rebuilds it in (-M/2, M/2).  A result is a
     Fraction when an entry of A_{p,q} is one, else an int.
     """
     dens, ints = _integer_rows(rows)
     reach = (np.abs(np.array(ints, dtype=object)) @ np.array([q for _, q in pairs], dtype=object).T).T.tolist()
     primes = _crt_primes(2 * max(math.prod(max(r, 1) ** e for r, e in zip(rs, p)) for rs, (p, _) in zip(reach, pairs)))
-    half = _multiplicity_residues(ints, np.array([p for p, _ in pairs]), [q for _, q in pairs], primes)
-    inverses = {n: [pow(2, 1 - n, p) for p in primes] for n in {weight(q) for _, q in pairs}}
-    scale = np.array([inverses[weight(q)] for _, q in pairs], dtype=np.int64)
-    values = _crt((half * scale % np.array(primes, dtype=np.int64)).tolist(), primes)
+    residues = _multiplicity_residues(ints, np.array([p for p, _ in pairs]), [q for _, q in pairs], primes)
+    values = _crt(residues.tolist(), primes)
     # the places of the Fractions; the other exact entries are ints (bools among them)
     fractions = [(i, j) for i, row in enumerate(rows) for j, v in enumerate(row) if not isinstance(v, int)]
     out: list[Scalar] = []
@@ -615,15 +620,15 @@ def _exact_multiplicity_sums(rows, pairs) -> list[Scalar]:
 def permanent_ryser(a) -> PermanentResult:
     """Ryser's inclusion-exclusion over column subsets: (2^m - 1) terms.
 
-    Both rings run Glynn's sign sum on [A 1 | A] with every p_i = 1: its half
-    with y_0 = +1 is 2^m Per(A), as A 1 + A y = 2 A x for x = (1 + y) / 2,
-    the subset's indicator.  Float input runs `_sign_sums`.  Int/Fraction
-    input is exact and multi-modular: row i is scaled to integers by the lcm
-    d_i of its denominators, and |Per| <= B = prod_i max(sum_j |c_ij|, 1)
-    for the scaled entries c.  The largest primes below 2^25 are taken until
-    their product M exceeds 2B; `_multiplicity_residues` gives 2^m Per mod
-    each prime, times the inverse of 2^m that is Per mod p, and the Chinese
-    remainder theorem rebuilds it in (-M/2, M/2), then divides by prod_i d_i.
+    Both rings run Glynn's sign sum on [A 1 | A] with every p_i = 1, which
+    is Per(A), as A 1 + A y = 2 A x for x = (1 + y) / 2, the subset's
+    indicator.  Float input runs `_sign_sums`.  Int/Fraction input is exact
+    and multi-modular: row i is scaled to integers by the lcm d_i of its
+    denominators, and |Per| <= B = prod_i max(sum_j |c_ij|, 1) for the
+    scaled entries c.  The largest primes below 2^25 are taken until their
+    product M exceeds 2B; `_multiplicity_residues` gives Per mod each prime,
+    and the Chinese remainder theorem rebuilds it in (-M/2, M/2), then
+    divides by prod_i d_i.
     It costs about 2^m * m * k float operations for k ~ log2(2B) / 25
     primes.  The result is a Fraction when an entry is one, else an int.
     """
@@ -635,11 +640,11 @@ def permanent_ryser(a) -> PermanentResult:
     ones = np.ones((1, m), dtype=np.intp)
     if not exact:
         rows = np.concatenate((data.sum(axis=1, keepdims=True), data), axis=1)
-        return PermanentResult(complex(_sign_sums(rows, ones)[0] / (1 << m)), "ryser", (1 << m) - 1)
+        return PermanentResult(complex(_sign_sums(rows, ones)[0]), "ryser", (1 << m) - 1)
     dens, ints = _integer_rows(data)
     primes = _crt_primes(2 * math.prod(max(sum(map(abs, row)), 1) for row in ints))
-    half = _multiplicity_residues([[sum(row), *row] for row in ints], ones, [(1,) * (m + 1)], primes)[0]
-    (value,) = _crt([[h * pow(2, -m, p) % p for h, p in zip(half.tolist(), primes)]], primes)
+    residues = _multiplicity_residues([[sum(row), *row] for row in ints], ones, [(1,) * (m + 1)], primes)
+    (value,) = _crt(residues.tolist(), primes)
     return PermanentResult(_exact_type(Fraction(value, math.prod(dens)), data), "ryser", (1 << m) - 1)
 
 
@@ -652,7 +657,7 @@ def _glynn_rows(data, exact: bool, q, algorithm: str) -> PermanentResult:
     if exact:
         (value,) = _exact_multiplicity_sums(data, [(q, (1,) * n)])
     else:
-        value = complex(_sign_sums(data, np.array([q]))[0] / (1 << (n - 1)))
+        value = complex(_sign_sums(data, np.array([q]))[0])
     return PermanentResult(value, algorithm, 1 << (n - 1))
 
 
@@ -743,7 +748,7 @@ def _repeated_permanents(*jobs) -> list[dict]:
                 continue
             terms += count
             if wp:
-                todo[p, q] = wp
+                todo[p, q] = None
             else:
                 out[p, q] = 1
         plans.append((data, exact, out, todo))
@@ -755,9 +760,7 @@ def _repeated_permanents(*jobs) -> list[dict]:
                 continue
             qs = [q for _, q in batch]
             check_budget("sign sum", _grid_size(qs) * max(len(qs[0]), 1))
-            sums = _sign_sums(data, np.array([p for p, _ in batch]), qs)
-            for pair, s in zip(batch, sums.tolist()):
-                out[pair] = s / (1 << (todo[pair] - 1))
+            out.update(zip(batch, _sign_sums(data, np.array([p for p, _ in batch]), qs).tolist()))
     return [out for _, _, out, _ in plans]
 
 

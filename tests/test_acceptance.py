@@ -24,7 +24,7 @@ from permkit.bosonic import (
 )
 from permkit.combinatorics import RepetitionPattern, repeat_matrix, weight
 from permkit.errors import TooLarge
-from permkit.estimators import estimate_permanent, pown_grid_expectation
+from permkit.estimators import estimate_permanent
 from permkit.identities import (
     DIXON_MATRIX,
     verify_corollary_rank_one,
@@ -276,7 +276,7 @@ def test_criterion_9_monte_carlo_estimators():
         for p in {(n, 0), (n - n // 2, n // 2)}:
             for q in {(0, n), (n // 2, n - n // 2)}:
                 pat = RepetitionPattern(p, q)
-                got = pown_grid_expectation(a, pat)
+                got = permanent_glynn_kan_repeated(a, pat).value
                 ref = permanent_naive(repeat_matrix(a, pat)).value
                 worst_grid = max(worst_grid, abs(got - ref))
     ok = ok and worst_grid <= 1e-10

@@ -655,7 +655,7 @@ class TestBatchedSignSums:
 
 
 def _cat_scale(alpha, n, total):
-    """alpha^total / (2^(n-1) sinh^{n/2}(|alpha|^2)) from `_cat_log_scale`; OverflowError past float64."""
+    """alpha^total / sinh^{n/2}(|alpha|^2) from `_cat_log_scale`; OverflowError past float64."""
     phase, log_scale = bosonic._cat_log_scale(alpha, n, total)
     return phase * math.exp(log_scale)
 
@@ -677,7 +677,7 @@ def _direct_bs_probs(u, n):
     arr = np.asarray(u.matrix.data)
     powers = weight_array(arr.shape[0], n)
     root_fact = np.sqrt([math.prod(map(math.factorial, p)) for p in powers.tolist()])
-    amps = _sign_sums(arr[:, :n], powers) / (2 ** (n - 1) * root_fact)
+    amps = _sign_sums(arr[:, :n], powers) / root_fact
     return dict(zip(map(tuple, powers.tolist()), (np.abs(amps) ** 2).tolist()))
 
 

@@ -153,6 +153,15 @@ class TestPer:
         assert len(lines) == 1 and lines[0].startswith("error:")
         assert f"{301**3} terms" in lines[0] and "10000000" in lines[0]
 
+    @pytest.mark.parametrize("algo", ["naive", "glynn", "ryser", "glynn-multiplicity"])
+    def test_permanent_past_float64_exits_one(self, capsys, tmp_path, algo):
+        # Per(1e200 J_2) = 2e400: NaN and Infinity are not JSON, so no record is printed
+        path = tmp_path / "big.json"
+        path.write_text(MATRICES[5])
+        code, out, err = run_cli(capsys, "per", "--algo", algo, "--matrix", str(path))
+        assert code == 1 and out == ""
+        assert err.strip().splitlines()[-1].startswith("error: ")
+
     def test_unaddressable_repetition_is_one_error_line(self, capsys, tmp_path):
         # its first step, a 10^17 x 1 complex matrix, needs 1.39 EiB, past any address space, so nothing is allocated
         path = tmp_path / "a1.json"
@@ -549,6 +558,7 @@ def cli_argv(draw):
 @given(cli_argv())
 @example(["estimate", "--matrix", MATRICES[1], "--rows", "[1,1,1]", "--cols", "[1,1,1]", "--samples", "1"])
 @example(["report", "--kind", "variance", "--matrix", MATRICES[5], "--rows", "[1,1]", "--cols", "[1,1]"])
+@example(["per", "--algo", "glynn", "--matrix", MATRICES[5]])
 def test_any_argv_exits_0_1_or_2_without_traceback(argv):
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):

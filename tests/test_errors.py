@@ -25,7 +25,7 @@ SIX = RepetitionPattern((3,) * 6, (3,) * 6)
             "outcome support of 2..8 photons in 40 modes needs 322726785 outcomes; the budget is 1000000",
         ),
         (
-            lambda: estimators.pown_grid_expectation(np.eye(6), SIX),
+            lambda: permanents.permanent_glynn_kan_repeated(np.eye(6), SIX),
             # 4^6 points for x times 4^6 for y
             r"roots-of-unity double grid prod\(p_i \+ 1\) prod\(q_j \+ 1\) needs 16777216 terms; the budget is 10000000",
         ),
@@ -110,11 +110,6 @@ INPUT_CHECKS = {
         lambda: estimators.estimate_permanent(np.eye(1), ONE, f="bogus"),
         ValueError,
         "unknown estimator choice 'bogus'",
-    ),
-    "pown-grid-weights": (
-        lambda: estimators.pown_grid_expectation(np.eye(2), MISMATCH),
-        WeightMismatch,
-        "|p| = 2 but |q| = 1",
     ),
     # identities
     "caps-count": (lambda: identities.verify_macmahon(np.eye(2), cap=(1, 1, 1)), ValueError, "expected 2 caps, got 3"),

@@ -17,9 +17,8 @@ from permkit.estimators import (
     default_geom_radius,
     estimate_permanent,
     estimator_variance_scan,
-    pown_grid_expectation,
 )
-from permkit.permanents import permanent_naive
+from permkit.permanents import permanent_glynn_kan_repeated, permanent_naive
 
 
 class TestEstimatePermanent:
@@ -96,7 +95,7 @@ class TestGridExpectation:
         for p in [(n, 0), (n - 1, 1) if n >= 1 else (n, 0)]:
             q = (p[1], p[0])
             pat = RepetitionPattern(p, q)
-            got = pown_grid_expectation(a, pat)
+            got = permanent_glynn_kan_repeated(a, pat).value
             ref = permanent_naive(repeat_matrix(a, pat)).value
             assert abs(got - ref) <= 1e-10 * max(1.0, abs(ref))
 
@@ -106,7 +105,7 @@ class TestGridExpectation:
     )
     def test_pattern_length_must_equal_dimension(self, m, pattern):
         with pytest.raises(DimensionMismatch):
-            pown_grid_expectation(np.ones((m, m)), pattern)
+            permanent_glynn_kan_repeated(np.ones((m, m)), pattern)
 
 
 class TestVarianceScan:
@@ -145,7 +144,7 @@ class TestNonFiniteMatrix:
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_grid_expectation_rejects(self, bad):
         with pytest.raises(ValueError, match="finite"):
-            pown_grid_expectation(self.matrix(bad), RepetitionPattern.uniform(3))
+            permanent_glynn_kan_repeated(self.matrix(bad), RepetitionPattern.uniform(3))
 
 
 def test_empirical_unbiasedness_across_seeds():

@@ -14,7 +14,6 @@ from hypothesis import strategies as st
 from permkit import permanents, rng
 from permkit.combinatorics import RepetitionPattern, enumerate_weight, factorial_product, repeat_matrix
 from permkit.errors import DimensionMismatch, TooLarge, WeightMismatchWarning
-from permkit.estimators import pown_grid_expectation
 from permkit.numerics import ComplexMatrix, scaled_error
 from permkit.permanents import (
     TERM_BUDGET,
@@ -247,7 +246,6 @@ def test_root_grid_routes_match_naive_on_every_pattern(m, top):
                 kan = permanent_glynn_kan_repeated(a, pat)
                 assert scaled_error(roots.value, ref) <= 1e-10, (p, q)
                 assert scaled_error(kan.value, ref) <= 1e-10, (p, q)
-                assert scaled_error(pown_grid_expectation(a, pat), ref) <= 1e-10, (p, q)
                 if n:
                     assert roots.term_count == math.prod(c + 1 for c in q)
                     assert kan.term_count == math.prod(c + 1 for c in p + q)
@@ -685,9 +683,10 @@ def test_multiplicity_grid_of_ones_is_the_vertex_table(k):
     assert np.array_equal(weights[0], signs)
 
 
-# `_sign_sums` sums the grid points whose first nonzero y_j is positive.
-# Where |p| = |q| (mod 2) and |p| >= 1 the term at -y equals the term at y and
-# y = 0 adds 0, so twice the half sum is the sum over every grid point.
+# `_sign_sums` sums the grid points whose first nonzero y_j is positive and
+# divides by 2^(|q| - 1).  Where |p| = |q| (mod 2) and |p| >= 1 the term at -y
+# equals the term at y and y = 0 adds 0, so 2^|q| times the result is the sum
+# over every grid point.
 
 
 def _full_grid_sum(cols, p, q):
@@ -737,7 +736,14 @@ def test_sign_sums_are_half_the_full_grid_sum(case, low_bits, monkeypatch, fresh
         got = permanents._sign_sums(cols, np.array([p for p, _ in batch]), [q for _, q in batch])
         for g, pair in zip(got.tolist(), batch):
             w = want[pairs.index(pair)]
-            assert abs(2 * g - w) <= 1e-13 * max(1.0, abs(w)), (case, pair)
+            assert abs(g * 2 ** sum(pair[1]) - w) <= 1e-13 * max(1.0, abs(w)), (case, pair)
+
+
+def test_divisor_past_float64_raises_before_the_grid(fresh_grids):
+    # |q| = 1200: the kernel's divisor 2^1199 has no float64, so it refuses before building or summing a grid
+    with pytest.raises(OverflowError):
+        permanent_glynn_multiplicity(rng.unit_disk_matrix(2, 3), RepetitionPattern((600, 600), (600, 600)))
+    assert permanents._grid.cache_info().misses == 0
 
 
 @pytest.mark.parametrize("m", [20, 23])
@@ -1028,7 +1034,7 @@ def test_exact_batches_match_single_pairs():
 
 # `_multiplicity_residues` runs one pair on C with row i repeated p_i times,
 # multiplied straight down the rows, and a batch on a table of each row's
-# powers; both give 2^(|q| - 1) Per(C_{p,q}) mod each prime, pair for pair.
+# powers; both give Per(C_{p,q}) mod each prime, pair for pair.
 RESIDUE_CASES = {
     # the reach of rows 0 and 1 passes 2^52: per-prime rows on both paths
     "per-prime": (
@@ -1069,7 +1075,7 @@ def test_one_pair_and_batched_residues_agree(case, low_bits, monkeypatch, fresh_
     rows, pairs = RESIDUE_CASES[case]
     ints = permanents._integer_rows(rows)[1]
     primes = permanents._crt_primes(2**80)
-    want = [[int(2 ** (sum(q) - 1) * table_permanent(ints, p, q)) % prime for prime in primes] for p, q in pairs]
+    want = [[int(table_permanent(ints, p, q)) % prime for prime in primes] for p, q in pairs]
     if case == "mid-block" and low_bits == 2:
         _, block, size, (_, x_high), _ = _grid(((1, 2, 2),))
         assert len(x_high) > 1 and (size + 1) // 2 % block
