@@ -23,6 +23,8 @@ import permkit
 from permkit import rng
 from permkit.numerics import ComplexMatrix
 
+ONES12 = str([1] * 12)
+
 # (what is checked, argv after `permkit`, exit code, stderr pattern)
 CHECKS = [
     (
@@ -62,6 +64,12 @@ CHECKS = [
         r"^error: ",
     ),
     (
+        "'exp' is refused from sum |a_ij| >= 4096 / (2e), where e^(sum |a_ij|) is past float64",
+        ["estimate", "--matrix", "a12x9.json", "--rows", ONES12, "--cols", ONES12, "--f", "exp"],
+        1,
+        r"^error: the 'exp' integrand.*overflows float64",
+    ),
+    (
         "a non-finite regime constant is refused: NaN is not JSON",
         ["report", "--kind", "regime", "--n", "4", "--m", "10", "--c", "nan"],
         1,
@@ -74,8 +82,9 @@ TIMEOUT_S = 20
 
 
 def write_inputs(directory: Path) -> None:
-    """The unitary u.json (Haar, 4 modes) and the matrices a3, a6 and a12.json (unit disk)."""
-    files = {"u.json": rng.haar_unitary(4, 1).matrix}
+    """The unitary u.json (Haar, 4 modes), the matrices a3, a6 and a12.json
+    (unit disk) and a12x9.json, 9 times a12 (sum |a_ij| = 838)."""
+    files = {"u.json": rng.haar_unitary(4, 1).matrix, "a12x9.json": ComplexMatrix(9 * rng.unit_disk_matrix(12, 1))}
     files.update({f"a{n}.json": ComplexMatrix(rng.unit_disk_matrix(n, 1)) for n in (3, 6, 12)})
     for name, matrix in files.items():
         (directory / name).write_text(json.dumps(matrix.to_json_dict()))

@@ -9,16 +9,27 @@ The geometric choice has a finite convergence radius, so it is evaluated on
 a shrunken torus x -> r x, y -> r y with r^2 * sum_ij |a_ij| < 1 and the
 result divided by r^(2n); this keeps |r^2 x^T A y| < 1 pointwise.
 
-Points are drawn as integers.  Each coordinate of x and y is the top 48 bits
-k of one raw Philox word, read as the phase e^(2 pi i k / 2^48), and looked
-up in four 4096-entry tables, one per 12-bit limb of k.  The inverse
-monomial conj(x)^p conj(y)^q is the same lookup at the turn
--(p.k_x + q.k_y) mod 2^48, exact in uint64 wrap-around arithmetic.  Each
-generator call draws 2 b m words (x from the first b m, y from the rest)
-for a batch of b = _BATCH points, which are evaluated in chunks of _CHUNK.
-Results are bit-reproducible per (seed, streams); they differ by ~1e-13
-relative from versions that drew x = exp(i theta) from the full 64-bit word.
-An integrand sum that overflows raises OverflowError.
+Every phase is drawn from the N-th roots of unity mu_N, N = 4096: a 12-bit
+turn k is read as e^(2 pi i k / N), one lookup in a single N-entry table.  A
+raw Philox word holds five turns, field j being bits 12j..12j+11, so each
+generator call draws ceil(2 b m / 5) words for a batch of b = _BATCH points
+(x from the first b m turns, y from the rest), which are evaluated in chunks
+of _CHUNK.  The inverse monomial conj(x)^p conj(y)^q is one more lookup, at
+the turn -(p.k_x + q.k_y) mod N.
+
+On mu_N a Laurent polynomial of degree below N averages to exactly its
+constant term, so the grid changes no expectation that matters here:
+  - 'pown': the mean, E|v|^2 and E v^2 equal their continuous-torus values
+    when N > 2n, which always holds, as float(n!) refuses n >= 171.
+  - 'geom': the aliased terms have degree >= n + N; with r^2 sum|a| = 1/2
+    their total is at most 2^(1-N) (p!q!/n!) (sum|a|)^n.
+  - 'exp': while sum|a_ij| < N / (2e) ~ 753 the aliased mass is at most
+    2^(1-N) p!q!, below any float64 result.  From there e^(sum|a_ij|) is past
+    float64 and 'exp' raises OverflowError before drawing anything.
+Results are bit-reproducible per (seed, streams); stream s is the generator
+jumped s times.  Seeded estimates changed once when the draws moved from
+48-bit turns to this grid.  An integrand sum that overflows raises
+OverflowError.
 
 The exact 'pown' average over the root-of-unity grids prod_i mu_{p_i + 1}
 and prod_j mu_{q_j + 1}, where no aliasing survives, is the repeated
@@ -49,23 +60,21 @@ _BATCH = 1 << 14
 # 1.6x as long (50,000 samples per f, one core).
 _CHUNK = 1 << 12
 
-# A phase is a 48-bit turn k, e^(2 pi i k / 2^48): the top bits of a raw word.
-_TURN_BITS = 48
-_TURN_SHIFT = np.uint64(64 - _TURN_BITS)
-_TURN_MASK = np.uint64((1 << _TURN_BITS) - 1)
-_LIMB_BITS = 12
-_LIMB_MASK = np.uint64((1 << _LIMB_BITS) - 1)
-_LIMB_SHIFTS = tuple(np.uint64(_LIMB_BITS * j) for j in range(4))
+# Every phase is a root of unity e^(2 pi i k / N) with a 12-bit turn k, and
+# a raw 64-bit word holds five turns: field j is bits 12 j .. 12 j + 11.
+_TURNS = 1 << 12
+_FIELD_SHIFTS = np.arange(0, 60, 12, dtype=np.int64)[:, None]
+# Below this sum_ij |a_ij| the 'exp' grid average aliases < 2^(1 - N) p!q!.
+_EXP_LIMIT = _TURNS / (2 * math.e)
 
 
 @functools.cache
-def _phase_tables() -> tuple:
-    """Table j holds e^(2 pi i l 2^(12 j) / 2^48) for each value l of the j-th
-    12-bit limb of a turn.  Built on first use, so importing permkit stays cheap."""
-    tables = tuple(np.exp(2j * np.pi * np.arange(1 << _LIMB_BITS) * 2.0 ** (_LIMB_BITS * j - _TURN_BITS)) for j in range(4))
-    for table in tables:
-        table.setflags(write=False)
-    return tables
+def _circle() -> np.ndarray:
+    """e^(2 pi i k / N) for k = 0 .. N - 1.  Built on first use, so importing
+    permkit stays cheap."""
+    table = np.exp(2j * np.pi / _TURNS * np.arange(_TURNS))
+    table.setflags(write=False)
+    return table
 
 
 @dataclass(frozen=True)
@@ -96,39 +105,20 @@ def default_geom_radius(arr: np.ndarray) -> float:
     return math.sqrt(0.5 / s1)
 
 
-def _phases(turns: np.ndarray, out: np.ndarray, limb: np.ndarray, factor: np.ndarray) -> np.ndarray:
-    """out = e^(2 pi i turns / 2^48): a product of one table entry per 12-bit limb.
+def _turns(words: np.ndarray, exponents: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """Turns of b points from W raw words into `out` (2m + 1, b), int64.
 
-    `turns` is uint64 below 2^48; `limb` (uint64) and `factor` (complex128)
-    are scratch buffers of its shape.  Every limb is below 4096, so take's
-    mode="wrap" never wraps; unlike the default mode it writes straight into
-    `out` instead of through a buffer.
+    Turn j W + w is field j of word w, and row i < 2m of `out` takes turns
+    i b .. i b + b - 1: rows 0..m-1 are the coordinates of x, rows m..2m-1
+    those of y.  The last row is the turn of conj(x)^p conj(y)^q,
+    -(p.k_x + q.k_y) mod N; `exponents` is p then q as int64.  The words are
+    shifted as int64, whose sign bits the mask drops.
     """
-    tables = _phase_tables()
-    np.right_shift(turns, _LIMB_SHIFTS[3], out=limb)
-    np.take(tables[3], limb.view(np.int64), out=out, mode="wrap")
-    for j in (2, 1, 0):
-        np.right_shift(turns, _LIMB_SHIFTS[j], out=limb)
-        np.bitwise_and(limb, _LIMB_MASK, out=limb)
-        np.take(tables[j], limb.view(np.int64), out=factor, mode="wrap")
-        np.multiply(out, factor, out=out)
+    k = out[:-1]
+    fields = words.view(np.int64) >> _FIELD_SHIFTS
+    np.bitwise_and(fields.reshape(-1)[: k.size].reshape(k.shape), _TURNS - 1, out=k)
+    np.bitwise_and(-(exponents @ k), _TURNS - 1, out=out[-1])
     return out
-
-
-def _fill_turns(words: np.ndarray, exponents: np.ndarray, turns: np.ndarray) -> None:
-    """Turns of one chunk from its raw words, shaped (2, c, m) as x then y.
-
-    Rows 0..m-1 of `turns` (2m+1, c) get the turns of x, rows m..2m-1 those
-    of y, and the last row the turn of conj(x)^p conj(y)^q, which is
-    -(p.k_x + q.k_y) mod 2^48 in uint64 wrap-around arithmetic; `exponents`
-    is p then q as uint64.
-    """
-    m = words.shape[2]
-    np.right_shift(words[0].T, _TURN_SHIFT, out=turns[:m])
-    np.right_shift(words[1].T, _TURN_SHIFT, out=turns[m:-1])
-    np.dot(exponents, turns[:-1], out=turns[-1])
-    np.negative(turns[-1], out=turns[-1])
-    np.bitwise_and(turns[-1], _TURN_MASK, out=turns[-1])
 
 
 def estimate_permanent(
@@ -158,20 +148,19 @@ def estimate_permanent(
     n = weight(p)
     if weight(q) != n:
         raise WeightMismatch(f"|p| = {n} but |q| = {weight(q)}")
+    # float(n!) refuses n >= 171, so N > 2n: the premise of the grid's exactness.
     pq = float(factorial_product(p) * factorial_product(q))
     nfac = float(math.factorial(n))
     r = default_geom_radius(arr) if f == "geom" else 1.0
-    # Exponents mod 2^48 fit uint64 and leave every turn mod 2^48 unchanged.
-    exponents = np.array([k & ((1 << _TURN_BITS) - 1) for k in p + q], dtype=np.uint64)
+    if f == "exp" and (s1 := float(np.sum(np.abs(arr)))) >= _EXP_LIMIT:
+        raise OverflowError(f"the 'exp' integrand's bound e^(sum |a_ij|) = e^{s1:.6g} overflows float64")
+    exponents = np.array(p + q, dtype=np.int64)
 
     # Every stream draws samples // streams points and the last one also the
     # remainder, so with more streams than samples only the last one draws.
     base, extra = divmod(samples, streams)
-    width = min(_CHUNK, base + extra)
-    turns = np.empty((2 * m + 1, width), dtype=np.uint64)
-    limb = np.empty_like(turns)
-    phase = np.empty(turns.shape, dtype=np.complex128)
-    factor = np.empty_like(phase)
+    turns = np.empty((2 * m + 1, min(_BATCH, base + extra)), dtype=np.int64)
+    phase = np.empty((2 * m + 1, min(_CHUNK, base + extra)), dtype=np.complex128)
 
     count = 0
     total = 0.0 + 0.0j
@@ -184,11 +173,12 @@ def estimate_permanent(
             bg = bit_generator(seed, stream=s)
             for done in range(0, n_s, _BATCH):
                 b = min(_BATCH, n_s - done)
-                raw = bg.random_raw(2 * b * m).reshape(2, b, m)
+                k = _turns(bg.random_raw(-(-2 * b * m // 5)), exponents, turns[:, :b])
                 for lo in range(0, b, _CHUNK):
                     c = min(_CHUNK, b - lo)
-                    _fill_turns(raw[:, lo : lo + c], exponents, turns[:, :c])
-                    ph = _phases(turns[:, :c], phase[:, :c], limb[:, :c], factor[:, :c])
+                    # Every turn is below N, so mode="wrap" never wraps; unlike the
+                    # default mode it writes straight into `phase`, not through a buffer.
+                    ph = np.take(_circle(), k[:, lo : lo + c], out=phase[:, :c], mode="wrap")
                     x, y, inv = ph[:m], ph[m:-1], ph[-1]
                     w = ((arr.T @ x) * y).sum(axis=0)
                     if f == "pown":

@@ -273,11 +273,14 @@ def torus_integrand_samples(
     a, p, q, f: str, samples: int, seed: int, streams: int, batch: int, jump: int = 0
 ) -> np.ndarray:
     """Per-point values of the torus integrand p!q! f(x^T A y) / (x^p y^q f^(n)(0))
-    on the estimator's raw Philox words, drawn the direct way: each word is an
-    angle theta = 2 pi word / 2^64, x = exp(i theta), and the inverse monomial
-    is a product of float powers of conj(x) and conj(y).  Stream s is the
-    generator jumped s + jump times and gets samples // streams points, the
-    last one the remainder; each call of `batch` points draws x, then y."""
+    on the estimator's 12-bit fields of raw Philox words, drawn the direct way:
+    each field k is an angle theta = 2 pi k / 4096, x = exp(i theta), and the
+    inverse monomial is a product of float powers of conj(x) and conj(y).  A
+    call of `batch` points draws ceil(2 batch m / 5) words W; field j of word w
+    (bits 12j..12j+11) is angle j W + w, and coordinate i of point t takes
+    angle i batch + t, x first, then y.  Stream s is the generator jumped
+    s + jump times and gets samples // streams points, the last one the
+    remainder."""
     a = np.asarray(a, dtype=np.complex128)
     m = a.shape[0]
     n = sum(p)
@@ -292,9 +295,11 @@ def torus_integrand_samples(
             bg = bg.jumped(s + jump)
         for done in range(0, n_s, batch):
             b = min(batch, n_s - done)
-            angles = bg.random_raw(2 * b * m) * (2.0 * np.pi / 2.0**64)
-            x = np.exp(1j * angles[: b * m].reshape(b, m))
-            y = np.exp(1j * angles[b * m :].reshape(b, m))
+            words = bg.random_raw(-(-2 * b * m // 5))
+            fields = np.concatenate([(words // 4096**j) % 4096 for j in range(5)])
+            angles = fields[: 2 * b * m].astype(np.float64) * (2.0 * np.pi / 4096)
+            x = np.exp(1j * angles[: b * m].reshape(m, b).T)
+            y = np.exp(1j * angles[b * m :].reshape(m, b).T)
             w = np.einsum("bi,ij,bj->b", x, a, y)
             inv = np.prod(np.conj(x) ** np.array(p, float), axis=1) * np.prod(np.conj(y) ** np.array(q, float), axis=1)
             if f == "pown":

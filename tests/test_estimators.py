@@ -6,14 +6,15 @@ import numpy as np
 import pytest
 
 from oracles import torus_integrand_samples
-from permkit import rng
+from permkit import estimators, rng
 from permkit.combinatorics import RepetitionPattern, repeat_matrix
 from permkit.errors import DimensionMismatch, WeightMismatch
 from permkit.estimators import (
     _BATCH,
     _CHUNK,
-    _fill_turns,
-    _phases,
+    _EXP_LIMIT,
+    _circle,
+    _turns,
     default_geom_radius,
     estimate_permanent,
     estimator_variance_scan,
@@ -162,38 +163,60 @@ def test_empirical_unbiasedness_across_seeds():
         assert abs(grand - ref) <= 5 * pooled
 
 
-def phases(turns):
-    return _phases(turns, np.empty(turns.shape, complex), np.empty_like(turns), np.empty(turns.shape, complex))
+def test_empirical_unbiasedness_at_sixteen_photons():
+    # p = q = (4, 4, 4, 4), n = 16: the grid is exact for any n < N / 2, not just one photon per mode
+    a = rng.unit_disk_matrix(4, 91)
+    pat = RepetitionPattern((4,) * 4, (4,) * 4)
+    ref = permanent_glynn_kan_repeated(a, pat).value
+    for f in ("pown", "geom"):
+        estimates, stderrs = [], []
+        for seed in range(30):
+            rep = estimate_permanent(a, pat, f, 20_000, 2000 + seed)
+            estimates.append(rep.estimate)
+            stderrs.append(rep.stderr)
+        grand = np.mean(estimates)
+        pooled = math.sqrt(sum(s**2 for s in stderrs)) / len(stderrs)
+        assert abs(grand - ref) <= 5 * pooled, f
+
+
+def turns_of(words, p, q):
+    m = len(p)
+    out = np.empty((2 * m + 1, len(words) * 5 // (2 * m)), dtype=np.int64)
+    return _turns(np.asarray(words, dtype=np.uint64), np.array(p + q, dtype=np.int64), out)
 
 
 class TestIntegerPhases:
     def test_table_phase_matches_exp_of_the_turn(self):
-        k = np.concatenate([
-            np.array([0, 1, 1 << 47, (1 << 48) - 1], dtype=np.uint64),
-            np.random.default_rng(3).integers(0, 1 << 48, size=10_000, dtype=np.uint64),
-        ])
-        ref = np.exp(2j * np.pi * (k.astype(np.float64) / 2.0**48))
-        assert np.max(np.abs(phases(k) - ref)) <= 4e-15
-        assert phases(k[:3]).tolist()[:2] == [1.0, np.exp(2j * np.pi / 2.0**48)]
+        k = np.arange(4096)
+        table = _circle()
+        assert table.shape == (4096,) and not table.flags.writeable
+        assert np.max(np.abs(table - np.exp(2j * np.pi * (k / 4096.0)))) <= 1e-15
+        assert table[0] == 1.0
+
+    def test_fields_are_read_field_by_field(self):
+        # word w holds 100 j + w in field j; turn j W + w is that field
+        words = [sum((100 * j + w) << (12 * j) for j in range(5)) for w in range(6)]
+        k = turns_of(words, (1, 2, 0), (0, 1, 2))
+        assert k[:-1].reshape(-1).tolist() == [100 * j + w for j in range(5) for w in range(6)]
+
+    def test_mask_keeps_twelve_bits_and_drops_the_top_four(self):
+        k = turns_of([(1 << 64) - 1, 0xF << 60], (1,), (1,))
+        assert k[:-1].tolist() == [[4095, 0, 4095, 0, 4095], [0, 4095, 0, 4095, 0]]
 
     @pytest.mark.parametrize("p, q", [((3, 0, 2, 1), (1, 1, 1, 3)), ((0, 0, 0, 0), (0, 0, 0, 0)), ((7, 0, 0, 1), (2, 2, 2, 2))])
     def test_integer_inverse_monomial_equals_float_powers(self, p, q):
         m, c = len(p), 1000
-        words = np.random.default_rng(4).integers(0, 1 << 64, size=(2, c, m), dtype=np.uint64)
-        turns = np.empty((2 * m + 1, c), dtype=np.uint64)
-        _fill_turns(words, np.array(p + q, dtype=np.uint64), turns)
-        assert np.array_equal(turns[:m], (words[0] >> np.uint64(16)).T)
-        assert np.array_equal(turns[m:-1], (words[1] >> np.uint64(16)).T)
-        ph = phases(turns)
+        words = np.random.default_rng(4).integers(0, 1 << 64, size=2 * m * c // 5, dtype=np.uint64)
+        ph = _circle()[turns_of(words, p, q)]
+        assert ph.shape == (2 * m + 1, c)
         ref = np.prod(np.conj(ph[:m]).T ** np.array(p), axis=1) * np.prod(np.conj(ph[m:-1]).T ** np.array(q), axis=1)
         assert np.max(np.abs(ph[-1] - ref)) <= 1e-14
 
-    def test_inverse_turn_wraps_mod_2_to_48(self):
-        # p.k = 3 (2^48 - 1) = 2^49 + 2^48 - 3 wraps to 2^48 - 3, so the inverse turn is 3.
-        words = np.full((2, 1, 1), ((1 << 48) - 1) << 16, dtype=np.uint64)
-        turns = np.empty((3, 1), dtype=np.uint64)
-        _fill_turns(words, np.array([2, 1], dtype=np.uint64), turns)
-        assert turns[:, 0].tolist() == [(1 << 48) - 1, (1 << 48) - 1, 3]
+    def test_inverse_turn_wraps_mod_4096(self):
+        # p.k_x + q.k_y = 2 * 4095 + 4095 = 12285 = 3 * 4096 - 3, so the inverse turn is 3
+        words = [(1 << 60) - 1] * 2
+        k = turns_of(words, (2,), (1,))
+        assert k[:, 0].tolist() == [4095, 4095, 3]
 
 
 def _pattern(m: int):
@@ -264,6 +287,32 @@ class TestOverflow:
     def test_large_but_finite_passes(self, f):
         rep = estimate_permanent(np.full((2, 2), 1e50 if f != "exp" else 10.0), RepetitionPattern.uniform(2), f, 1000, 1)
         assert math.isfinite(rep.stderr) and np.isfinite(rep.estimate)
+
+    @staticmethod
+    def hadamard(total):
+        # |x^T H y| <= sum |h_ij| / sqrt(8) on the torus, so e^(x^T H y) stays finite just below the limit
+        h = np.array([[(-1) ** bin(i & j).count("1") for j in range(8)] for i in range(8)], dtype=float)
+        return h * (total / 64)
+
+    def test_exp_passes_just_below_the_alias_limit(self):
+        rep = estimate_permanent(self.hadamard(_EXP_LIMIT * (1 - 1e-9)), RepetitionPattern.uniform(8), "exp", 1000, 1)
+        assert math.isfinite(rep.stderr) and np.isfinite(rep.estimate)
+
+    def test_exp_is_refused_from_the_alias_limit_before_any_draw(self, monkeypatch):
+        monkeypatch.setattr(estimators, "bit_generator", _no_draw)
+        with pytest.raises(OverflowError, match=r"^the 'exp' integrand's bound e\^\(sum \|a_ij\|\) = e\^753\.4\d* overflows float64$"):
+            estimate_permanent(self.hadamard(_EXP_LIMIT * (1 + 1e-9)), RepetitionPattern.uniform(8), "exp", 1000, 1)
+
+    @pytest.mark.parametrize("f", ["pown", "exp", "geom"])
+    def test_171_photons_are_refused_before_any_draw(self, monkeypatch, f):
+        # 171! is past float64, which keeps n < N / 2 = 2048 wherever phases are drawn
+        monkeypatch.setattr(estimators, "bit_generator", _no_draw)
+        with pytest.raises(OverflowError):
+            estimate_permanent(np.eye(171) / 171, RepetitionPattern.uniform(171), f, 1000, 1)
+
+
+def _no_draw(*args, **kwargs):
+    raise AssertionError("a phase was drawn")
 
 
 class TestArgumentTypes:
